@@ -197,6 +197,7 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     quasi_acc = _Welford((nt, 2, 2, 2, 2))
     unitarity_defect = 0.0
     eye = np.eye(dim, dtype=complex)
+    expansion = quasiprob._expansion(rho, v)
 
     for traj in range(config.trajectories):
         rng = np.random.default_rng((config.seed, traj))
@@ -207,22 +208,12 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
         for step in range(config.steps + 1):
             if step % config.stride == 0:
                 wt = qla.dagger(u) @ w @ u
-                wtv = wt @ v
-                corr = {
-                    "one": 1.0 + 0j,
-                    "w": complex(np.trace(rho @ wt)),
-                    "v": complex(np.trace(rho @ v)),
-                    "wv": complex(np.trace(rho @ wtv)),
-                    "vw": complex(np.trace(rho @ v @ wt)),
-                    "wvw": complex(np.trace(rho @ wt @ v @ wt)),
-                    "vwv": complex(np.trace(rho @ v @ wt @ v)),
-                    "f": complex(np.trace(rho @ wtv @ wtv)),
-                }
+                corr = expansion(wt)
                 vals["F"][k] = corr["f"]
-                vals["G"][k] = complex(np.trace(wtv)) / dim
+                vals["G"][k] = np.sum(wt * v.T) / dim
                 vals["q_1"][k] = corr["w"]
                 vals["q_2"][k] = corr["v"]
-                vals["q_11"][k] = complex(np.trace(wt @ w)) / dim
+                vals["q_11"][k] = np.sum(wt * w.T) / dim
                 vals["q_12"][k] = corr["wv"]
                 vals["q_21"][k] = corr["vw"]
                 vals["f_12"][k] = corr["wvw"]

@@ -192,6 +192,10 @@ def _validate(experiment: str, cfg: dict):
     if "n" in cfg:
         if not isinstance(cfg["n"], int) or cfg["n"] < 2:
             raise ConfigError("n must be an integer >= 2")
+        max_n = (brownian._MAX_SITES if experiment == "brownian-ensemble"
+                 else qla.MAX_DIM.bit_length() - 1)
+        if cfg["n"] > max_n:
+            raise ConfigError(f"{experiment} needs n <= {max_n} (dense matrices)")
     for key in ("t_max", "t_step", "t", "dt", "temperature"):
         if key in cfg:
             positive(key)
@@ -303,11 +307,11 @@ def _fmt(x) -> str:
     v = float(x)
     if not np.isfinite(v):
         raise ArithmeticError("non-finite value in output")
-    return f"{v:.17g}"
+    return repr(v)
 
 
 def _cell(x) -> str:
-    return x if isinstance(x, str) else _fmt(x)
+    return x if isinstance(x, str) else _json_atom(x)
 
 
 def _json_atom(v) -> str:

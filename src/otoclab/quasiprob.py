@@ -10,6 +10,13 @@ distribution P(W, W'), and the regulated, time-ordered, and k-fold variants.
 F(t) is recoverable from every one of these as a moment; the moment helpers
 live here next to the distributions so the identities stay testable.
 
+Every coarse distribution comes from one of two independent routes, which
+the tests use as each other's oracle: the explicit projector trace
+(_four_projector_trace) and, for involutory W and V, the expansion of
+each projector as (1 + s O)/2 into eight correlators (_expansion, then
+coarse_entries_from_correlators). Projectors of an involution are built
+as (1 -+ O)/2 (_distinct_projectors), never by eigendecomposition.
+
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
 many times without rediagonalizing.
@@ -180,6 +187,18 @@ def heisenberg(op, u) -> np.ndarray:
     return qla.dagger(u) @ op @ u
 
 
+def _energy_frame(sys: qla.HermitianEigensystem, *ops) -> list[np.ndarray]:
+    """Operators rotated into the eigenbasis of the Hamiltonian."""
+    e = sys.eigenvectors
+    return [e.conj().T @ np.asarray(op, dtype=complex) @ e for op in ops]
+
+
+def _dress(op_e, sys: qla.HermitianEigensystem, t: float) -> np.ndarray:
+    """Udag op U in the energy frame, an elementwise phase dressing."""
+    phase = np.exp(-1j * sys.eigenvalues * t)
+    return (phase.conj()[:, None] * op_e) * phase[None, :]
+
+
 def _check_dims(*ops):
     dims = {np.asarray(o).shape[0] for o in ops}
     if len(dims) != 1:
@@ -187,8 +206,21 @@ def _check_dims(*ops):
 
 
 def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Ascending distinct eigenvalues and their eigenspace projectors."""
-    sys = _eigensystem(op) if isinstance(op, qla.HermitianEigensystem) else qla.eigh(op)
+    """Ascending distinct eigenvalues and their eigenspace projectors.
+
+    A Hermitian involution other than +-1 (a Pauli string, or its
+    Heisenberg evolution) has eigenvalues -1, +1 and projectors (1 -+ O)/2,
+    which are built directly; only other operators go through qla.eigh.
+    """
+    if not isinstance(op, qla.HermitianEigensystem):
+        m = qla.as_square_array(op)
+        dim = m.shape[0]
+        # the trace of a Hermitian involution is an integer, +-dim only for +-1
+        if (qla.hermiticity_defect(m) <= qla.HERMITIAN_TOL
+                and abs(np.trace(m)) < dim - 0.5 and _is_involutory(m)):
+            eye = np.eye(dim)
+            return np.array([-1.0, 1.0]), [(eye - m) / 2, (eye + m) / 2]
+    sys = _eigensystem(op)
     evs, projs = [], []
     for start, stop in sys.degenerate_groups():
         cols = sys.eigenvectors[:, start:stop]
@@ -200,6 +232,51 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
 def _is_involutory(op, tol: float = 1e-10) -> bool:
     m = np.asarray(op)
     return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
+
+
+def _four_projector_trace(v_projs, w_projs, rho=None) -> np.ndarray:
+    """Tr(Pw3 Pv2 Pw2 Pv1 rho) over every index quadruple (v1, w2, v2, w3).
+
+    rho=None drops the state, for projectors that already carry it. Partial
+    products are built one at a time, so at most three extra matrices live.
+    """
+    nv, nw = len(v_projs), len(w_projs)
+    vals = np.empty((nv, nw, nv, nw), dtype=complex)
+    for i_v1, pv1 in enumerate(v_projs):
+        right = pv1 if rho is None else pv1 @ rho
+        for i_w2, pw2 in enumerate(w_projs):
+            m = pw2 @ right
+            for i_v2, pv2 in enumerate(v_projs):
+                mm = pv2 @ m
+                for i_w3, pw3 in enumerate(w_projs):
+                    vals[i_v1, i_w2, i_v2, i_w3] = np.einsum("ij,ji->", pw3, mm)
+    return vals
+
+
+def _expansion(rho, v):
+    """Map W(t) -> the eight correlators of the projector expansion.
+
+    rho V, V rho V and Tr(rho V) are formed once; each call then costs
+    three matrix products. Works in any frame rho, V and W(t) share.
+    """
+    rho_v = rho @ v
+    v_rho_v = v @ rho_v
+    v_static = complex(np.trace(rho_v))
+
+    def correlators(wt) -> dict[str, complex]:
+        d = rho @ wt
+        c = v @ wt
+        return {
+            "one": 1.0 + 0j,
+            "w": complex(np.sum(rho * wt.T)),
+            "v": v_static,
+            "wv": complex(np.sum(d * v.T)),
+            "vw": complex(np.sum(rho_v * wt.T)),
+            "wvw": complex(np.sum(d * c.T)),
+            "vwv": complex(np.sum(v_rho_v * wt.T)),
+            "f": complex(np.sum((d @ c) * v.T)),
+        }
+    return correlators
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +311,11 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     """
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
-    e = sys.eigenvectors
-    w_e = e.conj().T @ np.asarray(w_op, dtype=complex) @ e
-    v_e = e.conj().T @ np.asarray(v_op, dtype=complex) @ e
-    rho_e = e.conj().T @ np.asarray(rho, dtype=complex) @ e
+    w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
     times = np.asarray(times, dtype=float)
     vals = np.empty(times.shape[0], dtype=complex)
     for i, t in enumerate(times):
-        phase = np.exp(-1j * sys.eigenvalues * t)
-        wt_e = (phase.conj()[:, None] * w_e) * phase[None, :]
+        wt_e = _dress(w_e, sys, t)
         b = qla.dagger(wt_e) @ qla.dagger(v_e)
         c = wt_e @ v_e
         vals[i] = np.sum((rho_e @ b) * c.T)
@@ -273,22 +346,10 @@ def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
 def coarse_quasiprob(rho, w_op, v_op, hamiltonian, t: float) -> QuasiDistribution:
     """Four-projector trace A~(v1, w2, v2, w3) over every eigenvalue quadruple."""
     _check_dims(rho, w_op, v_op)
-    u = propagator(hamiltonian, t)
-    wt = heisenberg(w_op, u)
+    wt = heisenberg(w_op, propagator(hamiltonian, t))
     w_evs, w_projs = _distinct_projectors(wt)
-    v_evs, v_projs = _distinct_projectors(np.asarray(v_op, dtype=complex))
-    nv, nw = len(v_evs), len(w_evs)
-    rho = np.asarray(rho, dtype=complex)
-
-    vals = np.empty((nv, nw, nv, nw), dtype=complex)
-    layer1 = [pv1 @ rho for pv1 in v_projs]
-    for i_w2, pw2 in enumerate(w_projs):
-        layer2 = [pw2 @ m for m in layer1]
-        for i_v2, pv2 in enumerate(v_projs):
-            for i_w3, pw3 in enumerate(w_projs):
-                probe = pw3 @ pv2
-                for i_v1 in range(nv):
-                    vals[i_v1, i_w2, i_v2, i_w3] = np.sum(probe * layer2[i_v1].T)
+    v_evs, v_projs = _distinct_projectors(v_op)
+    vals = _four_projector_trace(v_projs, w_projs, np.asarray(rho, dtype=complex))
     return QuasiDistribution(
         values=vals,
         axis_names=COARSE_AXES,
@@ -307,28 +368,19 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     """
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
-    e = sys.eigenvectors
     times = np.asarray(times, dtype=float)
     if _is_involutory(w_op) and _is_involutory(v_op):
         return _involutory_series(rho, w_op, v_op, sys, times)
-    w_evs, w_projs = _distinct_projectors(np.asarray(w_op, dtype=complex))
-    v_evs, v_projs = _distinct_projectors(np.asarray(v_op, dtype=complex))
-    w_projs_e = [e.conj().T @ p @ e for p in w_projs]
-    v_projs_e = [e.conj().T @ p @ e for p in v_projs]
-    rho_e = e.conj().T @ np.asarray(rho, dtype=complex) @ e
-    nv, nw = len(v_evs), len(w_evs)
-    out = np.empty((times.shape[0], nv, nw, nv, nw), dtype=complex)
+    w_evs, w_projs = _distinct_projectors(w_op)
+    v_evs, v_projs = _distinct_projectors(v_op)
+    w_projs_e = _energy_frame(sys, *w_projs)
+    v_projs_e = _energy_frame(sys, *v_projs)
+    (rho_e,) = _energy_frame(sys, rho)
+    out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
+                   dtype=complex)
     for i, t in enumerate(times):
-        phase = np.exp(-1j * sys.eigenvalues * t)
-        pw_t = [(phase.conj()[:, None] * p) * phase[None, :] for p in w_projs_e]
-        layer1 = [pv1 @ rho_e for pv1 in v_projs_e]
-        for i_w2, pw2 in enumerate(pw_t):
-            layer2 = [pw2 @ m for m in layer1]
-            for i_v2, pv2 in enumerate(v_projs_e):
-                for i_w3, pw3 in enumerate(pw_t):
-                    probe = pw3 @ pv2
-                    for i_v1 in range(nv):
-                        out[i, i_v1, i_w2, i_v2, i_w3] = np.sum(probe * layer2[i_v1].T)
+        pw_t = [_dress(p, sys, t) for p in w_projs_e]
+        out[i] = _four_projector_trace(v_projs_e, pw_t, rho_e)
     return QuasiSeries(
         times=times,
         values=out,
@@ -339,30 +391,11 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
 
 def _involutory_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times) -> QuasiSeries:
     """Series via the eight-correlator expansion, three matrix products per t."""
-    e = sys.eigenvectors
-    w_e = e.conj().T @ np.asarray(w_op, dtype=complex) @ e
-    v_e = e.conj().T @ np.asarray(v_op, dtype=complex) @ e
-    rho_e = e.conj().T @ np.asarray(rho, dtype=complex) @ e
-    rho_v = rho_e @ v_e
-    v_rho_v = v_e @ rho_v
-    v_static = complex(np.trace(rho_v))
+    w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
+    correlators = _expansion(rho_e, v_e)
     out = np.empty((times.shape[0], 2, 2, 2, 2), dtype=complex)
     for i, t in enumerate(times):
-        phase = np.exp(-1j * sys.eigenvalues * t)
-        wt = (phase.conj()[:, None] * w_e) * phase[None, :]
-        d = rho_e @ wt
-        c = v_e @ wt
-        corr = {
-            "one": 1.0 + 0j,
-            "w": complex(np.sum(rho_e * wt.T)),
-            "v": v_static,
-            "wv": complex(np.sum(d * v_e.T)),
-            "vw": complex(np.sum(rho_v * wt.T)),
-            "wvw": complex(np.sum(d * c.T)),
-            "vwv": complex(np.sum(v_rho_v * wt.T)),
-            "f": complex(np.sum((d @ c) * v_e.T)),
-        }
-        out[i] = coarse_entries_from_correlators(corr)
+        out[i] = coarse_entries_from_correlators(correlators(_dress(w_e, sys, t)))
     pm = np.array([-1.0, 1.0])
     return QuasiSeries(
         times=times,
@@ -377,21 +410,8 @@ CORRELATOR_KEYS = ("one", "w", "v", "wv", "vw", "wvw", "vwv", "f")
 
 def correlators_for_expansion(rho, w_op, v_op, hamiltonian, t: float) -> dict[str, complex]:
     """The eight sandwiched expectation values the projector expansion needs."""
-    u = propagator(hamiltonian, t)
-    wt = heisenberg(w_op, u)
-    v = np.asarray(v_op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    wtv = wt @ v
-    return {
-        "one": 1.0 + 0j,
-        "w": complex(np.trace(rho @ wt)),
-        "v": complex(np.trace(rho @ v)),
-        "wv": complex(np.trace(rho @ wtv)),
-        "vw": complex(np.trace(rho @ v @ wt)),
-        "wvw": complex(np.trace(rho @ wt @ v @ wt)),
-        "vwv": complex(np.trace(rho @ v @ wt @ v)),
-        "f": complex(np.trace(rho @ wtv @ wtv)),
-    }
+    wt = heisenberg(w_op, propagator(hamiltonian, t))
+    return _expansion(np.asarray(rho, dtype=complex), np.asarray(v_op, dtype=complex))(wt)
 
 
 def coarse_entries_from_correlators(corr: dict[str, complex]) -> np.ndarray:
@@ -460,6 +480,16 @@ def otoc_moment(quasi: QuasiDistribution) -> complex:
 # fine-grained quasiprobability
 
 
+def _eigenvalue_runs(evs) -> list[slice]:
+    """Runs of equal (to 1e-9) consecutive eigenvalues along one axis."""
+    runs, start = [], 0
+    for k in range(1, evs.shape[0] + 1):
+        if k == evs.shape[0] or abs(evs[k] - evs[start]) > 1e-9:
+            runs.append(slice(start, k))
+            start = k
+    return runs
+
+
 def fine_quasiprob(
     rho,
     w_op,
@@ -507,13 +537,7 @@ def fine_quasiprob(
     vals = np.einsum("ln,mn,mk,kl->kmnl", p, np.conj(p), p, r)
 
     def labels_for(evs):
-        lab = np.zeros(evs.shape[0], dtype=np.int64)
-        start = 0
-        for k in range(1, evs.shape[0] + 1):
-            if k == evs.shape[0] or abs(evs[k] - evs[start]) > 1e-9:
-                lab[start:k] = np.arange(k - start)
-                start = k
-        return lab
+        return np.concatenate([np.arange(r.stop - r.start) for r in _eigenvalue_runs(evs)])
 
     return QuasiDistribution(
         values=vals,
@@ -530,28 +554,16 @@ def coarse_grain(fine: QuasiDistribution) -> QuasiDistribution:
     """Sum a fine-grained distribution over its degeneracy labels."""
     if fine.grain != "fine":
         raise ValueError("input is already coarse")
-    out_evs = []
-    group_slices = []
-    for evs in fine.axis_eigenvalues:
-        distinct = []
-        slices = []
-        start = 0
-        for k in range(1, evs.shape[0] + 1):
-            if k == evs.shape[0] or abs(evs[k] - evs[start]) > 1e-9:
-                distinct.append(evs[start])
-                slices.append(slice(start, k))
-                start = k
-        out_evs.append(np.array(distinct))
-        group_slices.append(slices)
-    shape = tuple(len(e) for e in out_evs)
+    runs = [_eigenvalue_runs(evs) for evs in fine.axis_eigenvalues]
+    shape = tuple(len(r) for r in runs)
     vals = np.zeros(shape, dtype=complex)
     for idx in np.ndindex(shape):
-        block = fine.values[tuple(group_slices[a][i] for a, i in enumerate(idx))]
-        vals[idx] = block.sum()
+        vals[idx] = fine.values[tuple(runs[a][i] for a, i in enumerate(idx))].sum()
     return QuasiDistribution(
         values=vals,
         axis_names=fine.axis_names,
-        axis_eigenvalues=tuple(out_evs),
+        axis_eigenvalues=tuple(np.array([evs[r.start] for r in rs])
+                               for evs, rs in zip(fine.axis_eigenvalues, runs)),
         grain="coarse",
     )
 
@@ -614,17 +626,10 @@ def regulated_quasiprob_and_otoc(hamiltonian, temperature: float, w_op, v_op, t:
     _check_dims(w_op, sys.eigenvectors)
     z = float(np.sum(np.exp(-sys.eigenvalues / temperature)))
     u_reg = sys.propagator(-1j * t - 1.0 / (4.0 * temperature)) / z**0.25
-    w_evs, w_projs = _distinct_projectors(np.asarray(w_op, dtype=complex))
-    v_evs, v_projs = _distinct_projectors(np.asarray(v_op, dtype=complex))
+    w_evs, w_projs = _distinct_projectors(w_op)
+    v_evs, v_projs = _distinct_projectors(v_op)
     pw_reg = [u_reg.conj().T @ p @ u_reg for p in w_projs]
-    nv, nw = len(v_evs), len(w_evs)
-    vals = np.empty((nv, nw, nv, nw), dtype=complex)
-    for i1, pv1 in enumerate(v_projs):
-        for i2, pw2 in enumerate(pw_reg):
-            m = pw2 @ pv1
-            for i3, pv2 in enumerate(v_projs):
-                for i4, pw3 in enumerate(pw_reg):
-                    vals[i1, i2, i3, i4] = np.sum((pw3 @ pv2) * m.T)
+    vals = _four_projector_trace(v_projs, pw_reg)
     dist = QuasiDistribution(
         values=vals,
         axis_names=COARSE_AXES,
@@ -652,22 +657,16 @@ def toc_and_toc_quasiprob(rho, w_op, v_op, hamiltonian, t: float):
     P_TOC, whose moment recovers the TOC for Hermitian W, V.
     """
     _check_dims(rho, w_op, v_op)
-    u = propagator(hamiltonian, t)
-    wt = heisenberg(w_op, u)
+    wt = heisenberg(w_op, propagator(hamiltonian, t))
     v = np.asarray(v_op, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     toc = complex(np.trace(rho @ qla.dagger(v) @ qla.dagger(wt) @ wt @ v))
 
     w_evs, w_projs = _distinct_projectors(wt)
     v_evs, v_projs = _distinct_projectors(v)
-    nv, nw = len(v_evs), len(w_evs)
-    vals = np.empty((nv, nw, nv), dtype=complex)
-    for i1, pv1 in enumerate(v_projs):
-        m1 = pv1 @ rho
-        for i2, pw1 in enumerate(w_projs):
-            m2 = pw1 @ m1
-            for i3, pv2 in enumerate(v_projs):
-                vals[i1, i2, i3] = np.sum(pv2 * m2.T)
+    # the W(t) projectors resolve the identity, so summing the last slot
+    # leaves Tr(Pv2 Pw1 Pv1 rho)
+    vals = _four_projector_trace(v_projs, w_projs, rho).sum(axis=3)
     dist = QuasiDistribution(
         values=vals,
         axis_names=("v1", "w1", "v2"),
@@ -697,30 +696,15 @@ def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
     _check_dims(rho, w_op, v_op)
     if not _is_involutory(w_op) or not _is_involutory(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")
-    u = propagator(hamiltonian, t)
-    wt = heisenberg(w_op, u)
+    wt = heisenberg(w_op, propagator(hamiltonian, t))
     v = np.asarray(v_op, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     f_k = complex(np.trace(rho @ np.linalg.matrix_power(wt @ v, khat)))
 
-    pm = np.array([-1.0, 1.0])
-    dim = rho.shape[0]
-    eye = np.eye(dim)
-    v_projs = [0.5 * (eye - v), 0.5 * (eye + v)]
-    w_projs = [0.5 * (eye - wt), 0.5 * (eye + wt)]
-    nslots = 2 * khat
-    vals = np.empty((2,) * nslots, dtype=complex)
-
-    # depth-first over slots, reusing partial products of projectors onto rho
-    def descend(level: int, acc: np.ndarray, idx: tuple[int, ...]):
-        if level == nslots:
-            vals[idx] = np.trace(acc)
-            return
-        projs = v_projs if level % 2 == 0 else w_projs
-        for i, p in enumerate(projs):
-            descend(level + 1, p @ acc, idx + (i,))
-
-    descend(0, rho, ())
+    v_evs, v_projs = _distinct_projectors(v)
+    w_evs, w_projs = _distinct_projectors(wt)
+    vals = np.empty((len(v_evs), len(w_evs)) * khat, dtype=complex)
+    _chronological_traces(vals, (v_projs, w_projs), rho)
     names = []
     for ell in range(1, khat + 1):
         names.append(f"v{ell}")
@@ -728,10 +712,22 @@ def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
     dist = QuasiDistribution(
         values=vals,
         axis_names=tuple(names),
-        axis_eigenvalues=(pm,) * nslots,
+        axis_eigenvalues=(v_evs, w_evs) * khat,
         grain="coarse",
     )
     return f_k, dist
+
+
+def _chronological_traces(vals, projs, acc, idx=()):
+    """Fill vals with Tr(... P2 P1 acc), slots alternating projs[0], projs[1].
+
+    Depth first, so partial products are shared and only one path is held.
+    """
+    if len(idx) == vals.ndim:
+        vals[idx] = np.trace(acc)
+        return
+    for i, p in enumerate(projs[len(idx) % 2]):
+        _chronological_traces(vals, projs, p @ acc, idx + (i,))
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:

@@ -29,6 +29,8 @@ PHASE_MODES = ("real", "imaginary")
 _COMPLETENESS_TOL = 1e-12
 _PROJECTOR_TOL = 1e-10
 _COMMUTATION_TOL = 1e-10
+# joint outcome probabilities: sum-to-one and negativity tolerance
+_PROBABILITY_TOL = 1e-10
 # effective condition number above which the inversion is refused
 CONDITION_LIMIT = 1e8
 # identifiable real degrees of freedom: 27 of 36 sandwich traces for the
@@ -200,10 +202,13 @@ def _weak_slot_operators(proj, coupling: CouplingConfig) -> dict[int, np.ndarray
 
 
 def _sample_counts(probabilities, shots, seed) -> np.ndarray:
+    """Multinomial histogram; only rounding residue below zero is clipped."""
+    p = np.asarray(probabilities, dtype=float)
+    if np.min(p) < -_PROBABILITY_TOL:
+        raise ValueError(f"outcome probability {np.min(p):.3e} is negative")
+    p = np.clip(p, 0.0, None)
     rng = np.random.default_rng(seed)
-    p = np.clip(probabilities, 0.0, None)
-    p = p / p.sum()
-    return rng.multinomial(shots, p)
+    return rng.multinomial(shots, p / p.sum())
 
 
 def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
@@ -224,10 +229,9 @@ def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
     if shots < 0:
         raise ValueError("shots must be >= 0")
     quasiprob._check_dims(rho, w_op, v_op)
-    u = quasiprob.propagator(hamiltonian, t)
-    wt = quasiprob.heisenberg(w_op, u)
+    wt = quasiprob.heisenberg(w_op, quasiprob.propagator(hamiltonian, t))
     w_evs, w_projs = quasiprob._distinct_projectors(wt)
-    v_evs, v_projs = quasiprob._distinct_projectors(np.asarray(v_op, dtype=complex))
+    v_evs, v_projs = quasiprob._distinct_projectors(v_op)
     if len(v_evs) != 2:
         raise ValueError("weak V coupling needs a two-outcome observable")
     pv_plus = v_projs[int(np.argmax(v_evs))]
@@ -245,7 +249,7 @@ def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
             probs.append(float(np.trace(w_projs[i_w] @ evolved).real))
     probabilities = np.array(probs)
     total = probabilities.sum()
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > _PROBABILITY_TOL:
         raise RuntimeError(f"joint probabilities sum to {total}, not 1")
     counts = _sample_counts(probabilities, shots, seed) if shots else None
     return MeasurementRecord(
@@ -286,12 +290,9 @@ def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
     if len(v_evs) != 2:
         raise ValueError("weak V coupling needs a two-outcome observable")
     w_sys = qla.eigh(w)
-    w_evs = np.array(sorted({round(float(x), 9) for x in w_sys.eigenvalues}))
+    w_evs, w_projs = quasiprob._distinct_projectors(w)
     pv_plus = v_projs[int(np.argmax(v_evs))]
-    pw_plus_lab = 0.5 * (np.eye(w.shape[0]) + w) if quasiprob._is_involutory(w) else None
-    if pw_plus_lab is None:
-        w_dist, w_dist_projs = quasiprob._distinct_projectors(w)
-        pw_plus_lab = w_dist_projs[int(np.argmax(w_dist))]
+    pw_plus_lab = w_projs[int(np.argmax(w_evs))]
     mv = _weak_slot_operators(pv_plus, coupling)
     mw = _weak_slot_operators(pw_plus_lab, coupling)
 
@@ -316,7 +317,7 @@ def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
                 probs.append(tot)
     probabilities = np.array(probs)
     total = probabilities.sum()
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > _PROBABILITY_TOL:
         raise RuntimeError(f"joint probabilities sum to {total}, not 1")
     counts = _sample_counts(probabilities, shots, seed) if shots else None
     return MeasurementRecord(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -77,6 +78,15 @@ class TestQuasiprobSeries:
         for jrow, crow in zip(doc["rows"], rows):
             assert jrow == pytest.approx([float(x) for x in crow], abs=1e-15)
 
+    def test_header_floats_print_shortest_round_trip(self, capsys):
+        rc, out, _ = run_cli(capsys, "quasiprob-series", *SMALL_SERIES)
+        assert rc == 0
+        header = out.split("\n", 1)[0]
+        assert re.search(r'"t_max": 0\.2[,}]', header)
+        assert re.search(r'"t_step": 0\.1[,}]', header)
+        metadata, _, _ = parse_csv(out)
+        assert metadata["config"]["t_max"] == 0.2
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -130,6 +140,8 @@ class TestConfigHandling:
         ["brownian-ensemble", "--t-step", "0.003"],
         ["brownian-ensemble", "--state", "thermal:1.0"],
         ["weakmeas-inference", "--shots", "-5"],
+        ["otoc-series", "--n", "13"],
+        ["brownian-ensemble", "--n", "9"],
     ])
     def test_bad_configuration_exits_two(self, capsys, argv):
         rc, _, err = run_cli(capsys, *argv)

@@ -146,6 +146,19 @@ class TestSimulateProtocol:
                                        weakmeas.CouplingConfig(0.1), shots=-1)
 
 
+class TestSampleCounts:
+    def test_rounding_residue_is_clipped(self):
+        p = np.array([0.5, 0.5 + 5e-11, -5e-11])
+        counts = weakmeas._sample_counts(p, 1000, 3)
+        assert counts.sum() == 1000
+        assert counts[2] == 0
+
+    def test_negative_probability_is_an_error(self):
+        p = np.array([0.6, 0.4 + 1e-6, -1e-6])
+        with pytest.raises(ValueError, match="negative"):
+            weakmeas._sample_counts(p, 1000, 3)
+
+
 class TestInferenceExact:
     def test_three_weak_recovers_distribution(self, two_site):
         rho, w, v, h = two_site

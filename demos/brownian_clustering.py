@@ -30,7 +30,8 @@ def main() -> None:
           f"{cfg.trajectories} trajectories, t up to "
           f"{cfg.dt * cfg.steps:.1f}")
     res = brownian.ensemble_averages(cfg)
-    print(f"worst per-step unitarity defect: {res.unitarity_defect:.2e}")
+    print(f"largest unitarity defect of a final propagator: "
+          f"{res.unitarity_defect:.2e}")
     print()
 
     q11 = res.correlators["q_11"]

@@ -8,6 +8,10 @@ seed, outputs embed the resolved configuration, and files are written
 atomically (temp file, then rename) so interrupted runs leave nothing
 behind.
 
+Runners may also return numerical diagnostics, which land under "health"
+next to the configuration (brownian-ensemble: the largest unitarity
+defect of any trajectory's final propagator).
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -440,7 +444,7 @@ def _run_brownian_ensemble(cfg):
                     result.quasi_se[(i,) + idx + (0,)],
                     result.quasi_se[(i,) + idx + (1,)]]
         rows.append(row)
-    return columns, rows
+    return columns, rows, {"unitarity_defect": result.unitarity_defect}
 
 
 def _run_weakmeas_inference(cfg):
@@ -603,9 +607,9 @@ RUNNERS = {
 }
 
 
-def _metadata(experiment: str, cfg: dict) -> dict:
+def _metadata(experiment: str, cfg: dict, health: dict | None = None) -> dict:
     echo = {k: v for k, v in cfg.items() if k != "out"}
-    return {
+    metadata = {
         "experiment": experiment,
         "config": echo,
         "seed": cfg.get("seed"),
@@ -615,6 +619,9 @@ def _metadata(experiment: str, cfg: dict) -> dict:
             "otoclab": __version__,
         },
     }
+    if health:
+        metadata["health"] = health
+    return metadata
 
 
 def main(argv=None) -> int:
@@ -626,8 +633,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        columns, rows = RUNNERS[args.experiment](cfg)
-        metadata = _metadata(args.experiment, cfg)
+        # a runner returns (columns, rows) or (columns, rows, health)
+        columns, rows, *health = RUNNERS[args.experiment](cfg)
+        metadata = _metadata(args.experiment, cfg, *health)
         if cfg["format"] == "csv":
             text = render_csv(columns, rows, metadata)
         else:

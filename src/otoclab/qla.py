@@ -28,12 +28,16 @@ _DEGENERACY_RTOL = 1e-11
 _SPAN_TOL = 1e-8
 
 
-def as_square_array(a) -> np.ndarray:
-    """Coerce to a square complex ndarray and validate finiteness."""
+def as_square_array(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex ndarray and validate finiteness.
+
+    stack=True also accepts a (..., d, d) stack of square matrices; every
+    member is checked.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.size == 0:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
@@ -41,16 +45,18 @@ def as_square_array(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each member of a stack."""
+    return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
 def hermiticity_defect(a) -> float:
-    m = as_square_array(a)
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Largest entry of |a - a^dag|, over every member of a stack."""
+    m = as_square_array(a, stack=True)
+    return float(np.max(np.abs(m - dagger(m))))
 
 
-def assert_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    m = as_square_array(a)
+def assert_hermitian(a, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.ndarray:
+    m = as_square_array(a, stack)
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
@@ -58,8 +64,9 @@ def assert_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def unitarity_defect(u) -> float:
-    m = as_square_array(u)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    """Largest entry of |u^dag u - 1|, over every member of a stack."""
+    m = as_square_array(u, stack=True)
+    return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1]))))
 
 
 def assert_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -90,7 +97,9 @@ def kron(*factors) -> np.ndarray:
 class HermitianEigensystem:
     """Ascending eigenvalues and a deterministically fixed eigenbasis.
 
-    eigenvectors holds the basis as columns, aligned with eigenvalues.
+    eigenvectors holds the basis as columns, aligned with eigenvalues. For
+    a (..., d, d) stack the arrays are (..., d) and (..., d, d), and
+    propagator and reconstruct act member by member.
     """
 
     eigenvalues: np.ndarray
@@ -98,17 +107,20 @@ class HermitianEigensystem:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def propagator(self, z: complex) -> np.ndarray:
         """exp(z * H) for the decomposed H."""
-        return (self.eigenvectors * np.exp(z * self.eigenvalues)) @ self.eigenvectors.conj().T
+        phases = np.exp(z * self.eigenvalues)[..., None, :]
+        return (self.eigenvectors * phases) @ dagger(self.eigenvectors)
 
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return (self.eigenvectors * self.eigenvalues[..., None, :]) @ dagger(self.eigenvectors)
 
     def degenerate_groups(self) -> list[tuple[int, int]]:
         """Half-open column ranges [start, stop) of equal-eigenvalue blocks."""
+        if self.eigenvalues.ndim != 1:
+            raise ValueError("degenerate_groups needs a single matrix, not a stack")
         return _group_degenerate(self.eigenvalues)
 
 
@@ -150,12 +162,14 @@ def _fix_degenerate_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _fix_phase(col: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(col)))
-    c = col[k]
-    if abs(c) == 0.0:
-        return col
-    return col * (c.conjugate() / abs(c))
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate the largest-magnitude entry of every column to the positive
+    real axis; vecs is (..., d, k) with nonzero columns."""
+    k = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    c = np.take_along_axis(vecs, k, axis=-2)
+    # np.hypot rounds like the scalar abs() this convention was defined
+    # with; numpy's vectorised complex abs can differ in the last bit
+    return vecs * (c.conj() / np.hypot(c.real, c.imag))
 
 
 def eigh(h, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
@@ -166,15 +180,23 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
     index order; nondegenerate columns get their largest-magnitude entry
     rotated to the positive real axis. Two calls on equal inputs return
     identical arrays, independent of LAPACK's internal choices.
+
+    h may also be a (..., d, d) stack: every member is checked, all are
+    decomposed by one stacked np.linalg.eigh call and each is fixed
+    exactly as it would be on its own; only members with a degenerate
+    group take the per-matrix rebuild.
     """
-    m = assert_hermitian(h, tol)
+    m = assert_hermitian(h, tol, stack=True)
     evals, evecs = np.linalg.eigh(m)
-    out = np.empty_like(evecs)
-    for start, stop in _group_degenerate(evals):
-        if stop - start == 1:
-            out[:, start] = _fix_phase(evecs[:, start])
-        else:
-            out[:, start:stop] = _fix_degenerate_basis(evecs[:, start:stop])
+    out = _fix_phase(evecs)
+    # a degenerate group exists iff some adjacent spacing is within the
+    # tolerance _group_degenerate applies
+    scale = np.maximum(np.max(np.abs(evals), axis=-1), 1.0)
+    repeated = np.any(np.diff(evals, axis=-1) <= _DEGENERACY_RTOL * scale[..., None], axis=-1)
+    for idx in map(tuple, np.argwhere(repeated)):
+        for start, stop in _group_degenerate(evals[idx]):
+            if stop - start > 1:
+                out[idx][:, start:stop] = _fix_degenerate_basis(evecs[idx][:, start:stop])
     return HermitianEigensystem(eigenvalues=evals, eigenvectors=out)
 
 
@@ -183,7 +205,8 @@ def expm_scaled(h, z: complex) -> np.ndarray:
 
     Never a power series: every exponentiated operator in this package is
     Hermitian, and the spectral route keeps exp(-i t h) unitary to
-    rounding regardless of norm or time.
+    rounding regardless of norm or time. A (..., d, d) stack of h gives
+    the stack of exponentials from one stacked eigh.
     """
     return eigh(h).propagator(z)
 

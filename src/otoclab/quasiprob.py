@@ -253,11 +253,18 @@ def _four_projector_trace(v_projs, w_projs, rho=None) -> np.ndarray:
     return vals
 
 
+def _matrix_sum(x):
+    """Sum over the last two axes; Tr(a b) is _matrix_sum(a * b^T), which
+    never forms the product a b."""
+    return np.sum(x, axis=(-2, -1))[()]
+
+
 def _expansion(rho, v):
     """Map W(t) -> the eight correlators of the projector expansion.
 
     rho V, V rho V and Tr(rho V) are formed once; each call then costs
-    three matrix products. Works in any frame rho, V and W(t) share.
+    three matrix products. Works in any frame rho, V and W(t) share, and on
+    a (..., d, d) stack of W(t), for which each correlator is an array.
     """
     rho_v = rho @ v
     v_rho_v = v @ rho_v
@@ -266,15 +273,16 @@ def _expansion(rho, v):
     def correlators(wt) -> dict[str, complex]:
         d = rho @ wt
         c = v @ wt
+        wt_t = np.swapaxes(wt, -1, -2)
         return {
             "one": 1.0 + 0j,
-            "w": complex(np.sum(rho * wt.T)),
+            "w": _matrix_sum(rho * wt_t),
             "v": v_static,
-            "wv": complex(np.sum(d * v.T)),
-            "vw": complex(np.sum(rho_v * wt.T)),
-            "wvw": complex(np.sum(d * c.T)),
-            "vwv": complex(np.sum(v_rho_v * wt.T)),
-            "f": complex(np.sum((d @ c) * v.T)),
+            "wv": _matrix_sum(d * v.T),
+            "vw": _matrix_sum(rho_v * wt_t),
+            "wvw": _matrix_sum(d * np.swapaxes(c, -1, -2)),
+            "vwv": _matrix_sum(v_rho_v * wt_t),
+            "f": _matrix_sum((d @ c) * v.T),
         }
     return correlators
 
@@ -421,14 +429,16 @@ def coarse_entries_from_correlators(corr: dict[str, complex]) -> np.ndarray:
     four-projector trace into a signed combination of sandwiched
     expectation values; this is that combination, with axis order
     (v1, w2, v2, w3) and eigenvalues ordered ascending (-1 before +1).
+    Correlators that are arrays (one value per member of a stack) give
+    entries of shape (..., 2, 2, 2, 2).
     """
     signs = (-1.0, 1.0)
-    vals = np.empty((2, 2, 2, 2), dtype=complex)
+    vals = np.empty(np.shape(corr["f"]) + (2, 2, 2, 2), dtype=complex)
     for i1, v1 in enumerate(signs):
         for i2, w2 in enumerate(signs):
             for i3, v2 in enumerate(signs):
                 for i4, w3 in enumerate(signs):
-                    vals[i1, i2, i3, i4] = (
+                    vals[..., i1, i2, i3, i4] = (
                         corr["one"] * (1.0 + w3 * w2 + v1 * v2)
                         + corr["w"] * (w3 + w2 + w3 * v1 * v2)
                         + corr["v"] * (v1 + v2 + w3 * w2 * v1)

@@ -226,8 +226,12 @@ def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
     shots >= 1 draws a multinomial histogram from them (statistically
     identical to per-shot conditional updates).
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    return _three_weak(rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
+
+
+def _three_weak(rho, w_op, v_op, hamiltonian, t: float):
+    """simulate_protocol at fixed rho, W, V and t, as a map (coupling, shots,
+    seed) -> record; W(t) and both projector pairs are built once."""
     quasiprob._check_dims(rho, w_op, v_op)
     wt = quasiprob.heisenberg(w_op, quasiprob.propagator(hamiltonian, t))
     w_evs, w_projs = quasiprob._distinct_projectors(wt)
@@ -236,31 +240,20 @@ def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
         raise ValueError("weak V coupling needs a two-outcome observable")
     pv_plus = v_projs[int(np.argmax(v_evs))]
     pw_plus = w_projs[int(np.argmax(w_evs))]
-    mv = _weak_slot_operators(pv_plus, coupling)
-    mw = _weak_slot_operators(pw_plus, coupling)
     rho = np.asarray(rho, dtype=complex)
 
-    outcomes, probs = [], []
-    for s in _THREE_OUTCOMES:
-        op = mv[s[2]] @ mw[s[1]] @ mv[s[0]]
-        evolved = op @ rho @ qla.dagger(op)
-        for i_w, w3 in enumerate(w_evs):
-            outcomes.append((*s, float(w3)))
-            probs.append(float(np.trace(w_projs[i_w] @ evolved).real))
-    probabilities = np.array(probs)
-    total = probabilities.sum()
-    if abs(total - 1.0) > _PROBABILITY_TOL:
-        raise RuntimeError(f"joint probabilities sum to {total}, not 1")
-    counts = _sample_counts(probabilities, shots, seed) if shots else None
-    return MeasurementRecord(
-        protocol="three-weak",
-        coupling=coupling,
-        outcomes=outcomes,
-        probabilities=probabilities,
-        counts=counts,
-        shots=shots,
-        final_eigenvalues=w_evs,
-    )
+    def record(coupling: CouplingConfig, shots: int, seed) -> MeasurementRecord:
+        mv = _weak_slot_operators(pv_plus, coupling)
+        mw = _weak_slot_operators(pw_plus, coupling)
+        outcomes, probs = [], []
+        for s in _THREE_OUTCOMES:
+            op = mv[s[2]] @ mw[s[1]] @ mv[s[0]]
+            evolved = op @ rho @ qla.dagger(op)
+            for i_w, w3 in enumerate(w_evs):
+                outcomes.append((*s, float(w3)))
+                probs.append(float(np.trace(w_projs[i_w] @ evolved).real))
+        return _record("three-weak", coupling, outcomes, probs, shots, seed, w_evs)
+    return record
 
 
 def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
@@ -274,8 +267,13 @@ def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
     so that preparing W eigenstates with the weights <w,l| U rho U+ |w,l>
     reproduces the ensemble; other states are rejected.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    return _two_weak(rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
+
+
+def _two_weak(rho, w_op, v_op, hamiltonian, t: float):
+    """two_measurement_protocol at fixed rho, W, V and t, as a map
+    (coupling, shots, seed) -> record; the propagator, the W eigenbasis and
+    its preparation weights and both projector pairs are built once."""
     quasiprob._check_dims(rho, w_op, v_op)
     u = quasiprob.propagator(hamiltonian, t)
     w = np.asarray(w_op, dtype=complex)
@@ -293,41 +291,54 @@ def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
     w_evs, w_projs = quasiprob._distinct_projectors(w)
     pv_plus = v_projs[int(np.argmax(v_evs))]
     pw_plus_lab = w_projs[int(np.argmax(w_evs))]
-    mv = _weak_slot_operators(pv_plus, coupling)
-    mw = _weak_slot_operators(pw_plus_lab, coupling)
-
-    outcomes, probs = [], []
     u_dag = qla.dagger(u)
     col_weights = np.real(np.einsum("ij,jk,ki->i",
                                     w_sys.eigenvectors.conj().T, rho_fwd,
                                     w_sys.eigenvectors))
+    # prepared eigenstates and their weights, per W eigenvalue
+    preparations = []
     for wb in w_evs:
-        cols = [w_sys.eigenvectors[:, k] for k in range(w.shape[0])
-                if abs(w_sys.eigenvalues[k] - wb) < 1e-9]
-        wts = [col_weights[k] for k in range(w.shape[0])
-               if abs(w_sys.eigenvalues[k] - wb) < 1e-9]
-        for s1, s2 in _TWO_OUTCOMES:
-            chain = u_dag @ mw[s2] @ u @ mv[s1] @ u_dag
-            for i_v, v3 in enumerate(v_evs):
-                tot = 0.0
-                for c, wt_c in zip(cols, wts):
-                    vec = chain @ c
-                    tot += wt_c * float(np.linalg.norm(v_projs[i_v] @ vec) ** 2)
-                outcomes.append((float(wb), s1, s2, float(v3)))
-                probs.append(tot)
+        in_block = [k for k in range(w.shape[0])
+                    if abs(w_sys.eigenvalues[k] - wb) < 1e-9]
+        preparations.append((wb, [w_sys.eigenvectors[:, k] for k in in_block],
+                             [col_weights[k] for k in in_block]))
+
+    def record(coupling: CouplingConfig, shots: int, seed) -> MeasurementRecord:
+        mv = _weak_slot_operators(pv_plus, coupling)
+        mw = _weak_slot_operators(pw_plus_lab, coupling)
+        outcomes, probs = [], []
+        for wb, cols, wts in preparations:
+            for s1, s2 in _TWO_OUTCOMES:
+                chain = u_dag @ mw[s2] @ u @ mv[s1] @ u_dag
+                for i_v, v3 in enumerate(v_evs):
+                    tot = 0.0
+                    for c, wt_c in zip(cols, wts):
+                        vec = chain @ c
+                        tot += wt_c * float(np.linalg.norm(v_projs[i_v] @ vec) ** 2)
+                    outcomes.append((float(wb), s1, s2, float(v3)))
+                    probs.append(tot)
+        return _record("two-weak", coupling, outcomes, probs, shots, seed, v_evs)
+    return record
+
+
+def _record(protocol, coupling, outcomes, probs, shots, seed,
+            final_eigenvalues) -> MeasurementRecord:
+    """Check that the joint probabilities sum to one and sample them."""
+    if shots < 0:
+        raise ValueError("shots must be >= 0")
     probabilities = np.array(probs)
     total = probabilities.sum()
     if abs(total - 1.0) > _PROBABILITY_TOL:
         raise RuntimeError(f"joint probabilities sum to {total}, not 1")
     counts = _sample_counts(probabilities, shots, seed) if shots else None
     return MeasurementRecord(
-        protocol="two-weak",
+        protocol=protocol,
         coupling=coupling,
         outcomes=outcomes,
         probabilities=probabilities,
         counts=counts,
         shots=shots,
-        final_eigenvalues=v_evs,
+        final_eigenvalues=final_eigenvalues,
     )
 
 
@@ -696,13 +707,15 @@ def _infer_two(records, phis, modes, sampled):
 def standard_protocol_records(rho, w_op, v_op, hamiltonian, t: float,
                               phis=(0.05, 0.1, 0.15, 0.2), shots: int = 0,
                               seed=None, protocol: str = "three-weak"):
-    """Records at every (mode, strength) combination, ready for inference."""
-    runner = simulate_protocol if protocol == "three-weak" else two_measurement_protocol
-    records = []
-    for k, (mode, phi) in enumerate(
-            (m, p) for m in PHASE_MODES for p in phis):
-        sub_seed = None if seed is None else (seed, k)
-        records.append(runner(rho, w_op, v_op, hamiltonian, t,
-                              CouplingConfig(phi, mode), shots=shots,
-                              seed=sub_seed))
-    return records
+    """Records at every (mode, strength) combination, ready for inference.
+
+    Equal, record for record, to calling simulate_protocol (three-weak) or
+    two_measurement_protocol (two-weak) once per coupling with seed
+    (seed, k) for the k-th record; the coupling-independent set-up is done
+    once.
+    """
+    setup = _three_weak if protocol == "three-weak" else _two_weak
+    record = setup(rho, w_op, v_op, hamiltonian, t)
+    return [record(CouplingConfig(phi, mode), shots,
+                   None if seed is None else (seed, k))
+            for k, (mode, phi) in enumerate((m, p) for m in PHASE_MODES for p in phis)]

@@ -40,6 +40,26 @@ class TestIncrements:
             u = brownian.step_unitary(u, brownian.sample_increment(cfg, rng))
         assert qla.unitarity_defect(u) < 1e-12
 
+    def test_signed_permutation_tables_match_pair_paulis(self):
+        n = 3
+        masks, phases = brownian._pair_pauli_action(n)
+        r = np.arange(2 ** n)
+        for op, mask, phase in zip(brownian.pair_paulis(n), masks, phases):
+            perm = np.zeros_like(op)
+            perm[r ^ mask, r] = phase
+            assert np.array_equal(perm, op)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stacked_increment_matches_sample_increment(self, n):
+        cfg = brownian.BrownianConfig(n=n, dt=0.005, steps=1, trajectories=1)
+        ops = brownian.pair_paulis(n)
+        draws = np.array([np.random.default_rng((9, k)).normal(
+            0.0, np.sqrt(cfg.dt), size=len(ops)) for k in range(4)])
+        stacked = brownian._stacked_increment(n)(draws)
+        for k in range(4):
+            want = brownian.sample_increment(cfg, np.random.default_rng((9, k)), ops)
+            assert np.max(np.abs(stacked[k] - want)) <= 1e-15
+
     def test_mean_step_reproduces_ito_drift(self):
         # E[exp(-i dB)] = (1 - N dt / 2) 1 up to O(dt^2) and sampling noise
         n, dt, m = 3, 0.01, 3000
@@ -160,6 +180,88 @@ class TestEnsemble:
             target = np.exp(-2.0 * t)
             band = 3.0 * q1.standard_error[k] + 1e-12
             assert abs(q1.mean[k].real - target) < band + 2e-3
+
+
+def _sequential_reference(cfg, rho, w, v):
+    """Ensemble statistics from the public single-trajectory recipe, one
+    trajectory at a time, with explicit traces and (1 +- O)/2 projectors."""
+    ops = brownian.pair_paulis(cfg.n)
+    dim = cfg.dim
+    eye = np.eye(dim)
+    pv = [(eye - v) / 2, (eye + v) / 2]
+    corr, quasi = [], []
+    for traj in range(cfg.trajectories):
+        rng = np.random.default_rng((cfg.seed, traj))
+        u = np.eye(dim, dtype=complex)
+        c_traj, q_traj = [], []
+        for step in range(cfg.steps + 1):
+            if step % cfg.stride == 0:
+                wt = u.conj().T @ w @ u
+                c_traj.append([
+                    np.trace(rho @ wt @ v @ wt @ v), np.trace(wt @ v) / dim,
+                    np.trace(rho @ wt), np.trace(rho @ v), np.trace(wt @ w) / dim,
+                    np.trace(rho @ wt @ v), np.trace(rho @ v @ wt),
+                    np.trace(rho @ wt @ v @ wt), np.trace(rho @ v @ wt @ v)])
+                pw = [(eye - wt) / 2, (eye + wt) / 2]
+                q_traj.append([[[[np.trace(pw[w3] @ pv[v2] @ pw[w2] @ pv[v1] @ rho)
+                                  for w3 in (0, 1)] for v2 in (0, 1)]
+                                for w2 in (0, 1)] for v1 in (0, 1)])
+            if step < cfg.steps:
+                u = brownian.step_unitary(u, brownian.sample_increment(cfg, rng, ops))
+        corr.append(c_traj)
+        quasi.append(q_traj)
+    corr, quasi = np.array(corr), np.array(quasi)
+    count = cfg.trajectories
+
+    def se(x):
+        return (np.std(x.real, axis=0, ddof=1) / np.sqrt(count),
+                np.std(x.imag, axis=0, ddof=1) / np.sqrt(count))
+    return corr.mean(axis=0), se(corr), quasi.mean(axis=0), se(quasi)
+
+
+def _assert_matches_reference(res, cfg, rho, w, v):
+    corr_mean, (c_re, c_im), quasi_mean, (q_re, q_im) = _sequential_reference(cfg, rho, w, v)
+    for col, name in enumerate(brownian._CORRELATOR_NAMES):
+        series = res.correlators[name]
+        assert series.trajectories_used == cfg.trajectories
+        assert np.max(np.abs(series.mean - corr_mean[:, col])) <= 1e-12
+        assert np.max(np.abs(series.standard_error
+                             - np.hypot(c_re[:, col], c_im[:, col]))) <= 1e-12
+    assert np.max(np.abs(res.quasi_mean - quasi_mean)) <= 1e-12
+    assert np.max(np.abs(res.quasi_se - np.stack([q_re, q_im], axis=-1))) <= 1e-12
+
+
+class TestBatchedEnsemble:
+    @pytest.mark.parametrize("w_spec,v_spec", [((1, "x"), (3, "y")),
+                                               ((2, "y"), (3, "z")),
+                                               ((3, "z"), (1, "x"))])
+    def test_matches_sequential_reference(self, w_spec, v_spec, make_density):
+        cfg = brownian.BrownianConfig(n=3, dt=0.005, steps=12, trajectories=5,
+                                      seed=21, stride=4)
+        rho = make_density(8)
+        w = spin.site_pauli(3, *w_spec)
+        v = spin.site_pauli(3, *v_spec)
+        res = brownian.ensemble_averages(cfg, rho=rho, w_op=w, v_op=v)
+        _assert_matches_reference(res, cfg, rho, w, v)
+        assert res.unitarity_defect <= 1e-12
+
+    def test_chunks_merge_to_the_single_chunk_result(self, monkeypatch, make_density):
+        cfg = brownian.BrownianConfig(n=3, dt=0.005, steps=9, trajectories=5,
+                                      seed=4, stride=3)
+        rho = make_density(8)
+        w = spin.site_pauli(3, 1, "y")
+        v = spin.site_pauli(3, 2, "x")
+        whole = brownian.ensemble_averages(cfg, rho=rho, w_op=w, v_op=v)
+        # two trajectories of 8x8 complex matrices per chunk: chunks 2, 2, 1
+        monkeypatch.setattr(brownian, "_CHUNK_BYTES", 2 * 16 * 64)
+        chunked = brownian.ensemble_averages(cfg, rho=rho, w_op=w, v_op=v)
+        assert np.max(np.abs(chunked.quasi_mean - whole.quasi_mean)) <= 1e-12
+        assert np.max(np.abs(chunked.quasi_se - whole.quasi_se)) <= 1e-12
+        for name in brownian._CORRELATOR_NAMES:
+            a, b = chunked.correlators[name], whole.correlators[name]
+            assert np.max(np.abs(a.mean - b.mean)) <= 1e-12
+            assert np.max(np.abs(a.standard_error - b.standard_error)) <= 1e-12
+        _assert_matches_reference(chunked, cfg, rho, w, v)
 
 
 class TestClosedForms:

@@ -200,6 +200,20 @@ class TestOtherExperiments:
         assert first["re_f"] == pytest.approx(1.0, abs=1e-12)
         assert first["se_re_0000"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_brownian_health_round_trips_in_csv_and_json(self, capsys):
+        argv = ["brownian-ensemble", "--n", "3", "--t-max", "0.1",
+                "--t-step", "0.05", "--trajectories", "3", "--seed", "4"]
+        rc, out_csv, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        csv_defect = parse_csv(out_csv)[0]["health"]["unitarity_defect"]
+        json_defect = json.loads(out_json)["metadata"]["health"]["unitarity_defect"]
+        assert csv_defect == json_defect
+        assert 0.0 <= csv_defect <= 1e-12
+        rc, out, _ = run_cli(capsys, "otoc-series", *SMALL_SERIES)
+        assert "health" not in parse_csv(out)[0]
+
     def test_weakmeas_inference_exact_mode(self, capsys):
         rc, out, _ = run_cli(capsys, "weakmeas-inference")
         assert rc == 0

@@ -78,6 +78,88 @@ class TestEigh:
             qla.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _scalar_phase_fixed_eigh(h):
+    """The per-column convention written out with Python scalars."""
+    evals, evecs = np.linalg.eigh(h)
+    out = evecs.copy()
+    for k in range(evecs.shape[1]):
+        col = evecs[:, k]
+        c = col[int(np.argmax(np.abs(col)))]
+        out[:, k] = col * (c.conjugate() / abs(c))
+    return evals, out
+
+
+class TestStackedEigh:
+    def test_single_matrix_keeps_the_scalar_convention_bitwise(self, make_hermitian):
+        for dim in (2, 5, 32):
+            h = make_hermitian(dim)
+            evals, evecs = _scalar_phase_fixed_eigh(h)
+            sys = qla.eigh(h)
+            assert np.array_equal(sys.eigenvalues, evals)
+            assert np.array_equal(sys.eigenvectors, evecs)
+            want = (evecs * np.exp(-0.4j * evals)) @ evecs.conj().T
+            assert np.array_equal(qla.expm_scaled(h, -0.4j), want)
+
+    def test_stack_equals_per_matrix_calls(self, make_hermitian):
+        stack = np.array([[make_hermitian(6) for _ in range(3)] for _ in range(2)])
+        sys = qla.eigh(stack)
+        assert sys.eigenvalues.shape == (2, 3, 6)
+        assert sys.eigenvectors.shape == (2, 3, 6, 6)
+        assert sys.dim == 6
+        props = qla.expm_scaled(stack, -0.7j)
+        for i in range(2):
+            for j in range(3):
+                one = qla.eigh(stack[i, j])
+                assert np.array_equal(sys.eigenvalues[i, j], one.eigenvalues)
+                assert np.array_equal(sys.eigenvectors[i, j], one.eigenvectors)
+                assert np.array_equal(props[i, j], qla.expm_scaled(stack[i, j], -0.7j))
+        assert np.max(np.abs(sys.reconstruct() - stack)) < 1e-12
+        assert qla.unitarity_defect(props) < 1e-12
+
+    def test_degenerate_member_gets_the_deterministic_basis(self, make_hermitian):
+        degenerate = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+        rotated = qla.haar_unitary(4, 5)
+        degenerate = rotated @ degenerate @ rotated.conj().T
+        stack = np.array([make_hermitian(4), degenerate, make_hermitian(4)])
+        sys = qla.eigh(stack)
+        for k in range(3):
+            assert np.array_equal(sys.eigenvectors[k], qla.eigh(stack[k]).eigenvectors)
+        # each block is Gram-Schmidt over the projected basis vectors e_0, e_1
+        for block, sign in ((slice(0, 2), -1.0), (slice(2, 4), 1.0)):
+            proj = (np.eye(4) + sign * degenerate) / 2
+            first = proj[:, 0] / np.linalg.norm(proj[:, 0])
+            second = proj[:, 1] - (first.conj() @ proj[:, 1]) * first
+            want = np.column_stack([first, second / np.linalg.norm(second)])
+            assert np.max(np.abs(sys.eigenvectors[1][:, block] - want)) < 1e-12
+        assert qla.eigh(degenerate).degenerate_groups() == [(0, 2), (2, 4)]
+        with pytest.raises(ValueError, match="stack"):
+            sys.degenerate_groups()
+
+    def test_one_bad_member_rejects_the_stack(self, make_hermitian):
+        stack = np.array([make_hermitian(3) for _ in range(4)])
+        skewed = stack.copy()
+        skewed[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qla.eigh(skewed)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qla.expm_scaled(skewed, -1j)
+        poisoned = stack.copy()
+        poisoned[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            qla.eigh(poisoned)
+        with pytest.raises(ValueError, match="square"):
+            qla.eigh(np.zeros((2, 3, 4)))
+
+    def test_stacks_only_where_asked(self, make_hermitian):
+        stack = np.array([make_hermitian(3) for _ in range(2)])
+        with pytest.raises(ValueError, match="square"):
+            qla.as_square_array(stack)
+        with pytest.raises(ValueError, match="square"):
+            qla.assert_hermitian(stack)
+        assert qla.as_square_array(stack, stack=True).shape == (2, 3, 3)
+        assert qla.hermiticity_defect(stack) < 1e-15
+
+
 def test_expm_scaled_closed_form():
     # exp(-i theta sigma_x) = cos(theta) 1 - i sin(theta) sigma_x
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

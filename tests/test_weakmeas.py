@@ -159,6 +159,41 @@ class TestSampleCounts:
             weakmeas._sample_counts(p, 1000, 3)
 
 
+class TestStandardRecords:
+    @pytest.mark.parametrize("protocol,runner", [
+        ("three-weak", weakmeas.simulate_protocol),
+        ("two-weak", weakmeas.two_measurement_protocol),
+    ])
+    @pytest.mark.parametrize("shots,seed", [(0, None), (5000, 11)])
+    def test_records_equal_per_coupling_calls(self, two_site, monkeypatch,
+                                              protocol, runner, shots, seed):
+        rho, w, v, h = two_site
+        phis = (0.05, 0.12, 0.2)
+        expected = [runner(rho, w, v, h, 0.8, weakmeas.CouplingConfig(phi, mode),
+                           shots=shots, seed=None if seed is None else (seed, k))
+                    for k, (mode, phi) in enumerate(
+                        (m, p) for m in weakmeas.PHASE_MODES for p in phis)]
+        calls = []
+        real_propagator = quasiprob.propagator
+        monkeypatch.setattr(quasiprob, "propagator",
+                            lambda *a: calls.append(a) or real_propagator(*a))
+        got = weakmeas.standard_protocol_records(rho, w, v, h, 0.8, phis=phis,
+                                                 shots=shots, seed=seed,
+                                                 protocol=protocol)
+        assert len(calls) == 1  # propagated once, not once per record
+        assert len(got) == len(expected) == 6
+        for a, b in zip(got, expected):
+            assert a.protocol == b.protocol == protocol
+            assert a.coupling == b.coupling
+            assert a.outcomes == b.outcomes
+            assert np.array_equal(a.probabilities, b.probabilities)
+            assert np.array_equal(a.final_eigenvalues, b.final_eigenvalues)
+            if shots:
+                assert np.array_equal(a.counts, b.counts)
+            else:
+                assert a.counts is None and b.counts is None
+
+
 class TestInferenceExact:
     def test_three_weak_recovers_distribution(self, two_site):
         rho, w, v, h = two_site

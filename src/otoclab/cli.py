@@ -10,7 +10,9 @@ behind.
 
 Runners may also return numerical diagnostics, which land under "health"
 next to the configuration (brownian-ensemble: the largest unitarity
-defect of any trajectory's final propagator).
+defect of any trajectory's final propagator; weakmeas-inference: the
+largest effective condition number and least-squares residual over the
+solved blocks).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -474,7 +476,9 @@ def _run_weakmeas_inference(cfg):
                      abs(est - ref), se_re, se_im])
     columns = ["label", "re_inferred", "im_inferred", "re_direct",
                "im_direct", "abs_error", "se_re", "se_im"]
-    return columns, rows
+    health = {"max_effective_condition": max(report.effective_conditions.values()),
+              "max_residual": max(report.residuals.values())}
+    return columns, rows, health
 
 
 def _run_retrodict_benchmark(cfg):

@@ -144,17 +144,26 @@ def _fix_degenerate_basis(block: np.ndarray) -> np.ndarray:
     and Gram-Schmidts the survivors. The result depends only on the
     subspace, not on whatever basis the LAPACK backend happened to return,
     which keeps fine-grained outcome labels reproducible.
+
+    A survivor that was nearly parallel to the earlier columns keeps their
+    rounding error magnified by 1/norm, so it is projected back onto the
+    subspace and orthogonalized once more before it is kept.
     """
     dim, m = block.shape
     proj = block @ block.conj().T
     cols: list[np.ndarray] = []
-    for i in range(dim):
-        v = proj[:, i].copy()
+
+    def orthogonalized(v):
         for c in cols:
             v -= (c.conj() @ v) * c
+        return v
+
+    for i in range(dim):
+        v = orthogonalized(proj[:, i].copy())
         norm = np.linalg.norm(v)
         if norm > _SPAN_TOL:
-            cols.append(v / norm)
+            v = orthogonalized(proj @ (v / norm))
+            cols.append(v / np.linalg.norm(v))
             if len(cols) == m:
                 break
     if len(cols) != m:

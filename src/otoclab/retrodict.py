@@ -20,6 +20,8 @@ directly from the coarse quasiprobability.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,12 @@ _ZERO_EIGENVALUE_RTOL = 1e-12
 
 
 class ObservableChain:
-    """Ordered observables A, ..., K with cached eigendecompositions."""
+    """Ordered observables A, ..., K with their (eigenvalue, projector) pairs.
+
+    spectra[i] lists the distinct eigenvalues of observable i, ascending,
+    each with its eigenspace projector; involutions get (1 -+ O)/2 without
+    an eigendecomposition.
+    """
 
     def __init__(self, observables):
         mats = [qla.assert_hermitian(o) for o in observables]
@@ -41,7 +48,8 @@ class ObservableChain:
         if any(m.shape[0] != dim for m in mats):
             raise ValueError("all chain observables must share one dimension")
         self.observables = mats
-        self.systems = [qla.eigh(m) for m in mats]
+        self.spectra = [[(float(ev), proj) for ev, proj in
+                         zip(*quasiprob._distinct_projectors(m))] for m in mats]
 
     def __len__(self) -> int:
         return len(self.observables)
@@ -49,15 +57,6 @@ class ObservableChain:
     @property
     def dim(self) -> int:
         return self.observables[0].shape[0]
-
-    def blocks(self, index: int) -> list[tuple[float, np.ndarray]]:
-        """Distinct eigenvalues (ascending) with their eigenspace column blocks."""
-        sys = self.systems[index]
-        out = []
-        for start, stop in sys.degenerate_groups():
-            out.append((float(sys.eigenvalues[start]),
-                        sys.eigenvectors[:, start:stop]))
-        return out
 
 
 class RetrodictionContext:
@@ -140,25 +139,23 @@ def weak_value(observable, context: RetrodictionContext) -> float:
     return float(np.real(num) / context.conditioning_probability)
 
 
+def _ordered_products(chain: ObservableChain) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit products K...A and A...K."""
+    eye = np.eye(chain.dim, dtype=complex)
+    forward = functools.reduce(lambda acc, m: m @ acc, chain.observables, eye)
+    backward = functools.reduce(np.matmul, chain.observables, eye)
+    return forward, backward
+
+
 def gamma_matrix(chain: ObservableChain) -> np.ndarray:
     """Gamma = K...A + A...K as an explicit matrix."""
-    forward = np.eye(chain.dim, dtype=complex)
-    for m in chain.observables:
-        forward = m @ forward  # K...A builds leftward
-    backward = np.eye(chain.dim, dtype=complex)
-    for m in chain.observables:
-        backward = backward @ m
+    forward, backward = _ordered_products(chain)
     return forward + backward
 
 
 def tilde_gamma_matrix(chain: ObservableChain) -> np.ndarray:
     """Gamma~ = i(K...A - A...K), the antisymmetric companion."""
-    forward = np.eye(chain.dim, dtype=complex)
-    for m in chain.observables:
-        forward = m @ forward
-    backward = np.eye(chain.dim, dtype=complex)
-    for m in chain.observables:
-        backward = backward @ m
+    forward, backward = _ordered_products(chain)
     return 1j * (forward - backward)
 
 
@@ -178,14 +175,27 @@ def gamma_weak_direct(chain: ObservableChain, context: RetrodictionContext) -> f
     return float(np.real(num) / context.conditioning_probability)
 
 
-def _tuple_blocks(chain: ObservableChain):
-    per_obs = [chain.blocks(i) for i in range(len(chain))]
-    shapes = [len(b) for b in per_obs]
-    return per_obs, shapes
+def _tuple_walk(chain: ObservableChain, context: RetrodictionContext,
+                skip_zero: bool = False):
+    """Yield (eigenvalue tuple, forward numerator, backward numerator).
 
-
-def _zero_scales(per_obs):
-    return [max(max(abs(ev) for ev, _ in blocks), 1.0) for blocks in per_obs]
+    For each tuple (a, ..., k) of chain eigenvalues the numerators are
+    <f'|P_k...P_a rho'|f'> (order K...A) and <f'|P_a...P_k rho'|f'> (order
+    A...K), built by passing the post-selection bra through the
+    projectors. skip_zero passes over tuples with a zero eigenvalue factor,
+    which carry no weight in Gamma, without projecting.
+    """
+    bra = context.f_prime.conj()
+    rho_f = context.rho_prime @ context.f_prime
+    scales = [max(max(abs(ev) for ev, _ in pairs), 1.0) for pairs in chain.spectra]
+    for picks in itertools.product(*chain.spectra):
+        evs = tuple(ev for ev, _ in picks)
+        if skip_zero and any(abs(ev) <= _ZERO_EIGENVALUE_RTOL * scale
+                             for ev, scale in zip(evs, scales)):
+            continue
+        projs = [proj for _, proj in picks]
+        yield (evs, functools.reduce(np.matmul, reversed(projs), bra) @ rho_f,
+               functools.reduce(np.matmul, projs, bra) @ rho_f)
 
 
 def gamma_weak_factored(chain: ObservableChain, context: RetrodictionContext,
@@ -194,39 +204,20 @@ def gamma_weak_factored(chain: ObservableChain, context: RetrodictionContext,
 
     Never materializes Gamma: per tuple (a, ..., k) the two conditional
     quasiprobability numerators are built by projecting the post-selection
-    bra through the eigenspace blocks, and tuples with a zero eigenvalue
-    factor are skipped. The meter counts the stack of partial bras, the
-    tuple counters, and the two accumulators; the chain's cached
-    eigensystems are measurement data, not algorithm state, and are not
+    bra through the eigenspace projectors, and tuples with a zero
+    eigenvalue factor are skipped. The meter counts the stack of partial
+    bras, the tuple counters, and the two accumulators; the chain's cached
+    projectors are measurement data, not algorithm state, and are not
     charged.
     """
     meter = MemoryMeter() if meter is None else meter
-    per_obs, shapes = _tuple_blocks(chain)
-    scales = _zero_scales(per_obs)
     k, dim = len(chain), chain.dim
-    f = context.f_prime
-    rho = context.rho_prime
-
     meter.allocate(k * dim)   # partial-bra stack
     meter.allocate(k)         # tuple counters
     meter.allocate(2)         # numerator accumulator and denominator
     acc = 0.0
-    for idx in np.ndindex(*shapes):
-        evs = [per_obs[i][idx[i]][0] for i in range(k)]
-        if any(abs(ev) <= _ZERO_EIGENVALUE_RTOL * scales[i] for i, ev in enumerate(evs)):
-            continue
-        weight = float(np.prod(evs))
-        bra = f.conj()
-        for i in reversed(range(k)):
-            blk = per_obs[i][idx[i]][1]
-            bra = (bra @ blk) @ blk.conj().T
-        num_fwd = (bra @ rho) @ f
-        bra = f.conj()
-        for i in range(k):
-            blk = per_obs[i][idx[i]][1]
-            bra = (bra @ blk) @ blk.conj().T
-        num_bwd = (bra @ rho) @ f
-        acc += weight * float(np.real(num_fwd + num_bwd))
+    for evs, num_fwd, num_bwd in _tuple_walk(chain, context, skip_zero=True):
+        acc += float(np.prod(evs)) * float(np.real(num_fwd + num_bwd))
     meter.release(k * dim + k + 2)
     return acc / context.conditioning_probability
 
@@ -258,27 +249,14 @@ def conditional_quasiprobs(chain: ObservableChain,
     Gamma sum but their quasiprobabilities are still defined, and the
     forward map sums to 1 over the full grid.
     """
-    per_obs, shapes = _tuple_blocks(chain)
-    k = len(chain)
-    f = context.f_prime
-    rho = context.rho_prime
     den = context.conditioning_probability
     out = ConditionalQuasiprobs(
-        eigenvalue_lists=[np.array([ev for ev, _ in blocks]) for blocks in per_obs],
+        eigenvalue_lists=[np.array([ev for ev, _ in pairs]) for pairs in chain.spectra],
         conditioning_probability=den,
     )
-    for idx in np.ndindex(*shapes):
-        key = tuple(per_obs[i][idx[i]][0] for i in range(k))
-        bra = f.conj()
-        for i in reversed(range(k)):
-            blk = per_obs[i][idx[i]][1]
-            bra = (bra @ blk) @ blk.conj().T
-        fwd = complex((bra @ rho) @ f) / den
-        bra = f.conj()
-        for i in range(k):
-            blk = per_obs[i][idx[i]][1]
-            bra = (bra @ blk) @ blk.conj().T
-        bwd = complex((bra @ rho) @ f) / den
+    for key, num_fwd, num_bwd in _tuple_walk(chain, context):
+        fwd = complex(num_fwd) / den
+        bwd = complex(num_bwd) / den
         out.forward_complex[key] = fwd
         out.backward_complex[key] = bwd
         out.forward[key] = fwd.real
@@ -288,16 +266,10 @@ def conditional_quasiprobs(chain: ObservableChain,
 
 def tilde_gamma_weak(chain: ObservableChain, context: RetrodictionContext) -> float:
     """Weak value of Gamma~ = i(K...A - A...K) from the same quasiprobabilities."""
-    cq = conditional_quasiprobs(chain, context)
     acc = 0.0
-    per_obs, _ = _tuple_blocks(chain)
-    scales = _zero_scales(per_obs)
-    for key, fwd in cq.forward_complex.items():
-        if any(abs(ev) <= _ZERO_EIGENVALUE_RTOL * scales[i] for i, ev in enumerate(key)):
-            continue
-        bwd = cq.backward_complex[key]
-        acc += float(np.prod(key)) * (-fwd.imag + bwd.imag)
-    return acc
+    for evs, num_fwd, num_bwd in _tuple_walk(chain, context, skip_zero=True):
+        acc += float(np.prod(evs)) * (-num_fwd.imag + num_bwd.imag)
+    return acc / context.conditioning_probability
 
 
 def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float) -> float:

@@ -7,19 +7,26 @@ with two weak couplings suffices. Each weak coupling applies a Kraus pair
 of the form M_s = a_s 1 + b_s Pi, so every joint outcome probability is
 exactly multilinear in the slot coefficients (a, b).
 
-Inference exploits that structure directly: the probabilities are linear
-in a fixed family of sandwich traces T[i, j] = Tr(Pi_{w3} S_i rho S_j^dag)
+Inference exploits that structure directly, with one inversion for both
+families: the probabilities of each final-outcome block are linear in a
+fixed family of sandwich traces T[i, j] = Tr(Pi_final S_i rho S_j^dag)
 with S drawn from products of the two projectors. Collecting runs at
 several coupling strengths in both phase modes (real and imaginary
 coupling coefficient) gives an overdetermined real linear system; the
 quasiprobability is assembled from the solved traces by
 inclusion-exclusion over projector complements, and the remaining traces
-are the independently measurable background terms.
+are the independently measurable background terms. What differs between
+the families (the number of weak slots, the sandwich list and how slot
+patterns index it, its dagger permutation, the identifiable rank, and
+where the final outcomes sit in a record) is one row of the _PROTOCOLS
+table.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +40,6 @@ _COMMUTATION_TOL = 1e-10
 _PROBABILITY_TOL = 1e-10
 # effective condition number above which the inversion is refused
 CONDITION_LIMIT = 1e8
-# identifiable real degrees of freedom: 27 of 36 sandwich traces for the
-# three-coupling protocol, 13 of 16 for the two-coupling variant
-_RANK_REQUIRED = {"three-weak": 27, "two-weak": 13}
-
-_THREE_OUTCOMES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
-_PATTERNS3 = [(x1, x2, x3) for x1 in (0, 1) for x2 in (0, 1) for x3 in (0, 1)]
-# index of the operator product X3 X2 X1 (and Y1 Y2 Y3) in the sandwich list
-# [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]
-_X_MAP = {(0, 0, 0): 0, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1,
-          (0, 1, 0): 2, (1, 1, 0): 3, (0, 1, 1): 4, (1, 1, 1): 5}
-_Y_MAP = {(0, 0, 0): 0, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1,
-          (0, 1, 0): 2, (1, 1, 0): 4, (0, 1, 1): 3, (1, 1, 1): 5}
-_SIGMA = (0, 1, 2, 4, 3, 5)   # dagger permutation on the sandwich list
-
-_TWO_OUTCOMES = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
-_PATTERNS2 = [(x1, x2) for x1 in (0, 1) for x2 in (0, 1)]
-# sandwich list [1, Pv, Pw Pv, Pw]; Hermitian pairing T[i,j]* = T[j,i]
-_X2_MAP = {(0, 0): 0, (1, 0): 1, (0, 1): 3, (1, 1): 2}
-_PAIRS2 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +234,7 @@ def _three_weak(rho, w_op, v_op, hamiltonian, t: float):
         mv = _weak_slot_operators(pv_plus, coupling)
         mw = _weak_slot_operators(pw_plus, coupling)
         outcomes, probs = [], []
-        for s in _THREE_OUTCOMES:
+        for s in _PROTOCOLS["three-weak"].outcomes:
             op = mv[s[2]] @ mw[s[1]] @ mv[s[0]]
             evolved = op @ rho @ qla.dagger(op)
             for i_w, w3 in enumerate(w_evs):
@@ -308,7 +296,7 @@ def _two_weak(rho, w_op, v_op, hamiltonian, t: float):
         mw = _weak_slot_operators(pw_plus_lab, coupling)
         outcomes, probs = [], []
         for wb, cols, wts in preparations:
-            for s1, s2 in _TWO_OUTCOMES:
+            for s1, s2 in _PROTOCOLS["two-weak"].outcomes:
                 chain = u_dag @ mw[s2] @ u @ mv[s1] @ u_dag
                 for i_v, v3 in enumerate(v_evs):
                     tot = 0.0
@@ -346,54 +334,95 @@ def _record(protocol, coupling, outcomes, probs, shots, seed,
 # inference
 
 
-def _columns3():
-    """Real parameterization of the 6x6 sandwich-trace array.
+@dataclass(frozen=True)
+class _Protocol:
+    """One circuit family, as the inversion sees it.
+
+    A slot pattern takes, per weak coupling, a_s 1 (bit 0) or b_s Pi
+    (bit 1); it picks the sandwich operator S_{x_map[pat]} left of rho and
+    S_{y_map[pat]}^dag right of it. sigma is the dagger permutation of the
+    sandwich list, T[i,j]* = T[sigma(j), sigma(i)], and rank counts the
+    real degrees of freedom the records identify. final gives the
+    positions of the final-outcome eigenvalues in each record outcome
+    tuple, in tensor axis order; the ancilla outcomes fill the leading
+    axes.
+    """
+
+    slots: int
+    x_map: dict
+    y_map: dict
+    sigma: tuple
+    rank: int
+    final: tuple
+
+    @property
+    def outcomes(self) -> list[tuple]:
+        """Ancilla outcome tuples, in the order records store them."""
+        return list(itertools.product((1, -1), repeat=self.slots))
+
+    @property
+    def patterns(self) -> list[tuple]:
+        return list(itertools.product((0, 1), repeat=self.slots))
+
+
+_PROTOCOLS = {
+    # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x_map indexes the
+    # product X3 X2 X1, y_map the product Y1 Y2 Y3; 27 of 36 real traces
+    "three-weak": _Protocol(
+        slots=3,
+        x_map={(0, 0, 0): 0, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1,
+               (0, 1, 0): 2, (1, 1, 0): 3, (0, 1, 1): 4, (1, 1, 1): 5},
+        y_map={(0, 0, 0): 0, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1,
+               (0, 1, 0): 2, (1, 1, 0): 4, (0, 1, 1): 3, (1, 1, 1): 5},
+        sigma=(0, 1, 2, 4, 3, 5), rank=27, final=(3,)),
+    # sandwich list [1, Pv, Pw Pv, Pw]; both sides carry the same product,
+    # so T is Hermitian; 13 of 16 real traces
+    "two-weak": _Protocol(
+        slots=2,
+        x_map={(0, 0): 0, (1, 0): 1, (0, 1): 3, (1, 1): 2},
+        y_map={(0, 0): 0, (1, 0): 1, (0, 1): 3, (1, 1): 2},
+        sigma=(0, 1, 2, 3), rank=13, final=(3, 0)),
+}
+
+
+@functools.cache
+def _columns(sigma: tuple) -> list:
+    """Real parameterization of the sandwich-trace array.
 
     The dagger permutation sigma gives T[i,j]* = T[sigma(j), sigma(i)]:
     fixed points are real entries, the rest come in conjugate pairs stored
     as (re, im) of one representative.
     """
     real_entries, pair_reps, seen = [], [], set()
-    for i in range(6):
-        for j in range(6):
-            if (i, j) in seen:
-                continue
-            ci, cj = _SIGMA[j], _SIGMA[i]
-            if (ci, cj) == (i, j):
-                real_entries.append((i, j))
-                seen.add((i, j))
-            else:
-                pair_reps.append((i, j))
-                seen.add((i, j))
-                seen.add((ci, cj))
-    cols = [("re", e) for e in real_entries]
-    for p in pair_reps:
-        cols.append(("re", p))
-        cols.append(("im", p))
-    return cols
+    for i, j in itertools.product(range(len(sigma)), repeat=2):
+        if (i, j) in seen:
+            continue
+        mirror = (sigma[j], sigma[i])
+        seen.update({(i, j), mirror})
+        (real_entries if mirror == (i, j) else pair_reps).append((i, j))
+    return ([("re", e) for e in real_entries]
+            + [(part, p) for p in pair_reps for part in ("re", "im")])
 
 
-_COLS3 = _columns3()
-_IDX3 = {c: k for k, c in enumerate(_COLS3)}
-
-
-def _design_rows3(coupling: CouplingConfig) -> np.ndarray:
-    """Eight design rows (one per ancilla outcome triple) for one coupling."""
+def _design_rows(spec: _Protocol, coupling: CouplingConfig) -> np.ndarray:
+    """Design rows (one per ancilla outcome tuple) for one coupling."""
     ab = slot_coefficients(coupling)
-    rows = np.zeros((len(_THREE_OUTCOMES), len(_COLS3)))
-    for r, s in enumerate(_THREE_OUTCOMES):
-        cx = np.zeros(6, dtype=complex)
-        cy = np.zeros(6, dtype=complex)
-        for pat in _PATTERNS3:
+    n = len(spec.sigma)
+    cols = _columns(spec.sigma)
+    rows = np.zeros((len(spec.outcomes), len(cols)))
+    for r, s in enumerate(spec.outcomes):
+        cx = np.zeros(n, dtype=complex)
+        cy = np.zeros(n, dtype=complex)
+        for pat in spec.patterns:
             prod = 1.0 + 0j
-            for slot in range(3):
+            for slot in range(spec.slots):
                 a, b = ab[s[slot]]
                 prod *= b if pat[slot] else a
-            cx[_X_MAP[pat]] += prod
-            cy[_Y_MAP[pat]] += prod
+            cx[spec.x_map[pat]] += prod
+            cy[spec.y_map[pat]] += prod
         coef = np.outer(cx, cy.conj())
-        for k, (part, (i, j)) in enumerate(_COLS3):
-            ci, cj = _SIGMA[j], _SIGMA[i]
+        for k, (part, (i, j)) in enumerate(cols):
+            ci, cj = spec.sigma[j], spec.sigma[i]
             if (ci, cj) == (i, j):
                 rows[r, k] = coef[i, j].real
             elif part == "re":
@@ -403,79 +432,38 @@ def _design_rows3(coupling: CouplingConfig) -> np.ndarray:
     return rows
 
 
-def _identity_column_functionals3():
+def _identity_column_functionals(spec: _Protocol):
     """Linear maps sol -> (Re, Im) of T[(x, 0)] for each sandwich index x."""
-    n = len(_COLS3)
-    re_f = np.zeros((6, n))
-    im_f = np.zeros((6, n))
-    for x in range(6):
-        i, j = x, 0
-        ci, cj = _SIGMA[j], _SIGMA[i]
-        if (ci, cj) == (i, j):
-            re_f[x, _IDX3[("re", (i, j))]] = 1.0
-        elif ("re", (i, j)) in _IDX3:
-            re_f[x, _IDX3[("re", (i, j))]] = 1.0
-            im_f[x, _IDX3[("im", (i, j))]] = 1.0
+    idx = {c: k for k, c in enumerate(_columns(spec.sigma))}
+    n = len(spec.sigma)
+    re_f = np.zeros((n, len(idx)))
+    im_f = np.zeros((n, len(idx)))
+    for x in range(n):
+        mirror = (spec.sigma[0], spec.sigma[x])
+        if mirror == (x, 0):
+            re_f[x, idx[("re", (x, 0))]] = 1.0
+        elif ("re", (x, 0)) in idx:
+            re_f[x, idx[("re", (x, 0))]] = 1.0
+            im_f[x, idx[("im", (x, 0))]] = 1.0
         else:
-            re_f[x, _IDX3[("re", (ci, cj))]] = 1.0
-            im_f[x, _IDX3[("im", (ci, cj))]] = -1.0
+            re_f[x, idx[("re", mirror)]] = 1.0
+            im_f[x, idx[("im", mirror)]] = -1.0
     return re_f, im_f
 
 
-def _assembly_weights3(v1: float, w2: float, v2: float) -> np.ndarray:
-    """Inclusion-exclusion weights over the identity-column traces."""
-    wgt = np.zeros(6)
-    for pat in _PATTERNS3:
+def _assembly_weights(spec: _Protocol, slot_evs) -> np.ndarray:
+    """Inclusion-exclusion weights over the identity-column traces for the
+    weak-coupling eigenvalues slot_evs (one +-1 per slot)."""
+    wgt = np.zeros(len(spec.sigma))
+    for pat in spec.patterns:
         weight = 1.0
-        for slot, ev in zip(range(3), (v1, w2, v2)):
+        for slot, ev in enumerate(slot_evs):
             if ev > 0:
                 weight *= 1.0 if pat[slot] else 0.0
             else:
                 weight *= -1.0 if pat[slot] else 1.0
         if weight:
-            wgt[_X_MAP[pat]] += weight
-    return wgt
-
-
-def _design_rows2(coupling: CouplingConfig) -> np.ndarray:
-    """Four design rows for one coupling of the two-weak protocol."""
-    ab = slot_coefficients(coupling)
-    ncol = 4 + 2 * len(_PAIRS2)
-    rows = np.zeros((len(_TWO_OUTCOMES), ncol))
-    for r, (s1, s2) in enumerate(_TWO_OUTCOMES):
-        cx = np.zeros(4, dtype=complex)
-        for x1, x2 in _PATTERNS2:
-            cx[_X2_MAP[(x1, x2)]] += (ab[s1][1] if x1 else ab[s1][0]) \
-                * (ab[s2][1] if x2 else ab[s2][0])
-        coef = np.outer(cx, cx.conj())
-        for i in range(4):
-            rows[r, i] = coef[i, i].real
-        for k, (i, j) in enumerate(_PAIRS2):
-            rows[r, 4 + 2 * k] = (coef[i, j] + coef[j, i]).real
-            rows[r, 4 + 2 * k + 1] = (-coef[i, j] + coef[j, i]).imag
-    return rows
-
-
-def _identity_column_functionals2():
-    ncol = 4 + 2 * len(_PAIRS2)
-    re_f = np.zeros((4, ncol))
-    im_f = np.zeros((4, ncol))
-    re_f[0, 0] = 1.0
-    for k, (i, j) in enumerate(_PAIRS2):
-        if i == 0:
-            # T[(j, 0)] = conj(T[(0, j)])
-            re_f[j, 4 + 2 * k] = 1.0
-            im_f[j, 4 + 2 * k + 1] = -1.0
-    return re_f, im_f
-
-
-def _assembly_weights2(v1: float, w2: float) -> np.ndarray:
-    wgt = np.zeros(4)
-    for x1, x2 in _PATTERNS2:
-        weight = ((1.0 if x1 else 0.0) if v1 > 0 else (-1.0 if x1 else 1.0)) \
-            * ((1.0 if x2 else 0.0) if w2 > 0 else (-1.0 if x2 else 1.0))
-        if weight:
-            wgt[_X2_MAP[(x1, x2)]] += weight
+            wgt[spec.x_map[pat]] += weight
     return wgt
 
 
@@ -483,9 +471,12 @@ def _assembly_weights2(v1: float, w2: float) -> np.ndarray:
 class InferenceReport:
     """Diagnostics of one inversion: conditioning, residuals, background traces.
 
-    background maps each final-outcome block to its full solved sandwich-trace
-    set; the quasiprobability uses only the identity-column traces, the rest
-    are the independently measured background terms.
+    ranks, effective_conditions, residuals and background are keyed by the
+    final-outcome tuple of each solved block, in tensor axis order: (w3,)
+    for three-weak, (v3, w) for two-weak. background holds each block's
+    full solved sandwich-trace set; the quasiprobability uses only the
+    identity-column traces, the rest are the independently measured
+    background terms.
     """
 
     protocol: str
@@ -519,8 +510,9 @@ def _validate_records(records) -> tuple[str, tuple[float, ...], tuple[str, ...]]
     return protocol, phis, modes
 
 
-def _solve_block(a_mat, b_vec, required_rank: int):
-    sing = np.linalg.svd(a_mat, compute_uv=False)
+def _conditioning(design, required_rank: int) -> tuple[int, float]:
+    """Rank and effective condition number of the design; refuse a weak one."""
+    sing = np.linalg.svd(design, compute_uv=False)
     rank = int(np.sum(sing > sing[0] * 1e-10))
     if rank < required_rank or sing[0] / sing[required_rank - 1] > CONDITION_LIMIT:
         cond = sing[0] / sing[required_rank - 1] if rank >= required_rank else np.inf
@@ -528,9 +520,7 @@ def _solve_block(a_mat, b_vec, required_rank: int):
             f"inference design is ill conditioned (rank {rank}, effective "
             f"condition {cond:.3e}); widen the coupling-strength spread"
         )
-    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    resid = float(np.max(np.abs(a_mat @ sol - b_vec)))
-    return sol, rank, float(sing[0] / sing[required_rank - 1]), resid
+    return rank, float(sing[0] / sing[required_rank - 1])
 
 
 def _block_covariance(records, bin_lists):
@@ -568,138 +558,74 @@ def infer_coarse_quasiprob(records):
     doubt.
     """
     protocol, phis, modes = _validate_records(records)
+    return _infer(protocol, records, phis, modes)
+
+
+def _infer(protocol: str, records, phis, modes):
+    """One least-squares solve per final-outcome block.
+
+    The design matrix depends only on the couplings, so it, its
+    conditioning and (for sampled records) its pseudo-inverse are built
+    once; each block then solves for its own frequency vector.
+    """
+    spec = _PROTOCOLS[protocol]
     sampled = any(r.counts is not None for r in records)
-    if protocol == "three-weak":
-        return _infer_three(records, phis, modes, sampled)
-    return _infer_two(records, phis, modes, sampled)
-
-
-def _infer_three(records, phis, modes, sampled):
-    w_evs = records[0].final_eigenvalues
     pm = np.array([-1.0, 1.0])
-    nv = 2
-    nw = len(w_evs)
-    values = np.zeros((nv, nw, nv, nw), dtype=complex)
-    sigma = np.zeros((nv, nw, nv, nw, 2)) if sampled else None
-    re_f, im_f = _identity_column_functionals3()
+    finals = [np.array(sorted({out[p] for out in records[0].outcomes}))
+              for p in spec.final]
+    shape = (2,) * spec.slots + tuple(len(evs) for evs in finals)
+    values = np.zeros(shape, dtype=complex)
+    errors = np.zeros(shape + (2,)) if sampled else None
+    re_f, im_f = _identity_column_functionals(spec)
+    weights = {w_idx: _assembly_weights(spec, pm[list(w_idx)])
+               for w_idx in np.ndindex(*(2,) * spec.slots)}
+    design = np.vstack([_design_rows(spec, rec.coupling) for rec in records])
+    rank, cond = _conditioning(design, spec.rank)
+    pinv = np.linalg.pinv(design, rcond=1e-10) if sampled else None
     ranks, conds, resids, background = {}, {}, {}, {}
 
-    for i_w3, w3 in enumerate(w_evs):
-        a_rows, b_vals, bin_lists = [], [], []
+    for f_idx in np.ndindex(*shape[spec.slots:]):
+        key = tuple(float(evs[i]) for evs, i in zip(finals, f_idx))
+        b_vals, bin_lists = [], []
         for rec in records:
-            a_rows.append(_design_rows3(rec.coupling))
-            freq = rec.frequencies()
             bins = [k for k, out in enumerate(rec.outcomes)
-                    if abs(out[3] - w3) < 1e-9]
-            if len(bins) != len(_THREE_OUTCOMES):
+                    if all(abs(out[p] - ev) < 1e-9 for p, ev in zip(spec.final, key))]
+            if len(bins) != len(spec.outcomes):
                 raise ValueError("record bins do not cover all ancilla outcomes")
-            b_vals.append(freq[bins])
+            b_vals.append(rec.frequencies()[bins])
             bin_lists.append(bins)
-        a_mat = np.vstack(a_rows)
         b_vec = np.concatenate(b_vals)
-        sol, rank, cond, resid = _solve_block(a_mat, b_vec, _RANK_REQUIRED["three-weak"])
-        key = float(w3)
-        ranks[key], conds[key], resids[key] = rank, cond, resid
+        sol, *_ = np.linalg.lstsq(design, b_vec, rcond=None)
+        ranks[key], conds[key] = rank, cond
+        resids[key] = float(np.max(np.abs(design @ sol - b_vec)))
         t_re = re_f @ sol
         t_im = im_f @ sol
         background[key] = {
-            "identity_column": [complex(t_re[x], t_im[x]) for x in range(6)],
-            "solution": sol.copy(),
+            "identity_column": [complex(re, im) for re, im in zip(t_re, t_im)],
+            "solution": sol,
         }
         if sampled:
-            pinv = np.linalg.pinv(a_mat, rcond=1e-10)
-            cov_b = _block_covariance(records, bin_lists)
-            cov_sol = pinv @ cov_b @ pinv.T
-        for i1, v1 in enumerate(pm):
-            for i2, w2 in enumerate(pm):
-                for i3, v2 in enumerate(pm):
-                    wgt = _assembly_weights3(v1, w2, v2)
-                    values[i1, i2, i3, i_w3] = complex(wgt @ t_re, wgt @ t_im)
-                    if sampled:
-                        ell_re = wgt @ re_f
-                        ell_im = wgt @ im_f
-                        sigma[i1, i2, i3, i_w3, 0] = math.sqrt(
-                            max(0.0, ell_re @ cov_sol @ ell_re))
-                        sigma[i1, i2, i3, i_w3, 1] = math.sqrt(
-                            max(0.0, ell_im @ cov_sol @ ell_im))
-
-    dist = quasiprob.QuasiDistribution(
-        values=values,
-        axis_names=quasiprob.COARSE_AXES,
-        axis_eigenvalues=(pm, pm, pm, np.asarray(w_evs, dtype=float)),
-        grain="coarse",
-        meta={"inferred_from": "three-weak"},
-    )
-    report = InferenceReport(
-        protocol="three-weak", ranks=ranks, effective_conditions=conds,
-        residuals=resids, background=background, phi_values=phis,
-        modes=modes, sampled=sampled, std_errors=sigma,
-    )
-    return dist, report
-
-
-def _infer_two(records, phis, modes, sampled):
-    wb_evs = np.array(sorted({out[0] for out in records[0].outcomes}))
-    v_evs = records[0].final_eigenvalues
-    pm = np.array([-1.0, 1.0])
-    nw = len(wb_evs)
-    nv = len(v_evs)
-    values = np.zeros((2, 2, nv, nw), dtype=complex)
-    sigma = np.zeros((2, 2, nv, nw, 2)) if sampled else None
-    re_f, im_f = _identity_column_functionals2()
-    ranks, conds, resids, background = {}, {}, {}, {}
-
-    for i_wb, wb in enumerate(wb_evs):
-        for i_v3, v3 in enumerate(v_evs):
-            a_rows, b_vals, bin_lists = [], [], []
-            for rec in records:
-                a_rows.append(_design_rows2(rec.coupling))
-                freq = rec.frequencies()
-                bins = [k for k, out in enumerate(rec.outcomes)
-                        if abs(out[0] - wb) < 1e-9 and abs(out[3] - v3) < 1e-9]
-                if len(bins) != len(_TWO_OUTCOMES):
-                    raise ValueError("record bins do not cover all ancilla outcomes")
-                b_vals.append(freq[bins])
-                bin_lists.append(bins)
-            a_mat = np.vstack(a_rows)
-            b_vec = np.concatenate(b_vals)
-            sol, rank, cond, resid = _solve_block(a_mat, b_vec, _RANK_REQUIRED["two-weak"])
-            key = (float(wb), float(v3))
-            ranks[key], conds[key], resids[key] = rank, cond, resid
-            t_re = re_f @ sol
-            t_im = im_f @ sol
-            background[key] = {
-                "identity_column": [complex(t_re[x], t_im[x]) for x in range(4)],
-                "solution": sol.copy(),
-            }
+            cov_sol = pinv @ _block_covariance(records, bin_lists) @ pinv.T
+        for w_idx, wgt in weights.items():
+            values[w_idx + f_idx] = complex(wgt @ t_re, wgt @ t_im)
             if sampled:
-                pinv = np.linalg.pinv(a_mat, rcond=1e-10)
-                cov_b = _block_covariance(records, bin_lists)
-                cov_sol = pinv @ cov_b @ pinv.T
-            for i1, v1 in enumerate(pm):
-                for i2, w2 in enumerate(pm):
-                    wgt = _assembly_weights2(v1, w2)
-                    values[i1, i2, i_v3, i_wb] = complex(wgt @ t_re, wgt @ t_im)
-                    if sampled:
-                        ell_re = wgt @ re_f
-                        ell_im = wgt @ im_f
-                        sigma[i1, i2, i_v3, i_wb, 0] = math.sqrt(
-                            max(0.0, ell_re @ cov_sol @ ell_re))
-                        sigma[i1, i2, i_v3, i_wb, 1] = math.sqrt(
-                            max(0.0, ell_im @ cov_sol @ ell_im))
+                for part, ell in enumerate((wgt @ re_f, wgt @ im_f)):
+                    errors[w_idx + f_idx + (part,)] = math.sqrt(
+                        max(0.0, ell @ cov_sol @ ell))
 
+    # the two-weak tensor puts its weak V and W on axes v1, w2 and its
+    # final V outcome and prepared W eigenvalue on v2, w3
     dist = quasiprob.QuasiDistribution(
         values=values,
         axis_names=quasiprob.COARSE_AXES,
-        axis_eigenvalues=(pm, pm, np.asarray(v_evs, dtype=float),
-                          np.asarray(wb_evs, dtype=float)),
+        axis_eigenvalues=(pm,) * spec.slots + tuple(finals),
         grain="coarse",
-        meta={"inferred_from": "two-weak"},
+        meta={"inferred_from": protocol},
     )
     report = InferenceReport(
-        protocol="two-weak", ranks=ranks, effective_conditions=conds,
+        protocol=protocol, ranks=ranks, effective_conditions=conds,
         residuals=resids, background=background, phi_values=phis,
-        modes=modes, sampled=sampled, std_errors=sigma,
+        modes=modes, sampled=sampled, std_errors=errors,
     )
     return dist, report
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from otoclab import cli, quasiprob, spin
+from otoclab import cli, quasiprob, spin, weakmeas
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +213,20 @@ class TestOtherExperiments:
         assert 0.0 <= csv_defect <= 1e-12
         rc, out, _ = run_cli(capsys, "otoc-series", *SMALL_SERIES)
         assert "health" not in parse_csv(out)[0]
+
+    @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
+    def test_weakmeas_health_round_trips_in_csv_and_json(self, capsys, protocol):
+        argv = ["weakmeas-inference", "--protocol", protocol]
+        rc, out_csv, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        csv_health = parse_csv(out_csv)[0]["health"]
+        json_health = json.loads(out_json)["metadata"]["health"]
+        assert csv_health == json_health
+        assert set(csv_health) == {"max_effective_condition", "max_residual"}
+        assert 1.0 <= csv_health["max_effective_condition"] <= weakmeas.CONDITION_LIMIT
+        assert 0.0 <= csv_health["max_residual"] < 1e-10
 
     def test_weakmeas_inference_exact_mode(self, capsys):
         rc, out, _ = run_cli(capsys, "weakmeas-inference")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab import qla
+from otoclab import qla, quasiprob, spin
 
 
 def test_as_square_array_rejects_bad_shapes():
@@ -63,6 +63,19 @@ class TestEigh:
         assert a.degenerate_groups() == [(0, 2), (2, 4)]
         # the fixed basis still reconstructs the operator
         assert np.max(np.abs(a.reconstruct() - h)) < 1e-12
+
+    def test_nearly_parallel_projections_stay_orthonormal(self):
+        # W(t) = U^dag X_3 U at t = 1/64 on the n=3 chain: the projected
+        # computational-basis vectors of each eigenspace are nearly
+        # parallel, which one Gram-Schmidt pass left 3.8e-9 off orthonormal
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.0, g=1.0))
+        u = quasiprob.propagator(h, 1 / 64)
+        wt = u.conj().T @ spin.site_pauli(3, 3, "x") @ u
+        vecs = qla.eigh(wt).eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-13
+        for sign in (1.0, -1.0):
+            want = (np.eye(8) + sign * wt) / 2
+            assert np.max(np.abs(spin.eigenprojector(wt, sign) - want)) <= 1e-13
 
     def test_propagator_unitary_and_correct(self, make_hermitian):
         h = make_hermitian(5)

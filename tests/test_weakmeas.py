@@ -248,6 +248,15 @@ class TestInferenceExact:
             weakmeas.two_measurement_protocol(rho, w, v, h, 1.0,
                                               weakmeas.CouplingConfig(0.1))
 
+    @pytest.mark.parametrize("protocol,rank", [("three-weak", 27), ("two-weak", 13)])
+    def test_every_block_reaches_the_identifiable_rank(self, two_site, protocol, rank):
+        rho, w, v, h = two_site
+        records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0,
+                                                     protocol=protocol)
+        _, report = weakmeas.infer_coarse_quasiprob(records)
+        assert len(report.ranks) == (2 if protocol == "three-weak" else 4)
+        assert set(report.ranks.values()) == {rank}
+
     def test_clustered_strengths_rejected(self, two_site):
         rho, w, v, h = two_site
         phis = (0.1, 0.1 + 1e-9, 0.1 + 2e-9, 0.1 + 3e-9)
@@ -280,6 +289,20 @@ class TestInferenceSampled:
         assert report.sampled
         se = report.std_errors
         assert se is not None and np.all(se > 0)
+        z_re = np.abs(inferred.values.real - direct.values.real) / se[..., 0]
+        z_im = np.abs(inferred.values.imag - direct.values.imag) / se[..., 1]
+        assert float(max(z_re.max(), z_im.max())) < 4.0
+
+    def test_two_weak_sampled_inference_within_error_bars(self, two_site):
+        rho, w, v, h = two_site
+        records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0,
+                                                     shots=200_000, seed=7,
+                                                     protocol="two-weak")
+        inferred, report = weakmeas.infer_coarse_quasiprob(records)
+        direct = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        assert report.sampled
+        se = report.std_errors
+        assert se.shape == (2, 2, 2, 2, 2) and np.all(se > 0)
         z_re = np.abs(inferred.values.real - direct.values.real) / se[..., 0]
         z_im = np.abs(inferred.values.imag - direct.values.imag) / se[..., 1]
         assert float(max(z_re.max(), z_im.max())) < 4.0

@@ -261,7 +261,7 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     v = spin.site_pauli(n, 2, "z") if v_op is None else np.asarray(v_op, dtype=complex)
     rho = np.eye(dim, dtype=complex) / dim if rho is None else np.asarray(rho, dtype=complex)
     quasiprob._check_dims(rho, w, v)
-    if not quasiprob._is_involutory(w) or not quasiprob._is_involutory(v):
+    if not quasiprob._is_hermitian_involution(w) or not quasiprob._is_hermitian_involution(v):
         raise ValueError("ensemble reduction needs involutory W and V")
 
     times = config.sample_times()

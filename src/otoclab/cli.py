@@ -12,7 +12,8 @@ Runners may also return numerical diagnostics, which land under "health"
 next to the configuration (brownian-ensemble: the largest unitarity
 defect of any trajectory's final propagator; weakmeas-inference: the
 largest effective condition number and least-squares residual over the
-solved blocks).
+solved blocks; toc-, kfold- and regulated-series: the largest
+|sum of entries - 1| and |moment - correlator| over the time grid).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -287,24 +288,41 @@ def _time_grid(cfg: dict) -> np.ndarray:
 
 # ---------------------------------------------------------------- labels
 
-def _abcd_labels() -> list[str]:
-    return [f"{a}{b}{c}{d}" for a in (0, 1) for b in (0, 1)
-            for c in (0, 1) for d in (0, 1)]
-
-
-def _abcd_index(label: str) -> tuple[int, int, int, int]:
-    a, b, c, d = (int(ch) for ch in label)
-    # value axes are (v1, w2, v2, w3) with eigenvalues ascending (-1, +1)
-    return (1 - d, 1 - c, 1 - b, 1 - a)
-
-
 def _bit_labels(n_axes: int) -> list[str]:
     return [format(i, f"0{n_axes}b") for i in range(2 ** n_axes)]
 
 
 def _reverse_chrono_index(label: str) -> tuple[int, ...]:
-    # bit 0 of the label belongs to the last (latest) axis, as in abcd
+    # the first bit of the label belongs to the last (latest) axis, as in
+    # abcd; axes hold eigenvalues ascending (-1, +1), so bit 0 is index 1
     return tuple(1 - int(ch) for ch in reversed(label))
+
+
+def _series_table(qs, name=None, corr=None, moment=None):
+    """Columns and rows of a quasiprobability series: t, then re/im of the
+    correlator `name` when one is given, then re/im of every entry by bit
+    label. With a correlator, a third item reports health over the grid:
+    the largest |sum of entries - 1| and |moment(entries) - correlator|.
+    """
+    labels = _bit_labels(qs.values.ndim - 1)
+    curves = [qs.values[(slice(None),) + _reverse_chrono_index(lab)] for lab in labels]
+    head = [] if name is None else [f"re_{name}", f"im_{name}"]
+    columns = ["t", *head]
+    for lab in labels:
+        columns += [f"re_{lab}", f"im_{lab}"]
+    rows = []
+    for i, t in enumerate(qs.times):
+        row = [t] if name is None else [t, corr.values[i].real, corr.values[i].imag]
+        for curve in curves:
+            row += [curve[i].real, curve[i].imag]
+        rows.append(row)
+    if name is None:
+        return columns, rows
+    totals = qs.values.sum(axis=tuple(range(1, qs.values.ndim)))
+    moments = np.array([moment(qs.at(i)) for i in range(len(qs.times))])
+    health = {"max_total_defect": float(np.max(np.abs(totals - 1.0))),
+              "max_moment_defect": float(np.max(np.abs(moments - corr.values)))}
+    return columns, rows, health
 
 
 # ---------------------------------------------------------------- emit
@@ -385,19 +403,7 @@ def _run_quasiprob_series(cfg):
     h, w, v = _chain_pieces(cfg)
     rho = _resolve_state(cfg["state"], cfg["n"], h)
     ts = _time_grid(cfg)
-    qs = quasiprob.coarse_quasiprob_series(rho, w, v, h, ts)
-    labels = _abcd_labels()
-    columns = ["t"]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}"]
-    rows = []
-    for i, t in enumerate(ts):
-        row = [t]
-        for lab in labels:
-            val = qs.values[(i,) + _abcd_index(lab)]
-            row += [val.real, val.imag]
-        rows.append(row)
-    return columns, rows
+    return _series_table(quasiprob.coarse_quasiprob_series(rho, w, v, h, ts))
 
 
 def _run_work_distribution(cfg):
@@ -426,7 +432,7 @@ def _run_brownian_ensemble(cfg):
                           "thermal states are undefined here")
     rho = _resolve_state(cfg["state"], cfg["n"], None)
     result = brownian.ensemble_averages(config, rho=rho, w_op=w, v_op=v)
-    labels = _abcd_labels()
+    labels = _bit_labels(4)
     columns = ["t", "re_f", "im_f", "se_f", "re_g", "im_g", "se_g"]
     for lab in labels:
         columns += [f"re_{lab}", f"im_{lab}", f"se_re_{lab}", f"se_im_{lab}"]
@@ -440,7 +446,7 @@ def _run_brownian_ensemble(cfg):
                g_series.mean[i].real, g_series.mean[i].imag,
                g_series.standard_error[i]]
         for lab in labels:
-            idx = _abcd_index(lab)
+            idx = _reverse_chrono_index(lab)
             val = result.quasi_mean[(i,) + idx]
             row += [val.real, val.imag,
                     result.quasi_se[(i,) + idx + (0,)],
@@ -466,8 +472,8 @@ def _run_weakmeas_inference(cfg):
     inferred, report = weakmeas.infer_coarse_quasiprob(records)
     direct = quasiprob.coarse_quasiprob(rho, w, v, h, cfg["t"])
     rows = []
-    for lab in _abcd_labels():
-        idx = _abcd_index(lab)
+    for lab in _bit_labels(4):
+        idx = _reverse_chrono_index(lab)
         est = inferred.values[idx]
         ref = direct.values[idx]
         se_re = report.std_errors[idx + (0,)] if report.std_errors is not None else 0.0
@@ -538,63 +544,21 @@ def _run_decomp_report(cfg):
 def _run_toc_series(cfg):
     h, w, v = _chain_pieces(cfg)
     rho = _resolve_state(cfg["state"], cfg["n"], h)
-    ts = _time_grid(cfg)
-    h_sys = quasiprob._eigensystem(h)
-    labels = _bit_labels(3)
-    columns = ["t", "re_toc", "im_toc"]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}"]
-    rows = []
-    for t in ts:
-        toc, qd, _ = quasiprob.toc_and_toc_quasiprob(rho, w, v, h_sys, t)
-        row = [t, toc.real, toc.imag]
-        for lab in labels:
-            val = qd.values[_reverse_chrono_index(lab)]
-            row += [val.real, val.imag]
-        rows.append(row)
-    return columns, rows
+    toc, qs = quasiprob.toc_series(rho, w, v, h, _time_grid(cfg))
+    return _series_table(qs, "toc", toc, quasiprob.toc_moment)
 
 
 def _run_kfold_series(cfg):
     h, w, v = _chain_pieces(cfg)
     rho = _resolve_state(cfg["state"], cfg["n"], h)
-    ts = _time_grid(cfg)
-    h_sys = quasiprob._eigensystem(h)
-    n_axes = 2 * cfg["khat"]
-    labels = _bit_labels(n_axes)
-    columns = ["t", "re_fk", "im_fk"]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}"]
-    rows = []
-    for t in ts:
-        fk, qd = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h_sys, t,
-                                                    cfg["khat"])
-        row = [t, fk.real, fk.imag]
-        for lab in labels:
-            val = qd.values[_reverse_chrono_index(lab)]
-            row += [val.real, val.imag]
-        rows.append(row)
-    return columns, rows
+    fk, qs = quasiprob.kfold_series(rho, w, v, h, _time_grid(cfg), cfg["khat"])
+    return _series_table(qs, "fk", fk, quasiprob.kfold_moment)
 
 
 def _run_regulated_series(cfg):
     h, w, v = _chain_pieces(cfg)
-    ts = _time_grid(cfg)
-    h_sys = quasiprob._eigensystem(h)
-    labels = _abcd_labels()
-    columns = ["t", "re_freg", "im_freg"]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}"]
-    rows = []
-    for t in ts:
-        qd, freg = quasiprob.regulated_quasiprob_and_otoc(
-            h_sys, cfg["temperature"], w, v, t)
-        row = [t, freg.real, freg.imag]
-        for lab in labels:
-            val = qd.values[_abcd_index(lab)]
-            row += [val.real, val.imag]
-        rows.append(row)
-    return columns, rows
+    qs, freg = quasiprob.regulated_series(h, cfg["temperature"], w, v, _time_grid(cfg))
+    return _series_table(qs, "freg", freg, quasiprob.otoc_moment)
 
 
 RUNNERS = {

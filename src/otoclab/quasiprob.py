@@ -17,12 +17,20 @@ each projector as (1 + s O)/2 into eight correlators (_expansion, then
 coarse_entries_from_correlators). Projectors of an involution are built
 as (1 -+ O)/2 (_distinct_projectors), never by eigendecomposition.
 
+Series rotate W, V and rho into the energy eigenbasis once (_energy_frame)
+and dress W(t) by phases per point (_dress). The time-ordered, k-fold and
+regulated single-time functions are their series of length one, and the
+time-ordered distribution is A~ summed over w3 (the W(t) projectors
+resolve the identity). otoc, coarse_quasiprob, correlators_for_expansion
+and fine_quasiprob stay in the lab frame as the series' oracles.
+
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
 many times without rediagonalizing.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,8 +201,11 @@ def _energy_frame(sys: qla.HermitianEigensystem, *ops) -> list[np.ndarray]:
     return [e.conj().T @ np.asarray(op, dtype=complex) @ e for op in ops]
 
 
-def _dress(op_e, sys: qla.HermitianEigensystem, t: float) -> np.ndarray:
-    """Udag op U in the energy frame, an elementwise phase dressing."""
+def _dress(op_e, sys: qla.HermitianEigensystem, t: complex) -> np.ndarray:
+    """Udag op U in the energy frame, an elementwise phase dressing.
+
+    A complex time t - i s gives e^{-sH} Udag op U e^{-sH}.
+    """
     phase = np.exp(-1j * sys.eigenvalues * t)
     return (phase.conj()[:, None] * op_e) * phase[None, :]
 
@@ -203,6 +214,17 @@ def _check_dims(*ops):
     dims = {np.asarray(o).shape[0] for o in ops}
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch among operands: {sorted(dims)}")
+
+
+def _is_hermitian_involution(op, tol: float = 1e-10) -> bool:
+    """O = Odag and O O = 1, so O has eigenvalues +-1 and projectors (1 +- O)/2.
+
+    The Hermiticity test runs first and its temporaries are freed before
+    O O is formed.
+    """
+    m = np.asarray(op)
+    return bool(qla.hermiticity_defect(m) <= qla.HERMITIAN_TOL
+                and np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -216,8 +238,7 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
         m = qla.as_square_array(op)
         dim = m.shape[0]
         # the trace of a Hermitian involution is an integer, +-dim only for +-1
-        if (qla.hermiticity_defect(m) <= qla.HERMITIAN_TOL
-                and abs(np.trace(m)) < dim - 0.5 and _is_involutory(m)):
+        if abs(np.trace(m)) < dim - 0.5 and _is_hermitian_involution(m):
             eye = np.eye(dim)
             return np.array([-1.0, 1.0]), [(eye - m) / 2, (eye + m) / 2]
     sys = _eigensystem(op)
@@ -229,9 +250,10 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array(evs), projs
 
 
-def _is_involutory(op, tol: float = 1e-10) -> bool:
-    m = np.asarray(op)
-    return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
+def _energy_projectors(sys: qla.HermitianEigensystem, op):
+    """Distinct eigenvalues of op and its projectors in the energy frame."""
+    evs, projs = _distinct_projectors(op)
+    return evs, _energy_frame(sys, *projs)
 
 
 def _four_projector_trace(v_projs, w_projs, rho=None) -> np.ndarray:
@@ -377,39 +399,31 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
-    if _is_involutory(w_op) and _is_involutory(v_op):
-        return _involutory_series(rho, w_op, v_op, sys, times)
-    w_evs, w_projs = _distinct_projectors(w_op)
-    v_evs, v_projs = _distinct_projectors(v_op)
-    w_projs_e = _energy_frame(sys, *w_projs)
-    v_projs_e = _energy_frame(sys, *v_projs)
-    (rho_e,) = _energy_frame(sys, rho)
+    if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
+        # the eight-correlator expansion, three matrix products per point
+        w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
+        correlators = _expansion(rho_e, v_e)
+        v_evs = w_evs = np.array([-1.0, 1.0])
+
+        def point(t):
+            return coarse_entries_from_correlators(correlators(_dress(w_e, sys, t)))
+    else:
+        w_evs, w_projs_e = _energy_projectors(sys, w_op)
+        v_evs, v_projs_e = _energy_projectors(sys, v_op)
+        (rho_e,) = _energy_frame(sys, rho)
+
+        def point(t):
+            return _four_projector_trace(v_projs_e, [_dress(p, sys, t) for p in w_projs_e],
+                                         rho_e)
     out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
                    dtype=complex)
     for i, t in enumerate(times):
-        pw_t = [_dress(p, sys, t) for p in w_projs_e]
-        out[i] = _four_projector_trace(v_projs_e, pw_t, rho_e)
+        out[i] = point(t)
     return QuasiSeries(
         times=times,
         values=out,
         axis_names=COARSE_AXES,
         axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs),
-    )
-
-
-def _involutory_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times) -> QuasiSeries:
-    """Series via the eight-correlator expansion, three matrix products per t."""
-    w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
-    correlators = _expansion(rho_e, v_e)
-    out = np.empty((times.shape[0], 2, 2, 2, 2), dtype=complex)
-    for i, t in enumerate(times):
-        out[i] = coarse_entries_from_correlators(correlators(_dress(w_e, sys, t)))
-    pm = np.array([-1.0, 1.0])
-    return QuasiSeries(
-        times=times,
-        values=out,
-        axis_names=COARSE_AXES,
-        axis_eigenvalues=(pm, pm, pm, pm),
     )
 
 
@@ -459,7 +473,7 @@ def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian, t: float) -> 
     quasiprobability values collapse onto eight expectation values.
     """
     _check_dims(rho, w_op, v_op)
-    if not _is_involutory(w_op) or not _is_involutory(v_op):
+    if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("projector expansion needs involutory W and V (eigenvalues +-1)")
     corr = correlators_for_expansion(rho, w_op, v_op, hamiltonian, t)
     pm = np.array([-1.0, 1.0])
@@ -471,19 +485,17 @@ def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian, t: float) -> 
     )
 
 
+def _moment(values, axis_weights) -> complex:
+    """Sum of values weighted by the outer product of one weight per axis."""
+    return complex(np.sum(functools.reduce(np.multiply.outer, axis_weights) * values))
+
+
 def otoc_moment(quasi: QuasiDistribution) -> complex:
     """Sum v1 w2 conj(v2) conj(w3) A~ over all outcomes; equals F(t)."""
     if quasi.values.ndim != 4:
         raise ValueError("moment defined for the four-slot distribution")
     v1, w2, v2, w3 = quasi.axis_eigenvalues
-    weights = np.einsum(
-        "a,b,c,d->abcd",
-        v1.astype(complex),
-        w2.astype(complex),
-        np.conj(v2.astype(complex)),
-        np.conj(w3.astype(complex)),
-    )
-    return complex(np.sum(weights * quasi.values))
+    return _moment(quasi.values, (v1, w2, np.conj(v2), np.conj(w3)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,148 +616,162 @@ def marginalize(quasi: QuasiDistribution, keep) -> MarginalDistribution:
 # derived distributions
 
 
+def _collect(quasi: QuasiDistribution, key) -> WorkDistribution:
+    """Sum the entries onto (W, W') = key(eigenvalue of each slot)."""
+    entries: dict[tuple[complex, complex], complex] = {}
+    for idx, val in np.ndenumerate(quasi.values):
+        w, wprime = key(*(evs[i] for evs, i in zip(quasi.axis_eigenvalues, idx)))
+        pair = (WorkDistribution._bucket(w), WorkDistribution._bucket(wprime))
+        entries[pair] = entries.get(pair, 0.0 + 0j) + val
+    return WorkDistribution(entries=entries)
+
+
 def work_distribution(quasi: QuasiDistribution) -> WorkDistribution:
     """Collect A~ onto (W, W') = (conj(w3) conj(v2), w2 v1)."""
     if quasi.values.ndim != 4:
         raise ValueError("expected the four-slot distribution")
-    entries: dict[tuple[complex, complex], complex] = {}
-    v1e, w2e, v2e, w3e = quasi.axis_eigenvalues
-    for (i1, i2, i3, i4), val in np.ndenumerate(quasi.values):
-        key = (
-            WorkDistribution._bucket(np.conj(w3e[i4]) * np.conj(v2e[i3])),
-            WorkDistribution._bucket(w2e[i2] * v1e[i1]),
-        )
-        entries[key] = entries.get(key, 0.0 + 0j) + val
-    return WorkDistribution(entries=entries)
+    return _collect(quasi, lambda v1, w2, v2, w3: (np.conj(w3) * np.conj(v2), w2 * v1))
 
 
-def regulated_quasiprob_and_otoc(hamiltonian, temperature: float, w_op, v_op, t: float):
-    """Thermally regulated coarse distribution and its matching correlator.
+def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
+    """Thermally regulated coarse distribution and its correlator on a time grid.
 
     The propagator U = exp(-i H t) is replaced by
     Utld = exp(-i H (t - i/(4T))) / Z^{1/4}, which splits one thermal state
-    into four quarter powers interleaved with the projectors. Returns
-    (distribution, F_reg) with
-    F_reg = Tr(rho^{1/4} W(t) rho^{1/4} V rho^{1/4} W(t) rho^{1/4} V);
-    the usual moment of the distribution reproduces F_reg.
+    into four quarter powers interleaved with the projectors; Utld is
+    diagonal in the energy frame, so a regulated W(t) projector is the t=0
+    one dressed at the complex time t - i/(4T), over sqrt(Z). Returns
+    (QuasiSeries, CorrelatorSeries) with the correlator
+    F_reg = Tr(rho^{1/4} W(t) rho^{1/4} V rho^{1/4} W(t) rho^{1/4} V),
+    which the usual moment of each distribution reproduces.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     _check_dims(w_op, v_op)
     sys = _eigensystem(hamiltonian)
     _check_dims(w_op, sys.eigenvectors)
+    times = np.asarray(times, dtype=float)
     z = float(np.sum(np.exp(-sys.eigenvalues / temperature)))
-    u_reg = sys.propagator(-1j * t - 1.0 / (4.0 * temperature)) / z**0.25
-    w_evs, w_projs = _distinct_projectors(w_op)
-    v_evs, v_projs = _distinct_projectors(v_op)
-    pw_reg = [u_reg.conj().T @ p @ u_reg for p in w_projs]
-    vals = _four_projector_trace(v_projs, pw_reg)
-    dist = QuasiDistribution(
-        values=vals,
-        axis_names=COARSE_AXES,
-        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs),
-        grain="coarse",
-        meta={"temperature": temperature},
-    )
-    # direct correlator with quarter powers of the thermal state
-    rho_quarter = sys.propagator(-1.0 / (4.0 * temperature)) / z**0.25
-    u = sys.propagator(-1j * t)
-    wt = heisenberg(w_op, u)
-    v = np.asarray(v_op, dtype=complex)
-    f_reg = complex(np.trace(
-        rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v
-    ))
-    return dist, f_reg
+    rho_quarter = np.exp(-sys.eigenvalues / (4.0 * temperature)) / z**0.25
+    w_evs, w_projs_e = _energy_projectors(sys, w_op)
+    v_evs, v_projs_e = _energy_projectors(sys, v_op)
+    w_e, v_e = _energy_frame(sys, w_op, v_op)
+    out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
+                   dtype=complex)
+    f_reg = np.empty(times.shape[0], dtype=complex)
+    for i, t in enumerate(times):
+        pw_reg = [_dress(p, sys, t - 1j / (4.0 * temperature)) / np.sqrt(z)
+                  for p in w_projs_e]
+        out[i] = _four_projector_trace(v_projs_e, pw_reg)
+        x = (rho_quarter[:, None] * _dress(w_e, sys, t) * rho_quarter) @ v_e
+        f_reg[i] = _matrix_sum(x * x.T)
+    dist = QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
+                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs))
+    return dist, CorrelatorSeries(times=times, values=f_reg, label="regulated otoc")
+
+
+def regulated_quasiprob_and_otoc(hamiltonian, temperature: float, w_op, v_op, t: float):
+    """regulated_series at the single time t: (distribution, F_reg)."""
+    series, f_reg = regulated_series(hamiltonian, temperature, w_op, v_op, [t])
+    dist = series.at(0)
+    dist.meta["temperature"] = temperature
+    return dist, complex(f_reg.values[0])
+
+
+def toc_series(rho, w_op, v_op, hamiltonian, times):
+    """Time-ordered analog on a time grid: TOC values and three-slot distributions.
+
+    TOC(t) = <Vdag W(t)dag W(t) V> saturates at 1 for unitary W, V; it is
+    one elementwise sum per point, sum(M * (W(t)dag W(t))^T) with
+    M = V rho Vdag formed once. The distribution is
+    A~_TOC(v1, w1, v2) = Tr(Pi^V_{v2} Pi^{W(t)}_{w1} Pi^V_{v1} rho), the
+    coarse series summed over w3: the W(t) projectors resolve the identity.
+    Returns (CorrelatorSeries, QuasiSeries with axes (v1, w1, v2)).
+    """
+    sys = _eigensystem(hamiltonian)
+    coarse = coarse_quasiprob_series(rho, w_op, v_op, sys, times)
+    w = np.asarray(w_op, dtype=complex)
+    wdw_e, v_e, rho_e = _energy_frame(sys, qla.dagger(w) @ w, v_op, rho)
+    m = v_e @ rho_e @ qla.dagger(v_e)
+    toc = np.array([_matrix_sum(m * _dress(wdw_e, sys, t).T) for t in coarse.times],
+                   dtype=complex)
+    v_evs, w_evs = coarse.axis_eigenvalues[:2]
+    dist = QuasiSeries(times=coarse.times, values=coarse.values.sum(axis=-1),
+                       axis_names=("v1", "w1", "v2"), axis_eigenvalues=(v_evs, w_evs, v_evs))
+    return CorrelatorSeries(times=coarse.times, values=toc, label="toc"), dist
 
 
 def toc_and_toc_quasiprob(rho, w_op, v_op, hamiltonian, t: float):
-    """Time-ordered analog: TOC value, its three-slot distribution, and P_TOC.
+    """toc_series at the single time t: TOC value, distribution, and P_TOC.
 
-    TOC(t) = <Vdag W(t)dag W(t) V> saturates at 1 for unitary W, V.
-    The distribution is A~_TOC(v1, w1, v2) = Tr(Pi^V_{v2} Pi^{W(t)}_{w1}
-    Pi^V_{v1} rho); collecting it onto (W, W') = (w1 v2, w1 v1) gives
-    P_TOC, whose moment recovers the TOC for Hermitian W, V.
+    Collecting the distribution onto (W, W') = (w1 v2, w1 v1) gives P_TOC,
+    whose moment recovers the TOC for Hermitian W, V.
     """
-    _check_dims(rho, w_op, v_op)
-    wt = heisenberg(w_op, propagator(hamiltonian, t))
-    v = np.asarray(v_op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    toc = complex(np.trace(rho @ qla.dagger(v) @ qla.dagger(wt) @ wt @ v))
-
-    w_evs, w_projs = _distinct_projectors(wt)
-    v_evs, v_projs = _distinct_projectors(v)
-    # the W(t) projectors resolve the identity, so summing the last slot
-    # leaves Tr(Pv2 Pw1 Pv1 rho)
-    vals = _four_projector_trace(v_projs, w_projs, rho).sum(axis=3)
-    dist = QuasiDistribution(
-        values=vals,
-        axis_names=("v1", "w1", "v2"),
-        axis_eigenvalues=(v_evs, w_evs, v_evs),
-        grain="coarse",
-    )
-    entries: dict[tuple[complex, complex], complex] = {}
-    for (i1, i2, i3), val in np.ndenumerate(vals):
-        key = (
-            WorkDistribution._bucket(w_evs[i2] * v_evs[i3]),
-            WorkDistribution._bucket(w_evs[i2] * v_evs[i1]),
-        )
-        entries[key] = entries.get(key, 0.0 + 0j) + val
-    return toc, dist, WorkDistribution(entries=entries)
+    toc, series = toc_series(rho, w_op, v_op, hamiltonian, [t])
+    dist = series.at(0)
+    p_toc = _collect(dist, lambda v1, w1, v2: (w1 * v2, w1 * v1))
+    return complex(toc.values[0]), dist, p_toc
 
 
-def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
-    """k-fold correlator Tr(rho (W(t) V)^k) and its 2k-slot distribution.
+def toc_moment(quasi: QuasiDistribution) -> complex:
+    """Sum v1 w1^2 v2 A~_TOC over all outcomes, the moment of P_TOC."""
+    v1, w1, v2 = quasi.axis_eigenvalues
+    return _moment(quasi.values, (v1, w1**2, v2))
+
+
+def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int):
+    """k-fold correlator Tr(rho (W(t) V)^k) and its 2k-slot distribution on a time grid.
 
     Slots run chronologically (v1, w2, v2, w3, ..., vk, w_{k+1}); the
     moment with weight (product of all w) (product of all v) recovers the
-    correlator. Restricted to involutory W and V so the tuple count stays
-    at 2**(2k); khat must lie in [2, 5].
+    correlator. Restricted to Hermitian involutions W and V so the tuple
+    count stays at 2**(2k); khat must lie in [2, 5]. The V projectors are
+    static in the energy frame and the W(t) projectors (1 +- W(t))/2 are
+    phase dressings of the t=0 ones. Returns (CorrelatorSeries, QuasiSeries).
     """
     if not isinstance(khat, int) or khat < 2 or khat > _KFOLD_MAX:
         raise ValueError(f"khat must be an integer in [2, {_KFOLD_MAX}]")
     _check_dims(rho, w_op, v_op)
-    if not _is_involutory(w_op) or not _is_involutory(v_op):
+    if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")
-    wt = heisenberg(w_op, propagator(hamiltonian, t))
-    v = np.asarray(v_op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    f_k = complex(np.trace(rho @ np.linalg.matrix_power(wt @ v, khat)))
+    sys = _eigensystem(hamiltonian)
+    times = np.asarray(times, dtype=float)
+    w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
+    v_evs, v_projs_e = _distinct_projectors(v_e)
+    w_evs, w_projs_e = _distinct_projectors(w_e)
+    f_k = np.empty(times.shape[0], dtype=complex)
+    out = np.empty((times.shape[0],) + (len(v_evs), len(w_evs)) * khat, dtype=complex)
+    for i, t in enumerate(times):
+        f_k[i] = np.trace(rho_e @ np.linalg.matrix_power(_dress(w_e, sys, t) @ v_e, khat))
+        pw_t = [_dress(p, sys, t) for p in w_projs_e]
+        _chronological_traces(out[i], (v_projs_e, pw_t), rho_e)
+    names = tuple(x for ell in range(1, khat + 1) for x in (f"v{ell}", f"w{ell + 1}"))
+    dist = QuasiSeries(times=times, values=out, axis_names=names,
+                       axis_eigenvalues=(v_evs, w_evs) * khat)
+    return CorrelatorSeries(times=times, values=f_k, label=f"{khat}-fold otoc"), dist
 
-    v_evs, v_projs = _distinct_projectors(v)
-    w_evs, w_projs = _distinct_projectors(wt)
-    vals = np.empty((len(v_evs), len(w_evs)) * khat, dtype=complex)
-    _chronological_traces(vals, (v_projs, w_projs), rho)
-    names = []
-    for ell in range(1, khat + 1):
-        names.append(f"v{ell}")
-        names.append(f"w{ell + 1}")
-    dist = QuasiDistribution(
-        values=vals,
-        axis_names=tuple(names),
-        axis_eigenvalues=(v_evs, w_evs) * khat,
-        grain="coarse",
-    )
-    return f_k, dist
+
+def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
+    """kfold_series at the single time t: (F_k, distribution)."""
+    f_k, series = kfold_series(rho, w_op, v_op, hamiltonian, [t], khat)
+    return complex(f_k.values[0]), series.at(0)
 
 
 def _chronological_traces(vals, projs, acc, idx=()):
     """Fill vals with Tr(... P2 P1 acc), slots alternating projs[0], projs[1].
 
-    Depth first, so partial products are shared and only one path is held.
+    Depth first, so partial products are shared and only one path is held;
+    the last slot is a trace, Tr(P acc), which never forms the product.
     """
-    if len(idx) == vals.ndim:
-        vals[idx] = np.trace(acc)
+    level = projs[len(idx) % 2]
+    if len(idx) == vals.ndim - 1:
+        for i, p in enumerate(level):
+            vals[idx + (i,)] = _matrix_sum(p * acc.T)
         return
-    for i, p in enumerate(projs[len(idx) % 2]):
+    for i, p in enumerate(level):
         _chronological_traces(vals, projs, p @ acc, idx + (i,))
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:
     """Sum (prod w)(prod v) over a 2k-slot distribution."""
-    n = quasi.values.ndim
-    weights = np.ones((), dtype=complex)
-    for a in range(n):
-        shape = [1] * n
-        shape[a] = quasi.axis_eigenvalues[a].shape[0]
-        weights = weights * quasi.axis_eigenvalues[a].reshape(shape)
-    return complex(np.sum(weights * quasi.values))
+    return _moment(quasi.values, quasi.axis_eigenvalues)

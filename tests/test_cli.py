@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from otoclab import cli, quasiprob, spin, weakmeas
+from otoclab import cli, qla, quasiprob, spin, weakmeas
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,43 @@ class TestOtherExperiments:
         assert set(csv_health) == {"max_effective_condition", "max_residual"}
         assert 1.0 <= csv_health["max_effective_condition"] <= weakmeas.CONDITION_LIMIT
         assert 0.0 <= csv_health["max_residual"] < 1e-10
+
+    @pytest.mark.parametrize("experiment", ["toc-series", "kfold-series", "regulated-series"])
+    def test_series_health_round_trips_in_csv_and_json(self, capsys, experiment):
+        rc, out_csv, _ = run_cli(capsys, experiment)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, experiment, "--format", "json")
+        assert rc == 0
+        csv_health = parse_csv(out_csv)[0]["health"]
+        json_health = json.loads(out_json)["metadata"]["health"]
+        assert csv_health == json_health
+        assert set(csv_health) == {"max_total_defect", "max_moment_defect"}
+        assert 0.0 <= csv_health["max_total_defect"] <= 1e-10
+        assert 0.0 <= csv_health["max_moment_defect"] <= 1e-10
+
+    @pytest.mark.parametrize("experiment", ["toc-series", "kfold-series", "regulated-series"])
+    def test_series_runners_diagonalize_once_and_never_propagate(self, capsys, monkeypatch,
+                                                                 experiment):
+        calls = {"propagator": 0, "heisenberg": 0, "_distinct_projectors": 0, "eigh": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("propagator", "heisenberg", "_distinct_projectors"):
+            counted(quasiprob, name)
+        counted(qla, "eigh")
+        rc, _, _ = run_cli(capsys, experiment, "--n", "3", "--t-max", "1", "--t-step", "0.1")
+        assert rc == 0
+        # one diagonalization (the Hamiltonian); projectors of W and V at
+        # most once each, not once per time point
+        assert calls["propagator"] == calls["heisenberg"] == 0
+        assert calls["eigh"] == 1
+        assert calls["_distinct_projectors"] <= 2
 
     def test_weakmeas_inference_exact_mode(self, capsys):
         rc, out, _ = run_cli(capsys, "weakmeas-inference")

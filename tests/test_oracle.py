@@ -4,14 +4,18 @@ The entries A~(v1, w2, v2, w3) are reachable five ways: coarse-graining
 the fine-grained tensor, the explicit four-projector trace, the
 eight-correlator expansion, the energy-frame series, and exact inversion
 of the three-weak measurement records. Each serves as the others' oracle.
+The time-ordered, k-fold and regulated series, which work in the energy
+frame, are checked against lab-frame products of projectors recovered by
+eigendecomposition.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab import qla, quasiprob, spin, weakmeas
+from otoclab import brownian, qla, quasiprob, spin, weakmeas
 
 TOL = 1e-10
 
@@ -37,8 +41,27 @@ def instances(draw):
     return rho, w, v, spin.ising_hamiltonian(spec), t
 
 
+@st.composite
+def series_instances(draw):
+    """An instance with a grid of two to four times."""
+    rho, w, v, h, t = draw(instances())
+    more = draw(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=3))
+    return rho, w, v, h, [t, *more]
+
+
 def max_dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def lab_exp(h, z):
+    """exp(z H) from numpy's own eigendecomposition."""
+    evals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(z * evals)) @ vecs.conj().T
+
+
+def pm_projectors(o):
+    """Projectors onto the -1 and +1 eigenspaces, by eigendecomposition."""
+    return [spin.eigenprojector(o, s) for s in (-1.0, 1.0)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -71,6 +94,65 @@ def test_independent_routes_agree(instance):
                 want = np.trace(spin.eigenprojector(v, v2) @ spin.eigenprojector(wt, w1)
                                 @ spin.eigenprojector(v, v1) @ rho)
                 assert abs(toc_dist.values[i1, i2, i3] - want) < TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(series_instances(), st.sampled_from([2, 3]))
+def test_kfold_series_matches_lab_frame_products(instance, khat):
+    rho, w, v, h, times = instance
+    f_k, dist = quasiprob.kfold_series(rho, w, v, h, times, khat)
+    pv = pm_projectors(v)
+    for i, t in enumerate(times):
+        u = lab_exp(h, -1j * t)
+        wt = u.conj().T @ w @ u
+        assert abs(f_k.values[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, khat))) < TOL
+        pw = pm_projectors(wt)
+        for idx in np.ndindex(dist.values.shape[1:]):
+            # slots (v1, w2, v2, w3, ...) act on rho in chronological order
+            acc = rho
+            for slot, k in enumerate(idx):
+                acc = (pw if slot % 2 else pv)[k] @ acc
+            assert abs(dist.values[(i,) + idx] - np.trace(acc)) < TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(series_instances(), st.floats(min_value=0.3, max_value=5.0))
+def test_regulated_series_matches_explicit_u_reg(instance, temperature):
+    _, w, v, h, times = instance
+    dist, f_reg = quasiprob.regulated_series(h, temperature, w, v, times)
+    z = float(np.sum(np.exp(-np.linalg.eigvalsh(h) / temperature)))
+    rho_quarter = lab_exp(h, -1.0 / (4.0 * temperature)) / z**0.25
+    pv = pm_projectors(v)
+    for i, t in enumerate(times):
+        u_reg = lab_exp(h, -1j * (t - 1j / (4.0 * temperature))) / z**0.25
+        pw = [u_reg.conj().T @ p @ u_reg for p in pm_projectors(w)]
+        for i1, i2, i3, i4 in np.ndindex(2, 2, 2, 2):
+            want = np.trace(pw[i4] @ pv[i3] @ pw[i2] @ pv[i1])
+            assert abs(dist.values[i, i1, i2, i3, i4] - want) < TOL
+        u = lab_exp(h, -1j * t)
+        wt = u.conj().T @ w @ u
+        want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
+        assert abs(f_reg.values[i] - want) < TOL
+
+
+def test_non_hermitian_involution_is_rejected():
+    # squares to the identity but is not Hermitian, so (1 +- W)/2 are not
+    # orthogonal projectors and the expansion would return a "distribution"
+    w = np.kron(np.array([[1.0, 1.0], [0.0, -1.0]]), np.eye(2))
+    assert np.array_equal(w @ w, np.eye(4))
+    v = spin.site_pauli(2, 2, "z")
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+    rho = np.eye(4, dtype=complex) / 4
+    with pytest.raises(ValueError):
+        quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.5])
+    with pytest.raises(ValueError):
+        quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
+    with pytest.raises(ValueError):
+        quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.5, 2)
+    with pytest.raises(ValueError):
+        brownian.ensemble_averages(brownian.BrownianConfig(n=2, dt=0.01, steps=1,
+                                                           trajectories=2, stride=1),
+                                   rho=rho, w_op=w, v_op=v)
 
 
 def test_involution_projectors_skip_eigendecomposition(small_chain, monkeypatch):

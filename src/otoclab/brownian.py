@@ -15,7 +15,9 @@ survives, giving the late-time clustering values {3/16, 1/16, -1/16}.
 Trajectories use independent RNG streams seeded by (seed, trajectory
 index), so runs are reproducible under any execution order. They advance
 together in chunks, each a (chunk, d, d) stack of unitaries that one
-stacked spectral exponential moves forward per time step.
+stacked spectral exponential moves forward per time step. The increments
+come from the (mask, phase) table of the pair strings in spin, with no
+dense operator stack.
 """
 from __future__ import annotations
 
@@ -83,55 +85,10 @@ class EnsembleSeries:
 
 
 def pair_paulis(n: int) -> np.ndarray:
-    """All two-site products sigma_i^a sigma_j^b, i < j, a,b in {1,x,y,z}.
-
-    Ordered pairs-lexicographically with the first site's Pauli outermost;
-    the ordering is part of the reproducibility contract since it fixes how
-    the Gaussian draws map onto operators.
-    """
-    basis = [np.eye(2, dtype=complex), spin.PAULI_X, spin.PAULI_Y, spin.PAULI_Z]
-    terms = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for a in basis:
-                for b in basis:
-                    terms.append(_embed_two(n, i, a, j, b))
-    return np.array(terms)
-
-
-def _embed_two(n, i, a, j, b):
-    out = np.array([[1.0 + 0j]])
-    for k in range(1, n + 1):
-        if k == i:
-            out = np.kron(out, a)
-        elif k == j:
-            out = np.kron(out, b)
-        else:
-            out = np.kron(out, np.eye(2, dtype=complex))
-    return out
-
-
-# action of one Pauli on one bit b: (flips b, constant phase, times (-1)^b)
-_AXIS_ACTION = {"1": (0, 1, 0), "x": (1, 1, 0), "y": (1, 1j, 1), "z": (0, 1, 1)}
-
-
-def _pair_pauli_action(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """pair_paulis(n) as signed permutations: P|r> = phase[P, r] |r ^ mask[P]>.
-
-    Rows follow the pair_paulis order; site 1 is the most significant bit
-    of the basis index r. d nonzeros per string instead of d^2.
-    """
-    r = np.arange(2 ** n)
-    masks, phases = [], []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            bits = ((r >> (n - i)) & 1, (r >> (n - j)) & 1)
-            for a in "1xyz":
-                for b in "1xyz":
-                    (flip_a, c_a, z_a), (flip_b, c_b, z_b) = _AXIS_ACTION[a], _AXIS_ACTION[b]
-                    masks.append((flip_a << (n - i)) | (flip_b << (n - j)))
-                    phases.append(c_a * c_b * (-1.0) ** (z_a * bits[0] + z_b * bits[1]))
-    return np.array(masks), np.array(phases, dtype=complex)
+    """Dense expansion of spin.pair_pauli_strings(n), the strings the
+    stacked increment uses; sample_increment sums it as a reference."""
+    return np.array([spin.pauli_matrix(mask, phase)
+                     for mask, phase in zip(*spin.pair_pauli_strings(n))])
 
 
 def _stacked_increment(n: int):
@@ -144,7 +101,7 @@ def _stacked_increment(n: int):
     such class of masks is one stacked product.
     """
     dim = 2 ** n
-    masks, phases = _pair_pauli_action(n)
+    masks, phases = spin.pair_pauli_strings(n)
     # real and imaginary parts side by side: a real product gives complex entries
     table = (phases * increment_scale(n)).view(float)
     r = np.arange(dim)

@@ -247,7 +247,7 @@ def _parse_site_axis(text, n: int, what: str):
     return spin.site_pauli(n, site, axis)
 
 
-def _resolve_state(spec, n: int, hamiltonian) -> np.ndarray:
+def _resolve_state(spec, n: int, h_sys) -> np.ndarray:
     dim = 2 ** n
     text = str(spec)
     if text == "infinite-temp":
@@ -261,7 +261,7 @@ def _resolve_state(spec, n: int, hamiltonian) -> np.ndarray:
             raise ConfigError(f"bad thermal temperature in {text!r}") from exc
         if temp <= 0:
             raise ConfigError("thermal temperature must be positive")
-        return spin.thermal_state(hamiltonian, temp)
+        return spin.thermal_state(h_sys, temp)
     if text.startswith("haar:"):
         try:
             seed = int(text.split(":", 1)[1])
@@ -273,12 +273,12 @@ def _resolve_state(spec, n: int, hamiltonian) -> np.ndarray:
 
 
 def _chain_pieces(cfg: dict):
-    spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
-                              g=cfg["g_field"])
-    h = spin.ising_hamiltonian(spec)
+    # one eigensystem of H serves the whole job, a thermal state included
     w = _parse_site_axis(cfg["w"], cfg["n"], "w")
     v = _parse_site_axis(cfg["v"], cfg["n"], "v")
-    return h, w, v
+    spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
+                              g=cfg["g_field"])
+    return qla.eigh(spin.ising_hamiltonian(spec)), w, v
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
@@ -391,25 +391,25 @@ def write_output(text: str, out: str | None):
 # ---------------------------------------------------------------- runs
 
 def _run_otoc_series(cfg):
-    h, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h)
+    h_sys, w, v = _chain_pieces(cfg)
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
     ts = _time_grid(cfg)
-    series = quasiprob.otoc_series(rho, w, v, h, ts)
+    series = quasiprob.otoc_series(rho, w, v, h_sys, ts)
     rows = [[t, val.real, val.imag] for t, val in zip(ts, series.values)]
     return ["t", "re_f", "im_f"], rows
 
 
 def _run_quasiprob_series(cfg):
-    h, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h)
+    h_sys, w, v = _chain_pieces(cfg)
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
     ts = _time_grid(cfg)
-    return _series_table(quasiprob.coarse_quasiprob_series(rho, w, v, h, ts))
+    return _series_table(quasiprob.coarse_quasiprob_series(rho, w, v, h_sys, ts))
 
 
 def _run_work_distribution(cfg):
-    h, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h)
-    qd = quasiprob.coarse_quasiprob(rho, w, v, h, cfg["t"])
+    h_sys, w, v = _chain_pieces(cfg)
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    qd = quasiprob.coarse_quasiprob(rho, w, v, h_sys, cfg["t"])
     wd = quasiprob.work_distribution(qd)
     keys = sorted(wd.entries,
                   key=lambda k: (k[0].real, k[0].imag, k[1].real, k[1].imag))
@@ -456,8 +456,8 @@ def _run_brownian_ensemble(cfg):
 
 
 def _run_weakmeas_inference(cfg):
-    h, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h)
+    h_sys, w, v = _chain_pieces(cfg)
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
     try:
         if isinstance(cfg["phis"], (list, tuple)):
             phis = tuple(float(p) for p in cfg["phis"])
@@ -466,11 +466,11 @@ def _run_weakmeas_inference(cfg):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad phis list {cfg['phis']!r}") from exc
     records = weakmeas.standard_protocol_records(
-        rho, w, v, h, cfg["t"], phis=phis, shots=cfg["shots"],
+        rho, w, v, h_sys, cfg["t"], phis=phis, shots=cfg["shots"],
         seed=cfg["seed"], protocol=cfg["protocol"],
     )
     inferred, report = weakmeas.infer_coarse_quasiprob(records)
-    direct = quasiprob.coarse_quasiprob(rho, w, v, h, cfg["t"])
+    direct = quasiprob.coarse_quasiprob(rho, w, v, h_sys, cfg["t"])
     rows = []
     for lab in _bit_labels(4):
         idx = _reverse_chrono_index(lab)
@@ -531,9 +531,9 @@ def _run_retrodict_benchmark(cfg):
 
 
 def _run_decomp_report(cfg):
-    h, w, v = _chain_pieces(cfg)
+    h_sys, w, v = _chain_pieces(cfg)
     ts = _time_grid(cfg)
-    stats = decomp.mub_overlap_statistics(w, v, h, ts)
+    stats = decomp.mub_overlap_statistics(w, v, h_sys, ts)
     rows = [[t, stats.mean[i], stats.minimum[i], stats.near_mub_fraction[i],
              int(stats.vanishing_counts[i])] for i, t in enumerate(ts)]
     columns = ["t", "mean_overlap", "min_overlap", "near_mub_fraction",
@@ -542,22 +542,22 @@ def _run_decomp_report(cfg):
 
 
 def _run_toc_series(cfg):
-    h, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h)
-    toc, qs = quasiprob.toc_series(rho, w, v, h, _time_grid(cfg))
+    h_sys, w, v = _chain_pieces(cfg)
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    toc, qs = quasiprob.toc_series(rho, w, v, h_sys, _time_grid(cfg))
     return _series_table(qs, "toc", toc, quasiprob.toc_moment)
 
 
 def _run_kfold_series(cfg):
-    h, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h)
-    fk, qs = quasiprob.kfold_series(rho, w, v, h, _time_grid(cfg), cfg["khat"])
+    h_sys, w, v = _chain_pieces(cfg)
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    fk, qs = quasiprob.kfold_series(rho, w, v, h_sys, _time_grid(cfg), cfg["khat"])
     return _series_table(qs, "fk", fk, quasiprob.kfold_moment)
 
 
 def _run_regulated_series(cfg):
-    h, w, v = _chain_pieces(cfg)
-    qs, freg = quasiprob.regulated_series(h, cfg["temperature"], w, v, _time_grid(cfg))
+    h_sys, w, v = _chain_pieces(cfg)
+    qs, freg = quasiprob.regulated_series(h_sys, cfg["temperature"], w, v, _time_grid(cfg))
     return _series_table(qs, "freg", freg, quasiprob.otoc_moment)
 
 

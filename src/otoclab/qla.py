@@ -77,22 +77,6 @@ def assert_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
     return m
 
 
-def kron(*factors) -> np.ndarray:
-    """Tensor product of one or more square matrices, left to right."""
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    out = as_square_array(factors[0])
-    for f in factors[1:]:
-        nxt = as_square_array(f)
-        if out.shape[0] * nxt.shape[0] > MAX_DIM:
-            raise ValueError(
-                f"tensor product dimension exceeds {MAX_DIM}; "
-                "dense storage is capped at 12 qubits"
-            )
-        out = np.kron(out, nxt)
-    return out
-
-
 @dataclass(frozen=True)
 class HermitianEigensystem:
     """Ascending eigenvalues and a deterministically fixed eigenbasis.

@@ -1,9 +1,12 @@
-"""Spin-chain building blocks: Pauli operators on sites, the mixed-field
-Ising Hamiltonian, common initial states, and eigenprojectors with the
+"""Spin-chain building blocks: Pauli strings, the mixed-field Ising
+Hamiltonian, common initial states, and eigenprojectors with the
 degeneracy labeling used by the fine-grained distributions.
 
 Sites are 1-based. Basis ordering is the usual binary one: computational
-index i has site s in state (i >> (n - s)) & 1, with bit 0 meaning spin up.
+index i has site s in state (i >> (n - s)) & 1, with bit 0 meaning spin up,
+so site 1 is the most significant bit. A Pauli string is a flip mask and a
+phase vector, P|r> = phase[r] |r ^ mask>, and the site Paulis, the
+Hamiltonian and the Brownian pair strings all come from this one form.
 """
 from __future__ import annotations
 
@@ -17,6 +20,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+# action of one Pauli on its site's bit b: (flips b, constant phase, times (-1)^b)
+_AXIS_ACTION = {"1": (0, 1, 0), "x": (1, 1, 0), "y": (1, 1j, 1), "z": (0, 1, 1)}
 
 _EIGENVALUE_MATCH_TOL = 1e-9
 
@@ -35,6 +41,7 @@ class SpinChainSpec:
             raise ValueError("need at least two sites")
         if self.j <= 0:
             raise ValueError("ferromagnetic coupling j must be positive")
+        _check_dense(self.n)
 
     @property
     def dim(self) -> int:
@@ -58,38 +65,85 @@ class LocalObservable:
         return site_pauli(n, self.site, self.axis)
 
 
+def _check_dense(n: int):
+    if 2**n > qla.MAX_DIM:
+        raise ValueError(f"{n} sites exceed dimension {qla.MAX_DIM}; "
+                         "dense storage is capped at 12 qubits")
+
+
+def pauli_string(n: int, factors) -> tuple[int, np.ndarray]:
+    """The string with (site, axis) factors, axis in 1xyz, identity
+    elsewhere: P|r> = phase[r] |r ^ mask>."""
+    _check_dense(n)
+    r = np.arange(2**n)
+    mask, const, signs = 0, 1, np.zeros_like(r)
+    for site, axis in factors:
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} outside chain of length {n}")
+        if axis not in _AXIS_ACTION:
+            raise ValueError(f"unknown axis {axis!r}")
+        flip, c, z = _AXIS_ACTION[axis]
+        mask |= flip << (n - site)
+        const *= c
+        signs = signs + z * ((r >> (n - site)) & 1)
+    return mask, const * (-1.0) ** signs
+
+
+def pauli_matrix(mask: int, phase: np.ndarray) -> np.ndarray:
+    """Dense matrix of the string (mask, phase): P[r ^ mask, r] = phase[r]."""
+    r = np.arange(len(phase))
+    out = np.zeros((len(phase), len(phase)), dtype=complex)
+    out[r ^ mask, r] = phase
+    return out
+
+
+def pair_pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and (strings, d) phases of all sigma_i^a sigma_j^b, i < j,
+    a, b in 1xyz, pairs-lexicographic with the first site's Pauli outermost;
+    the order fixes how the Brownian draws map onto strings."""
+    masks, phases = zip(*(pauli_string(n, ((i, a), (j, b)))
+                          for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                          for a in "1xyz" for b in "1xyz"))
+    return np.array(masks), np.array(phases, dtype=complex)
+
+
 def site_pauli(n: int, site: int, axis: str) -> np.ndarray:
     """Pauli operator on one site of an n-site chain, identity elsewhere."""
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside chain of length {n}")
     if axis not in PAULI:
         raise ValueError(f"unknown axis {axis!r}")
-    factors = [PAULI[axis] if s == site else np.eye(2) for s in range(1, n + 1)]
-    return qla.kron(*factors)
+    return pauli_matrix(*pauli_string(n, [(site, axis)]))
 
 
 def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """H = -J sum sz.sz - h sum sz - g sum sx with open boundaries."""
-    n = spec.n
-    ham = np.zeros((spec.dim, spec.dim), dtype=complex)
+    """H = -J sum sz.sz - h sum sz - g sum sx with open boundaries: the zz
+    and z strings add up on the diagonal, each x string fills d entries."""
+    n, r = spec.n, np.arange(spec.dim)
+    diag = np.zeros(spec.dim)
     for s in range(1, n):
-        ham -= spec.j * site_pauli(n, s, "z") @ site_pauli(n, s + 1, "z")
+        diag -= spec.j * pauli_string(n, [(s, "z"), (s + 1, "z")])[1]
+    # a zero field subtracts zeros, which leaves every bit of H as it is
     for s in range(1, n + 1):
-        if spec.h != 0.0:
-            ham -= spec.h * site_pauli(n, s, "z")
-        if spec.g != 0.0:
-            ham -= spec.g * site_pauli(n, s, "x")
+        diag -= spec.h * pauli_string(n, [(s, "z")])[1]
+    ham = np.diag(diag.astype(complex))
+    for s in range(1, n + 1):
+        mask, phase = pauli_string(n, [(s, "x")])
+        ham[r ^ mask, r] -= spec.g * phase
     return ham
 
 
 def thermal_state(h, temperature: float) -> np.ndarray:
-    """Normalized e^{-H/T}; temperature = +inf returns the maximally mixed state."""
-    hmat = qla.assert_hermitian(h)
+    """Normalized e^{-H/T}; temperature = +inf returns the maximally mixed state.
+
+    h may be the qla.HermitianEigensystem of H, which is then not
+    diagonalized again.
+    """
+    given = isinstance(h, qla.HermitianEigensystem)
+    dim = h.dim if given else qla.assert_hermitian(h).shape[0]
     if temperature == np.inf:
-        return np.eye(hmat.shape[0], dtype=complex) / hmat.shape[0]
+        return np.eye(dim, dtype=complex) / dim
     if not temperature > 0:
         raise ValueError("temperature must be positive (negative temperatures out of scope)")
-    unnorm = qla.expm_scaled(hmat, -1.0 / temperature)
+    unnorm = (h if given else qla.eigh(h)).propagator(-1.0 / temperature)
     return unnorm / np.trace(unnorm).real
 
 

@@ -40,15 +40,6 @@ class TestIncrements:
             u = brownian.step_unitary(u, brownian.sample_increment(cfg, rng))
         assert qla.unitarity_defect(u) < 1e-12
 
-    def test_signed_permutation_tables_match_pair_paulis(self):
-        n = 3
-        masks, phases = brownian._pair_pauli_action(n)
-        r = np.arange(2 ** n)
-        for op, mask, phase in zip(brownian.pair_paulis(n), masks, phases):
-            perm = np.zeros_like(op)
-            perm[r ^ mask, r] = phase
-            assert np.array_equal(perm, op)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_stacked_increment_matches_sample_increment(self, n):
         cfg = brownian.BrownianConfig(n=n, dt=0.005, steps=1, trajectories=1)

@@ -265,6 +265,29 @@ class TestOtherExperiments:
         assert calls["eigh"] == 1
         assert calls["_distinct_projectors"] <= 2
 
+    @pytest.mark.parametrize("argv", [
+        ["otoc-series", "--state", "thermal:1", *SMALL_SERIES],
+        ["quasiprob-series", "--state", "thermal:1", *SMALL_SERIES],
+        ["work-distribution", "--n", "3", "--state", "thermal:1"],
+        ["weakmeas-inference", "--n", "3", "--state", "thermal:1"],
+        ["decomp-report", *SMALL_SERIES],
+        ["toc-series", "--state", "thermal:1", *SMALL_SERIES],
+        ["kfold-series", "--state", "thermal:1", *SMALL_SERIES],
+        ["regulated-series", *SMALL_SERIES],
+    ], ids=lambda argv: argv[0])
+    def test_chain_runners_diagonalize_the_hamiltonian_once(self, capsys, monkeypatch, argv):
+        ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
+        real = qla.eigh
+        calls = []
+
+        def counted(h, *args, **kwargs):
+            calls.append(np.array_equal(h, ham))
+            return real(h, *args, **kwargs)
+        monkeypatch.setattr(qla, "eigh", counted)
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert calls.count(True) == 1
+
     def test_weakmeas_inference_exact_mode(self, capsys):
         rc, out, _ = run_cli(capsys, "weakmeas-inference")
         assert rc == 0

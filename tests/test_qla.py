@@ -35,16 +35,6 @@ def test_unitarity_checks():
         qla.assert_unitary(2 * u)
 
 
-def test_kron_dimension_guard():
-    big = np.eye(2 ** 11)
-    with pytest.raises(ValueError, match="capped"):
-        qla.kron(big, np.eye(4))
-    out = qla.kron(np.eye(2), np.eye(3), np.eye(5))
-    assert out.shape == (30, 30)
-    with pytest.raises(ValueError):
-        qla.kron()
-
-
 class TestEigh:
     def test_reconstruction_and_ordering(self, make_hermitian):
         h = make_hermitian(6)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from otoclab import qla, spin
+from otoclab import brownian, qla, spin
 
 
 class TestPauliAlgebra:
@@ -67,6 +69,72 @@ def test_ising_hamiltonian_two_sites_explicit():
     assert np.max(np.abs(got - want)) == 0.0
 
 
+def _kron_string(n, factors):
+    """Oracle: np.kron of spin.PAULI factors {site: axis}, identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for s in range(1, n + 1):
+        out = np.kron(out, spin.PAULI.get(factors.get(s), np.eye(2)))
+    return out
+
+
+def _kron_hamiltonian(spec):
+    n = spec.n
+    ham = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for s in range(1, n):
+        ham -= spec.j * _kron_string(n, {s: "z", s + 1: "z"})
+    for s in range(1, n + 1):
+        if spec.h != 0.0:
+            ham -= spec.h * _kron_string(n, {s: "z"})
+        if spec.g != 0.0:
+            ham -= spec.g * _kron_string(n, {s: "x"})
+    return ham
+
+
+def test_pauli_table_matches_kronecker_products():
+    """Site Paulis, the Brownian pair strings (in pair_paulis order) and the
+    Hamiltonian, all built from (mask, phase) strings, equal the dense
+    Kronecker products of their factors exactly."""
+    rng = np.random.default_rng(17)
+    for n in range(2, 6):
+        for site in range(1, n + 1):
+            for axis in "xyz":
+                assert np.array_equal(spin.site_pauli(n, site, axis),
+                                      _kron_string(n, {site: axis}))
+        pairs = [{i: a, j: b} for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 for a in "1xyz" for b in "1xyz"]
+        masks, phases = spin.pair_pauli_strings(n)
+        dense = brownian.pair_paulis(n)
+        assert len(masks) == len(phases) == len(dense) == len(pairs)
+        for mask, phase, op, factors in zip(masks, phases, dense, pairs):
+            want = _kron_string(n, factors)
+            assert np.array_equal(spin.pauli_matrix(mask, phase), want)
+            assert np.array_equal(op, want)
+        fields = [(rng.normal(), rng.normal()), (0.0, rng.normal()),
+                  (rng.normal(), 0.0), (0.0, 0.0)]
+        for h, g in fields:
+            spec = spin.SpinChainSpec(n=n, j=rng.uniform(0.1, 2.0), h=h, g=g)
+            assert np.array_equal(spin.ising_hamiltonian(spec), _kron_hamiltonian(spec))
+
+
+def test_dense_cap_refuses_13_sites_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            spin.SpinChainSpec(n=13)
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            spin.site_pauli(13, 1, "z")
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            spin.pauli_string(13, [(1, "x")])
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            spin.pair_pauli_strings(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 13-site dense matrix would take 1 GiB, and even its index vector 64 KiB
+    assert peak < 2**16
+    assert spin.SpinChainSpec(n=12).dim == qla.MAX_DIM
+
+
 def test_ising_hamiltonian_is_hermitian_and_open():
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=4, j=1.0, h=0.5, g=1.05))
     assert qla.hermiticity_defect(h) == 0.0
@@ -95,6 +163,13 @@ class TestStates:
         sys = qla.eigh(h)
         g = sys.eigenvectors[:, 0]
         assert np.real(g.conj() @ cold @ g) > np.real(g.conj() @ rho @ g)
+
+    def test_thermal_from_eigensystem_is_bitwise_the_same(self):
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
+        sys = qla.eigh(h)
+        for temperature in (0.5, 2.0, np.inf):
+            got = spin.thermal_state(sys, temperature)
+            assert got.tobytes() == spin.thermal_state(h, temperature).tobytes()
 
     def test_thermal_rejects_nonpositive(self):
         h = np.diag([0.0, 1.0]).astype(complex)

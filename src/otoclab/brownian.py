@@ -224,7 +224,7 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     times = config.sample_times()
     corr_acc = _Welford(len(times), (len(_CORRELATOR_NAMES),))
     quasi_acc = _Welford(len(times), (2, 2, 2, 2))
-    expansion = quasiprob._expansion(rho, v)
+    word_traces = quasiprob._word_traces(rho, v, 2)
     increment = _stacked_increment(n)
     n_terms = 16 * n * (n - 1) // 2
     sd = math.sqrt(config.dt)
@@ -240,15 +240,15 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
         for step in range(config.steps + 1):
             if step % config.stride == 0:
                 wt = quasiprob.heisenberg(w, u)
-                corr = expansion(wt)
+                traces = word_traces(wt)
+                word = dict(zip(quasiprob._words(2), traces.T))
                 for col, val in enumerate((
-                        corr["f"], quasiprob._matrix_sum(wt * v.T) / dim, corr["w"],
-                        corr["v"], quasiprob._matrix_sum(wt * w.T) / dim, corr["wv"],
-                        corr["vw"], corr["wvw"], corr["vwv"])):
+                        word["wvwv"], quasiprob._matrix_sum(wt * v.T) / dim, word["w"],
+                        word["v"], quasiprob._matrix_sum(wt * w.T) / dim, word["wv"],
+                        word["vw"], word["wvw"], word["vwv"])):
                     vals[:, col] = val
                 corr_acc.add(step // config.stride, vals)
-                quasi_acc.add(step // config.stride,
-                              quasiprob.coarse_entries_from_correlators(corr))
+                quasi_acc.add(step // config.stride, quasiprob._entries(traces, 2))
             if step < config.steps:
                 for row, rng in zip(g, rngs):
                     row[:] = rng.normal(0.0, sd, size=n_terms)

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("kfold-series", help="k-fold correlator and entries")
     common(p)
-    p.add_argument("--khat", type=int, help="fold count, 2 to 5")
+    p.add_argument("--khat", type=int, help=f"fold count, 2 to {quasiprob._KFOLD_MAX}")
     p = sub.add_parser("regulated-series", help="thermally regulated entries")
     common(p, state=False)
     p.add_argument("--temperature", type=float, help="regulator temperature")
@@ -217,8 +217,8 @@ def _validate(experiment: str, cfg: dict):
                                or cfg["instances"] < 1):
         raise ConfigError("instances must be a positive integer")
     if "khat" in cfg and (not isinstance(cfg["khat"], int)
-                          or not 2 <= cfg["khat"] <= 5):
-        raise ConfigError("khat must be an integer in [2, 5]")
+                          or not 2 <= cfg["khat"] <= quasiprob._KFOLD_MAX):
+        raise ConfigError(f"khat must be an integer in [2, {quasiprob._KFOLD_MAX}]")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
     if "j" in cfg:
@@ -409,7 +409,7 @@ def _run_quasiprob_series(cfg):
 def _run_work_distribution(cfg):
     h_sys, w, v = _chain_pieces(cfg)
     rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
-    qd = quasiprob.coarse_quasiprob(rho, w, v, h_sys, cfg["t"])
+    qd = quasiprob.coarse_quasiprob_series(rho, w, v, h_sys, [cfg["t"]]).at(0)
     wd = quasiprob.work_distribution(qd)
     keys = sorted(wd.entries,
                   key=lambda k: (k[0].real, k[0].imag, k[1].real, k[1].imag))

@@ -12,10 +12,13 @@ live here next to the distributions so the identities stay testable.
 
 Every coarse distribution comes from one of two independent routes, which
 the tests use as each other's oracle: the explicit projector trace
-(_four_projector_trace) and, for involutory W and V, the expansion of
-each projector as (1 + s O)/2 into eight correlators (_expansion, then
-coarse_entries_from_correlators). Projectors of an involution are built
-as (1 -+ O)/2 (_distinct_projectors), never by eigendecomposition.
+(_four_projector_trace) and, for involutory W and V, the word expansion:
+with each projector written as (1 + s O)/2, every 2k-slot entry is the
+constant _word_table(k) applied to the 4k traces Tr(word rho) of
+_word_traces. The coarse and k-fold series, the lab-frame
+coarse_quasiprob_via_correlators and the Brownian ensemble all take their
+entries this way. Projectors of an involution are built as (1 -+ O)/2
+(_distinct_projectors), never by eigendecomposition.
 
 Series rotate W, V and rho into the energy eigenbasis once (_energy_frame)
 and dress W(t) by phases per point (_dress). The time-ordered, k-fold and
@@ -281,32 +284,83 @@ def _matrix_sum(x):
     return np.sum(x, axis=(-2, -1))[()]
 
 
-def _expansion(rho, v):
-    """Map W(t) -> the eight correlators of the projector expansion.
+@functools.lru_cache(maxsize=None)
+def _words(k: int) -> tuple[str, ...]:
+    """The 4k words of the 2k-slot expansion, written as matrix products:
+    "1", then by length the V-first (rightmost V) and W-first words; the
+    W-first word of length 2k never occurs."""
+    return ("1",) + tuple((pair * length)[-length:] for length in range(1, 2 * k + 1)
+                          for pair in ("wv", "vw") if (pair, length) != ("vw", 2 * k))
 
-    rho V, V rho V and Tr(rho V) are formed once; each call then costs
-    three matrix products. Works in any frame rho, V and W(t) share, and on
-    a (..., d, d) stack of W(t), for which each correlator is an array.
+
+@functools.lru_cache(maxsize=None)
+def _word_table(k: int) -> np.ndarray:
+    """The (4^k, 4k) table that maps word traces to 2k-slot entries.
+
+    Rows run over the outcomes of the slots (v1, w2, v2, w3, ...) in C
+    order, -1 before +1; columns over _words(k). With P = (1 + s O)/2,
+    Tr(P_2k ... P_1 rho) is 4^-k times the sum over slot subsets S of
+    (product of s over S) Tr(O_S rho): a +-1 Hadamard matrix carries the
+    signs, and W^2 = V^2 = 1 reduces each ordered product O_S to a word.
     """
-    rho_v = rho @ v
-    v_rho_v = v @ rho_v
-    v_static = complex(np.trace(rho_v))
+    slots = 2 * k
+    column = {word: col for col, word in enumerate(_words(k))}
+    indicator = np.zeros((4**k, len(column)))
+    for subset in range(4**k):
+        letters = ""                      # the reduced O_S, first applied first
+        for slot in range(slots):
+            if subset >> (slots - 1 - slot) & 1:
+                letter = "vw"[slot % 2]
+                letters = letters[:-1] if letters.endswith(letter) else letters + letter
+        indicator[subset, column[letters[::-1] or "1"]] = 1.0
+    hadamard = functools.reduce(np.kron, [np.array([[1.0, -1.0], [1.0, 1.0]])] * slots)
+    table = hadamard @ indicator / 4**k
+    table.flags.writeable = False
+    return table
 
-    def correlators(wt) -> dict[str, complex]:
-        d = rho @ wt
-        c = v @ wt
-        wt_t = np.swapaxes(wt, -1, -2)
-        return {
-            "one": 1.0 + 0j,
-            "w": _matrix_sum(rho * wt_t),
-            "v": v_static,
-            "wv": _matrix_sum(d * v.T),
-            "vw": _matrix_sum(rho_v * wt_t),
-            "wvw": _matrix_sum(d * np.swapaxes(c, -1, -2)),
-            "vwv": _matrix_sum(v_rho_v * wt_t),
-            "f": _matrix_sum((d @ c) * v.T),
-        }
-    return correlators
+
+def _entries(traces, k: int) -> np.ndarray:
+    """The 2k-slot entries, shape (..., 2, ..., 2), from (..., 4k) word traces."""
+    return (traces @ _word_table(k).T).reshape(np.shape(traces)[:-1] + (2,) * (2 * k))
+
+
+def _word_traces(rho, v, k: int):
+    """Map W(t) -> the traces Tr(word rho) over _words(k), as an array.
+
+    With X = W V the V-first words are X^m and V X^m, the odd W-first words
+    X^m W, so each trace is Tr(X^m chain) for a chain rho, X rho, W rho or,
+    by cyclicity, rho V: a call costs k + 1 matrix products. Chains are
+    held transposed, so Tr(a b) = _matrix_sum(a * b^T) reads both operands
+    in order. For Hermitian rho, W and V, rho^T = conj(rho) and a word's
+    trace is the conjugate of its reverse's (the even W-first words); rho
+    is checked. Works in any frame rho, V and W(t) share, and on a
+    (..., d, d) stack of W(t), for traces of shape (..., 4k)."""
+    if qla.hermiticity_defect(rho) > qla.HERMITIAN_TOL:
+        raise ValueError("the word expansion needs a Hermitian rho")
+    v_rho = v @ rho
+    rho_t, rho_v_t = rho.conj(), v_rho.conj()
+    static = {"1": np.trace(rho), "v": np.trace(v_rho)}
+    words = _words(k)
+
+    def traces(wt) -> np.ndarray:
+        x = wt @ v
+        powers = [x]                      # X^1 ... X^(k-1)
+        for _ in range(k - 2):
+            powers.append(powers[-1] @ x)
+        vals = dict(static, w=_matrix_sum(wt * rho_t), wv=_matrix_sum(x * rho_t))
+        for m, xm in enumerate(powers, start=1):
+            vals["v" + "wv" * m] = _matrix_sum(xm * rho_v_t)
+        # one chain alive at a time: at k = 2 a call holds three matrices
+        for last, chain in (("wv", x), ("w", wt)):
+            chain_t = rho_t @ np.swapaxes(chain, -1, -2)
+            for m, xm in enumerate(powers, start=1):
+                vals["wv" * m + last] = _matrix_sum(xm * chain_t)
+            del chain_t
+        for m in range(1, k):
+            vals["vw" * m] = np.conj(vals["wv" * m])
+        shape = np.shape(wt)[:-2]
+        return np.stack([np.broadcast_to(vals[word], shape) for word in words], axis=-1)
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +454,13 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
     if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
-        # the eight-correlator expansion, three matrix products per point
+        # the word expansion, three matrix products per point
         w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
-        correlators = _expansion(rho_e, v_e)
+        word_traces = _word_traces(rho_e, v_e, 2)
         v_evs = w_evs = np.array([-1.0, 1.0])
 
         def point(t):
-            return coarse_entries_from_correlators(correlators(_dress(w_e, sys, t)))
+            return _entries(word_traces(_dress(w_e, sys, t)), 2)
     else:
         w_evs, w_projs_e = _energy_projectors(sys, w_op)
         v_evs, v_projs_e = _energy_projectors(sys, v_op)
@@ -427,42 +481,12 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     )
 
 
-CORRELATOR_KEYS = ("one", "w", "v", "wv", "vw", "wvw", "vwv", "f")
-
-
 def correlators_for_expansion(rho, w_op, v_op, hamiltonian, t: float) -> dict[str, complex]:
-    """The eight sandwiched expectation values the projector expansion needs."""
+    """Tr(word rho) for the eight words of the four-slot expansion, keyed by
+    word ("1", "v", "w", "wv", "vw", "vwv", "wvw", "wvwv")."""
     wt = heisenberg(w_op, propagator(hamiltonian, t))
-    return _expansion(np.asarray(rho, dtype=complex), np.asarray(v_op, dtype=complex))(wt)
-
-
-def coarse_entries_from_correlators(corr: dict[str, complex]) -> np.ndarray:
-    """Assemble the 16 coarse entries from the eight correlators.
-
-    Expanding each projector as (1 + s O)/2 for involutory O turns the
-    four-projector trace into a signed combination of sandwiched
-    expectation values; this is that combination, with axis order
-    (v1, w2, v2, w3) and eigenvalues ordered ascending (-1 before +1).
-    Correlators that are arrays (one value per member of a stack) give
-    entries of shape (..., 2, 2, 2, 2).
-    """
-    signs = (-1.0, 1.0)
-    vals = np.empty(np.shape(corr["f"]) + (2, 2, 2, 2), dtype=complex)
-    for i1, v1 in enumerate(signs):
-        for i2, w2 in enumerate(signs):
-            for i3, v2 in enumerate(signs):
-                for i4, w3 in enumerate(signs):
-                    vals[..., i1, i2, i3, i4] = (
-                        corr["one"] * (1.0 + w3 * w2 + v1 * v2)
-                        + corr["w"] * (w3 + w2 + w3 * v1 * v2)
-                        + corr["v"] * (v1 + v2 + w3 * w2 * v1)
-                        + corr["wv"] * (w3 * v2 + w3 * v1 + w2 * v1)
-                        + corr["vw"] * (v2 * w2)
-                        + corr["wvw"] * (w3 * v2 * w2)
-                        + corr["vwv"] * (w2 * v1 * v2)
-                        + corr["f"] * (w3 * w2 * v1 * v2)
-                    ) / 16.0
-    return vals
+    traces = _word_traces(np.asarray(rho, dtype=complex), np.asarray(v_op, dtype=complex), 2)
+    return {word: complex(x) for word, x in zip(_words(2), traces(wt))}
 
 
 def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian, t: float) -> QuasiDistribution:
@@ -476,13 +500,9 @@ def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian, t: float) -> 
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("projector expansion needs involutory W and V (eigenvalues +-1)")
     corr = correlators_for_expansion(rho, w_op, v_op, hamiltonian, t)
-    pm = np.array([-1.0, 1.0])
-    return QuasiDistribution(
-        values=coarse_entries_from_correlators(corr),
-        axis_names=COARSE_AXES,
-        axis_eigenvalues=(pm, pm, pm, pm),
-        grain="coarse",
-    )
+    return QuasiDistribution(values=_entries(np.array(list(corr.values())), 2),
+                             axis_names=COARSE_AXES,
+                             axis_eigenvalues=(np.array([-1.0, 1.0]),) * 4)
 
 
 def _moment(values, axis_weights) -> complex:
@@ -724,10 +744,9 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int):
 
     Slots run chronologically (v1, w2, v2, w3, ..., vk, w_{k+1}); the
     moment with weight (product of all w) (product of all v) recovers the
-    correlator. Restricted to Hermitian involutions W and V so the tuple
-    count stays at 2**(2k); khat must lie in [2, 5]. The V projectors are
-    static in the energy frame and the W(t) projectors (1 +- W(t))/2 are
-    phase dressings of the t=0 ones. Returns (CorrelatorSeries, QuasiSeries).
+    correlator. Restricted to Hermitian involutions W and V, whose entries
+    are the word table applied to the word traces; khat lies in
+    [2, _KFOLD_MAX], and F_k is the trace of the longest word, (W(t) V)^k.
     """
     if not isinstance(khat, int) or khat < 2 or khat > _KFOLD_MAX:
         raise ValueError(f"khat must be an integer in [2, {_KFOLD_MAX}]")
@@ -737,17 +756,12 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int):
     sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
     w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
-    v_evs, v_projs_e = _distinct_projectors(v_e)
-    w_evs, w_projs_e = _distinct_projectors(w_e)
-    f_k = np.empty(times.shape[0], dtype=complex)
-    out = np.empty((times.shape[0],) + (len(v_evs), len(w_evs)) * khat, dtype=complex)
-    for i, t in enumerate(times):
-        f_k[i] = np.trace(rho_e @ np.linalg.matrix_power(_dress(w_e, sys, t) @ v_e, khat))
-        pw_t = [_dress(p, sys, t) for p in w_projs_e]
-        _chronological_traces(out[i], (v_projs_e, pw_t), rho_e)
+    word_traces = _word_traces(rho_e, v_e, khat)
+    traces = np.array([word_traces(_dress(w_e, sys, t)) for t in times]).reshape(-1, 4 * khat)
+    f_k = traces[:, _words(khat).index("wv" * khat)]
     names = tuple(x for ell in range(1, khat + 1) for x in (f"v{ell}", f"w{ell + 1}"))
-    dist = QuasiSeries(times=times, values=out, axis_names=names,
-                       axis_eigenvalues=(v_evs, w_evs) * khat)
+    dist = QuasiSeries(times=times, values=_entries(traces, khat), axis_names=names,
+                       axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * khat))
     return CorrelatorSeries(times=times, values=f_k, label=f"{khat}-fold otoc"), dist
 
 
@@ -755,21 +769,6 @@ def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
     """kfold_series at the single time t: (F_k, distribution)."""
     f_k, series = kfold_series(rho, w_op, v_op, hamiltonian, [t], khat)
     return complex(f_k.values[0]), series.at(0)
-
-
-def _chronological_traces(vals, projs, acc, idx=()):
-    """Fill vals with Tr(... P2 P1 acc), slots alternating projs[0], projs[1].
-
-    Depth first, so partial products are shared and only one path is held;
-    the last slot is a trace, Tr(P acc), which never forms the product.
-    """
-    level = projs[len(idx) % 2]
-    if len(idx) == vals.ndim - 1:
-        for i, p in enumerate(level):
-            vals[idx + (i,)] = _matrix_sum(p * acc.T)
-        return
-    for i, p in enumerate(level):
-        _chronological_traces(vals, projs, p @ acc, idx + (i,))
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:

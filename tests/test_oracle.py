@@ -1,12 +1,15 @@
 """Independent routes to the coarse quasiprobability, checked against each other.
 
 The entries A~(v1, w2, v2, w3) are reachable five ways: coarse-graining
-the fine-grained tensor, the explicit four-projector trace, the
-eight-correlator expansion, the energy-frame series, and exact inversion
-of the three-weak measurement records. Each serves as the others' oracle.
-The time-ordered, k-fold and regulated series, which work in the energy
-frame, are checked against lab-frame products of projectors recovered by
-eigendecomposition.
+the fine-grained tensor, the explicit four-projector trace, the word
+expansion in the lab frame (coarse_quasiprob_via_correlators), the
+energy-frame series, and exact inversion of the three-weak measurement
+records. Each serves as the others' oracle. The word expansion, one signed
+table applied to the traces Tr(word rho) of alternating words in W(t) and
+V, also gives the coarse series, the k-fold series and the Brownian
+entries, so the k-fold series is checked against explicit lab-frame
+products of 2k projectors recovered by eigendecomposition, as are the
+time-ordered and regulated series.
 """
 from __future__ import annotations
 
@@ -97,7 +100,7 @@ def test_independent_routes_agree(instance):
 
 
 @settings(max_examples=15, deadline=None)
-@given(series_instances(), st.sampled_from([2, 3]))
+@given(series_instances(), st.sampled_from([2, 3, 4]))
 def test_kfold_series_matches_lab_frame_products(instance, khat):
     rho, w, v, h, times = instance
     f_k, dist = quasiprob.kfold_series(rho, w, v, h, times, khat)
@@ -150,6 +153,25 @@ def test_non_hermitian_involution_is_rejected():
     with pytest.raises(ValueError):
         quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.5, 2)
     with pytest.raises(ValueError):
+        brownian.ensemble_averages(brownian.BrownianConfig(n=2, dt=0.01, steps=1,
+                                                           trajectories=2, stride=1),
+                                   rho=rho, w_op=w, v_op=v)
+
+
+def test_non_hermitian_rho_is_rejected():
+    # the word expansion takes the trace of a word's reverse as the
+    # conjugate of its own, which holds only for Hermitian rho
+    w, v = spin.site_pauli(2, 1, "x"), spin.site_pauli(2, 2, "z")
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
+    with pytest.raises(ValueError, match="Hermitian"):
+        quasiprob.kfold_series(rho, w, v, h, [0.5], 3)
+    with pytest.raises(ValueError, match="Hermitian"):
         brownian.ensemble_averages(brownian.BrownianConfig(n=2, dt=0.01, steps=1,
                                                            trajectories=2, stride=1),
                                    rho=rho, w_op=w, v_op=v)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,55 @@ class TestKFold:
                 quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.5, bad)
         with pytest.raises(ValueError, match="involutory"):
             quasiprob.kfold_otoc_and_quasiprob(rho, 2 * w, v, h, 0.5, 2)
+
+
+class _CountingMatmul(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatmul.products += 1
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        return out.view(_CountingMatmul) if isinstance(out, np.ndarray) else out
+
+
+class TestWordExpansion:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_table_identities(self, k):
+        table = quasiprob._word_table(k)
+        words = quasiprob._words(k)
+        assert table.shape == (4**k, 4 * k) == (4**k, len(set(words)))
+        # column sums keep only the empty word: the entries sum to Tr rho
+        assert np.array_equal(table.sum(axis=0), np.eye(4 * k)[words.index("1")])
+        # the sign-weighted row sums keep only the longest word (W V)^k,
+        # so the moment of the entries is F_k
+        signs = functools.reduce(np.multiply.outer, [np.array([-1.0, 1.0])] * (2 * k))
+        assert np.array_equal(signs.ravel() @ table, np.eye(4 * k)[words.index("wv" * k)])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_word_traces_are_explicit_products(self, small_chain, make_density, k):
+        _, w, v, h = small_chain
+        rho = make_density(8)
+        wt = quasiprob.heisenberg(w, quasiprob.propagator(h, 0.7))
+        traces = quasiprob._word_traces(rho.view(_CountingMatmul), v.view(_CountingMatmul), k)
+        _CountingMatmul.products = 0
+        got = np.asarray(traces(wt.view(_CountingMatmul)))
+        # X = W V, its powers up to k - 1, X rho and W rho
+        assert _CountingMatmul.products == k + 1
+        ops = {"w": wt, "v": v}
+        for word, value in zip(quasiprob._words(k), got):
+            product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
+            assert abs(value - np.trace(product @ rho)) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_entries_sum_to_trace_and_moment_is_fk(self, small_chain, make_density, k):
+        _, w, v, h = small_chain
+        rho = 2.0 * make_density(8)       # unnormalized, so the empty word is Tr rho
+        f_k, dist = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.9, k)
+        assert abs(dist.total() - 2.0) < 1e-12
+        assert abs(quasiprob.kfold_moment(dist) - f_k) < 1e-12
 
 
 def test_moment_identity_random_states(small_chain):

@@ -8,6 +8,10 @@ seed, outputs embed the resolved configuration, and files are written
 atomically (temp file, then rename) so interrupted runs leave nothing
 behind.
 
+DEFAULTS lists every key of every subcommand. Each key is a config-file
+key and a flag (t_max is --t-max) typed by its default; flags override
+--config. Choices (format, protocol) are checked in config files too.
+
 Runners may also return numerical diagnostics, which land under "health"
 next to the configuration (brownian-ensemble: the largest unitarity
 defect of any trajectory's final propagator; weakmeas-inference: the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -40,59 +45,60 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
-_COMMON_KEYS = ("format", "out", "seed")
-_CHAIN_KEYS = ("n", "j", "h_field", "g_field")
+_CHAIN = {"j": 1.0, "h_field": 0.5, "g_field": 1.05, "w": "1:z", "v": None}
+_STATE = {"state": "infinite-temp"}
+_GRID = {"t_max": 20.0, "t_step": 0.1}
+_OUTPUT = {"seed": 0, "format": "csv", "out": None}
 
+# every key of a subcommand is a config-file key and a flag of the same type
 DEFAULTS = {
-    "otoc-series": {
-        "n": 10, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "state": "infinite-temp", "w": "1:z", "v": None,
-        "t_max": 20.0, "t_step": 0.1,
-    },
-    "quasiprob-series": {
-        "n": 10, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "state": "infinite-temp", "w": "1:z", "v": None,
-        "t_max": 20.0, "t_step": 0.1,
-    },
-    "work-distribution": {
-        "n": 4, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "state": "infinite-temp", "w": "1:z", "v": None, "t": 1.0,
-    },
-    "brownian-ensemble": {
-        "n": 5, "dt": 0.005, "t_max": 4.0, "t_step": 0.1,
-        "trajectories": 200, "state": "infinite-temp", "w": "1:z", "v": "2:z",
-    },
-    "weakmeas-inference": {
-        "n": 2, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "state": "infinite-temp", "w": "1:z", "v": None, "t": 1.0,
-        "phis": "0.05,0.1,0.15,0.2", "shots": 0, "protocol": "three-weak",
-    },
-    "retrodict-benchmark": {"instances": 20},
-    "decomp-report": {
-        "n": 4, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "w": "1:z", "v": None, "t_max": 5.0, "t_step": 0.25,
-    },
-    "toc-series": {
-        "n": 8, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "state": "infinite-temp", "w": "1:z", "v": None,
-        "t_max": 20.0, "t_step": 0.1,
-    },
-    "kfold-series": {
-        "n": 6, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "state": "infinite-temp", "w": "1:z", "v": None, "khat": 3,
-        "t_max": 10.0, "t_step": 0.1,
-    },
-    "regulated-series": {
-        "n": 6, "j": 1.0, "h_field": 0.5, "g_field": 1.05,
-        "w": "1:z", "v": None, "temperature": 1.0,
-        "t_max": 10.0, "t_step": 0.1,
-    },
+    "otoc-series": {"n": 10, **_CHAIN, **_STATE, **_GRID, **_OUTPUT},
+    "quasiprob-series": {"n": 10, **_CHAIN, **_STATE, **_GRID, **_OUTPUT},
+    "work-distribution": {"n": 4, **_CHAIN, **_STATE, "t": 1.0, **_OUTPUT},
+    "brownian-ensemble": {**_STATE, **_GRID, "t_max": 4.0, **_OUTPUT, "n": 5, "w": "1:z",
+                          "v": "2:z", "dt": 0.005, "trajectories": 200},
+    "weakmeas-inference": {"n": 2, **_CHAIN, **_STATE, "t": 1.0, **_OUTPUT,
+                           "phis": "0.05,0.1,0.15,0.2", "shots": 0,
+                           "protocol": "three-weak"},
+    "retrodict-benchmark": {**_OUTPUT, "instances": 20},
+    "decomp-report": {"n": 4, **_CHAIN, "t_max": 5.0, "t_step": 0.25, **_OUTPUT},
+    "toc-series": {"n": 8, **_CHAIN, **_STATE, **_GRID, **_OUTPUT},
+    "kfold-series": {"n": 6, **_CHAIN, **_STATE, **_GRID, "t_max": 10.0, **_OUTPUT,
+                     "khat": 3},
+    "regulated-series": {"n": 6, **_CHAIN, **_GRID, "t_max": 10.0, **_OUTPUT,
+                         "temperature": 1.0},
 }
-for _exp in DEFAULTS:
-    DEFAULTS[_exp].update({"format": "csv", "out": None, "seed": 0})
+
+_HELP = {
+    "n": "number of sites",
+    "j": "nearest-neighbor zz coupling",
+    "h_field": "longitudinal field",
+    "g_field": "transverse field",
+    "w": "W as site:axis",
+    "v": "V as site:axis; unset means z on the last site",
+    "state": "infinite-temp | thermal:T | haar:seed | plus-x",
+    "t_max": "end of the time grid",
+    "t_step": "time grid spacing",
+    "t": "evaluation time",
+    "dt": "integration step",
+    "trajectories": "ensemble size",
+    "phis": "comma-separated coupling strengths",
+    "shots": "0 = exact probabilities",
+    "protocol": "weak-measurement protocol",
+    "instances": "random instances to compare",
+    "khat": f"fold count, 2 to {quasiprob._KFOLD_MAX}",
+    "temperature": "regulator temperature",
+    "format": "output format",
+    "out": "output path; unset means stdout",
+    "seed": "RNG seed",
+}
+
+# allowed values, checked by the parser for flags and by _validate for files
+_CHOICES = {"format": ("csv", "json"), "protocol": tuple(weakmeas._PROTOCOLS)}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per DEFAULTS key, typed by its default (str when None)."""
     parser = argparse.ArgumentParser(
         prog="otoclab",
         description="Quasiprobability experiments behind the OTOC; "
@@ -101,59 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def common(p, chain=True, state=True, times=True, single_time=False):
+    for experiment, keys in DEFAULTS.items():
+        p = sub.add_parser(experiment, help=RUNNERS[experiment].__doc__)
         p.add_argument("--config", help="JSON file with the same keys; flags override")
-        if chain:
-            p.add_argument("--n", type=int, help="number of sites")
-            p.add_argument("--j", type=float, help="nearest-neighbor zz coupling")
-            p.add_argument("--h-field", type=float, help="longitudinal field")
-            p.add_argument("--g-field", type=float, help="transverse field")
-            p.add_argument("--w", help="W as site:axis, e.g. 1:z")
-            p.add_argument("--v", help="V as site:axis (default: last site, z)")
-        if state:
-            p.add_argument("--state",
-                           help="infinite-temp | thermal:T | haar:seed | plus-x")
-        if times:
-            p.add_argument("--t-max", type=float, help="end of the time grid")
-            p.add_argument("--t-step", type=float, help="time grid spacing")
-        if single_time:
-            p.add_argument("--t", type=float, help="evaluation time")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("otoc-series", help="F(t) on a time grid")
-    common(p)
-    p = sub.add_parser("quasiprob-series", help="16 coarse quasiprobability curves")
-    common(p)
-    p = sub.add_parser("work-distribution", help="P(W, W') at one time")
-    common(p, times=False, single_time=True)
-    p = sub.add_parser("brownian-ensemble", help="stochastic-circuit ensemble averages")
-    common(p, chain=False, times=True)
-    p.add_argument("--n", type=int, help="number of sites")
-    p.add_argument("--w", help="W as site:axis")
-    p.add_argument("--v", help="V as site:axis")
-    p.add_argument("--dt", type=float, help="integration step")
-    p.add_argument("--trajectories", type=int, help="ensemble size")
-    p = sub.add_parser("weakmeas-inference", help="weak-coupling tomography of the entries")
-    common(p, times=False, single_time=True)
-    p.add_argument("--phis", help="comma-separated coupling strengths")
-    p.add_argument("--shots", type=int, help="0 = exact probabilities")
-    p.add_argument("--protocol", choices=("three-weak", "two-weak"))
-    p = sub.add_parser("retrodict-benchmark", help="factored vs direct weak values")
-    common(p, chain=False, state=False, times=False)
-    p.add_argument("--instances", type=int, help="random instances to compare")
-    p = sub.add_parser("decomp-report", help="basis overlap statistics over time")
-    common(p, state=False)
-    p = sub.add_parser("toc-series", help="time-ordered correlator and entries")
-    common(p)
-    p = sub.add_parser("kfold-series", help="k-fold correlator and entries")
-    common(p)
-    p.add_argument("--khat", type=int, help=f"fold count, 2 to {quasiprob._KFOLD_MAX}")
-    p = sub.add_parser("regulated-series", help="thermally regulated entries")
-    common(p, state=False)
-    p.add_argument("--temperature", type=float, help="regulator temperature")
+        for key, default in keys.items():
+            shown = "" if default is None else f" (default: {default})"
+            p.add_argument("--" + key.replace("_", "-"), choices=_CHOICES.get(key),
+                           type=str if default is None else type(default),
+                           help=_HELP[key] + shown)
     return parser
 
 
@@ -194,8 +155,9 @@ def _validate(experiment: str, cfg: dict):
         if not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
 
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
+    for key, allowed in _CHOICES.items():
+        if key in cfg and cfg[key] not in allowed:
+            raise ConfigError(f"{key} must be {' or '.join(allowed)}")
     if "n" in cfg:
         if not isinstance(cfg["n"], int) or cfg["n"] < 2:
             raise ConfigError("n must be an integer >= 2")
@@ -273,12 +235,15 @@ def _resolve_state(spec, n: int, h_sys) -> np.ndarray:
 
 
 def _chain_pieces(cfg: dict):
-    # one eigensystem of H serves the whole job, a thermal state included
+    """H's eigensystem, W, V and rho (None without a state key); one
+    eigensystem serves the whole job, a thermal state included."""
     w = _parse_site_axis(cfg["w"], cfg["n"], "w")
     v = _parse_site_axis(cfg["v"], cfg["n"], "v")
     spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
                               g=cfg["g_field"])
-    return qla.eigh(spin.ising_hamiltonian(spec)), w, v
+    h_sys = qla.eigh(spin.ising_hamiltonian(spec))
+    rho = _resolve_state(cfg["state"], cfg["n"], h_sys) if "state" in cfg else None
+    return h_sys, w, v, rho
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
@@ -327,51 +292,26 @@ def _series_table(qs, name=None, corr=None, moment=None):
 
 # ---------------------------------------------------------------- emit
 
-def _fmt(x) -> str:
-    v = float(x)
-    if not np.isfinite(v):
-        raise ArithmeticError("non-finite value in output")
-    return repr(v)
-
-
 def _cell(x) -> str:
-    return x if isinstance(x, str) else _json_atom(x)
-
-
-def _json_atom(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt(v)
-
-
-def _json_render(v) -> str:
-    if isinstance(v, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_render(val)}"
-                          for k, val in sorted(v.items()))
-        return "{" + inner + "}"
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_render(x) for x in v) + "]"
-    return _json_atom(v)
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x)
+    if not math.isfinite(x):
+        raise ArithmeticError("non-finite value in output")
+    return repr(float(x))
 
 
 def render_csv(columns, rows, metadata) -> str:
-    lines = ["# config=" + _json_render(metadata)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+    lines = ["# config=" + json.dumps(metadata, sort_keys=True, allow_nan=False),
+             ",".join(columns)]
+    lines += [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def render_json(columns, rows, metadata) -> str:
-    doc = {"metadata": metadata, "columns": list(columns),
-           "rows": [list(r) for r in rows]}
-    return _json_render(doc) + "\n"
+    doc = {"metadata": metadata, "columns": columns, "rows": rows}
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_output(text: str, out: str | None):
@@ -391,8 +331,8 @@ def write_output(text: str, out: str | None):
 # ---------------------------------------------------------------- runs
 
 def _run_otoc_series(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    """F(t) on a time grid"""
+    h_sys, w, v, rho = _chain_pieces(cfg)
     ts = _time_grid(cfg)
     series = quasiprob.otoc_series(rho, w, v, h_sys, ts)
     rows = [[t, val.real, val.imag] for t, val in zip(ts, series.values)]
@@ -400,15 +340,15 @@ def _run_otoc_series(cfg):
 
 
 def _run_quasiprob_series(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    """16 coarse quasiprobability curves"""
+    h_sys, w, v, rho = _chain_pieces(cfg)
     ts = _time_grid(cfg)
     return _series_table(quasiprob.coarse_quasiprob_series(rho, w, v, h_sys, ts))
 
 
 def _run_work_distribution(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    """P(W, W') at one time"""
+    h_sys, w, v, rho = _chain_pieces(cfg)
     qd = quasiprob.coarse_quasiprob_series(rho, w, v, h_sys, [cfg["t"]]).at(0)
     wd = quasiprob.work_distribution(qd)
     keys = sorted(wd.entries,
@@ -419,6 +359,7 @@ def _run_work_distribution(cfg):
 
 
 def _run_brownian_ensemble(cfg):
+    """stochastic-circuit ensemble averages"""
     stride = int(round(cfg["t_step"] / cfg["dt"]))
     steps = int(round(cfg["t_max"] / cfg["dt"]))
     config = brownian.BrownianConfig(
@@ -456,8 +397,8 @@ def _run_brownian_ensemble(cfg):
 
 
 def _run_weakmeas_inference(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    """weak-coupling tomography of the entries"""
+    h_sys, w, v, rho = _chain_pieces(cfg)
     try:
         if isinstance(cfg["phis"], (list, tuple)):
             phis = tuple(float(p) for p in cfg["phis"])
@@ -476,10 +417,8 @@ def _run_weakmeas_inference(cfg):
         idx = _reverse_chrono_index(lab)
         est = inferred.values[idx]
         ref = direct.values[idx]
-        se_re = report.std_errors[idx + (0,)] if report.std_errors is not None else 0.0
-        se_im = report.std_errors[idx + (1,)] if report.std_errors is not None else 0.0
-        rows.append([lab, est.real, est.imag, ref.real, ref.imag,
-                     abs(est - ref), se_re, se_im])
+        se = (0.0, 0.0) if report.std_errors is None else report.std_errors[idx]
+        rows.append([lab, est.real, est.imag, ref.real, ref.imag, abs(est - ref), *se])
     columns = ["label", "re_inferred", "im_inferred", "re_direct",
                "im_direct", "abs_error", "se_re", "se_im"]
     health = {"max_effective_condition": max(report.effective_conditions.values()),
@@ -488,6 +427,7 @@ def _run_weakmeas_inference(cfg):
 
 
 def _run_retrodict_benchmark(cfg):
+    """factored vs direct weak values"""
     rng = np.random.default_rng(cfg["seed"])
 
     def rand_herm(d):
@@ -531,7 +471,8 @@ def _run_retrodict_benchmark(cfg):
 
 
 def _run_decomp_report(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
+    """basis overlap statistics over time"""
+    h_sys, w, v, _ = _chain_pieces(cfg)
     ts = _time_grid(cfg)
     stats = decomp.mub_overlap_statistics(w, v, h_sys, ts)
     rows = [[t, stats.mean[i], stats.minimum[i], stats.near_mub_fraction[i],
@@ -542,21 +483,22 @@ def _run_decomp_report(cfg):
 
 
 def _run_toc_series(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    """time-ordered correlator and entries"""
+    h_sys, w, v, rho = _chain_pieces(cfg)
     toc, qs = quasiprob.toc_series(rho, w, v, h_sys, _time_grid(cfg))
     return _series_table(qs, "toc", toc, quasiprob.toc_moment)
 
 
 def _run_kfold_series(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys)
+    """k-fold correlator and entries"""
+    h_sys, w, v, rho = _chain_pieces(cfg)
     fk, qs = quasiprob.kfold_series(rho, w, v, h_sys, _time_grid(cfg), cfg["khat"])
     return _series_table(qs, "fk", fk, quasiprob.kfold_moment)
 
 
 def _run_regulated_series(cfg):
-    h_sys, w, v = _chain_pieces(cfg)
+    """thermally regulated entries"""
+    h_sys, w, v, _ = _chain_pieces(cfg)
     qs, freg = quasiprob.regulated_series(h_sys, cfg["temperature"], w, v, _time_grid(cfg))
     return _series_table(qs, "freg", freg, quasiprob.otoc_moment)
 

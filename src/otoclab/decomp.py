@@ -71,14 +71,19 @@ def asym_decohere(rho, w_op, v_op, hamiltonian, t: float) -> np.ndarray:
     """
     w_sys, v_sys, u = _bases_and_propagator(w_op, v_op, hamiltonian, t)
     rho = np.asarray(rho, dtype=complex)
-    w_rows = w_sys.eigenvectors.conj().T @ u          # row l = <w_l|U
-    overlap = w_rows @ v_sys.eigenvectors             # (l, n)
+    return _decohere(rho, u, w_sys.eigenvectors, v_sys.eigenvectors)[0]
+
+
+def _decohere(rho, u, w_cols, v_cols):
+    """(rho', overlaps <w_l|U|v_n>, vanishing mask, rows <w_l|U>) for basis
+    columns w_cols and v_cols; rho' is a copy of rho when nothing vanishes."""
+    w_rows = w_cols.conj().T @ u                       # row l = <w_l|U
+    overlap = w_rows @ v_cols                          # (l, n)
     vanish = np.abs(overlap) < VANISHING_OVERLAP_TOL
     if not np.any(vanish):
-        return rho.copy()
-    r2 = v_sys.eigenvectors.conj().T @ rho @ u.conj().T @ w_sys.eigenvectors
-    correction = v_sys.eigenvectors @ (r2 * vanish.T) @ w_rows
-    return rho - correction
+        return rho.copy(), overlap, vanish, w_rows
+    r2 = v_cols.conj().T @ rho @ u.conj().T @ w_cols
+    return rho - v_cols @ (r2 * vanish.T) @ w_rows, overlap, vanish, w_rows
 
 
 def decomposition_coefficients(fine_quasi: quasiprob.QuasiDistribution) -> DecompositionReport:
@@ -104,9 +109,7 @@ def decomposition_coefficients(fine_quasi: quasiprob.QuasiDistribution) -> Decom
     w_labels = fine_quasi.axis_labels[3]
 
     coeffs = np.sum(fine_quasi.values, axis=(0, 1))   # (n, l) = (v2, w3)
-    w_rows = w_cols.conj().T @ u
-    overlap = w_rows @ v_cols                          # (l, n)
-    vanish = np.abs(overlap) < VANISHING_OVERLAP_TOL
+    target, overlap, vanish, w_rows = _decohere(rho, u, w_cols, v_cols)
 
     coefficients = {}
     omitted = []
@@ -122,10 +125,6 @@ def decomposition_coefficients(fine_quasi: quasiprob.QuasiDistribution) -> Decom
             coefficients[key] = c
             rebuild += (c / overlap[l, n]) * np.outer(v_cols[:, n], w_rows[l])
 
-    target = rho.copy()
-    if omitted:
-        r2 = v_cols.conj().T @ rho @ u.conj().T @ w_cols
-        target = rho - v_cols @ (r2 * vanish.T) @ w_rows
     return DecompositionReport(
         rho_prime=target,
         coefficients=coefficients,

@@ -219,6 +219,12 @@ def _check_dims(*ops):
         raise ValueError(f"dimension mismatch among operands: {sorted(dims)}")
 
 
+def _check_state(rho):
+    """The series and word routes take a density matrix, so a Hermitian rho."""
+    if qla.hermiticity_defect(rho) > qla.HERMITIAN_TOL:
+        raise ValueError("rho must be Hermitian")
+
+
 def _is_hermitian_involution(op, tol: float = 1e-10) -> bool:
     """O = Odag and O O = 1, so O has eigenvalues +-1 and projectors (1 +- O)/2.
 
@@ -335,8 +341,7 @@ def _word_traces(rho, v, k: int):
     trace is the conjugate of its reverse's (the even W-first words); rho
     is checked. Works in any frame rho, V and W(t) share, and on a
     (..., d, d) stack of W(t), for traces of shape (..., 4k)."""
-    if qla.hermiticity_defect(rho) > qla.HERMITIAN_TOL:
-        raise ValueError("the word expansion needs a Hermitian rho")
+    _check_state(rho)
     v_rho = v @ rho
     rho_t, rho_v_t = rho.conj(), v_rho.conj()
     static = {"1": np.trace(rho), "v": np.trace(v_rho)}
@@ -396,6 +401,7 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
     w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
+    _check_state(rho_e)
     times = np.asarray(times, dtype=float)
     vals = np.empty(times.shape[0], dtype=complex)
     for i, t in enumerate(times):
@@ -465,6 +471,7 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
         w_evs, w_projs_e = _energy_projectors(sys, w_op)
         v_evs, v_projs_e = _energy_projectors(sys, v_op)
         (rho_e,) = _energy_frame(sys, rho)
+        _check_state(rho_e)
 
         def point(t):
             return _four_projector_trace(v_projs_e, [_dress(p, sys, t) for p in w_projs_e],

@@ -640,6 +640,9 @@ def standard_protocol_records(rho, w_op, v_op, hamiltonian, t: float,
     (seed, k) for the k-th record; the coupling-independent set-up is done
     once.
     """
+    if protocol not in _PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; "
+                         f"expected one of {', '.join(_PROTOCOLS)}")
     setup = _three_weak if protocol == "three-weak" else _two_weak
     record = setup(rho, w_op, v_op, hamiltonian, t)
     return [record(CouplingConfig(phi, mode), shots,

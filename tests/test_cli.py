@@ -129,6 +129,39 @@ class TestConfigHandling:
         assert rc == 2
         assert "config error" in err
 
+    def test_choices_apply_to_config_files(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"protocol": "three_weak"}))
+        rc, out, err = run_cli(capsys, "weakmeas-inference", "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert "config error: protocol must be three-weak or two-weak" in err
+
+    @pytest.mark.parametrize("experiment", list(cli.DEFAULTS))
+    def test_every_key_is_a_flag_that_reaches_the_config(self, capsys, monkeypatch,
+                                                         experiment):
+        keys = cli.DEFAULTS[experiment]
+        with pytest.raises(SystemExit):
+            cli.main([experiment, "--help"])
+        flags = set(re.findall(r"(?<![\w-])--\w[\w-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config"} | {"--" + k.replace("_", "-") for k in keys}
+        # a value unlike the default for every key, of the default's type
+        argv, given = [experiment], {}
+        for key, default in keys.items():
+            choices = cli._CHOICES.get(key)
+            if choices:
+                value = choices[-1] if default == choices[0] else choices[0]
+            elif isinstance(default, (int, float)):
+                value = default + 1
+            else:
+                value = f"{key}-value"
+            argv += ["--" + key.replace("_", "-"), str(value)]
+            given[key] = value
+        monkeypatch.setattr(cli, "_validate", lambda experiment, cfg: None)
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cfg == given
+        assert [type(cfg[k]) for k in keys] == [type(v) for v in given.values()]
+
     @pytest.mark.parametrize("argv", [
         ["otoc-series", "--n", "1"],
         ["otoc-series", "--w", "0:z"],
@@ -156,6 +189,20 @@ class TestConfigHandling:
         assert "output error" in err
         assert not (tmp_path / "missing").exists()
         assert not list(tmp_path.glob("*.tmp*"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_exits_three_without_leftovers(self, tmp_path, capsys,
+                                                            monkeypatch, fmt):
+        # json.dumps would write NaN if allow_nan were left at its default
+        monkeypatch.setitem(cli.RUNNERS, "otoc-series",
+                            lambda cfg: (["t", "re_f"], [[0.0, 1.0], [0.1, float("nan")]]))
+        target = tmp_path / "out.txt"
+        rc, out, err = run_cli(capsys, "otoc-series", "--format", fmt,
+                               "--out", str(target))
+        assert rc == 3
+        assert out == ""
+        assert "numeric failure" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOtherExperiments:

@@ -160,13 +160,19 @@ def test_non_hermitian_involution_is_rejected():
 
 def test_non_hermitian_rho_is_rejected():
     # the word expansion takes the trace of a word's reverse as the
-    # conjugate of its own, which holds only for Hermitian rho
+    # conjugate of its own, which holds only for Hermitian rho; every
+    # series checks rho the same way
     w, v = spin.site_pauli(2, 1, "x"), spin.site_pauli(2, 2, "z")
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
         quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        # 2 W is no involution, so this takes the projector route
+        quasiprob.coarse_quasiprob_series(rho, 2 * w, v, h, [0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        quasiprob.otoc_series(rho, w, v, h, [0.5])
     with pytest.raises(ValueError, match="Hermitian"):
         quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
     with pytest.raises(ValueError, match="Hermitian"):

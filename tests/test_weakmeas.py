@@ -257,6 +257,11 @@ class TestInferenceExact:
         assert len(report.ranks) == (2 if protocol == "three-weak" else 4)
         assert set(report.ranks.values()) == {rank}
 
+    def test_unknown_protocol_rejected(self, two_site):
+        rho, w, v, h = two_site
+        with pytest.raises(ValueError, match="unknown protocol 'three_weak'"):
+            weakmeas.standard_protocol_records(rho, w, v, h, 1.0, protocol="three_weak")
+
     def test_clustered_strengths_rejected(self, two_site):
         rho, w, v, h = two_site
         phis = (0.1, 0.1 + 1e-9, 0.1 + 2e-9, 0.1 + 3e-9)

@@ -16,8 +16,9 @@ Runners may also return numerical diagnostics, which land under "health"
 next to the configuration (brownian-ensemble: the largest unitarity
 defect of any trajectory's final propagator; weakmeas-inference: the
 largest effective condition number and least-squares residual over the
-solved blocks; toc-, kfold- and regulated-series: the largest
-|sum of entries - 1| and |moment - correlator| over the time grid).
+solved blocks; quasiprob-, toc-, kfold- and regulated-series: the largest
+|sum of entries - 1| and |moment - correlator| over the time grid, the
+correlator of quasiprob-series being the F its entries came with).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -37,6 +38,10 @@ from . import __version__, brownian, decomp, qla, quasiprob, retrodict, spin, we
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# a time grid, and a Brownian run's integration steps, stay below this many
+# points; a longer one is a configuration error
+MAX_TIME_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -150,17 +155,30 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _is_int(x) -> bool:
+    """An integer; JSON true and false are bools, which are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite integer or float, bools excluded."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
 def _validate(experiment: str, cfg: dict):
     def positive(key):
-        if not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
+        if not (_is_number(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
+
+    def at_least(key, low, message):
+        if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= low):
+            raise ConfigError(f"{key} must be {message}")
 
     for key, allowed in _CHOICES.items():
         if key in cfg and cfg[key] not in allowed:
             raise ConfigError(f"{key} must be {' or '.join(allowed)}")
     if "n" in cfg:
-        if not isinstance(cfg["n"], int) or cfg["n"] < 2:
-            raise ConfigError("n must be an integer >= 2")
+        at_least("n", 2, "an integer >= 2")
         max_n = (brownian._MAX_SITES if experiment == "brownian-ensemble"
                  else qla.MAX_DIM.bit_length() - 1)
         if cfg["n"] > max_n:
@@ -168,25 +186,24 @@ def _validate(experiment: str, cfg: dict):
     for key in ("t_max", "t_step", "t", "dt", "temperature"):
         if key in cfg:
             positive(key)
-    if "t_max" in cfg and cfg["t_step"] > cfg["t_max"]:
-        raise ConfigError("t_step must not exceed t_max")
-    if "shots" in cfg and (not isinstance(cfg["shots"], int) or cfg["shots"] < 0):
-        raise ConfigError("shots must be a nonnegative integer")
-    if "trajectories" in cfg and (not isinstance(cfg["trajectories"], int)
-                                  or cfg["trajectories"] < 2):
-        raise ConfigError("trajectories must be an integer >= 2")
-    if "instances" in cfg and (not isinstance(cfg["instances"], int)
-                               or cfg["instances"] < 1):
-        raise ConfigError("instances must be a positive integer")
-    if "khat" in cfg and (not isinstance(cfg["khat"], int)
-                          or not 2 <= cfg["khat"] <= quasiprob._KFOLD_MAX):
+    if "t_max" in cfg:
+        if cfg["t_step"] > cfg["t_max"]:
+            raise ConfigError("t_step must not exceed t_max")
+        for step in ("t_step", "dt"):
+            if step in cfg and not cfg["t_max"] / cfg[step] < MAX_TIME_POINTS:
+                raise ConfigError(f"t_max / {step} must stay below {MAX_TIME_POINTS} "
+                                  "time points")
+    at_least("shots", 0, "a nonnegative integer")
+    at_least("trajectories", 2, "an integer >= 2")
+    at_least("instances", 1, "a positive integer")
+    if "khat" in cfg and not (_is_int(cfg["khat"]) and 2 <= cfg["khat"] <= quasiprob._KFOLD_MAX):
         raise ConfigError(f"khat must be an integer in [2, {quasiprob._KFOLD_MAX}]")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    if "seed" in cfg and not _is_int(cfg["seed"]):
         raise ConfigError("seed must be an integer")
     if "j" in cfg:
         positive("j")
     for key in ("h_field", "g_field"):
-        if key in cfg and not isinstance(cfg[key], (int, float)):
+        if key in cfg and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")
     if experiment == "decomp-report" and cfg["n"] > 6:
         raise ConfigError("decomp-report needs n <= 6 (full-basis overlaps)")
@@ -209,13 +226,16 @@ def _parse_site_axis(text, n: int, what: str):
     return spin.site_pauli(n, site, axis)
 
 
-def _resolve_state(spec, n: int, h_sys) -> np.ndarray:
+def _resolve_state(spec, n: int, h_sys):
+    """The state in the compact form the series take: energy-frame weights
+    (quasiprob.DiagonalState) for infinite-temp and thermal:T, the vector
+    psi for plus-x and haar:s. quasiprob.density_matrix makes it dense."""
     dim = 2 ** n
     text = str(spec)
     if text == "infinite-temp":
-        return np.eye(dim, dtype=complex) / dim
+        return quasiprob.DiagonalState(np.full(dim, 1.0 / dim))
     if text == "plus-x":
-        return spin.product_plus_x_state(n)
+        return spin.product_plus_x_vector(n)
     if text.startswith("thermal:"):
         try:
             temp = float(text.split(":", 1)[1])
@@ -223,27 +243,26 @@ def _resolve_state(spec, n: int, h_sys) -> np.ndarray:
             raise ConfigError(f"bad thermal temperature in {text!r}") from exc
         if temp <= 0:
             raise ConfigError("thermal temperature must be positive")
-        return spin.thermal_state(h_sys, temp)
+        return quasiprob.DiagonalState(spin.thermal_weights(h_sys.eigenvalues, temp))
     if text.startswith("haar:"):
         try:
             seed = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad haar seed in {text!r}") from exc
-        psi = qla.haar_random_state(dim, seed)
-        return np.outer(psi, psi.conj())
+        return qla.haar_random_state(dim, seed)
     raise ConfigError(f"unknown state {text!r}")
 
 
 def _chain_pieces(cfg: dict):
-    """H's eigensystem, W, V and rho (None without a state key); one
-    eigensystem serves the whole job, a thermal state included."""
+    """H's eigensystem, W, V and the state (None without a state key); one
+    eigensystem serves the whole job, thermal weights included."""
     w = _parse_site_axis(cfg["w"], cfg["n"], "w")
     v = _parse_site_axis(cfg["v"], cfg["n"], "v")
     spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
                               g=cfg["g_field"])
     h_sys = qla.eigh(spin.ising_hamiltonian(spec))
-    rho = _resolve_state(cfg["state"], cfg["n"], h_sys) if "state" in cfg else None
-    return h_sys, w, v, rho
+    state = _resolve_state(cfg["state"], cfg["n"], h_sys) if "state" in cfg else None
+    return h_sys, w, v, state
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
@@ -265,9 +284,10 @@ def _reverse_chrono_index(label: str) -> tuple[int, ...]:
 
 def _series_table(qs, name=None, corr=None, moment=None):
     """Columns and rows of a quasiprobability series: t, then re/im of the
-    correlator `name` when one is given, then re/im of every entry by bit
-    label. With a correlator, a third item reports health over the grid:
-    the largest |sum of entries - 1| and |moment(entries) - correlator|.
+    correlator values corr as `name` when a name is given, then re/im of
+    every entry by bit label. With corr and moment, a third item reports
+    health over the grid: the largest |sum of entries - 1| and
+    |moment(entries) - corr|.
     """
     labels = _bit_labels(qs.values.ndim - 1)
     curves = [qs.values[(slice(None),) + _reverse_chrono_index(lab)] for lab in labels]
@@ -277,16 +297,15 @@ def _series_table(qs, name=None, corr=None, moment=None):
         columns += [f"re_{lab}", f"im_{lab}"]
     rows = []
     for i, t in enumerate(qs.times):
-        row = [t] if name is None else [t, corr.values[i].real, corr.values[i].imag]
+        row = [t] if name is None else [t, corr[i].real, corr[i].imag]
         for curve in curves:
             row += [curve[i].real, curve[i].imag]
         rows.append(row)
-    if name is None:
+    if corr is None:
         return columns, rows
     totals = qs.values.sum(axis=tuple(range(1, qs.values.ndim)))
-    moments = np.array([moment(qs.at(i)) for i in range(len(qs.times))])
     health = {"max_total_defect": float(np.max(np.abs(totals - 1.0))),
-              "max_moment_defect": float(np.max(np.abs(moments - corr.values)))}
+              "max_moment_defect": float(np.max(np.abs(moment(qs) - corr)))}
     return columns, rows, health
 
 
@@ -332,24 +351,25 @@ def write_output(text: str, out: str | None):
 
 def _run_otoc_series(cfg):
     """F(t) on a time grid"""
-    h_sys, w, v, rho = _chain_pieces(cfg)
+    h_sys, w, v, state = _chain_pieces(cfg)
     ts = _time_grid(cfg)
-    series = quasiprob.otoc_series(rho, w, v, h_sys, ts)
+    series = quasiprob.otoc_series(state, w, v, h_sys, ts)
     rows = [[t, val.real, val.imag] for t, val in zip(ts, series.values)]
     return ["t", "re_f", "im_f"], rows
 
 
 def _run_quasiprob_series(cfg):
     """16 coarse quasiprobability curves"""
-    h_sys, w, v, rho = _chain_pieces(cfg)
+    h_sys, w, v, state = _chain_pieces(cfg)
     ts = _time_grid(cfg)
-    return _series_table(quasiprob.coarse_quasiprob_series(rho, w, v, h_sys, ts))
+    qs = quasiprob.coarse_quasiprob_series(state, w, v, h_sys, ts)
+    return _series_table(qs, corr=qs.correlator, moment=quasiprob.otoc_moment)
 
 
 def _run_work_distribution(cfg):
     """P(W, W') at one time"""
-    h_sys, w, v, rho = _chain_pieces(cfg)
-    qd = quasiprob.coarse_quasiprob_series(rho, w, v, h_sys, [cfg["t"]]).at(0)
+    h_sys, w, v, state = _chain_pieces(cfg)
+    qd = quasiprob.coarse_quasiprob_series(state, w, v, h_sys, [cfg["t"]]).at(0)
     wd = quasiprob.work_distribution(qd)
     keys = sorted(wd.entries,
                   key=lambda k: (k[0].real, k[0].imag, k[1].real, k[1].imag))
@@ -371,7 +391,7 @@ def _run_brownian_ensemble(cfg):
     if str(cfg["state"]).startswith("thermal"):
         raise ConfigError("brownian-ensemble has no Hamiltonian; "
                           "thermal states are undefined here")
-    rho = _resolve_state(cfg["state"], cfg["n"], None)
+    rho = quasiprob.density_matrix(_resolve_state(cfg["state"], cfg["n"], None))
     result = brownian.ensemble_averages(config, rho=rho, w_op=w, v_op=v)
     labels = _bit_labels(4)
     columns = ["t", "re_f", "im_f", "se_f", "re_g", "im_g", "se_g"]
@@ -398,7 +418,8 @@ def _run_brownian_ensemble(cfg):
 
 def _run_weakmeas_inference(cfg):
     """weak-coupling tomography of the entries"""
-    h_sys, w, v, rho = _chain_pieces(cfg)
+    h_sys, w, v, state = _chain_pieces(cfg)
+    rho = quasiprob.density_matrix(state, h_sys)
     try:
         if isinstance(cfg["phis"], (list, tuple)):
             phis = tuple(float(p) for p in cfg["phis"])
@@ -484,23 +505,23 @@ def _run_decomp_report(cfg):
 
 def _run_toc_series(cfg):
     """time-ordered correlator and entries"""
-    h_sys, w, v, rho = _chain_pieces(cfg)
-    toc, qs = quasiprob.toc_series(rho, w, v, h_sys, _time_grid(cfg))
-    return _series_table(qs, "toc", toc, quasiprob.toc_moment)
+    h_sys, w, v, state = _chain_pieces(cfg)
+    toc, qs = quasiprob.toc_series(state, w, v, h_sys, _time_grid(cfg))
+    return _series_table(qs, "toc", toc.values, quasiprob.toc_moment)
 
 
 def _run_kfold_series(cfg):
     """k-fold correlator and entries"""
-    h_sys, w, v, rho = _chain_pieces(cfg)
-    fk, qs = quasiprob.kfold_series(rho, w, v, h_sys, _time_grid(cfg), cfg["khat"])
-    return _series_table(qs, "fk", fk, quasiprob.kfold_moment)
+    h_sys, w, v, state = _chain_pieces(cfg)
+    fk, qs = quasiprob.kfold_series(state, w, v, h_sys, _time_grid(cfg), cfg["khat"])
+    return _series_table(qs, "fk", fk.values, quasiprob.kfold_moment)
 
 
 def _run_regulated_series(cfg):
     """thermally regulated entries"""
     h_sys, w, v, _ = _chain_pieces(cfg)
     qs, freg = quasiprob.regulated_series(h_sys, cfg["temperature"], w, v, _time_grid(cfg))
-    return _series_table(qs, "freg", freg, quasiprob.otoc_moment)
+    return _series_table(qs, "freg", freg.values, quasiprob.otoc_moment)
 
 
 RUNNERS = {

@@ -81,9 +81,10 @@ def assert_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
 class HermitianEigensystem:
     """Ascending eigenvalues and a deterministically fixed eigenbasis.
 
-    eigenvectors holds the basis as columns, aligned with eigenvalues. For
-    a (..., d, d) stack the arrays are (..., d) and (..., d, d), and
-    propagator and reconstruct act member by member.
+    eigenvectors holds the basis as columns, aligned with eigenvalues; it
+    is real for a real H (see eigh). For a (..., d, d) stack the arrays are
+    (..., d) and (..., d, d), and propagator and reconstruct act member by
+    member.
     """
 
     eigenvalues: np.ndarray
@@ -93,13 +94,16 @@ class HermitianEigensystem:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
+    def spectral(self, values) -> np.ndarray:
+        """The matrix with the given eigenvalues in this eigenbasis."""
+        return (self.eigenvectors * values[..., None, :]) @ dagger(self.eigenvectors)
+
     def propagator(self, z: complex) -> np.ndarray:
         """exp(z * H) for the decomposed H."""
-        phases = np.exp(z * self.eigenvalues)[..., None, :]
-        return (self.eigenvectors * phases) @ dagger(self.eigenvectors)
+        return self.spectral(np.exp(z * self.eigenvalues))
 
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues[..., None, :]) @ dagger(self.eigenvectors)
+        return self.spectral(self.eigenvalues)
 
     def degenerate_groups(self) -> list[tuple[int, int]]:
         """Half-open column ranges [start, stop) of equal-eigenvalue blocks."""
@@ -174,12 +178,19 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
     rotated to the positive real axis. Two calls on equal inputs return
     identical arrays, independent of LAPACK's internal choices.
 
+    A single matrix with no imaginary part (a real symmetric H, such as
+    the Ising chain's) goes to the real solver and keeps real
+    eigenvectors under the same conventions; its largest entries come out
+    positive.
+
     h may also be a (..., d, d) stack: every member is checked, all are
-    decomposed by one stacked np.linalg.eigh call and each is fixed
-    exactly as it would be on its own; only members with a degenerate
-    group take the per-matrix rebuild.
+    decomposed by one stacked complex np.linalg.eigh call and each is
+    fixed exactly as it would be on its own; only members with a
+    degenerate group take the per-matrix rebuild.
     """
     m = assert_hermitian(h, tol, stack=True)
+    if m.ndim == 2 and not np.any(m.imag):
+        m = m.real
     evals, evecs = np.linalg.eigh(m)
     out = _fix_phase(evecs)
     # a degenerate group exists iff some adjacent spacing is within the

@@ -20,12 +20,23 @@ coarse_quasiprob_via_correlators and the Brownian ensemble all take their
 entries this way. Projectors of an involution are built as (1 -+ O)/2
 (_distinct_projectors), never by eigendecomposition.
 
-Series rotate W, V and rho into the energy eigenbasis once (_energy_frame)
-and dress W(t) by phases per point (_dress). The time-ordered, k-fold and
-regulated single-time functions are their series of length one, and the
-time-ordered distribution is A~ summed over w3 (the W(t) projectors
-resolve the identity). otoc, coarse_quasiprob, correlators_for_expansion
-and fine_quasiprob stay in the lab frame as the series' oracles.
+Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
+is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
+such as the Ising chain, qla.eigh returns real eigenvectors, so real
+observables stay real in that frame and their products are real GEMMs.
+The word traces take their contraction from the form of the state
+(_word_traces); per point of the four-slot series, energy-frame weights
+(DiagonalState: infinite temperature, thermal states) cost one matrix
+product and elementwise sums, a vector psi (Haar and product states)
+three matrix-vector products that never form W(t), and a density matrix
+three matrix products; a dense rho equal to c 1 is read as equal weights.
+F is one column of those traces (otoc_series), and density_matrix makes
+any form dense. The time-ordered, k-fold and regulated single-time
+functions are their series of length one, and the time-ordered
+distribution is A~ summed over w3 (the W(t) projectors resolve the
+identity). otoc, coarse_quasiprob, correlators_for_expansion and
+fine_quasiprob stay in the lab frame as the series' oracles and take a
+density matrix.
 
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
@@ -162,12 +173,17 @@ class CorrelatorSeries:
 
 @dataclass
 class QuasiSeries:
-    """Coarse quasiprobability tensors along a time grid (leading time axis)."""
+    """Coarse quasiprobability tensors along a time grid (leading time axis).
+
+    Entries taken by the word expansion carry the trace of the longest
+    word, F_k = Tr((W(t) V)^k rho), as correlator: their moment.
+    """
 
     times: np.ndarray
     values: np.ndarray
     axis_names: tuple[str, ...]
     axis_eigenvalues: tuple[np.ndarray, ...]
+    correlator: np.ndarray | None = None
 
     def at(self, index: int) -> QuasiDistribution:
         return QuasiDistribution(
@@ -176,6 +192,60 @@ class QuasiSeries:
             axis_eigenvalues=self.axis_eigenvalues,
             grain="coarse",
         )
+
+
+# ---------------------------------------------------------------------------
+# states
+
+
+@dataclass(frozen=True)
+class DiagonalState:
+    """rho = sum_i weights[i] |E_i><E_i| over the eigenvectors of the
+    Hamiltonian it is used with, in the order of its eigenvalues.
+
+    Thermal states take this form, and so does the maximally mixed state,
+    whose equal weights make it diagonal in every frame.
+    """
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights)
+        if w.ndim != 1 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be a finite real vector")
+        object.__setattr__(self, "weights", w.astype(float))
+
+
+def density_matrix(state, hamiltonian=None) -> np.ndarray:
+    """The density matrix of a state given in any of its forms.
+
+    A state is a (d, d) density matrix, a (d,) vector psi (rho = |psi><psi|)
+    or a DiagonalState. Its weights are placed in the Hamiltonian's
+    eigenbasis, the lab frame, when one is given; without one, and for
+    equal weights, which are the same in every frame, rho is diag(weights).
+    """
+    if isinstance(state, DiagonalState):
+        p = state.weights
+        if hamiltonian is None or np.all(p == p[0]):
+            return np.diag(p.astype(complex))
+        return np.asarray(_eigensystem(hamiltonian).spectral(p), dtype=complex)
+    s = np.asarray(state, dtype=complex)
+    return np.outer(s, s.conj()) if s.ndim == 1 else s
+
+
+def _frame_state(state, sys: qla.HermitianEigensystem):
+    """The state in the energy frame, in the form it came in: weights as
+    they are, psi and a dense rho rotated. A dense rho that is exactly c 1
+    becomes equal weights, with no rotation."""
+    if isinstance(state, DiagonalState):
+        return state
+    s = np.asarray(state, dtype=complex)
+    if s.ndim == 1:
+        return _matmul(sys.eigenvectors.conj().T, s)
+    if np.count_nonzero(s) == s.shape[0] and np.all(np.diagonal(s) == s[0, 0].real):
+        return DiagonalState(np.full(s.shape[0], s[0, 0].real))
+    (rho_e,) = _energy_frame(sys, s)
+    return rho_e
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +268,46 @@ def heisenberg(op, u) -> np.ndarray:
     return qla.dagger(u) @ op @ u
 
 
+def _matmul(a, b):
+    """a @ b for a square a. A real a times a complex b is one real product
+    with b's interleaved real and imaginary parts, half the work of
+    promoting a to complex."""
+    if np.isrealobj(a) and np.iscomplexobj(b):
+        b = np.ascontiguousarray(b)
+        out = a @ b.view(float).reshape(b.shape[0], -1)
+        return out.view(complex).reshape(b.shape)
+    return a @ b
+
+
 def _energy_frame(sys: qla.HermitianEigensystem, *ops) -> list[np.ndarray]:
-    """Operators rotated into the eigenbasis of the Hamiltonian."""
+    """Operators rotated into the eigenbasis of the Hamiltonian. In a real
+    frame (real eigenvectors) an operator with no imaginary part stays
+    real."""
     e = sys.eigenvectors
-    return [e.conj().T @ np.asarray(op, dtype=complex) @ e for op in ops]
+    out = []
+    for op in ops:
+        m = np.asarray(op, dtype=complex)
+        if np.isrealobj(e) and not np.any(m.imag):
+            m = m.real
+        out.append(_matmul(e.conj().T, m) @ e)
+    return out
 
 
-def _dress(op_e, sys: qla.HermitianEigensystem, t: complex) -> np.ndarray:
-    """Udag op U in the energy frame, an elementwise phase dressing.
+def _phases(sys: qla.HermitianEigensystem, t: complex) -> np.ndarray:
+    """e^{-i E t}, the diagonal of U in the energy frame."""
+    return np.exp(-1j * sys.eigenvalues * t)
 
-    A complex time t - i s gives e^{-sH} Udag op U e^{-sH}.
+
+def _dress(op_e, phase) -> np.ndarray:
+    """Udag op U in the energy frame for U = diag(phase), an elementwise
+    phase dressing. The phases of a complex time t - i s,
+    _phases(sys, t - i s), give e^{-sH} Udag op U e^{-sH}.
     """
-    phase = np.exp(-1j * sys.eigenvalues * t)
     return (phase.conj()[:, None] * op_e) * phase[None, :]
 
 
 def _check_dims(*ops):
-    dims = {np.asarray(o).shape[0] for o in ops}
+    dims = {len(o.weights) if isinstance(o, DiagonalState) else np.shape(o)[0] for o in ops}
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch among operands: {sorted(dims)}")
 
@@ -229,11 +322,14 @@ def _is_hermitian_involution(op, tol: float = 1e-10) -> bool:
     """O = Odag and O O = 1, so O has eigenvalues +-1 and projectors (1 +- O)/2.
 
     The Hermiticity test runs first and its temporaries are freed before
-    O O is formed.
+    O O is formed, in real arithmetic when O has no imaginary part.
     """
     m = np.asarray(op)
-    return bool(qla.hermiticity_defect(m) <= qla.HERMITIAN_TOL
-                and np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
+    if qla.hermiticity_defect(m) > qla.HERMITIAN_TOL:
+        return False
+    if not np.any(m.imag):
+        m = m.real
+    return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -330,24 +426,113 @@ def _entries(traces, k: int) -> np.ndarray:
     return (traces @ _word_table(k).T).reshape(np.shape(traces)[:-1] + (2,) * (2 * k))
 
 
-def _word_traces(rho, v, k: int):
-    """Map W(t) -> the traces Tr(word rho) over _words(k), as an array.
+def _word_traces(state, v, k: int):
+    """Map (W, phase) -> the traces Tr(word rho) over _words(k), as an array.
 
-    With X = W V the V-first words are X^m and V X^m, the odd W-first words
-    X^m W, so each trace is Tr(X^m chain) for a chain rho, X rho, W rho or,
-    by cyclicity, rho V: a call costs k + 1 matrix products. Chains are
-    held transposed, so Tr(a b) = _matrix_sum(a * b^T) reads both operands
-    in order. For Hermitian rho, W and V, rho^T = conj(rho) and a word's
-    trace is the conjugate of its reverse's (the even W-first words); rho
-    is checked. Works in any frame rho, V and W(t) share, and on a
-    (..., d, d) stack of W(t), for traces of shape (..., 4k)."""
+    W(t) is W dressed by the unit phases e^{-iEt} (_dress), or W itself
+    when phase is None. The state, in the frame V and W share, picks the
+    contraction (_diagonal_kernel, _pure_kernel, _dense_kernel):
+    DiagonalState weights cost k - 1 matrix products per call, a vector
+    psi 2k - 1 matrix-vector products, and a density matrix k + 1 matrix
+    products. For Hermitian rho, W and V a word's trace is the conjugate of
+    its reverse's, which gives the even W-first words; a dense rho is
+    checked. A dense rho also takes a (..., d, d) stack of W(t), with
+    phase None, for traces of shape (..., 4k)."""
+    if isinstance(state, DiagonalState):
+        kernel = _diagonal_kernel(state.weights, v, k)
+    elif np.ndim(state) == 1:
+        kernel = _pure_kernel(state, v, k)
+    else:
+        kernel = _dense_kernel(state, v, k)
+    words = _words(k)
+
+    def traces(w, phase=None) -> np.ndarray:
+        vals = kernel(w, phase)
+        for m in range(1, k):
+            vals["vw" * m] = np.conj(vals["wv" * m])
+        out = np.empty(np.shape(w)[:-2] + (len(words),), dtype=complex)
+        for j, word in enumerate(words):
+            out[..., j] = vals[word]
+        return out
+    return traces
+
+
+def _diagonal_kernel(p, v, k: int):
+    """Word traces Tr(word rho) for rho = diag(p).
+
+    With D = diag(phase) and c = conj(phase), X = W(t) V is D* G for
+    G = W (D V), and G_m = D X^m = G_(m-1) D* G. For unit phases and
+    Hermitian V and W every trace is an elementwise sum:
+    Tr(X^m rho) = sum_i p_i c_i (G_m)_ii,
+    Tr(V X^m rho) = sum_ab c_a (G_m)_ab conj(V_ab) p_b,
+    Tr(X^m W(t) rho) = sum_ij p_i (G_m)_ij conj(W_ij) c_j and
+    Tr(X^(m+1) rho) = sum_ij p_i c_i (G_m)_ij c_j G_ji. W(t) and X are never
+    formed, and a call costs G_1, ..., G_(k-1): k - 1 matrix products.
+    """
+    static = {"1": np.sum(p), "v": p @ np.diagonal(v)}
+    vp = np.asarray(v.conj() * p, dtype=complex)
+
+    def kernel(w, phase):
+        phase = np.ones(len(p)) if phase is None else phase
+        c = phase.conj()
+        g = _matmul(w, phase[:, None] * v)
+        wp = p[:, None] * w.conj()
+        vals = dict(static, w=p @ np.diagonal(w), wv=(p * c) @ np.diagonal(g))
+        gm = g
+        for m in range(1, k):
+            vals["v" + "wv" * m] = c @ np.einsum("ab,ab->a", gm, vp)
+            vals["wv" * m + "w"] = np.einsum("ij,ij->j", gm, wp) @ c
+            vals["wv" * m + "wv"] = np.einsum("ij,ji,j->i", gm, g, c) @ (p * c)
+            if m < k - 1:
+                gm = (gm * c) @ g
+        return vals
+    return kernel
+
+
+def _pure_kernel(psi, v, k: int):
+    """Word traces <psi|word|psi> for rho = |psi><psi|.
+
+    A word O_L ... O_1 splits as <A^dag psi|B psi> with B = O_r ... O_1,
+    r = ceil(L/2), and A^dag = O_(r+1) ... O_L for Hermitian letters. Both
+    vectors lie on one of two chains of at most k alternating letters, one
+    starting with V and one with W, so a call costs 2k - 1 matrix-vector
+    products; W(t) acts on a vector as phase* (W (phase x)) and is never
+    formed.
+    """
+    v_psi = _matmul(v, psi)
+
+    def kernel(w, phase):
+        def apply_w(x):
+            return _matmul(w, x) if phase is None else phase.conj() * _matmul(w, phase * x)
+        apply = {"v": lambda x: _matmul(v, x), "w": apply_w}
+        chains = {"v": [psi, v_psi], "w": [psi, apply_w(psi)]}
+        for j in range(2, k + 1):
+            for first, other in (("v", "w"), ("w", "v")):
+                chains[first].append(apply[first if j % 2 else other](chains[first][-1]))
+        vals = {"1": np.vdot(psi, psi)}
+        for word in _words(k)[1:]:
+            half = len(word) // 2
+            vals[word] = np.vdot(chains[word[0]][half], chains[word[-1]][len(word) - half])
+        return vals
+    return kernel
+
+
+def _dense_kernel(rho, v, k: int):
+    """Word traces Tr(word rho) for a density matrix rho.
+
+    With X = W(t) V the V-first words are X^m and V X^m, the odd W-first
+    words X^m W(t), so each trace is Tr(X^m chain) for a chain rho, X rho,
+    W(t) rho or, by cyclicity, rho V: a call costs k + 1 matrix products.
+    Chains are held transposed, so Tr(a b) = _matrix_sum(a * b^T) reads
+    both operands in order; for Hermitian rho, rho^T = conj(rho).
+    """
     _check_state(rho)
     v_rho = v @ rho
     rho_t, rho_v_t = rho.conj(), v_rho.conj()
     static = {"1": np.trace(rho), "v": np.trace(v_rho)}
-    words = _words(k)
 
-    def traces(wt) -> np.ndarray:
+    def kernel(w, phase):
+        wt = w if phase is None else _dress(w, phase)
         x = wt @ v
         powers = [x]                      # X^1 ... X^(k-1)
         for _ in range(k - 2):
@@ -361,11 +546,8 @@ def _word_traces(rho, v, k: int):
             for m, xm in enumerate(powers, start=1):
                 vals["wv" * m + last] = _matrix_sum(xm * chain_t)
             del chain_t
-        for m in range(1, k):
-            vals["vw" * m] = np.conj(vals["wv" * m])
-        shape = np.shape(wt)[:-2]
-        return np.stack([np.broadcast_to(vals[word], shape) for word in words], axis=-1)
-    return traces
+        return vals
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +573,35 @@ def commutator_square(rho, w_op, v_op, hamiltonian, t: float) -> float:
     return float(val.real)
 
 
+def _word_series(state, w_op, v_op, sys: qla.HermitianEigensystem, times, k: int):
+    """The word traces on a time grid, taken in the energy frame, as the
+    2k-slot series (v1, w2, v2, w3, ...) of involutions W and V; its
+    correlator F_k holds for any Hermitian W and V."""
+    w_e, v_e = _energy_frame(sys, w_op, v_op)
+    word_traces = _word_traces(_frame_state(state, sys), v_e, k)
+    traces = np.empty((len(times), 4 * k), dtype=complex)
+    for i, t in enumerate(times):
+        traces[i] = word_traces(w_e, _phases(sys, t))
+    names = tuple(x for ell in range(1, k + 1) for x in (f"v{ell}", f"w{ell + 1}"))
+    return QuasiSeries(times=times, values=_entries(traces, k), axis_names=names,
+                       axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * k),
+                       correlator=traces[:, _words(k).index("wv" * k)])
+
+
 def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     """F(t) on a time grid, diagonalizing the Hamiltonian once.
 
-    All operators are rotated to the energy eigenbasis, where the
-    Heisenberg evolution of W is an elementwise phase dressing; each time
-    point then costs a couple of matrix products.
+    F is the trace of the word W(t) V W(t) V, one column of the
+    energy-frame word traces (_word_traces), so W and V must be Hermitian;
+    the lab-frame otoc takes any W and V. rho may be any state form that
+    density_matrix accepts.
     """
     _check_dims(rho, w_op, v_op)
-    sys = _eigensystem(hamiltonian)
-    w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
-    _check_state(rho_e)
+    if max(qla.hermiticity_defect(w_op), qla.hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
+        raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
-    vals = np.empty(times.shape[0], dtype=complex)
-    for i, t in enumerate(times):
-        wt_e = _dress(w_e, sys, t)
-        b = qla.dagger(wt_e) @ qla.dagger(v_e)
-        c = wt_e @ v_e
-        vals[i] = np.sum((rho_e @ b) * c.T)
-    return CorrelatorSeries(times=times, values=vals, label="otoc")
+    series = _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, 2)
+    return CorrelatorSeries(times=times, values=series.correlator, label="otoc")
 
 
 def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
@@ -451,35 +643,26 @@ def coarse_quasiprob(rho, w_op, v_op, hamiltonian, t: float) -> QuasiDistributio
 def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     """Coarse quasiprobability along a time grid with one diagonalization.
 
-    Works in the energy eigenbasis: the V projectors are static, the W(t)
-    projectors are phase dressings of the t=0 ones, and each time point
-    costs a fixed small number of matrix products. Suitable for 10-site
-    sweeps over hundreds of time points.
+    Works in the energy eigenbasis. Involutory W and V take the word
+    expansion, whose cost per point depends on the form of rho (see
+    _word_traces) and whose series carries F as correlator; other
+    observables take the four-projector trace of the dressed W(t)
+    projectors and a density matrix.
     """
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
     if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
-        # the word expansion, three matrix products per point
-        w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
-        word_traces = _word_traces(rho_e, v_e, 2)
-        v_evs = w_evs = np.array([-1.0, 1.0])
-
-        def point(t):
-            return _entries(word_traces(_dress(w_e, sys, t)), 2)
-    else:
-        w_evs, w_projs_e = _energy_projectors(sys, w_op)
-        v_evs, v_projs_e = _energy_projectors(sys, v_op)
-        (rho_e,) = _energy_frame(sys, rho)
-        _check_state(rho_e)
-
-        def point(t):
-            return _four_projector_trace(v_projs_e, [_dress(p, sys, t) for p in w_projs_e],
-                                         rho_e)
+        return _word_series(rho, w_op, v_op, sys, times, 2)
+    w_evs, w_projs_e = _energy_projectors(sys, w_op)
+    v_evs, v_projs_e = _energy_projectors(sys, v_op)
+    rho_e = density_matrix(_frame_state(rho, sys))
+    _check_state(rho_e)
     out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
                    dtype=complex)
     for i, t in enumerate(times):
-        out[i] = point(t)
+        phase = _phases(sys, t)
+        out[i] = _four_projector_trace(v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e)
     return QuasiSeries(
         times=times,
         values=out,
@@ -512,14 +695,19 @@ def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian, t: float) -> 
                              axis_eigenvalues=(np.array([-1.0, 1.0]),) * 4)
 
 
-def _moment(values, axis_weights) -> complex:
-    """Sum of values weighted by the outer product of one weight per axis."""
-    return complex(np.sum(functools.reduce(np.multiply.outer, axis_weights) * values))
+def _moment(values, axis_weights):
+    """Sum of values weighted by the outer product of one weight per axis,
+    over the trailing axes: a number for a distribution, one per time for
+    the values of a QuasiSeries."""
+    weights = functools.reduce(np.multiply.outer, axis_weights)
+    return np.sum(weights * values, axis=tuple(range(-weights.ndim, 0)))[()]
 
 
-def otoc_moment(quasi: QuasiDistribution) -> complex:
-    """Sum v1 w2 conj(v2) conj(w3) A~ over all outcomes; equals F(t)."""
-    if quasi.values.ndim != 4:
+def otoc_moment(quasi) -> complex:
+    """Sum v1 w2 conj(v2) conj(w3) A~ over all outcomes; equals F(t).
+
+    The moments here also take a QuasiSeries, for one value per time."""
+    if len(quasi.axis_eigenvalues) != 4:
         raise ValueError("moment defined for the four-slot distribution")
     v1, w2, v2, w3 = quasi.axis_eigenvalues
     return _moment(quasi.values, (v1, w2, np.conj(v2), np.conj(w3)))
@@ -670,7 +858,9 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
     one dressed at the complex time t - i/(4T), over sqrt(Z). Returns
     (QuasiSeries, CorrelatorSeries) with the correlator
     F_reg = Tr(rho^{1/4} W(t) rho^{1/4} V rho^{1/4} W(t) rho^{1/4} V),
-    which the usual moment of each distribution reproduces.
+    which the usual moment of each distribution reproduces; rho^{1/4} is
+    diagonal in the energy frame, so F_reg is the word trace of
+    W' V W' V for W' = rho^{1/4} W rho^{1/4}, at unit weights.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
@@ -683,15 +873,16 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
     w_evs, w_projs_e = _energy_projectors(sys, w_op)
     v_evs, v_projs_e = _energy_projectors(sys, v_op)
     w_e, v_e = _energy_frame(sys, w_op, v_op)
+    w_reg = rho_quarter[:, None] * w_e * rho_quarter
+    word_traces = _word_traces(DiagonalState(np.ones(sys.dim)), v_e, 2)
     out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
                    dtype=complex)
     f_reg = np.empty(times.shape[0], dtype=complex)
     for i, t in enumerate(times):
-        pw_reg = [_dress(p, sys, t - 1j / (4.0 * temperature)) / np.sqrt(z)
-                  for p in w_projs_e]
+        phase_reg = _phases(sys, t - 1j / (4.0 * temperature))
+        pw_reg = [_dress(p, phase_reg) / np.sqrt(z) for p in w_projs_e]
         out[i] = _four_projector_trace(v_projs_e, pw_reg)
-        x = (rho_quarter[:, None] * _dress(w_e, sys, t) * rho_quarter) @ v_e
-        f_reg[i] = _matrix_sum(x * x.T)
+        f_reg[i] = word_traces(w_reg, _phases(sys, t))[_words(2).index("wvwv")]
     dist = QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
                        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs))
     return dist, CorrelatorSeries(times=times, values=f_reg, label="regulated otoc")
@@ -709,8 +900,8 @@ def toc_series(rho, w_op, v_op, hamiltonian, times):
     """Time-ordered analog on a time grid: TOC values and three-slot distributions.
 
     TOC(t) = <Vdag W(t)dag W(t) V> saturates at 1 for unitary W, V; it is
-    one elementwise sum per point, sum(M * (W(t)dag W(t))^T) with
-    M = V rho Vdag formed once. The distribution is
+    one elementwise sum per point, sum(M^T * W(t)dag W(t)) with
+    M = V rho Vdag formed, and transposed, once. The distribution is
     A~_TOC(v1, w1, v2) = Tr(Pi^V_{v2} Pi^{W(t)}_{w1} Pi^V_{v1} rho), the
     coarse series summed over w3: the W(t) projectors resolve the identity.
     Returns (CorrelatorSeries, QuasiSeries with axes (v1, w1, v2)).
@@ -718,9 +909,10 @@ def toc_series(rho, w_op, v_op, hamiltonian, times):
     sys = _eigensystem(hamiltonian)
     coarse = coarse_quasiprob_series(rho, w_op, v_op, sys, times)
     w = np.asarray(w_op, dtype=complex)
-    wdw_e, v_e, rho_e = _energy_frame(sys, qla.dagger(w) @ w, v_op, rho)
-    m = v_e @ rho_e @ qla.dagger(v_e)
-    toc = np.array([_matrix_sum(m * _dress(wdw_e, sys, t).T) for t in coarse.times],
+    wdw_e, v_e = _energy_frame(sys, qla.dagger(w) @ w, v_op)
+    rho_e = density_matrix(_frame_state(rho, sys))
+    m_t = np.ascontiguousarray((v_e @ rho_e @ qla.dagger(v_e)).T)
+    toc = np.array([_matrix_sum(m_t * _dress(wdw_e, _phases(sys, t))) for t in coarse.times],
                    dtype=complex)
     v_evs, w_evs = coarse.axis_eigenvalues[:2]
     dist = QuasiSeries(times=coarse.times, values=coarse.values.sum(axis=-1),
@@ -760,16 +952,9 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int):
     _check_dims(rho, w_op, v_op)
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")
-    sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
-    w_e, v_e, rho_e = _energy_frame(sys, w_op, v_op, rho)
-    word_traces = _word_traces(rho_e, v_e, khat)
-    traces = np.array([word_traces(_dress(w_e, sys, t)) for t in times]).reshape(-1, 4 * khat)
-    f_k = traces[:, _words(khat).index("wv" * khat)]
-    names = tuple(x for ell in range(1, khat + 1) for x in (f"v{ell}", f"w{ell + 1}"))
-    dist = QuasiSeries(times=times, values=_entries(traces, khat), axis_names=names,
-                       axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * khat))
-    return CorrelatorSeries(times=times, values=f_k, label=f"{khat}-fold otoc"), dist
+    dist = _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, khat)
+    return CorrelatorSeries(times=times, values=dist.correlator, label=f"{khat}-fold otoc"), dist
 
 
 def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):

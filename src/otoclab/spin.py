@@ -131,6 +131,19 @@ def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     return ham
 
 
+def thermal_weights(eigenvalues, temperature: float) -> np.ndarray:
+    """Boltzmann weights e^{-E/T}/Z over the given eigenvalues; temperature
+    = +inf gives equal weights. E is counted from its minimum, which
+    leaves the weights as they are and keeps e^{-E/T} finite at low T."""
+    e = np.asarray(eigenvalues, dtype=float)
+    if temperature == np.inf:
+        return np.full(e.shape[0], 1.0 / e.shape[0])
+    if not temperature > 0:
+        raise ValueError("temperature must be positive (negative temperatures out of scope)")
+    p = np.exp(-(e - e.min()) / temperature)
+    return p / p.sum()
+
+
 def thermal_state(h, temperature: float) -> np.ndarray:
     """Normalized e^{-H/T}; temperature = +inf returns the maximally mixed state.
 
@@ -141,20 +154,24 @@ def thermal_state(h, temperature: float) -> np.ndarray:
     dim = h.dim if given else qla.assert_hermitian(h).shape[0]
     if temperature == np.inf:
         return np.eye(dim, dtype=complex) / dim
-    if not temperature > 0:
-        raise ValueError("temperature must be positive (negative temperatures out of scope)")
-    unnorm = (h if given else qla.eigh(h)).propagator(-1.0 / temperature)
-    return unnorm / np.trace(unnorm).real
+    sys = h if given else qla.eigh(h)
+    return np.asarray(sys.spectral(thermal_weights(sys.eigenvalues, temperature)), dtype=complex)
 
 
-def product_plus_x_state(n: int) -> np.ndarray:
-    """Density operator of the pure product state with every spin along +x."""
+def product_plus_x_vector(n: int) -> np.ndarray:
+    """State vector of the product state with every spin along +x."""
     if n < 1:
         raise ValueError("need at least one site")
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     vec = np.array([1.0 + 0j])
     for _ in range(n):
         vec = np.kron(vec, plus)
+    return vec
+
+
+def product_plus_x_state(n: int) -> np.ndarray:
+    """Density operator of the pure product state with every spin along +x."""
+    vec = product_plus_x_vector(n)
     return np.outer(vec, vec.conj())
 
 

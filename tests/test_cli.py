@@ -175,10 +175,31 @@ class TestConfigHandling:
         ["weakmeas-inference", "--shots", "-5"],
         ["otoc-series", "--n", "13"],
         ["brownian-ensemble", "--n", "9"],
+        ["otoc-series", "--n", "2", "--t-max", "1e300", "--t-step", "1e-10"],
+        ["quasiprob-series", "--n", "2", "--t-max", "1e6", "--t-step", "1"],
+        ["brownian-ensemble", "--t-max", "1000", "--t-step", "0.1"],
+        ["work-distribution", "--t", "inf"],
     ])
     def test_bad_configuration_exits_two(self, capsys, argv):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 2
+        assert "config error" in err
+
+    @pytest.mark.parametrize("experiment, values", [
+        ("retrodict-benchmark", {"instances": True, "seed": False}),
+        ("weakmeas-inference", {"shots": False}),
+        ("otoc-series", {"n": True}),
+        ("otoc-series", {"t_max": True}),
+        ("otoc-series", {"h_field": False}),
+        ("kfold-series", {"khat": True}),
+    ])
+    def test_boolean_config_values_are_rejected(self, tmp_path, capsys, experiment, values):
+        # bool is an int subclass, so JSON true and false pass isinstance(x, int)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        rc, out, err = run_cli(capsys, experiment, "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
         assert "config error" in err
 
     def test_unwritable_output_exits_three_without_leftovers(self, tmp_path, capsys):
@@ -287,6 +308,41 @@ class TestOtherExperiments:
         assert set(csv_health) == {"max_total_defect", "max_moment_defect"}
         assert 0.0 <= csv_health["max_total_defect"] <= 1e-10
         assert 0.0 <= csv_health["max_moment_defect"] <= 1e-10
+
+    def test_quasiprob_series_health_round_trips_in_csv_and_json(self, capsys):
+        rc, out_csv, _ = run_cli(capsys, "quasiprob-series", *SMALL_SERIES, "--state", "haar:3")
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, "quasiprob-series", *SMALL_SERIES, "--state", "haar:3",
+                                  "--format", "json")
+        assert rc == 0
+        metadata, columns, _ = parse_csv(out_csv)
+        doc = json.loads(out_json)
+        assert metadata["health"] == doc["metadata"]["health"]
+        assert set(metadata["health"]) == {"max_total_defect", "max_moment_defect"}
+        assert 0.0 <= metadata["health"]["max_total_defect"] <= 1e-10
+        assert 0.0 <= metadata["health"]["max_moment_defect"] <= 1e-10
+        # the F the entries came with is health only, not a column
+        assert columns == doc["columns"] and len(columns) == 1 + 32
+
+    @pytest.mark.parametrize("experiment", ["otoc-series", "quasiprob-series"])
+    def test_thermal_series_job_builds_no_dense_state(self, capsys, monkeypatch, experiment):
+        # the weights e^{-E/T}/Z come from the job's one eigensystem; no
+        # e^{-H/T} is formed and rotated back into the energy frame
+        calls = {"eigh": 0, "propagator": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(qla, "eigh")
+        counted(qla.HermitianEigensystem, "propagator")
+        rc, _, _ = run_cli(capsys, experiment, "--state", "thermal:2", *SMALL_SERIES)
+        assert rc == 0
+        assert calls == {"eigh": 1, "propagator": 0}
 
     @pytest.mark.parametrize("experiment", ["toc-series", "kfold-series", "regulated-series"])
     def test_series_runners_diagonalize_once_and_never_propagate(self, capsys, monkeypatch,

@@ -9,7 +9,9 @@ table applied to the traces Tr(word rho) of alternating words in W(t) and
 V, also gives the coarse series, the k-fold series and the Brownian
 entries, so the k-fold series is checked against explicit lab-frame
 products of 2k projectors recovered by eigendecomposition, as are the
-time-ordered and regulated series.
+time-ordered and regulated series. The series contract a state by its form
+(energy-frame weights, a vector psi, or a density matrix), and each form is
+checked against the lab-frame routes on its dense rho.
 """
 from __future__ import annotations
 
@@ -136,6 +138,50 @@ def test_regulated_series_matches_explicit_u_reg(instance, temperature):
         wt = u.conj().T @ w @ u
         want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
         assert abs(f_reg.values[i] - want) < TOL
+
+
+def _lab_and_compact_states(h, sys, rng):
+    """Each form a series takes, (state, its lab-frame rho) keyed by class.
+    The lab-frame rho of weights and of psi is built by numpy directly."""
+    d = h.shape[0]
+    thermal = lab_exp(h, -1.0 / 0.7)
+    psi = qla.haar_random_state(d, rng)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return {
+        "equal weights": (quasiprob.DiagonalState(np.full(d, 1.0 / d)), np.eye(d) / d),
+        "thermal weights": (quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 0.7)),
+                            thermal / np.trace(thermal)),
+        "pure": (psi, np.outer(psi, psi.conj())),
+        "dense": (rho / np.trace(rho).real, rho / np.trace(rho).real),
+    }
+
+
+@settings(max_examples=10, deadline=None)
+@given(series_instances(), st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("form", ["equal weights", "thermal weights", "pure", "dense"])
+def test_every_state_form_matches_the_lab_frame(form, instance, seed):
+    """Weights, psi and a dense rho each take their own contraction in the
+    series; every one must give the lab-frame F, entries and F_3."""
+    _, w, v, h, times = instance
+    sys = qla.eigh(h)
+    state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(seed))[form]
+    f = quasiprob.otoc_series(state, w, v, sys, times)
+    coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, times)
+    f2, two = quasiprob.kfold_series(state, w, v, sys, times, 2)
+    f3, three = quasiprob.kfold_series(state, w, v, sys, times, 3)
+    for i, t in enumerate(times):
+        want_f = quasiprob.otoc(rho, w, v, h, t)
+        want = quasiprob.coarse_quasiprob(rho, w, v, h, t).values
+        assert abs(f.values[i] - want_f) < TOL
+        assert abs(f2.values[i] - want_f) < TOL
+        assert max_dev(coarse.values[i], want) < TOL
+        assert max_dev(two.values[i], want) < TOL
+        # the last two projectors of the six-slot entries resolve the identity
+        assert max_dev(three.values[i].sum(axis=(-2, -1)), want) < TOL
+        u = lab_exp(h, -1j * t)
+        wt = u.conj().T @ w @ u
+        assert abs(f3.values[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, 3))) < TOL
 
 
 def test_non_hermitian_involution_is_rejected():

@@ -163,6 +163,50 @@ class TestStackedEigh:
         assert qla.hermiticity_defect(stack) < 1e-15
 
 
+def _largest_entries_are_positive(vecs) -> bool:
+    k = np.argmax(np.abs(vecs), axis=0)
+    top = vecs[k, np.arange(vecs.shape[1])]
+    return bool(np.all(top.real > 0) and np.all(top.imag == 0))
+
+
+class TestRealFrame:
+    def test_real_hamiltonian_gets_real_eigenvectors(self):
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=4, j=1.0, h=0.5, g=1.05))
+        assert np.iscomplexobj(h) and not np.any(h.imag)
+        sys = qla.eigh(h)
+        assert np.isrealobj(sys.eigenvectors)
+        evals, _ = _scalar_phase_fixed_eigh(h)          # the complex route
+        assert np.max(np.abs(sys.eigenvalues - evals)) <= 1e-13
+        assert _largest_entries_are_positive(sys.eigenvectors)
+        assert np.max(np.abs(sys.reconstruct() - h)) < 1e-12
+        assert np.max(np.abs(sys.eigenvectors.T @ sys.eigenvectors - np.eye(16))) < 1e-12
+
+    def test_real_route_keeps_the_phase_convention(self, rng):
+        a = rng.normal(size=(12, 12))
+        h = a + a.T
+        sys = qla.eigh(h)
+        evals, evecs = _scalar_phase_fixed_eigh(h.astype(complex))
+        assert np.isrealobj(sys.eigenvectors)
+        assert np.max(np.abs(sys.eigenvalues - evals)) <= 1e-13
+        assert np.max(np.abs(sys.eigenvectors - evecs)) < 1e-10
+
+    def test_real_degenerate_blocks_get_the_deterministic_basis(self):
+        h = np.diag([1.0, -1.0, 1.0, -1.0])
+        sys = qla.eigh(h)
+        assert np.isrealobj(sys.eigenvectors)
+        assert np.array_equal(sys.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_stacks_keep_the_complex_route_bitwise(self, rng):
+        members = [rng.normal(size=(6, 6)) for _ in range(3)]
+        stack = np.array([m + m.T for m in members], dtype=complex)
+        sys = qla.eigh(stack)
+        assert np.iscomplexobj(sys.eigenvectors)
+        for k in range(3):
+            evals, evecs = _scalar_phase_fixed_eigh(stack[k])
+            assert np.array_equal(sys.eigenvalues[k], evals)
+            assert np.array_equal(sys.eigenvectors[k], evecs)
+
+
 def test_expm_scaled_closed_form():
     # exp(-i theta sigma_x) = cos(theta) 1 - i sin(theta) sigma_x
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

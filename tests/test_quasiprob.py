@@ -79,9 +79,48 @@ class TestOtocSeries:
         b = quasiprob.otoc_series(rho, w, v, h, [0.5, 1.0])
         assert np.max(np.abs(a.values - b.values)) == 0.0
 
+    def test_needs_hermitian_observables(self, small_chain):
+        # F is taken as the trace of the word W(t) V W(t) V, which is
+        # Tr(rho W(t)dag Vdag W(t) V) only for Hermitian W and V
+        rho, w, v, h = small_chain
+        u = spin.site_pauli(3, 1, "x") @ w         # -i sigma^y: unitary, not Hermitian
+        assert abs(quasiprob.otoc(rho, u, v, h, 0.5)) <= 1.0 + 1e-12
+        with pytest.raises(ValueError, match="Hermitian"):
+            quasiprob.otoc_series(rho, u, v, h, [0.5])
+
     def test_series_length_guard(self):
         with pytest.raises(ValueError, match="equal length"):
             quasiprob.CorrelatorSeries(times=np.arange(3.0), values=np.zeros(2, dtype=complex))
+
+
+class TestStateForms:
+    def test_density_matrix_of_each_form(self, small_chain):
+        _, _, _, h = small_chain
+        sys = qla.eigh(h)
+        equal = quasiprob.density_matrix(quasiprob.DiagonalState(np.full(8, 1 / 8)))
+        assert np.array_equal(equal, np.eye(8, dtype=complex) / 8)
+        weights = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 1.5))
+        thermal = quasiprob.density_matrix(weights, sys)
+        assert np.max(np.abs(thermal - spin.thermal_state(h, 1.5))) < 1e-14
+        psi = qla.haar_random_state(8, 2)
+        assert np.array_equal(quasiprob.density_matrix(psi), np.outer(psi, psi.conj()))
+
+    def test_weights_must_be_a_real_vector(self):
+        with pytest.raises(ValueError, match="real vector"):
+            quasiprob.DiagonalState(np.array([0.5, 0.5j]))
+        with pytest.raises(ValueError, match="real vector"):
+            quasiprob.DiagonalState(np.eye(2) / 2)
+
+    def test_thermal_weights(self):
+        e = np.array([-3.0, 0.0, 2.0])
+        p = spin.thermal_weights(e, 0.5)
+        assert abs(p.sum() - 1.0) < 1e-15
+        assert np.max(np.abs(p - np.exp(-e / 0.5) / np.sum(np.exp(-e / 0.5)))) < 1e-15
+        assert np.array_equal(spin.thermal_weights(e, np.inf), np.full(3, 1 / 3))
+        # counted from the ground energy, e^{-E/T} stays finite at low T
+        assert np.all(np.isfinite(spin.thermal_weights(e - 1e3, 1e-3)))
+        with pytest.raises(ValueError):
+            spin.thermal_weights(e, 0.0)
 
 
 class TestScramblingOnset:
@@ -424,6 +463,28 @@ class TestWordExpansion:
         for word, value in zip(quasiprob._words(k), got):
             product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
             assert abs(value - np.trace(product @ rho)) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("form", ["psi", "weights"])
+    def test_word_traces_of_psi_and_weights_are_explicit_products(self, small_chain, rng,
+                                                                   form, k):
+        # in the energy frame, with W dressed by the phases and undressed
+        _, w, v, h = small_chain
+        sys = qla.eigh(h)
+        w_e, v_e = quasiprob._energy_frame(sys, w, v)
+        if form == "psi":
+            state = qla.haar_random_state(8, rng)
+            rho = np.outer(state, state.conj())
+        else:
+            p = rng.random(8)
+            state, rho = quasiprob.DiagonalState(p / p.sum()), np.diag(p / p.sum())
+        traces = quasiprob._word_traces(state, v_e, k)
+        phase = np.exp(-0.7j * sys.eigenvalues)
+        for given, wt in ((None, w_e), (phase, phase.conj()[:, None] * w_e * phase)):
+            ops = {"w": wt, "v": v_e}
+            for word, value in zip(quasiprob._words(k), traces(w_e, given)):
+                product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
+                assert abs(value - np.trace(product @ rho)) < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_entries_sum_to_trace_and_moment_is_fk(self, small_chain, make_density, k):

@@ -18,7 +18,8 @@ defect of any trajectory's final propagator; weakmeas-inference: the
 largest effective condition number and least-squares residual over the
 solved blocks; quasiprob-, toc-, kfold- and regulated-series: the largest
 |sum of entries - 1| and |moment - correlator| over the time grid, the
-correlator of quasiprob-series being the F its entries came with).
+correlator of quasiprob-series being the F its entries came with;
+work-distribution: |sum of entries - 1|).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -223,7 +224,7 @@ def _parse_site_axis(text, n: int, what: str):
         raise ConfigError(f"{what} axis must be x, y, or z")
     if not 1 <= site <= n:
         raise ConfigError(f"{what} site {site} outside 1..{n}")
-    return spin.site_pauli(n, site, axis)
+    return spin.pauli_string(n, [(site, axis)])
 
 
 def _resolve_state(spec, n: int, h_sys):
@@ -254,8 +255,10 @@ def _resolve_state(spec, n: int, h_sys):
 
 
 def _chain_pieces(cfg: dict):
-    """H's eigensystem, W, V and the state (None without a state key); one
-    eigensystem serves the whole job, thermal weights included."""
+    """H's eigensystem, W and V as spin.PauliString tables, and the state
+    (None without a state key); one eigensystem serves the whole job,
+    thermal weights included. Runners that need dense W and V expand them
+    once with matrix()."""
     w = _parse_site_axis(cfg["w"], cfg["n"], "w")
     v = _parse_site_axis(cfg["v"], cfg["n"], "v")
     spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
@@ -375,7 +378,8 @@ def _run_work_distribution(cfg):
                   key=lambda k: (k[0].real, k[0].imag, k[1].real, k[1].imag))
     rows = [[k[0].real, k[0].imag, k[1].real, k[1].imag,
              wd.entries[k].real, wd.entries[k].imag] for k in keys]
-    return ["re_w", "im_w", "re_wprime", "im_wprime", "re_p", "im_p"], rows
+    columns = ["re_w", "im_w", "re_wprime", "im_wprime", "re_p", "im_p"]
+    return columns, rows, {"max_total_defect": abs(qd.total() - 1.0)}
 
 
 def _run_brownian_ensemble(cfg):
@@ -386,8 +390,8 @@ def _run_brownian_ensemble(cfg):
         n=cfg["n"], dt=cfg["dt"], steps=steps,
         trajectories=cfg["trajectories"], seed=cfg["seed"], stride=stride,
     )
-    w = _parse_site_axis(cfg["w"], cfg["n"], "w")
-    v = _parse_site_axis(cfg["v"], cfg["n"], "v")
+    w = _parse_site_axis(cfg["w"], cfg["n"], "w").matrix()
+    v = _parse_site_axis(cfg["v"], cfg["n"], "v").matrix()
     if str(cfg["state"]).startswith("thermal"):
         raise ConfigError("brownian-ensemble has no Hamiltonian; "
                           "thermal states are undefined here")
@@ -419,6 +423,7 @@ def _run_brownian_ensemble(cfg):
 def _run_weakmeas_inference(cfg):
     """weak-coupling tomography of the entries"""
     h_sys, w, v, state = _chain_pieces(cfg)
+    w, v = w.matrix(), v.matrix()
     rho = quasiprob.density_matrix(state, h_sys)
     try:
         if isinstance(cfg["phis"], (list, tuple)):
@@ -495,7 +500,7 @@ def _run_decomp_report(cfg):
     """basis overlap statistics over time"""
     h_sys, w, v, _ = _chain_pieces(cfg)
     ts = _time_grid(cfg)
-    stats = decomp.mub_overlap_statistics(w, v, h_sys, ts)
+    stats = decomp.mub_overlap_statistics(w.matrix(), v.matrix(), h_sys, ts)
     rows = [[t, stats.mean[i], stats.minimum[i], stats.near_mub_fraction[i],
              int(stats.vanishing_counts[i])] for i, t in enumerate(ts)]
     columns = ["t", "mean_overlap", "min_overlap", "near_mub_fraction",

@@ -28,13 +28,7 @@ _DEGENERACY_RTOL = 1e-11
 _SPAN_TOL = 1e-8
 
 
-def as_square_array(a, stack: bool = False) -> np.ndarray:
-    """Coerce to a square complex ndarray and validate finiteness.
-
-    stack=True also accepts a (..., d, d) stack of square matrices; every
-    member is checked.
-    """
-    m = np.asarray(a, dtype=complex)
+def _checked_square(m: np.ndarray, stack: bool) -> np.ndarray:
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
@@ -44,23 +38,38 @@ def as_square_array(a, stack: bool = False) -> np.ndarray:
     return m
 
 
+def as_square_array(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex ndarray and validate finiteness.
+
+    stack=True also accepts a (..., d, d) stack of square matrices; every
+    member is checked.
+    """
+    return _checked_square(np.asarray(a, dtype=complex), stack)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each member of a stack."""
     return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
 def hermiticity_defect(a) -> float:
-    """Largest entry of |a - a^dag|, over every member of a stack."""
-    m = as_square_array(a, stack=True)
+    """Largest entry of |a - a^dag|, over every member of a stack. A float
+    array is checked as it is, in real arithmetic; anything else as a
+    complex array."""
+    m = np.asarray(a)
+    m = _checked_square(m, True) if m.dtype == float else as_square_array(m, stack=True)
     return float(np.max(np.abs(m - dagger(m))))
 
 
-def assert_hermitian(a, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.ndarray:
-    m = as_square_array(a, stack)
+def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
     return m
+
+
+def assert_hermitian(a, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.ndarray:
+    return _require_hermitian(as_square_array(a, stack), tol)
 
 
 def unitarity_defect(u) -> float:
@@ -179,18 +188,19 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
     identical arrays, independent of LAPACK's internal choices.
 
     A single matrix with no imaginary part (a real symmetric H, such as
-    the Ising chain's) goes to the real solver and keeps real
-    eigenvectors under the same conventions; its largest entries come out
-    positive.
+    the Ising chain's) is checked in real arithmetic, goes to the real
+    solver and keeps real eigenvectors under the same conventions; its
+    largest entries come out positive.
 
     h may also be a (..., d, d) stack: every member is checked, all are
     decomposed by one stacked complex np.linalg.eigh call and each is
     fixed exactly as it would be on its own; only members with a
     degenerate group take the per-matrix rebuild.
     """
-    m = assert_hermitian(h, tol, stack=True)
+    m = as_square_array(h, stack=True)
     if m.ndim == 2 and not np.any(m.imag):
         m = m.real
+    _require_hermitian(m, tol)
     evals, evecs = np.linalg.eigh(m)
     out = _fix_phase(evecs)
     # a degenerate group exists iff some adjacent spacing is within the

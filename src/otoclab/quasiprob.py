@@ -29,14 +29,24 @@ The word traces take their contraction from the form of the state
 (DiagonalState: infinite temperature, thermal states) cost one matrix
 product and elementwise sums, a vector psi (Haar and product states)
 three matrix-vector products that never form W(t), and a density matrix
-three matrix products; a dense rho equal to c 1 is read as equal weights.
-F is one column of those traces (otoc_series), and density_matrix makes
-any form dense. The time-ordered, k-fold and regulated single-time
-functions are their series of length one, and the time-ordered
-distribution is A~ summed over w3 (the W(t) projectors resolve the
-identity). otoc, coarse_quasiprob, correlators_for_expansion and
-fine_quasiprob stay in the lab frame as the series' oracles and take a
-density matrix.
+three matrix products; a dense rho equal to c 1 (a constant real
+diagonal, nothing off it) is read as equal weights. F is one column of
+those traces (otoc_series), and density_matrix makes any form dense.
+
+W and V reach the series as matrices or as spin.PauliString tables, the
+operator counterpart of DiagonalState. A string P is rotated with one
+product, e^dag (P e), where P e permutes and scales the rows of the
+eigenvectors e, and is checked for Hermiticity and P^2 = 1 on its table
+in O(d); a route that needs the matrix (the projector trace of the
+non-involutory coarse series, the regulated series, the TOC's W^dag W)
+expands it once with spin.pauli_matrix.
+
+The time-ordered, k-fold and regulated single-time functions are their
+series of length one, and the time-ordered distribution is A~ summed
+over w3 (the W(t) projectors resolve the identity). otoc,
+coarse_quasiprob, correlators_for_expansion and fine_quasiprob stay in
+the lab frame as the series' oracles and take density matrices and
+matrix W and V.
 
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
@@ -49,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qla
+from . import qla, spin
 
 _KEY_DECIMALS = 9          # bucket size for collecting eigenvalue products
 _FINE_MAX_DIM = 64         # 6 qubits; the fine tensor holds dim**4 entries
@@ -242,8 +252,10 @@ def _frame_state(state, sys: qla.HermitianEigensystem):
     s = np.asarray(state, dtype=complex)
     if s.ndim == 1:
         return _matmul(sys.eigenvectors.conj().T, s)
-    if np.count_nonzero(s) == s.shape[0] and np.all(np.diagonal(s) == s[0, 0].real):
-        return DiagonalState(np.full(s.shape[0], s[0, 0].real))
+    diag = np.diagonal(s)
+    # c 1 has a constant real diagonal and no nonzero entry off it
+    if np.all(diag == diag[0].real) and np.count_nonzero(s) == np.count_nonzero(diag):
+        return DiagonalState(np.full(s.shape[0], diag[0].real))
     (rho_e,) = _energy_frame(sys, s)
     return rho_e
 
@@ -268,24 +280,30 @@ def heisenberg(op, u) -> np.ndarray:
     return qla.dagger(u) @ op @ u
 
 
-def _matmul(a, b):
-    """a @ b for a square a. A real a times a complex b is one real product
-    with b's interleaved real and imaginary parts, half the work of
-    promoting a to complex."""
+def _matmul(a, b, out=None):
+    """a @ b for a square a, written into the C-contiguous out when given.
+    A real a times a complex b is one real product with b's interleaved
+    real and imaginary parts, half the work of promoting a to complex."""
     if np.isrealobj(a) and np.iscomplexobj(b):
         b = np.ascontiguousarray(b)
-        out = a @ b.view(float).reshape(b.shape[0], -1)
-        return out.view(complex).reshape(b.shape)
-    return a @ b
+        flat = None if out is None else out.view(float).reshape(b.shape[0], -1)
+        return np.matmul(a, b.view(float).reshape(b.shape[0], -1), out=flat
+                         ).view(complex).reshape(b.shape)
+    return np.matmul(a, b, out=out)
 
 
 def _energy_frame(sys: qla.HermitianEigensystem, *ops) -> list[np.ndarray]:
     """Operators rotated into the eigenbasis of the Hamiltonian. In a real
     frame (real eigenvectors) an operator with no imaginary part stays
-    real."""
+    real. A spin.PauliString P takes one product, e^dag (P e): P e is e
+    with its rows permuted by r ^ mask and scaled by the phases."""
     e = sys.eigenvectors
     out = []
     for op in ops:
+        if isinstance(op, spin.PauliString):
+            flipped = op.flipped()
+            out.append(_matmul(e.conj().T, op.phase[flipped, None] * e[flipped]))
+            continue
         m = np.asarray(op, dtype=complex)
         if np.isrealobj(e) and not np.any(m.imag):
             m = m.real
@@ -306,8 +324,14 @@ def _dress(op_e, phase) -> np.ndarray:
     return (phase.conj()[:, None] * op_e) * phase[None, :]
 
 
+def _dim(op) -> int:
+    if isinstance(op, DiagonalState):
+        return len(op.weights)
+    return op.dim if isinstance(op, spin.PauliString) else np.shape(op)[0]
+
+
 def _check_dims(*ops):
-    dims = {len(o.weights) if isinstance(o, DiagonalState) else np.shape(o)[0] for o in ops}
+    dims = {_dim(o) for o in ops}
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch among operands: {sorted(dims)}")
 
@@ -318,15 +342,31 @@ def _check_state(rho):
         raise ValueError("rho must be Hermitian")
 
 
+def _dense(op):
+    """The matrix of op: a spin.PauliString expanded once, else op itself."""
+    return op.matrix() if isinstance(op, spin.PauliString) else op
+
+
+def _hermiticity_defect(op) -> float:
+    """qla.hermiticity_defect of op, in O(d) on a spin.PauliString's table."""
+    if isinstance(op, spin.PauliString):
+        return op.hermiticity_defect()
+    return qla.hermiticity_defect(op)
+
+
 def _is_hermitian_involution(op, tol: float = 1e-10) -> bool:
     """O = Odag and O O = 1, so O has eigenvalues +-1 and projectors (1 +- O)/2.
 
-    The Hermiticity test runs first and its temporaries are freed before
-    O O is formed, in real arithmetic when O has no imaginary part.
+    A spin.PauliString is tested on its table in O(d), with the dense
+    tests' tolerances. For a matrix the Hermiticity test runs first and its
+    temporaries are freed before O O is formed, in real arithmetic when O
+    has no imaginary part.
     """
-    m = np.asarray(op)
-    if qla.hermiticity_defect(m) > qla.HERMITIAN_TOL:
+    if _hermiticity_defect(op) > qla.HERMITIAN_TOL:
         return False
+    if isinstance(op, spin.PauliString):
+        return op.involution_defect() <= tol
+    m = np.asarray(op)
     if not np.any(m.imag):
         m = m.real
     return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
@@ -468,15 +508,25 @@ def _diagonal_kernel(p, v, k: int):
     Tr(X^m W(t) rho) = sum_ij p_i (G_m)_ij conj(W_ij) c_j and
     Tr(X^(m+1) rho) = sum_ij p_i c_i (G_m)_ij c_j G_ji. W(t) and X are never
     formed, and a call costs G_1, ..., G_(k-1): k - 1 matrix products.
+    D V, G, the weights p_i conj(W_ij) and the G_m are written into (d, d)
+    buffers allocated on the first call, not freshly at every point.
     """
     static = {"1": np.sum(p), "v": p @ np.diagonal(v)}
     vp = np.asarray(v.conj() * p, dtype=complex)
+    buffers = {}
+
+    def buffer(name, dtype):
+        buf = buffers.get(name)
+        if buf is None or buf.dtype != dtype:
+            buf = buffers[name] = np.empty(v.shape, dtype)
+        return buf
 
     def kernel(w, phase):
         phase = np.ones(len(p)) if phase is None else phase
         c = phase.conj()
-        g = _matmul(w, phase[:, None] * v)
-        wp = p[:, None] * w.conj()
+        dv = np.multiply(phase[:, None], v, out=buffer("dv", np.result_type(phase, v)))
+        g = _matmul(w, dv, buffer("g", np.result_type(w, dv)))
+        wp = np.multiply(p[:, None], w.conj(), out=buffer("wp", np.result_type(p, w)))
         vals = dict(static, w=p @ np.diagonal(w), wv=(p * c) @ np.diagonal(g))
         gm = g
         for m in range(1, k):
@@ -484,7 +534,8 @@ def _diagonal_kernel(p, v, k: int):
             vals["wv" * m + "w"] = np.einsum("ij,ij->j", gm, wp) @ c
             vals["wv" * m + "wv"] = np.einsum("ij,ji,j->i", gm, g, c) @ (p * c)
             if m < k - 1:
-                gm = (gm * c) @ g
+                gc = np.multiply(gm, c, out=buffer("gc", g.dtype))
+                gm = np.matmul(gc, g, out=buffer("gm", g.dtype))
         return vals
     return kernel
 
@@ -594,10 +645,11 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     F is the trace of the word W(t) V W(t) V, one column of the
     energy-frame word traces (_word_traces), so W and V must be Hermitian;
     the lab-frame otoc takes any W and V. rho may be any state form that
-    density_matrix accepts.
+    density_matrix accepts, and W and V matrices or spin.PauliString
+    tables.
     """
     _check_dims(rho, w_op, v_op)
-    if max(qla.hermiticity_defect(w_op), qla.hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
+    if max(_hermiticity_defect(w_op), _hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
     series = _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, 2)
@@ -647,15 +699,16 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     expansion, whose cost per point depends on the form of rho (see
     _word_traces) and whose series carries F as correlator; other
     observables take the four-projector trace of the dressed W(t)
-    projectors and a density matrix.
+    projectors and a density matrix. W and V may be matrices or
+    spin.PauliString tables.
     """
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
     if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
         return _word_series(rho, w_op, v_op, sys, times, 2)
-    w_evs, w_projs_e = _energy_projectors(sys, w_op)
-    v_evs, v_projs_e = _energy_projectors(sys, v_op)
+    w_evs, w_projs_e = _energy_projectors(sys, _dense(w_op))
+    v_evs, v_projs_e = _energy_projectors(sys, _dense(v_op))
     rho_e = density_matrix(_frame_state(rho, sys))
     _check_state(rho_e)
     out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
@@ -864,6 +917,7 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
+    w_op, v_op = _dense(w_op), _dense(v_op)
     _check_dims(w_op, v_op)
     sys = _eigensystem(hamiltonian)
     _check_dims(w_op, sys.eigenvectors)
@@ -908,7 +962,7 @@ def toc_series(rho, w_op, v_op, hamiltonian, times):
     """
     sys = _eigensystem(hamiltonian)
     coarse = coarse_quasiprob_series(rho, w_op, v_op, sys, times)
-    w = np.asarray(w_op, dtype=complex)
+    w = np.asarray(_dense(w_op), dtype=complex)
     wdw_e, v_e = _energy_frame(sys, qla.dagger(w) @ w, v_op)
     rho_e = density_matrix(_frame_state(rho, sys))
     m_t = np.ascontiguousarray((v_e @ rho_e @ qla.dagger(v_e)).T)

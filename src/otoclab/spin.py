@@ -5,8 +5,11 @@ degeneracy labeling used by the fine-grained distributions.
 Sites are 1-based. Basis ordering is the usual binary one: computational
 index i has site s in state (i >> (n - s)) & 1, with bit 0 meaning spin up,
 so site 1 is the most significant bit. A Pauli string is a flip mask and a
-phase vector, P|r> = phase[r] |r ^ mask>, and the site Paulis, the
-Hamiltonian and the Brownian pair strings all come from this one form.
+phase vector, P|r> = phase[r] |r ^ mask>, held as a PauliString, and the
+site Paulis, the Hamiltonian and the Brownian pair strings all come from
+this one form. W and V reach the quasiprob series as PauliString tables,
+which rotate into the energy frame by one product and are checked in
+O(d); pauli_matrix expands a string to its dense matrix.
 """
 from __future__ import annotations
 
@@ -49,20 +52,48 @@ class SpinChainSpec:
 
 
 @dataclass(frozen=True)
-class LocalObservable:
-    """A single-site Pauli, identified by site index and axis."""
+class PauliString:
+    """A Pauli string as a signed permutation, P|r> = phase[r] |r ^ mask>.
 
-    site: int
-    axis: str
+    The operator counterpart of quasiprob.DiagonalState: the series rotate
+    it into the energy frame with one product and test it in O(d) on the
+    table; matrix() makes it dense once, for the routes that need a matrix.
+    phase is real when every factor's phase is, complex otherwise.
+    """
+
+    mask: int
+    phase: np.ndarray
 
     def __post_init__(self):
-        if self.axis not in PAULI:
-            raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
-        if self.site < 1:
-            raise ValueError("sites are 1-based")
+        phase = np.array(self.phase, dtype=complex if np.iscomplexobj(self.phase) else float)
+        dim = phase.shape[0] if phase.ndim == 1 else 0
+        if dim == 0 or dim & (dim - 1) or not np.all(np.isfinite(phase)):
+            raise ValueError("phase must be a finite vector of power-of-two length")
+        if not 0 <= self.mask < dim:
+            raise ValueError(f"mask {self.mask} outside a basis of {dim} states")
+        phase.flags.writeable = False
+        object.__setattr__(self, "mask", int(self.mask))
+        object.__setattr__(self, "phase", phase)
 
-    def matrix(self, n: int) -> np.ndarray:
-        return site_pauli(n, self.site, self.axis)
+    @property
+    def dim(self) -> int:
+        return self.phase.shape[0]
+
+    def flipped(self) -> np.ndarray:
+        """r ^ mask for every basis index r."""
+        return np.arange(self.dim) ^ self.mask
+
+    def hermiticity_defect(self) -> float:
+        """qla.hermiticity_defect of the matrix, from the table: P^dag has
+        conj(phase[r ^ mask]) where P has phase[r]."""
+        return float(np.max(np.abs(self.phase - self.phase[self.flipped()].conj())))
+
+    def involution_defect(self) -> float:
+        """Largest entry of |P P - 1|: P P is diagonal, phase[r ^ mask] phase[r]."""
+        return float(np.max(np.abs(self.phase[self.flipped()] * self.phase - 1.0)))
+
+    def matrix(self) -> np.ndarray:
+        return pauli_matrix(self.mask, self.phase)
 
 
 def _check_dense(n: int):
@@ -71,9 +102,9 @@ def _check_dense(n: int):
                          "dense storage is capped at 12 qubits")
 
 
-def pauli_string(n: int, factors) -> tuple[int, np.ndarray]:
+def pauli_string(n: int, factors) -> PauliString:
     """The string with (site, axis) factors, axis in 1xyz, identity
-    elsewhere: P|r> = phase[r] |r ^ mask>."""
+    elsewhere."""
     _check_dense(n)
     r = np.arange(2**n)
     mask, const, signs = 0, 1, np.zeros_like(r)
@@ -86,7 +117,7 @@ def pauli_string(n: int, factors) -> tuple[int, np.ndarray]:
         mask |= flip << (n - site)
         const *= c
         signs = signs + z * ((r >> (n - site)) & 1)
-    return mask, const * (-1.0) ** signs
+    return PauliString(mask, const * (-1.0) ** signs)
 
 
 def pauli_matrix(mask: int, phase: np.ndarray) -> np.ndarray:
@@ -101,17 +132,18 @@ def pair_pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Masks and (strings, d) phases of all sigma_i^a sigma_j^b, i < j,
     a, b in 1xyz, pairs-lexicographic with the first site's Pauli outermost;
     the order fixes how the Brownian draws map onto strings."""
-    masks, phases = zip(*(pauli_string(n, ((i, a), (j, b)))
-                          for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                          for a in "1xyz" for b in "1xyz"))
-    return np.array(masks), np.array(phases, dtype=complex)
+    strings = [pauli_string(n, ((i, a), (j, b)))
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               for a in "1xyz" for b in "1xyz"]
+    return (np.array([p.mask for p in strings]),
+            np.array([p.phase for p in strings], dtype=complex))
 
 
 def site_pauli(n: int, site: int, axis: str) -> np.ndarray:
     """Pauli operator on one site of an n-site chain, identity elsewhere."""
     if axis not in PAULI:
         raise ValueError(f"unknown axis {axis!r}")
-    return pauli_matrix(*pauli_string(n, [(site, axis)]))
+    return pauli_string(n, [(site, axis)]).matrix()
 
 
 def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
@@ -120,14 +152,14 @@ def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     n, r = spec.n, np.arange(spec.dim)
     diag = np.zeros(spec.dim)
     for s in range(1, n):
-        diag -= spec.j * pauli_string(n, [(s, "z"), (s + 1, "z")])[1]
+        diag -= spec.j * pauli_string(n, [(s, "z"), (s + 1, "z")]).phase
     # a zero field subtracts zeros, which leaves every bit of H as it is
     for s in range(1, n + 1):
-        diag -= spec.h * pauli_string(n, [(s, "z")])[1]
+        diag -= spec.h * pauli_string(n, [(s, "z")]).phase
     ham = np.diag(diag.astype(complex))
     for s in range(1, n + 1):
-        mask, phase = pauli_string(n, [(s, "x")])
-        ham[r ^ mask, r] -= spec.g * phase
+        x = pauli_string(n, [(s, "x")])
+        ham[x.flipped(), r] -= spec.g * x.phase
     return ham
 
 

@@ -324,6 +324,46 @@ class TestOtherExperiments:
         # the F the entries came with is health only, not a column
         assert columns == doc["columns"] and len(columns) == 1 + 32
 
+    def test_work_distribution_health_round_trips_in_csv_and_json(self, capsys):
+        argv = ["work-distribution", "--n", "3", "--state", "haar:2"]
+        rc, out_csv, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        metadata, columns, rows = parse_csv(out_csv)
+        doc = json.loads(out_json)
+        assert metadata["health"] == doc["metadata"]["health"]
+        assert set(metadata["health"]) == {"max_total_defect"}
+        total = sum(complex(float(r[4]), float(r[5])) for r in rows)
+        assert metadata["health"]["max_total_defect"] == pytest.approx(abs(total - 1), abs=1e-15)
+        assert 0.0 <= metadata["health"]["max_total_defect"] <= 1e-10
+        assert columns == doc["columns"] == ["re_w", "im_w", "re_wprime", "im_wprime",
+                                             "re_p", "im_p"]
+
+    @pytest.mark.parametrize("argv", [
+        ["otoc-series", *SMALL_SERIES],
+        ["otoc-series", "--state", "haar:1", "--w", "2:x", *SMALL_SERIES],
+        ["quasiprob-series", "--state", "thermal:2", "--v", "2:y", *SMALL_SERIES],
+        ["quasiprob-series", "--state", "plus-x", *SMALL_SERIES],
+        ["work-distribution", "--n", "3"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_pauli_observables_stay_tables_on_the_series_routes(self, capsys, monkeypatch,
+                                                                argv):
+        # W and V reach the series as (mask, phase) tables: never expanded
+        # to matrices, and checked on the table; only H takes the dense
+        # Hermiticity test (inside qla.eigh)
+        ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
+        checked, expanded = [], []
+        real_defect, real_matrix = qla.hermiticity_defect, spin.pauli_matrix
+        monkeypatch.setattr(qla, "hermiticity_defect",
+                            lambda m: checked.append(np.array_equal(m, ham)) or real_defect(m))
+        monkeypatch.setattr(spin, "pauli_matrix",
+                            lambda *a: expanded.append(a) or real_matrix(*a))
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert expanded == []
+        assert checked == [True]
+
     @pytest.mark.parametrize("experiment", ["otoc-series", "quasiprob-series"])
     def test_thermal_series_job_builds_no_dense_state(self, capsys, monkeypatch, experiment):
         # the weights e^{-E/T}/Z come from the job's one eigensystem; no

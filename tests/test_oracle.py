@@ -11,7 +11,9 @@ entries, so the k-fold series is checked against explicit lab-frame
 products of 2k projectors recovered by eigendecomposition, as are the
 time-ordered and regulated series. The series contract a state by its form
 (energy-frame weights, a vector psi, or a density matrix), and each form is
-checked against the lab-frame routes on its dense rho.
+checked against the lab-frame routes on its dense rho. W and V enter the
+series as matrices or as spin.PauliString tables, and the tables are
+checked against their matrices and the same lab-frame routes.
 """
 from __future__ import annotations
 
@@ -26,24 +28,37 @@ TOL = 1e-10
 
 
 @st.composite
-def instances(draw):
+def chains(draw):
+    """W and V as single-site spin.PauliString tables on random sites and
+    axes of a random chain of two or three sites, and its H."""
     n = draw(st.sampled_from([2, 3]))
     site = st.integers(min_value=1, max_value=n)
     axis = st.sampled_from(["x", "y", "z"])
-    w = spin.site_pauli(n, draw(site), draw(axis))
-    v = spin.site_pauli(n, draw(site), draw(axis))
+    w = spin.pauli_string(n, [(draw(site), draw(axis))])
+    v = spin.pauli_string(n, [(draw(site), draw(axis))])
     spec = spin.SpinChainSpec(
         n=n,
         j=draw(st.floats(min_value=0.5, max_value=1.5)),
         h=draw(st.floats(min_value=0.0, max_value=1.0)),
         g=draw(st.floats(min_value=0.5, max_value=1.5)),
     )
+    return w, v, spin.ising_hamiltonian(spec)
+
+
+@st.composite
+def instances(draw):
+    w, v, h = draw(chains())
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    d = h.shape[0]
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     t = draw(st.floats(min_value=0.0, max_value=5.0))
-    return rho, w, v, spin.ising_hamiltonian(spec), t
+    return rho, w.matrix(), v.matrix(), h, t
+
+
+def time_grids():
+    return st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=2, max_size=4)
 
 
 @st.composite
@@ -157,19 +172,21 @@ def _lab_and_compact_states(h, sys, rng):
     }
 
 
-@settings(max_examples=10, deadline=None)
-@given(series_instances(), st.integers(min_value=0, max_value=2**32 - 1))
-@pytest.mark.parametrize("form", ["equal weights", "thermal weights", "pure", "dense"])
-def test_every_state_form_matches_the_lab_frame(form, instance, seed):
-    """Weights, psi and a dense rho each take their own contraction in the
-    series; every one must give the lab-frame F, entries and F_3."""
-    _, w, v, h, times = instance
-    sys = qla.eigh(h)
-    state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(seed))[form]
-    f = quasiprob.otoc_series(state, w, v, sys, times)
-    coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, times)
-    f2, two = quasiprob.kfold_series(state, w, v, sys, times, 2)
-    f3, three = quasiprob.kfold_series(state, w, v, sys, times, 3)
+STATE_FORMS = ["equal weights", "thermal weights", "pure", "dense"]
+
+
+def _word_series(state, w, v, sys, times):
+    """F, the coarse entries and the two- and three-fold series."""
+    return (quasiprob.otoc_series(state, w, v, sys, times),
+            quasiprob.coarse_quasiprob_series(state, w, v, sys, times),
+            *quasiprob.kfold_series(state, w, v, sys, times, 2),
+            *quasiprob.kfold_series(state, w, v, sys, times, 3))
+
+
+def _assert_lab_frame(series, rho, w, v, h, times):
+    """The series of _word_series against the lab-frame F, entries and F_3
+    for the matrices W and V."""
+    f, coarse, f2, two, f3, three = series
     for i, t in enumerate(times):
         want_f = quasiprob.otoc(rho, w, v, h, t)
         want = quasiprob.coarse_quasiprob(rho, w, v, h, t).values
@@ -182,6 +199,34 @@ def test_every_state_form_matches_the_lab_frame(form, instance, seed):
         u = lab_exp(h, -1j * t)
         wt = u.conj().T @ w @ u
         assert abs(f3.values[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, 3))) < TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(series_instances(), st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("form", STATE_FORMS)
+def test_every_state_form_matches_the_lab_frame(form, instance, seed):
+    """Weights, psi and a dense rho each take their own contraction in the
+    series; every one must give the lab-frame F, entries and F_3."""
+    _, w, v, h, times = instance
+    sys = qla.eigh(h)
+    state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(seed))[form]
+    _assert_lab_frame(_word_series(state, w, v, sys, times), rho, w, v, h, times)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chains(), time_grids(), st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("form", STATE_FORMS)
+def test_pauli_strings_match_the_matrix_route_and_the_lab_frame(form, chain, times, seed):
+    """W and V as spin.PauliString tables, rotated by one product and
+    checked on the table, give what their matrices give."""
+    w, v, h = chain
+    sys = qla.eigh(h)
+    state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(seed))[form]
+    from_strings = _word_series(state, w, v, sys, times)
+    from_matrices = _word_series(state, w.matrix(), v.matrix(), sys, times)
+    for a, b in zip(from_strings, from_matrices):
+        assert max_dev(a.values, b.values) < TOL
+    _assert_lab_frame(from_strings, rho, w.matrix(), v.matrix(), h, times)
 
 
 def test_non_hermitian_involution_is_rejected():
@@ -254,3 +299,52 @@ def test_involution_projectors_are_half_one_plus_minus_o():
     evs, projs = quasiprob._distinct_projectors(-np.eye(4))
     assert np.array_equal(evs, [-1.0])
     assert max_dev(projs[0], np.eye(4)) == 0.0
+
+
+@pytest.mark.parametrize("operand", ["w", "v"])
+@pytest.mark.parametrize("scale", [1j, 2.0], ids=["not Hermitian", "no involution"])
+def test_strings_off_the_involutions_behave_as_their_matrices(scale, operand):
+    """phase x 1j is not Hermitian, phase x 2 squares to 4: each series
+    rejects the scaled string exactly where it rejects its matrix, with
+    the same message, and otherwise returns the same values."""
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+    ops = {"w": spin.pauli_string(2, [(1, "x")]), "v": spin.pauli_string(2, [(2, "y")])}
+    ops[operand] = spin.PauliString(ops[operand].mask, scale * ops[operand].phase)
+    rho = np.eye(4) / 4
+    calls = {
+        "otoc": lambda w, v: quasiprob.otoc_series(rho, w, v, h, [0.0, 0.5]).values,
+        "coarse": lambda w, v: quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.5]).values,
+        "kfold": lambda w, v: quasiprob.kfold_series(rho, w, v, h, [0.5], 2)[0].values,
+        "toc": lambda w, v: quasiprob.toc_series(rho, w, v, h, [0.5])[0].values,
+    }
+
+    def outcome(call, w, v):
+        try:
+            return call(w, v)
+        except ValueError as exc:
+            return str(exc)
+
+    outcomes = []
+    for name, call in calls.items():
+        string = outcome(call, ops["w"], ops["v"])
+        matrix = outcome(call, ops["w"].matrix(), ops["v"].matrix())
+        outcomes.append(isinstance(matrix, str))
+        if isinstance(matrix, str):
+            assert string == matrix, name
+        else:
+            assert max_dev(string, matrix) < TOL, name
+    # kfold always rejects; otoc_series rejects the non-Hermitian operand only
+    assert outcomes[2] and outcomes[0] == (scale == 1j)
+
+
+def test_dense_rho_with_a_zero_diagonal_is_not_read_as_equal_weights():
+    """rho = X_1 has a constant (zero) diagonal and d nonzeros, all off the
+    diagonal; it is not c 1 and must take the dense contraction."""
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.3, g=0.7))
+    w, v = spin.site_pauli(2, 1, "z"), spin.site_pauli(2, 2, "z")
+    rho = spin.site_pauli(2, 1, "x")
+    want_f = quasiprob.otoc(rho, w, v, h, 0.7)
+    want = quasiprob.coarse_quasiprob(rho, w, v, h, 0.7).values
+    assert abs(want_f) > 1e-4 and np.max(np.abs(want)) > 0.5
+    assert abs(quasiprob.otoc_series(rho, w, v, h, [0.7]).values[0] - want_f) < TOL
+    assert max_dev(quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).values[0], want) < TOL

@@ -207,6 +207,26 @@ class TestRealFrame:
             assert np.array_equal(sys.eigenvectors[k], evecs)
 
 
+    def test_real_valued_matrices_are_checked_in_real_arithmetic(self, rng, monkeypatch):
+        a = rng.normal(size=(6, 6))
+        for m in (a, a + a.T):
+            assert qla.hermiticity_defect(m) == qla.hermiticity_defect(m.astype(complex))
+        with pytest.raises(ValueError, match="NaN"):
+            qla.hermiticity_defect(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qla.eigh(a.astype(complex))
+        real = qla.hermiticity_defect
+        dtypes = []
+        monkeypatch.setattr(qla, "hermiticity_defect",
+                            lambda m: dtypes.append(np.asarray(m).dtype) or real(m))
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
+        herm = a + a.T + 1j * (a - a.T)
+        qla.eigh(h)
+        qla.eigh(herm)
+        qla.eigh(np.array([h, h]))
+        assert dtypes == [np.dtype(float), np.dtype(complex), np.dtype(complex)]
+
+
 def test_expm_scaled_closed_form():
     # exp(-i theta sigma_x) = cos(theta) 1 - i sin(theta) sigma_x
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

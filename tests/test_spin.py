@@ -116,6 +116,42 @@ def test_pauli_table_matches_kronecker_products():
             assert np.array_equal(spin.ising_hamiltonian(spec), _kron_hamiltonian(spec))
 
 
+class TestPauliString:
+    def test_table_tests_equal_the_dense_ones(self):
+        """Hermiticity and involution defects taken on the (mask, phase)
+        table equal the dense tests on the matrix, for Pauli strings and
+        for strings scaled off the Hermitian involutions."""
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            sites = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)),
+                               replace=False)
+            factors = {int(s): str(rng.choice(list("1xyz"))) for s in sites}
+            p = spin.pauli_string(n, list(factors.items()))
+            assert np.array_equal(p.matrix(), _kron_string(n, factors))
+            for scale in (1.0, 1j, 2.0, np.exp(0.3j), -1.0 + 1e-11):
+                q = spin.PauliString(p.mask, scale * p.phase)
+                m = q.matrix()
+                assert q.hermiticity_defect() == qla.hermiticity_defect(m)
+                assert q.involution_defect() == pytest.approx(
+                    np.max(np.abs(m @ m - np.eye(q.dim))), abs=1e-15)
+            assert p.hermiticity_defect() == p.involution_defect() == 0.0
+
+    def test_phase_keeps_its_dtype_and_is_read_only(self):
+        z, y = spin.pauli_string(3, [(2, "z")]), spin.pauli_string(3, [(2, "y")])
+        assert z.phase.dtype == float and y.phase.dtype == complex
+        assert (z.dim, z.mask, y.mask) == (8, 0, 0b010)
+        with pytest.raises(ValueError):
+            z.phase[0] = 2.0
+
+    @pytest.mark.parametrize("mask,phase", [(0, np.ones(3)), (4, np.ones(4)),
+                                            (-1, np.ones(4)), (0, [1.0, np.nan]),
+                                            (0, np.ones((2, 2))), (0, [])])
+    def test_rejects_malformed_tables(self, mask, phase):
+        with pytest.raises(ValueError):
+            spin.PauliString(mask, phase)
+
+
 def test_dense_cap_refuses_13_sites_before_allocating():
     tracemalloc.start()
     try:

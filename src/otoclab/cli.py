@@ -82,7 +82,7 @@ _HELP = {
     "g_field": "transverse field",
     "w": "W as site:axis",
     "v": "V as site:axis; unset means z on the last site",
-    "state": "infinite-temp | thermal:T | haar:seed | plus-x",
+    "state": "infinite-temp | thermal:T (finite T > 0) | haar:seed (seed >= 0) | plus-x",
     "t_max": "end of the time grid",
     "t_step": "time grid spacing",
     "t": "evaluation time",
@@ -199,8 +199,9 @@ def _validate(experiment: str, cfg: dict):
     at_least("instances", 1, "a positive integer")
     if "khat" in cfg and not (_is_int(cfg["khat"]) and 2 <= cfg["khat"] <= quasiprob._KFOLD_MAX):
         raise ConfigError(f"khat must be an integer in [2, {quasiprob._KFOLD_MAX}]")
-    if "seed" in cfg and not _is_int(cfg["seed"]):
-        raise ConfigError("seed must be an integer")
+    at_least("seed", 0, "a nonnegative integer")
+    if "state" in cfg:
+        _parse_state(cfg["state"])
     if "j" in cfg:
         positive("j")
     for key in ("h_field", "g_field"):
@@ -227,31 +228,35 @@ def _parse_site_axis(text, n: int, what: str):
     return spin.pauli_string(n, [(site, axis)])
 
 
+def _parse_state(spec):
+    """(kind, value) of a state spec of the forms _HELP["state"] lists."""
+    text = str(spec)
+    kind, _, value = text.partition(":")
+    try:
+        if text in ("infinite-temp", "plus-x"):
+            return text, None
+        if kind == "thermal" and 0 < float(value) < math.inf:
+            return kind, float(value)
+        if kind == "haar" and int(value) >= 0:
+            return kind, int(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"bad state {text!r}, expected {_HELP['state']}")
+
+
 def _resolve_state(spec, n: int, h_sys):
     """The state in the compact form the series take: energy-frame weights
     (quasiprob.DiagonalState) for infinite-temp and thermal:T, the vector
     psi for plus-x and haar:s. quasiprob.density_matrix makes it dense."""
     dim = 2 ** n
-    text = str(spec)
-    if text == "infinite-temp":
+    kind, value = _parse_state(spec)
+    if kind == "infinite-temp":
         return quasiprob.DiagonalState(np.full(dim, 1.0 / dim))
-    if text == "plus-x":
+    if kind == "plus-x":
         return spin.product_plus_x_vector(n)
-    if text.startswith("thermal:"):
-        try:
-            temp = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad thermal temperature in {text!r}") from exc
-        if temp <= 0:
-            raise ConfigError("thermal temperature must be positive")
-        return quasiprob.DiagonalState(spin.thermal_weights(h_sys.eigenvalues, temp))
-    if text.startswith("haar:"):
-        try:
-            seed = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad haar seed in {text!r}") from exc
-        return qla.haar_random_state(dim, seed)
-    raise ConfigError(f"unknown state {text!r}")
+    if kind == "thermal":
+        return quasiprob.DiagonalState(spin.thermal_weights(h_sys.eigenvalues, value))
+    return qla.haar_random_state(dim, value)
 
 
 def _chain_pieces(cfg: dict):

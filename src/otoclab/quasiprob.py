@@ -27,11 +27,12 @@ observables stay real in that frame and their products are real GEMMs.
 The word traces take their contraction from the form of the state
 (_word_traces); per point of the four-slot series, energy-frame weights
 (DiagonalState: infinite temperature, thermal states) cost one matrix
-product and elementwise sums, a vector psi (Haar and product states)
-three matrix-vector products that never form W(t), and a density matrix
-three matrix products; a dense rho equal to c 1 (a constant real
-diagonal, nothing off it) is read as equal weights. F is one column of
-those traces (otoc_series), and density_matrix makes any form dense.
+product and elementwise sums, and any other state, as a block of weighted
+vectors (psi, or the eigenvectors of a density matrix), three products
+of a matrix by the block that never form W(t); a dense rho equal to c 1
+(a constant real diagonal, nothing off it) is read as equal weights. F is
+one column of those traces (otoc_series), and density_matrix makes any
+form dense.
 
 W and V reach the series as matrices or as spin.PauliString tables, the
 operator counterpart of DiagonalState. A string P is rotated with one
@@ -251,7 +252,7 @@ def _frame_state(state, sys: qla.HermitianEigensystem):
         return state
     s = np.asarray(state, dtype=complex)
     if s.ndim == 1:
-        return _matmul(sys.eigenvectors.conj().T, s)
+        return _matmul(sys.eigenvectors.conj().T, s[:, None])[:, 0]
     diag = np.diagonal(s)
     # c 1 has a constant real diagonal and no nonzero entry off it
     if np.all(diag == diag[0].real) and np.count_nonzero(s) == np.count_nonzero(diag):
@@ -281,14 +282,13 @@ def heisenberg(op, u) -> np.ndarray:
 
 
 def _matmul(a, b, out=None):
-    """a @ b for a square a, written into the C-contiguous out when given.
-    A real a times a complex b is one real product with b's interleaved
-    real and imaginary parts, half the work of promoting a to complex."""
+    """a @ b for a (..., d, r) stack b, written into the C-contiguous out
+    when given. A real a times a complex b is one real product with b's
+    interleaved real and imaginary parts, half the work of promoting a to
+    complex."""
     if np.isrealobj(a) and np.iscomplexobj(b):
-        b = np.ascontiguousarray(b)
-        flat = None if out is None else out.view(float).reshape(b.shape[0], -1)
-        return np.matmul(a, b.view(float).reshape(b.shape[0], -1), out=flat
-                         ).view(complex).reshape(b.shape)
+        flat = None if out is None else out.view(float)
+        return np.matmul(a, np.ascontiguousarray(b).view(float), out=flat).view(complex)
     return np.matmul(a, b, out=out)
 
 
@@ -471,19 +471,17 @@ def _word_traces(state, v, k: int):
 
     W(t) is W dressed by the unit phases e^{-iEt} (_dress), or W itself
     when phase is None. The state, in the frame V and W share, picks the
-    contraction (_diagonal_kernel, _pure_kernel, _dense_kernel):
-    DiagonalState weights cost k - 1 matrix products per call, a vector
-    psi 2k - 1 matrix-vector products, and a density matrix k + 1 matrix
-    products. For Hermitian rho, W and V a word's trace is the conjugate of
+    contraction: DiagonalState weights take _diagonal_kernel, k - 1 matrix
+    products per call; a vector psi or a density matrix take _block_kernel
+    on rho = B diag(lam) B^dag, 2k - 1 products of a matrix by the (d, r)
+    block B. For Hermitian rho, W and V a word's trace is the conjugate of
     its reverse's, which gives the even W-first words; a dense rho is
-    checked. A dense rho also takes a (..., d, d) stack of W(t), with
+    checked. The block kernel also takes a (..., d, d) stack of W(t), with
     phase None, for traces of shape (..., 4k)."""
     if isinstance(state, DiagonalState):
         kernel = _diagonal_kernel(state.weights, v, k)
-    elif np.ndim(state) == 1:
-        kernel = _pure_kernel(state, v, k)
     else:
-        kernel = _dense_kernel(state, v, k)
+        kernel = _block_kernel(state, v, k)
     words = _words(k)
 
     def traces(w, phase=None) -> np.ndarray:
@@ -540,64 +538,41 @@ def _diagonal_kernel(p, v, k: int):
     return kernel
 
 
-def _pure_kernel(psi, v, k: int):
-    """Word traces <psi|word|psi> for rho = |psi><psi|.
+def _block_kernel(state, v, k: int):
+    """Word traces Tr(word rho) for rho = B diag(lam) B^dag, B of shape (d, r):
+    psi is one column of weight 1, and a density matrix is checked and split
+    by np.linalg.eigh, keeping the columns of signed weight above rounding.
 
-    A word O_L ... O_1 splits as <A^dag psi|B psi> with B = O_r ... O_1,
-    r = ceil(L/2), and A^dag = O_(r+1) ... O_L for Hermitian letters. Both
-    vectors lie on one of two chains of at most k alternating letters, one
-    starting with V and one with W, so a call costs 2k - 1 matrix-vector
-    products; W(t) acts on a vector as phase* (W (phase x)) and is never
-    formed.
+    A word O_L ... O_1 splits as sum_j lam_j <A^dag b_j|C b_j> with
+    C = O_h ... O_1, h = ceil(L/2), and A^dag = O_(h+1) ... O_L for
+    Hermitian letters. Both are words of at most k letters applied to B, so
+    a call costs 2k - 1 products of a (d, d) matrix by a (d, r) block, V B
+    being formed once. W(t) acts on a block as phase* (W (phase x)) and is
+    never formed; a (..., d, d) stack of W broadcasts through the products.
     """
-    v_psi = _matmul(v, psi)
+    if np.ndim(state) == 1:
+        b, lam = np.asarray(state)[:, None], np.ones(1)
+    else:
+        _check_state(state)
+        lam, b = np.linalg.eigh(state)
+        keep = np.abs(lam) > np.finfo(float).eps * len(lam) * np.max(np.abs(lam))
+        b, lam = b[:, keep], lam[keep]
+    v_b = _matmul(v, b)
 
     def kernel(w, phase):
-        def apply_w(x):
-            return _matmul(w, x) if phase is None else phase.conj() * _matmul(w, phase * x)
-        apply = {"v": lambda x: _matmul(v, x), "w": apply_w}
-        chains = {"v": [psi, v_psi], "w": [psi, apply_w(psi)]}
-        for j in range(2, k + 1):
-            for first, other in (("v", "w"), ("w", "v")):
-                chains[first].append(apply[first if j % 2 else other](chains[first][-1]))
-        vals = {"1": np.vdot(psi, psi)}
-        for word in _words(k)[1:]:
+        phase = np.ones(len(b)) if phase is None else phase
+        blocks = {"": b, "v": v_b}        # a word applied to B
+        for word in _words(k)[2:2 * k + 1]:   # by length, the words of 1 to k letters but V
+            x = blocks[word[1:]]
+            blocks[word] = (_matmul(v, x) if word[0] == "v" else
+                            phase.conj()[:, None] * _matmul(w, phase[:, None] * x))
+
+        def trace(word):
             half = len(word) // 2
-            vals[word] = np.vdot(chains[word[0]][half], chains[word[-1]][len(word) - half])
-        return vals
-    return kernel
-
-
-def _dense_kernel(rho, v, k: int):
-    """Word traces Tr(word rho) for a density matrix rho.
-
-    With X = W(t) V the V-first words are X^m and V X^m, the odd W-first
-    words X^m W(t), so each trace is Tr(X^m chain) for a chain rho, X rho,
-    W(t) rho or, by cyclicity, rho V: a call costs k + 1 matrix products.
-    Chains are held transposed, so Tr(a b) = _matrix_sum(a * b^T) reads
-    both operands in order; for Hermitian rho, rho^T = conj(rho).
-    """
-    _check_state(rho)
-    v_rho = v @ rho
-    rho_t, rho_v_t = rho.conj(), v_rho.conj()
-    static = {"1": np.trace(rho), "v": np.trace(v_rho)}
-
-    def kernel(w, phase):
-        wt = w if phase is None else _dress(w, phase)
-        x = wt @ v
-        powers = [x]                      # X^1 ... X^(k-1)
-        for _ in range(k - 2):
-            powers.append(powers[-1] @ x)
-        vals = dict(static, w=_matrix_sum(wt * rho_t), wv=_matrix_sum(x * rho_t))
-        for m, xm in enumerate(powers, start=1):
-            vals["v" + "wv" * m] = _matrix_sum(xm * rho_v_t)
-        # one chain alive at a time: at k = 2 a call holds three matrices
-        for last, chain in (("wv", x), ("w", wt)):
-            chain_t = rho_t @ np.swapaxes(chain, -1, -2)
-            for m, xm in enumerate(powers, start=1):
-                vals["wv" * m + last] = _matrix_sum(xm * chain_t)
-            del chain_t
-        return vals
+            return np.einsum("...ij,...ij,j->...", blocks[word[:half][::-1]].conj(),
+                             blocks[word[half:]], lam)
+        return {word: trace(word.strip("1")) for word in _words(k)
+                if word[0] != "v" or len(word) % 2}     # _word_traces conjugates the rest
     return kernel
 
 
@@ -726,7 +701,11 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
 
 def correlators_for_expansion(rho, w_op, v_op, hamiltonian, t: float) -> dict[str, complex]:
     """Tr(word rho) for the eight words of the four-slot expansion, keyed by
-    word ("1", "v", "w", "wv", "vw", "vwv", "wvw", "wvwv")."""
+    word ("1", "v", "w", "wv", "vw", "vwv", "wvw", "wvwv"). The words are
+    contracted as products of Hermitian letters (_word_traces), so a
+    non-Hermitian W or V raises ValueError, as in otoc_series."""
+    if max(qla.hermiticity_defect(w_op), qla.hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
+        raise ValueError("correlators_for_expansion needs Hermitian W and V")
     wt = heisenberg(w_op, propagator(hamiltonian, t))
     traces = _word_traces(np.asarray(rho, dtype=complex), np.asarray(v_op, dtype=complex), 2)
     return {word: complex(x) for word, x in zip(_words(2), traces(wt))}

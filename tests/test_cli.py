@@ -179,11 +179,26 @@ class TestConfigHandling:
         ["quasiprob-series", "--n", "2", "--t-max", "1e6", "--t-step", "1"],
         ["brownian-ensemble", "--t-max", "1000", "--t-step", "0.1"],
         ["work-distribution", "--t", "inf"],
+        ["otoc-series", "--n", "12", "--state", "bogus"],
+        ["otoc-series", "--state", "thermal:nan"],
+        ["otoc-series", "--state", "thermal:inf"],
+        ["otoc-series", "--state", "haar:-1"],
+        ["retrodict-benchmark", "--seed", "-1"],
+        ["brownian-ensemble", "--seed", "-1"],
+        ["weakmeas-inference", "--shots", "10", "--seed", "-1"],
     ])
     def test_bad_configuration_exits_two(self, capsys, argv):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 2
         assert "config error" in err
+
+    def test_bad_state_is_rejected_before_the_hamiltonian_is_built(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(spin, "ising_hamiltonian", lambda *a: built.append(a))
+        rc, _, err = run_cli(capsys, "otoc-series", "--n", "12", "--state", "bogus")
+        assert rc == 2
+        assert "bad state" in err
+        assert built == []
 
     @pytest.mark.parametrize("experiment, values", [
         ("retrodict-benchmark", {"instances": True, "seed": False}),

@@ -184,6 +184,15 @@ class TestCoarseQuasiprob:
         b = quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 1.1)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
+    def test_correlators_for_expansion_need_hermitian_observables(self, small_chain):
+        # the words are contracted with Hermitian letters: for W = i X_1 the
+        # trace of V W(t) came back as the conjugate of the true one
+        rho, w, v, h = small_chain
+        ix = 1j * spin.site_pauli(3, 1, "x")
+        for w_op, v_op in ((ix, v), (w, ix)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                quasiprob.correlators_for_expansion(rho, w_op, v_op, h, 0.7)
+
     def test_via_correlators_rejects_noninvolutory(self, small_chain):
         rho, w, v, h = small_chain
         with pytest.raises(ValueError, match="involutory"):
@@ -450,19 +459,34 @@ class TestWordExpansion:
         assert np.array_equal(signs.ravel() @ table, np.eye(4 * k)[words.index("wv" * k)])
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_word_traces_are_explicit_products(self, small_chain, make_density, k):
+    @pytest.mark.parametrize("kind", ["mixed", "rank one", "rank two", "signed"])
+    def test_word_traces_are_explicit_products(self, small_chain, make_density, rng, kind, k):
         _, w, v, h = small_chain
-        rho = make_density(8)
-        wt = quasiprob.heisenberg(w, quasiprob.propagator(h, 0.7))
+        a, b = qla.haar_random_state(8, rng), qla.haar_random_state(8, rng)
+        basis = qla.eigh(make_density(8)).eigenvectors
+        rho = {"mixed": make_density(8),
+               "rank one": np.outer(a, a.conj()),
+               "rank two": 0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj()),
+               # Hermitian with trace 1 and one negative eigenvalue
+               "signed": (basis * [-0.2, 0.3, 0.1, 0.2, 0.15, 0.15, 0.2, 0.1]) @ basis.conj().T,
+               }[kind]
+        wts = np.stack([quasiprob.heisenberg(w, quasiprob.propagator(h, t))
+                        for t in (0.7, 1.3, 2.1)])
         traces = quasiprob._word_traces(rho.view(_CountingMatmul), v.view(_CountingMatmul), k)
-        _CountingMatmul.products = 0
-        got = np.asarray(traces(wt.view(_CountingMatmul)))
-        # X = W V, its powers up to k - 1, X rho and W rho
-        assert _CountingMatmul.products == k + 1
-        ops = {"w": wt, "v": v}
-        for word, value in zip(quasiprob._words(k), got):
-            product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
-            assert abs(value - np.trace(product @ rho)) < 1e-12
+        ops = {"v": v}
+        # a single W(t), then the stack of three, each member by itself
+        for wt in (wts[0], wts):
+            _CountingMatmul.products = 0
+            got = np.asarray(traces(wt.view(_CountingMatmul)))
+            # the alternating words of up to k letters applied to the
+            # eigenvector block of rho, V B formed once beforehand
+            assert _CountingMatmul.products == 2 * k - 1
+            for member, values in zip(np.reshape(wt, (-1, 8, 8)), np.reshape(got, (-1, 4 * k))):
+                ops["w"] = member
+                for word, value in zip(quasiprob._words(k), values):
+                    product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")],
+                                               np.eye(8))
+                    assert abs(value - np.trace(product @ rho)) < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("form", ["psi", "weights"])
@@ -485,6 +509,15 @@ class TestWordExpansion:
             for word, value in zip(quasiprob._words(k), traces(w_e, given)):
                 product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
                 assert abs(value - np.trace(product @ rho)) < 1e-12
+
+    def test_matmul_takes_blocks_and_stacks(self, rng):
+        # a real matrix times a complex operand takes one real product over
+        # the interleaved real and imaginary parts, for any leading axes
+        d = 8
+        a = rng.normal(size=(d, d))
+        for shape in ((d, d, d), (d, 1), (d, d)):
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.max(np.abs(quasiprob._matmul(a, b) - np.matmul(a, b))) < 1e-13
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_entries_sum_to_trace_and_moment_is_fk(self, small_chain, make_density, k):

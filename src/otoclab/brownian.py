@@ -10,7 +10,9 @@ reproduces the Ito drift -(N/2) U dt automatically while staying exactly
 unitary.
 
 Ensemble averages of the coarse quasiprobability collapse onto a handful
-of averaged correlators; at infinite temperature only the averaged OTOC
+of averaged correlators. Each closed form writes down the eight averaged
+word traces and takes its entry from the word table of quasiprob, as the
+trajectories do; at infinite temperature only the averaged OTOC
 survives, giving the late-time clustering values {3/16, 1/16, -1/16}.
 Trajectories use independent RNG streams seeded by (seed, trajectory
 index), so runs are reproducible under any execution order. They advance
@@ -280,62 +282,53 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     )
 
 
+def _closed_form_entry(traces, outcome) -> complex:
+    """The entry at outcome = (v1, w2, v2, w3) of eight averaged word traces
+    in quasiprob._words(2) order: 1, v, w, wv, vw, vwv, wvw, wvwv."""
+    idx = tuple(int(s > 0) for s in outcome)
+    return complex(quasiprob._entries(np.asarray(traces, dtype=complex), 2)[idx])
+
+
 def analytic_avg_quasiprob(w2: float, w3: float, v1: float, v2: float,
                            f_value: complex) -> float:
     """Infinite-temperature ensemble-average entry, from the averaged OTOC alone.
 
-    ((1 + w2 w3 + v1 v2) + w2 w3 v1 v2 F) / 16; at F = 0 the four sign
-    classes give 3/16, 1/16, 1/16, -1/16.
+    At rho = 1/d every averaged word trace but Tr(rho) = 1 and F vanishes,
+    which gives ((1 + w2 w3 + v1 v2) + w2 w3 v1 v2 Re F) / 16; at F = 0
+    the four sign classes give 3/16, 1/16, 1/16, -1/16.
     """
-    return float(((1.0 + w2 * w3 + v1 * v2)
-                  + w2 * w3 * v1 * v2 * np.real(f_value)) / 16.0)
+    traces = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.real(f_value)]
+    return _closed_form_entry(traces, (v1, w2, v2, w3)).real
 
 
 def general_state_avg(config: BrownianConfig, rho, outcome: tuple, t: float,
                       f12_value: complex, otoc_value: complex) -> complex:
-    """Ensemble-average entry for a general state.
+    """Ensemble-average entry for a general state, with W = sigma^z on
+    site 1 and V = sigma^z on site 2; outcome = (v1, w2, v2, w3).
 
-    outcome = (v1, w2, v2, w3). The single-operator and two-point averages
-    follow their closed-form decay (dq/dt = -2q from the ensemble
-    generator), so only the three-operator average f12 and the averaged
-    OTOC need Monte Carlo input; pass those at the same time t (e.g. from
-    ensemble_averages correlators "f_12" and "F").
+    The averaged traces of W, W V, V W and V W V decay from their t = 0
+    values as e^{-2t} (dq/dt = -2q from the ensemble generator), so only
+    f12 = <W(t) V W(t)> and the averaged OTOC need Monte Carlo input; pass
+    those at the same time t (ensemble_averages' "f_12" and "F").
     """
-    v1, w2, v2, w3 = outcome
-    n = config.n
-    s1 = spin.site_pauli(n, 1, "z")
-    s2 = spin.site_pauli(n, 2, "z")
-    rho = np.asarray(rho, dtype=complex)
-    decay = math.exp(-2.0 * t)
-    q1 = complex(np.trace(rho @ s1)) * decay
-    q2 = complex(np.trace(rho @ s2))
-    q12 = complex(np.trace(rho @ s1 @ s2)) * decay
-    total = (
-        1.0 + w3 * w2 + v1 * v2
-        + (w3 + w2) * q1
-        + (v1 + v2) * q2
-        + (w3 * v2 + w3 * v1 + w2 * v1) * q12
-        + v2 * w2 * np.conj(q12)
-        + w3 * v2 * w2 * f12_value
-        + (w3 + w2) * v1 * v2 * q1
-        + w3 * w2 * v1 * q2
-        + w3 * w2 * v1 * v2 * otoc_value
-    )
-    return complex(total / 16.0)
+    w = spin.site_pauli(config.n, 1, "z")
+    v = spin.site_pauli(config.n, 2, "z")
+    traces = quasiprob._word_traces(np.asarray(rho, dtype=complex), v, 2)(w)
+    traces[2:6] *= math.exp(-2.0 * t)
+    traces[6:] = f12_value, otoc_value
+    return _closed_form_entry(traces, outcome)
 
 
 def sigma2z_eigenstate_avg(outcome: tuple, q1_value: complex,
                            otoc_value: complex) -> complex:
     """Ensemble-average entry for a +1 eigenstate of sigma^z on site 2.
 
-    Vanishes unless v1 = +1; after the single-operator average decays the
-    entry is governed by the averaged OTOC alone.
+    V rho = rho V = rho makes every word trace 1, q1 = <W(t)> or the
+    averaged OTOC F, so the entry vanishes unless v1 = +1 and is governed
+    by q1 and F alone.
     """
-    v1, w2, v2, w3 = outcome
-    k1 = (1.0 + v1) * (1.0 + v2 + w3 * w2)
-    k2 = (1.0 + v1) * (w3 + w2) * (1.0 + v2)
-    k3 = (1.0 + v1) * w3 * v2 * w2
-    return complex((k1 + k2 * q1_value + k3 * otoc_value) / 16.0)
+    traces = [1.0, 1.0, q1_value, q1_value, q1_value, q1_value, otoc_value, otoc_value]
+    return _closed_form_entry(traces, outcome)
 
 
 def phenomenological_otoc(t, c1: float, c2: float):

@@ -88,7 +88,7 @@ _HELP = {
     "t": "evaluation time",
     "dt": "integration step",
     "trajectories": "ensemble size",
-    "phis": "comma-separated coupling strengths",
+    "phis": "comma-separated coupling strengths in [0, pi/2], 3 or more nonzero",
     "shots": "0 = exact probabilities",
     "protocol": "weak-measurement protocol",
     "instances": "random instances to compare",
@@ -201,7 +201,12 @@ def _validate(experiment: str, cfg: dict):
         raise ConfigError(f"khat must be an integer in [2, {quasiprob._KFOLD_MAX}]")
     at_least("seed", 0, "a nonnegative integer")
     if "state" in cfg:
-        _parse_state(cfg["state"])
+        kind, _ = _parse_state(cfg["state"])
+        if kind == "thermal" and experiment == "brownian-ensemble":
+            raise ConfigError("brownian-ensemble has no Hamiltonian; "
+                              "thermal states are undefined here")
+    if "phis" in cfg:
+        _parse_phis(cfg["phis"])
     if "j" in cfg:
         positive("j")
     for key in ("h_field", "g_field"):
@@ -242,6 +247,22 @@ def _parse_state(spec):
     except ValueError:
         pass
     raise ConfigError(f"bad state {text!r}, expected {_HELP['state']}")
+
+
+def _parse_phis(value) -> tuple[float, ...]:
+    """The coupling strengths of a phis list (a comma-separated string or
+    a JSON list): each in [0, pi/2], at least 3 of them distinct and
+    nonzero, since both phase modes share the list."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        phis = tuple(float(p) for p in items)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad phis list {value!r}") from exc
+    # nan and inf fail the range test
+    if not all(0.0 <= p <= math.pi / 2 for p in phis) or len({p for p in phis if p > 0}) < 3:
+        raise ConfigError(f"phis must lie in [0, pi/2] with at least 3 distinct "
+                          f"nonzero values, got {value!r}")
+    return phis
 
 
 def _resolve_state(spec, n: int, h_sys):
@@ -397,9 +418,6 @@ def _run_brownian_ensemble(cfg):
     )
     w = _parse_site_axis(cfg["w"], cfg["n"], "w").matrix()
     v = _parse_site_axis(cfg["v"], cfg["n"], "v").matrix()
-    if str(cfg["state"]).startswith("thermal"):
-        raise ConfigError("brownian-ensemble has no Hamiltonian; "
-                          "thermal states are undefined here")
     rho = quasiprob.density_matrix(_resolve_state(cfg["state"], cfg["n"], None))
     result = brownian.ensemble_averages(config, rho=rho, w_op=w, v_op=v)
     labels = _bit_labels(4)
@@ -430,15 +448,8 @@ def _run_weakmeas_inference(cfg):
     h_sys, w, v, state = _chain_pieces(cfg)
     w, v = w.matrix(), v.matrix()
     rho = quasiprob.density_matrix(state, h_sys)
-    try:
-        if isinstance(cfg["phis"], (list, tuple)):
-            phis = tuple(float(p) for p in cfg["phis"])
-        else:
-            phis = tuple(float(p) for p in str(cfg["phis"]).split(","))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad phis list {cfg['phis']!r}") from exc
     records = weakmeas.standard_protocol_records(
-        rho, w, v, h_sys, cfg["t"], phis=phis, shots=cfg["shots"],
+        rho, w, v, h_sys, cfg["t"], phis=_parse_phis(cfg["phis"]), shots=cfg["shots"],
         seed=cfg["seed"], protocol=cfg["protocol"],
     )
     inferred, report = weakmeas.infer_coarse_quasiprob(records)

@@ -41,7 +41,8 @@ class DecompositionReport:
         return complex(sum(self.coefficients.values()))
 
 
-def _bases_and_propagator(w_op, v_op, hamiltonian, t):
+def _bases(w_op, v_op):
+    """The eigensystems of W and V, within the fine-grained guard."""
     w_sys = quasiprob._eigensystem(w_op)
     v_sys = quasiprob._eigensystem(v_op)
     dim = w_sys.dim
@@ -50,8 +51,7 @@ def _bases_and_propagator(w_op, v_op, hamiltonian, t):
             f"dimension {dim} exceeds the fine-grained guard "
             f"{quasiprob._FINE_MAX_DIM}"
         )
-    u = quasiprob.propagator(hamiltonian, t)
-    return w_sys, v_sys, u
+    return w_sys, v_sys
 
 
 def overlap_magnitudes(w_op, v_op, unitary) -> np.ndarray:
@@ -69,7 +69,8 @@ def asym_decohere(rho, w_op, v_op, hamiltonian, t: float) -> np.ndarray:
            <v,nu|rho U'|w,lambda> |v,nu><w,lambda|U.
     The subtraction preserves the trace and can break Hermiticity.
     """
-    w_sys, v_sys, u = _bases_and_propagator(w_op, v_op, hamiltonian, t)
+    w_sys, v_sys = _bases(w_op, v_op)
+    u = quasiprob.propagator(hamiltonian, t)
     rho = np.asarray(rho, dtype=complex)
     return _decohere(rho, u, w_sys.eigenvectors, v_sys.eigenvectors)[0]
 
@@ -158,7 +159,7 @@ class OverlapStatistics:
 
 def mub_overlap_statistics(w_op, v_op, hamiltonian, times) -> OverlapStatistics:
     """Track |<w,lambda|U_t|v,nu>| toward the unbiased plateau 1/sqrt(d)."""
-    w_sys, v_sys, _ = _bases_and_propagator(w_op, v_op, hamiltonian, 0.0)
+    w_sys, v_sys = _bases(w_op, v_op)
     h_sys = quasiprob._eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
     dim = w_sys.dim

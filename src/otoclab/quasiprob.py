@@ -311,16 +311,14 @@ def _energy_frame(sys: qla.HermitianEigensystem, *ops) -> list[np.ndarray]:
     return out
 
 
-def _phases(sys: qla.HermitianEigensystem, t: complex) -> np.ndarray:
+def _phases(sys: qla.HermitianEigensystem, t: float) -> np.ndarray:
     """e^{-i E t}, the diagonal of U in the energy frame."""
     return np.exp(-1j * sys.eigenvalues * t)
 
 
 def _dress(op_e, phase) -> np.ndarray:
     """Udag op U in the energy frame for U = diag(phase), an elementwise
-    phase dressing. The phases of a complex time t - i s,
-    _phases(sys, t - i s), give e^{-sH} Udag op U e^{-sH}.
-    """
+    phase dressing."""
     return (phase.conj()[:, None] * op_e) * phase[None, :]
 
 
@@ -883,26 +881,20 @@ def work_distribution(quasi: QuasiDistribution) -> WorkDistribution:
 def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
     """Thermally regulated coarse distribution and its correlator on a time grid.
 
-    The propagator U = exp(-i H t) is replaced by
-    Utld = exp(-i H (t - i/(4T))) / Z^{1/4}, which splits one thermal state
-    into four quarter powers interleaved with the projectors; Utld is
-    diagonal in the energy frame, so a regulated W(t) projector is the t=0
-    one dressed at the complex time t - i/(4T), over sqrt(Z). Returns
-    (QuasiSeries, CorrelatorSeries) with the correlator
+    The thermal state rho = e^{-H/T}/Z is split into four quarter powers
+    interleaved with the projectors: each W(t) projector P becomes
+    rho^{1/4} P rho^{1/4}, with rho^{1/4} diagonal in the energy frame and
+    taken from spin.thermal_weights. Returns (QuasiSeries,
+    CorrelatorSeries) with the correlator
     F_reg = Tr(rho^{1/4} W(t) rho^{1/4} V rho^{1/4} W(t) rho^{1/4} V),
-    which the usual moment of each distribution reproduces; rho^{1/4} is
-    diagonal in the energy frame, so F_reg is the word trace of
-    W' V W' V for W' = rho^{1/4} W rho^{1/4}, at unit weights.
+    which the usual moment of each distribution reproduces: the word trace
+    of W' V W' V for W' = rho^{1/4} W(t) rho^{1/4}, at unit weights.
     """
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
     w_op, v_op = _dense(w_op), _dense(v_op)
-    _check_dims(w_op, v_op)
     sys = _eigensystem(hamiltonian)
-    _check_dims(w_op, sys.eigenvectors)
+    _check_dims(w_op, v_op, sys.eigenvectors)
     times = np.asarray(times, dtype=float)
-    z = float(np.sum(np.exp(-sys.eigenvalues / temperature)))
-    rho_quarter = np.exp(-sys.eigenvalues / (4.0 * temperature)) / z**0.25
+    rho_quarter = spin.thermal_weights(sys.eigenvalues, temperature) ** 0.25
     w_evs, w_projs_e = _energy_projectors(sys, w_op)
     v_evs, v_projs_e = _energy_projectors(sys, v_op)
     w_e, v_e = _energy_frame(sys, w_op, v_op)
@@ -912,10 +904,10 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
                    dtype=complex)
     f_reg = np.empty(times.shape[0], dtype=complex)
     for i, t in enumerate(times):
-        phase_reg = _phases(sys, t - 1j / (4.0 * temperature))
-        pw_reg = [_dress(p, phase_reg) / np.sqrt(z) for p in w_projs_e]
+        phase = _phases(sys, t)
+        pw_reg = [rho_quarter[:, None] * _dress(p, phase) * rho_quarter for p in w_projs_e]
         out[i] = _four_projector_trace(v_projs_e, pw_reg)
-        f_reg[i] = word_traces(w_reg, _phases(sys, t))[_words(2).index("wvwv")]
+        f_reg[i] = word_traces(w_reg, phase)[_words(2).index("wvwv")]
     dist = QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
                        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs))
     return dist, CorrelatorSeries(times=times, values=f_reg, label="regulated otoc")

@@ -217,15 +217,6 @@ def eigenprojector(o, eigenvalue: float) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def distinct_eigenvalues(o) -> np.ndarray:
-    """Ascending distinct eigenvalues of a Hermitian operator."""
-    sys = qla.eigh(o)
-    vals = []
-    for start, _ in sys.degenerate_groups():
-        vals.append(sys.eigenvalues[start])
-    return np.array(vals)
-
-
 def local_eigenbasis(n: int, site: int, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labeled eigenbasis of a single-site Pauli on an n-site chain.
 

@@ -60,29 +60,6 @@ class CouplingConfig:
             raise ValueError(f"phase_mode must be one of {PHASE_MODES}")
 
 
-@dataclass(frozen=True)
-class PartialProjection:
-    """Kraus pair D+ = sqrt(p) Pi+ + sqrt(1-p) Pi-, D- with p and 1-p swapped."""
-
-    p: float
-    plus_projector: np.ndarray
-    minus_projector: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        d_plus, d_minus = self.kraus()
-        total = qla.dagger(d_plus) @ d_plus + qla.dagger(d_minus) @ d_minus
-        if np.max(np.abs(total - np.eye(total.shape[0]))) > _COMPLETENESS_TOL:
-            raise ValueError("partial projection violates Kraus completeness")
-
-    def kraus(self) -> tuple[np.ndarray, np.ndarray]:
-        sp, sq = math.sqrt(self.p), math.sqrt(1.0 - self.p)
-        d_plus = sp * self.plus_projector + sq * self.minus_projector
-        d_minus = sq * self.plus_projector + sp * self.minus_projector
-        return d_plus, d_minus
-
-
 def slot_coefficients(coupling: CouplingConfig) -> dict[int, tuple[complex, complex]]:
     """Coefficients (a_s, b_s) of M_s = a_s 1 + b_s Pi for outcomes s = +1, -1.
 

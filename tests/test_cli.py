@@ -186,18 +186,27 @@ class TestConfigHandling:
         ["retrodict-benchmark", "--seed", "-1"],
         ["brownian-ensemble", "--seed", "-1"],
         ["weakmeas-inference", "--shots", "10", "--seed", "-1"],
+        ["weakmeas-inference", "--phis", "0.1,0.2"],
+        ["weakmeas-inference", "--phis", "2.0,0.1,0.2"],
+        ["weakmeas-inference", "--phis", "nan,0.1,0.2,0.3"],
+        ["weakmeas-inference", "--phis", "bogus"],
     ])
     def test_bad_configuration_exits_two(self, capsys, argv):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 2
         assert "config error" in err
 
-    def test_bad_state_is_rejected_before_the_hamiltonian_is_built(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, message", [
+        (["otoc-series", "--n", "12", "--state", "bogus"], "bad state"),
+        (["weakmeas-inference", "--n", "10", "--phis", "bogus"], "bad phis"),
+    ], ids=["state", "phis"])
+    def test_bad_input_is_rejected_before_the_hamiltonian_is_built(self, capsys, monkeypatch,
+                                                                   argv, message):
         built = []
         monkeypatch.setattr(spin, "ising_hamiltonian", lambda *a: built.append(a))
-        rc, _, err = run_cli(capsys, "otoc-series", "--n", "12", "--state", "bogus")
+        rc, _, err = run_cli(capsys, *argv)
         assert rc == 2
-        assert "bad state" in err
+        assert message in err
         assert built == []
 
     @pytest.mark.parametrize("experiment, values", [

@@ -135,6 +135,19 @@ class TestOverlapStatistics:
         assert st.mean.shape == (3,)
         assert np.all(st.minimum[1:] >= 0)
 
+    def test_diagonalizes_each_operator_once(self, two_site, monkeypatch):
+        # W, V and a raw-matrix H take one eigh each; a passed eigensystem none
+        w, v, h = two_site
+        calls = []
+        eigh = qla.eigh
+        monkeypatch.setattr(qla, "eigh", lambda m, *a, **k: calls.append(1) or eigh(m, *a, **k))
+        raw = decomp.mub_overlap_statistics(w, v, h, [0.0, 1.0, 2.0])
+        assert len(calls) == 3
+        calls.clear()
+        given = decomp.mub_overlap_statistics(w, v, eigh(h), [0.0, 1.0, 2.0])
+        assert len(calls) == 2
+        assert np.array_equal(raw.magnitudes, given.magnitudes)
+
     def test_histogram_counts_every_pair(self, two_site):
         w, v, h = two_site
         st = decomp.mub_overlap_statistics(w, v, h, [0.0, 2.0])

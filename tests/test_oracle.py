@@ -17,12 +17,14 @@ checked against their matrices and the same lab-frame routes.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab import brownian, qla, quasiprob, spin, weakmeas
+from otoclab import brownian, cli, qla, quasiprob, spin, weakmeas
 
 TOL = 1e-10
 
@@ -153,6 +155,68 @@ def test_regulated_series_matches_explicit_u_reg(instance, temperature):
         wt = u.conj().T @ w @ u
         want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
         assert abs(f_reg.values[i] - want) < TOL
+
+
+def test_regulated_series_at_low_temperature_on_the_cli_chain():
+    """At T = 0.01 on the n = 6 chain of regulated-series, e^{-E/T} leaves
+    the floating range unless E is counted from its minimum; the entries
+    must still sum to 1, carry F_reg as moment and match a lab-frame
+    rho^{1/4} built from shifted energies."""
+    cfg = cli.DEFAULTS["regulated-series"]
+    n, temperature, times = cfg["n"], 0.01, [0.0, 0.7, 3.0]
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=cfg["j"], h=cfg["h_field"],
+                                                  g=cfg["g_field"]))
+    w, v = spin.site_pauli(n, 1, "z"), spin.site_pauli(n, n, "z")
+    dist, f_reg = quasiprob.regulated_series(h, temperature, w, v, times)
+    assert max_dev(dist.values.sum(axis=(1, 2, 3, 4)), 1.0) < 1e-9
+    assert max_dev(quasiprob.otoc_moment(dist), f_reg.values) < 1e-10
+    evals, vecs = np.linalg.eigh(h)
+    boltzmann = np.exp(-(evals - evals.min()) / temperature)
+    rho_quarter = (vecs * (boltzmann / boltzmann.sum()) ** 0.25) @ vecs.conj().T
+    pv = pm_projectors(v)
+    for i, t in enumerate(times):
+        u = lab_exp(h, -1j * t)
+        wt = u.conj().T @ w @ u
+        pw = [rho_quarter @ p @ rho_quarter for p in pm_projectors(wt)]
+        for i1, i2, i3, i4 in np.ndindex(2, 2, 2, 2):
+            want = np.trace(pw[i4] @ pv[i3] @ pw[i2] @ pv[i1])
+            assert abs(dist.values[i, i1, i2, i3, i4] - want) < TOL
+        want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
+        assert abs(f_reg.values[i] - want) < TOL
+
+
+def test_brownian_closed_forms_match_projector_traces_at_time_zero():
+    """At t = 0 the ensemble is the identity, so each closed form must be
+    the four-projector trace Tr(P_w3 P_v2 P_w2 P_v1 rho) of its state, for
+    W = sigma^z on site 1 and V = sigma^z on site 2 of three sites."""
+    cfg = brownian.BrownianConfig(n=3)
+    w, v = spin.site_pauli(3, 1, "z"), spin.site_pauli(3, 2, "z")
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    psi = (np.eye(8) + v) @ (rng.normal(size=8) + 1j * rng.normal(size=8))
+    v_plus = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    mixed = np.eye(8, dtype=complex) / 8
+
+    def trace(state, outcome):
+        v1, w2, v2, w3 = outcome
+        return np.trace(spin.eigenprojector(w, w3) @ spin.eigenprojector(v, v2)
+                        @ spin.eigenprojector(w, w2) @ spin.eigenprojector(v, v1) @ state)
+
+    def expect(op, state):
+        return np.trace(op @ state)
+
+    for outcome in itertools.product((-1, 1), repeat=4):
+        v1, w2, v2, w3 = outcome
+        got = brownian.general_state_avg(cfg, rho, outcome, 0.0, expect(w @ v @ w, rho),
+                                         expect(w @ v @ w @ v, rho))
+        assert abs(got - trace(rho, outcome)) < TOL
+        got = brownian.sigma2z_eigenstate_avg(outcome, expect(w, v_plus),
+                                              expect(w @ v @ w @ v, v_plus))
+        assert abs(got - trace(v_plus, outcome)) < TOL
+        got = brownian.analytic_avg_quasiprob(w2, w3, v1, v2, 1.0)
+        assert abs(got - trace(mixed, outcome)) < TOL
 
 
 def _lab_and_compact_states(h, sys, rng):

@@ -232,11 +232,6 @@ def test_eigenprojector_completeness():
         spin.eigenprojector(w, 0.5)
 
 
-def test_distinct_eigenvalues():
-    w = spin.site_pauli(4, 1, "z")
-    assert np.array_equal(spin.distinct_eigenvalues(w), np.array([-1.0, 1.0]))
-
-
 class TestLocalEigenbasis:
     def test_matches_operator(self):
         n, site = 3, 2

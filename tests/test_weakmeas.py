@@ -63,15 +63,6 @@ class TestCouplings:
         with pytest.raises(ValueError):
             weakmeas.kraus_pair(0.5 * np.eye(2), weakmeas.CouplingConfig(0.1))
 
-    def test_partial_projection_completeness(self):
-        proj = spin.eigenprojector(spin.PAULI_Z, 1.0)
-        pp = weakmeas.PartialProjection(0.7, proj, np.eye(2) - proj)
-        dp, dm = pp.kraus()
-        total = qla.dagger(dp) @ dp + qla.dagger(dm) @ dm
-        assert np.max(np.abs(total - np.eye(2))) < 1e-12
-        with pytest.raises(ValueError):
-            weakmeas.PartialProjection(1.5, proj, np.eye(2) - proj)
-
 
 def test_ancilla_subcircuit_matches_kraus_pair():
     """Contracting the two-qubit ancilla circuit reproduces the symmetric

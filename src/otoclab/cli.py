@@ -187,6 +187,8 @@ def _validate(experiment: str, cfg: dict):
     for key in ("t_max", "t_step", "t", "dt", "temperature"):
         if key in cfg:
             positive(key)
+    if "dt" in cfg and cfg["dt"] > brownian._MAX_DT:
+        raise ConfigError(f"dt must not exceed {brownian._MAX_DT} (Ito-regime guard)")
     if "t_max" in cfg:
         if cfg["t_step"] > cfg["t_max"]:
             raise ConfigError("t_step must not exceed t_max")
@@ -254,6 +256,8 @@ def _parse_phis(value) -> tuple[float, ...]:
     a JSON list): each in [0, pi/2], at least 3 of them distinct and
     nonzero, since both phase modes share the list."""
     items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    if any(isinstance(p, bool) for p in items):
+        raise ConfigError(f"bad phis list {value!r}")
     try:
         phis = tuple(float(p) for p in items)
     except (TypeError, ValueError) as exc:
@@ -463,7 +467,7 @@ def _run_weakmeas_inference(cfg):
         rows.append([lab, est.real, est.imag, ref.real, ref.imag, abs(est - ref), *se])
     columns = ["label", "re_inferred", "im_inferred", "re_direct",
                "im_direct", "abs_error", "se_re", "se_im"]
-    health = {"max_effective_condition": max(report.effective_conditions.values()),
+    health = {"max_effective_condition": report.effective_condition,
               "max_residual": max(report.residuals.values())}
     return columns, rows, health
 

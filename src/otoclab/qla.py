@@ -61,15 +61,15 @@ def hermiticity_defect(a) -> float:
     return float(np.max(np.abs(m - dagger(m))))
 
 
-def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})")
     return m
 
 
-def assert_hermitian(a, tol: float = HERMITIAN_TOL, stack: bool = False) -> np.ndarray:
-    return _require_hermitian(as_square_array(a, stack), tol)
+def assert_hermitian(a) -> np.ndarray:
+    return _require_hermitian(as_square_array(a))
 
 
 def unitarity_defect(u) -> float:
@@ -178,7 +178,7 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return vecs * (c.conj() / np.hypot(c.real, c.imag))
 
 
-def eigh(h, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
+def eigh(h) -> HermitianEigensystem:
     """Eigendecomposition of a Hermitian matrix with a reproducible basis.
 
     Eigenvalues come back ascending. Within each degenerate group the
@@ -200,7 +200,7 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
     m = as_square_array(h, stack=True)
     if m.ndim == 2 and not np.any(m.imag):
         m = m.real
-    _require_hermitian(m, tol)
+    _require_hermitian(m)
     evals, evecs = np.linalg.eigh(m)
     out = _fix_phase(evecs)
     # a degenerate group exists iff some adjacent spacing is within the

@@ -65,6 +65,7 @@ from . import qla, spin
 _KEY_DECIMALS = 9          # bucket size for collecting eigenvalue products
 _FINE_MAX_DIM = 64         # 6 qubits; the fine tensor holds dim**4 entries
 _KFOLD_MAX = 5
+_INVOLUTION_TOL = 1e-10    # max |O O - 1| for (1 +- O)/2 projectors
 
 COARSE_AXES = ("v1", "w2", "v2", "w3")
 
@@ -352,7 +353,7 @@ def _hermiticity_defect(op) -> float:
     return qla.hermiticity_defect(op)
 
 
-def _is_hermitian_involution(op, tol: float = 1e-10) -> bool:
+def _is_hermitian_involution(op) -> bool:
     """O = Odag and O O = 1, so O has eigenvalues +-1 and projectors (1 +- O)/2.
 
     A spin.PauliString is tested on its table in O(d), with the dense
@@ -363,11 +364,11 @@ def _is_hermitian_involution(op, tol: float = 1e-10) -> bool:
     if _hermiticity_defect(op) > qla.HERMITIAN_TOL:
         return False
     if isinstance(op, spin.PauliString):
-        return op.involution_defect() <= tol
+        return op.involution_defect() <= _INVOLUTION_TOL
     m = np.asarray(op)
     if not np.any(m.imag):
         m = m.real
-    return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= _INVOLUTION_TOL)
 
 
 def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -7,19 +7,23 @@ with two weak couplings suffices. Each weak coupling applies a Kraus pair
 of the form M_s = a_s 1 + b_s Pi, so every joint outcome probability is
 exactly multilinear in the slot coefficients (a, b).
 
-Inference exploits that structure directly, with one inversion for both
+Inference exploits that structure directly, with one linear map for both
 families: the probabilities of each final-outcome block are linear in a
 fixed family of sandwich traces T[i, j] = Tr(Pi_final S_i rho S_j^dag)
-with S drawn from products of the two projectors. Collecting runs at
-several coupling strengths in both phase modes (real and imaginary
-coupling coefficient) gives an overdetermined real linear system; the
-quasiprobability is assembled from the solved traces by
-inclusion-exclusion over projector complements, and the remaining traces
-are the independently measurable background terms. What differs between
-the families (the number of weak slots, the sandwich list and how slot
-patterns index it, its dagger permutation, the identifiable rank, and
-where the final outcomes sit in a record) is one row of the _PROTOCOLS
-table.
+with S drawn from products of the two projectors. An outcome's
+coefficients on the slot patterns are the Kronecker product over slots
+of [[a+, b+], [a-, b-]]; the index tuples x and y send each pattern to
+the sandwich left and right of rho; and one complex array P writes T as
+P . sol over the real unknowns sol. Collecting runs at several coupling
+strengths in both phase modes (real and imaginary coupling coefficient)
+gives one overdetermined real design that every block shares; the
+quasiprobability is the identity-column traces T[x, 0] = P[x, 0] . sol
+summed by inclusion-exclusion over projector complements, and the
+remaining traces are the independently measurable background terms.
+What differs between the families (the number of weak slots, the
+sandwich list and the x, y tuples that index it, its dagger permutation,
+the identifiable rank, and where the final outcomes sit in a record) is
+one row of the _PROTOCOLS table.
 """
 from __future__ import annotations
 
@@ -316,18 +320,21 @@ class _Protocol:
     """One circuit family, as the inversion sees it.
 
     A slot pattern takes, per weak coupling, a_s 1 (bit 0) or b_s Pi
-    (bit 1); it picks the sandwich operator S_{x_map[pat]} left of rho and
-    S_{y_map[pat]}^dag right of it. sigma is the dagger permutation of the
-    sandwich list, T[i,j]* = T[sigma(j), sigma(i)], and rank counts the
+    (bit 1); patterns run in binary order, the first coupling the most
+    significant bit. Pattern p picks the sandwich operator S_{x[p]} left
+    of rho and S_{y[p]}^dag right of it. sigma is the dagger permutation of
+    the sandwich list, T[i,j]* = T[sigma(j), sigma(i)], and rank counts the
     real degrees of freedom the records identify. final gives the
     positions of the final-outcome eigenvalues in each record outcome
     tuple, in tensor axis order; the ancilla outcomes fill the leading
-    axes.
+    axes. per_slot builds a Kronecker product of 2x2 per-slot factors and
+    onehot the pattern-to-sandwich matrix of x or y; _columns(sigma) is
+    the parameterization P of the traces.
     """
 
     slots: int
-    x_map: dict
-    y_map: dict
+    x: tuple
+    y: tuple
     sigma: tuple
     rank: int
     final: tuple
@@ -337,136 +344,86 @@ class _Protocol:
         """Ancilla outcome tuples, in the order records store them."""
         return list(itertools.product((1, -1), repeat=self.slots))
 
-    @property
-    def patterns(self) -> list[tuple]:
-        return list(itertools.product((0, 1), repeat=self.slots))
+    def per_slot(self, factor) -> np.ndarray:
+        """The Kronecker product of one 2x2 factor over the weak slots."""
+        return functools.reduce(np.kron, [np.asarray(factor)] * self.slots)
+
+    def onehot(self, index: tuple) -> np.ndarray:
+        """(patterns, sandwiches) matrix with a 1 at (p, index[p])."""
+        return np.eye(len(self.sigma))[list(index)]
 
 
 _PROTOCOLS = {
-    # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x_map indexes the
-    # product X3 X2 X1, y_map the product Y1 Y2 Y3; 27 of 36 real traces
-    "three-weak": _Protocol(
-        slots=3,
-        x_map={(0, 0, 0): 0, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1,
-               (0, 1, 0): 2, (1, 1, 0): 3, (0, 1, 1): 4, (1, 1, 1): 5},
-        y_map={(0, 0, 0): 0, (1, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1,
-               (0, 1, 0): 2, (1, 1, 0): 4, (0, 1, 1): 3, (1, 1, 1): 5},
-        sigma=(0, 1, 2, 4, 3, 5), rank=27, final=(3,)),
+    # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x indexes the
+    # product X3 X2 X1, y the product Y1 Y2 Y3; 27 of 36 real traces
+    "three-weak": _Protocol(slots=3, x=(0, 1, 2, 4, 1, 1, 3, 5), y=(0, 1, 2, 3, 1, 1, 4, 5),
+                            sigma=(0, 1, 2, 4, 3, 5), rank=27, final=(3,)),
     # sandwich list [1, Pv, Pw Pv, Pw]; both sides carry the same product,
     # so T is Hermitian; 13 of 16 real traces
-    "two-weak": _Protocol(
-        slots=2,
-        x_map={(0, 0): 0, (1, 0): 1, (0, 1): 3, (1, 1): 2},
-        y_map={(0, 0): 0, (1, 0): 1, (0, 1): 3, (1, 1): 2},
-        sigma=(0, 1, 2, 3), rank=13, final=(3, 0)),
+    "two-weak": _Protocol(slots=2, x=(0, 3, 1, 2), y=(0, 3, 1, 2),
+                          sigma=(0, 1, 2, 3), rank=13, final=(3, 0)),
 }
 
 
 @functools.cache
-def _columns(sigma: tuple) -> list:
-    """Real parameterization of the sandwich-trace array.
+def _columns(sigma: tuple) -> np.ndarray:
+    """Real parameterization T = P . sol of the sandwich-trace array.
 
-    The dagger permutation sigma gives T[i,j]* = T[sigma(j), sigma(i)]:
-    fixed points are real entries, the rest come in conjugate pairs stored
-    as (re, im) of one representative.
+    The dagger permutation sigma gives T[i,j]* = T[sigma(j), sigma(i)].
+    Fixed points are real entries, one column each with a 1 at (i, j);
+    the rest come in conjugate pairs, whose first entry in row-major order
+    gets a re column (1 there and at its mirror) and an im column (1j
+    there, -1j at its mirror). Real entries come first, then the pairs.
     """
-    real_entries, pair_reps, seen = [], [], set()
-    for i, j in itertools.product(range(len(sigma)), repeat=2):
-        if (i, j) in seen:
-            continue
-        mirror = (sigma[j], sigma[i])
-        seen.update({(i, j), mirror})
-        (real_entries if mirror == (i, j) else pair_reps).append((i, j))
-    return ([("re", e) for e in real_entries]
-            + [(part, p) for p in pair_reps for part in ("re", "im")])
+    n = len(sigma)
+    flat = np.arange(n * n)
+    mirror = flat.reshape(n, n)[np.ix_(sigma, sigma)].T.ravel()
+    real, rep = flat[mirror == flat], flat[flat < mirror]
+    re_col = len(real) + 2 * np.arange(len(rep))
+    p = np.zeros((n * n, len(real) + 2 * len(rep)), dtype=complex)
+    p[real, np.arange(len(real))] = 1.0
+    p[rep, re_col] = p[mirror[rep], re_col] = 1.0
+    p[rep, re_col + 1], p[mirror[rep], re_col + 1] = 1j, -1j
+    p.setflags(write=False)
+    return p.reshape(n, n, -1)
 
 
 def _design_rows(spec: _Protocol, coupling: CouplingConfig) -> np.ndarray:
-    """Design rows (one per ancilla outcome tuple) for one coupling."""
+    """Design rows (one per ancilla outcome tuple) for one coupling.
+
+    K = kron over slots of [[a+, b+], [a-, b-]] holds each outcome's
+    coefficient on each slot pattern; cx = K onehot(x) and cy = K onehot(y)
+    are its coefficients on the sandwiches left and right of rho, so its
+    probability is Re sum_ij cx_i cy_j* T_ij.
+    """
     ab = slot_coefficients(coupling)
-    n = len(spec.sigma)
-    cols = _columns(spec.sigma)
-    rows = np.zeros((len(spec.outcomes), len(cols)))
-    for r, s in enumerate(spec.outcomes):
-        cx = np.zeros(n, dtype=complex)
-        cy = np.zeros(n, dtype=complex)
-        for pat in spec.patterns:
-            prod = 1.0 + 0j
-            for slot in range(spec.slots):
-                a, b = ab[s[slot]]
-                prod *= b if pat[slot] else a
-            cx[spec.x_map[pat]] += prod
-            cy[spec.y_map[pat]] += prod
-        coef = np.outer(cx, cy.conj())
-        for k, (part, (i, j)) in enumerate(cols):
-            ci, cj = spec.sigma[j], spec.sigma[i]
-            if (ci, cj) == (i, j):
-                rows[r, k] = coef[i, j].real
-            elif part == "re":
-                rows[r, k] = (coef[i, j] + coef[ci, cj]).real
-            else:
-                rows[r, k] = -coef[i, j].imag + coef[ci, cj].imag
-    return rows
-
-
-def _identity_column_functionals(spec: _Protocol):
-    """Linear maps sol -> (Re, Im) of T[(x, 0)] for each sandwich index x."""
-    idx = {c: k for k, c in enumerate(_columns(spec.sigma))}
-    n = len(spec.sigma)
-    re_f = np.zeros((n, len(idx)))
-    im_f = np.zeros((n, len(idx)))
-    for x in range(n):
-        mirror = (spec.sigma[0], spec.sigma[x])
-        if mirror == (x, 0):
-            re_f[x, idx[("re", (x, 0))]] = 1.0
-        elif ("re", (x, 0)) in idx:
-            re_f[x, idx[("re", (x, 0))]] = 1.0
-            im_f[x, idx[("im", (x, 0))]] = 1.0
-        else:
-            re_f[x, idx[("re", mirror)]] = 1.0
-            im_f[x, idx[("im", mirror)]] = -1.0
-    return re_f, im_f
-
-
-def _assembly_weights(spec: _Protocol, slot_evs) -> np.ndarray:
-    """Inclusion-exclusion weights over the identity-column traces for the
-    weak-coupling eigenvalues slot_evs (one +-1 per slot)."""
-    wgt = np.zeros(len(spec.sigma))
-    for pat in spec.patterns:
-        weight = 1.0
-        for slot, ev in enumerate(slot_evs):
-            if ev > 0:
-                weight *= 1.0 if pat[slot] else 0.0
-            else:
-                weight *= -1.0 if pat[slot] else 1.0
-        if weight:
-            wgt[spec.x_map[pat]] += weight
-    return wgt
+    k = spec.per_slot([ab[+1], ab[-1]])
+    cx, cy = k @ spec.onehot(spec.x), k @ spec.onehot(spec.y)
+    return np.einsum("ri,rj,ijk->rk", cx, cy.conj(), _columns(spec.sigma)).real
 
 
 @dataclass
 class InferenceReport:
     """Diagnostics of one inversion: conditioning, residuals, background traces.
 
-    ranks, effective_conditions, residuals and background are keyed by the
-    final-outcome tuple of each solved block, in tensor axis order: (w3,)
-    for three-weak, (v3, w) for two-weak. background holds each block's
-    full solved sandwich-trace set; the quasiprobability uses only the
-    identity-column traces, the rest are the independently measured
-    background terms.
+    Every final-outcome block shares one design, so rank and
+    effective_condition are single numbers. residuals and background are
+    keyed by the final-outcome tuple of each solved block, in tensor axis
+    order: (w3,) for three-weak, (v3, w) for two-weak. background holds
+    each block's full solved sandwich-trace set; the quasiprobability uses
+    only the identity-column traces, the rest are the independently
+    measured background terms.
     """
 
     protocol: str
-    ranks: dict
-    effective_conditions: dict
+    rank: int
+    effective_condition: float
     residuals: dict
     background: dict
     phi_values: tuple[float, ...]
     modes: tuple[str, ...]
     sampled: bool
     std_errors: np.ndarray | None = None
-
-
 def _validate_records(records) -> tuple[str, tuple[float, ...], tuple[str, ...]]:
     if not records:
         raise ValueError("no measurement records supplied")
@@ -539,11 +496,14 @@ def infer_coarse_quasiprob(records):
 
 
 def _infer(protocol: str, records, phis, modes):
-    """One least-squares solve per final-outcome block.
+    """One least-squares solve for every final-outcome block at once.
 
     The design matrix depends only on the couplings, so it, its
-    conditioning and (for sampled records) its pseudo-inverse are built
-    once; each block then solves for its own frequency vector.
+    conditioning and (for sampled records) its pseudo-inverse are shared
+    by the blocks; each block's column of the right-hand side is its own
+    frequency vector. The entries are T[x, 0] = P[x, 0] . sol summed with
+    the inclusion-exclusion weights kron over slots of [[1, -1], [0, 1]]
+    (outcome -1 is 1 - Pi, outcome +1 is Pi) on the left sandwiches x.
     """
     spec = _PROTOCOLS[protocol]
     sampled = any(r.counts is not None for r in records)
@@ -551,57 +511,44 @@ def _infer(protocol: str, records, phis, modes):
     finals = [np.array(sorted({out[p] for out in records[0].outcomes}))
               for p in spec.final]
     shape = (2,) * spec.slots + tuple(len(evs) for evs in finals)
-    values = np.zeros(shape, dtype=complex)
-    errors = np.zeros(shape + (2,)) if sampled else None
-    re_f, im_f = _identity_column_functionals(spec)
-    weights = {w_idx: _assembly_weights(spec, pm[list(w_idx)])
-               for w_idx in np.ndindex(*(2,) * spec.slots)}
+    keys = [tuple(float(evs[i]) for evs, i in zip(finals, f_idx))
+            for f_idx in np.ndindex(*shape[spec.slots:])]
+    bins = [[[k for k, out in enumerate(rec.outcomes)
+              if all(abs(out[p] - ev) < 1e-9 for p, ev in zip(spec.final, key))]
+             for rec in records] for key in keys]
+    if any(len(b) != len(spec.outcomes) for per_rec in bins for b in per_rec):
+        raise ValueError("record bins do not cover all ancilla outcomes")
+    freqs = np.array([np.concatenate([rec.frequencies()[b] for rec, b in zip(records, per_rec)])
+                      for per_rec in bins]).T
     design = np.vstack([_design_rows(spec, rec.coupling) for rec in records])
     rank, cond = _conditioning(design, spec.rank)
-    pinv = np.linalg.pinv(design, rcond=1e-10) if sampled else None
-    ranks, conds, resids, background = {}, {}, {}, {}
-
-    for f_idx in np.ndindex(*shape[spec.slots:]):
-        key = tuple(float(evs[i]) for evs, i in zip(finals, f_idx))
-        b_vals, bin_lists = [], []
-        for rec in records:
-            bins = [k for k, out in enumerate(rec.outcomes)
-                    if all(abs(out[p] - ev) < 1e-9 for p, ev in zip(spec.final, key))]
-            if len(bins) != len(spec.outcomes):
-                raise ValueError("record bins do not cover all ancilla outcomes")
-            b_vals.append(rec.frequencies()[bins])
-            bin_lists.append(bins)
-        b_vec = np.concatenate(b_vals)
-        sol, *_ = np.linalg.lstsq(design, b_vec, rcond=None)
-        ranks[key], conds[key] = rank, cond
-        resids[key] = float(np.max(np.abs(design @ sol - b_vec)))
-        t_re = re_f @ sol
-        t_im = im_f @ sol
-        background[key] = {
-            "identity_column": [complex(re, im) for re, im in zip(t_re, t_im)],
-            "solution": sol,
-        }
-        if sampled:
-            cov_sol = pinv @ _block_covariance(records, bin_lists) @ pinv.T
-        for w_idx, wgt in weights.items():
-            values[w_idx + f_idx] = complex(wgt @ t_re, wgt @ t_im)
-            if sampled:
-                for part, ell in enumerate((wgt @ re_f, wgt @ im_f)):
-                    errors[w_idx + f_idx + (part,)] = math.sqrt(
-                        max(0.0, ell @ cov_sol @ ell))
+    sols, *_ = np.linalg.lstsq(design, freqs, rcond=None)
+    identity_col = _columns(spec.sigma)[:, 0]
+    ell = spec.per_slot([[1.0, -1.0], [0.0, 1.0]]) @ spec.onehot(spec.x) @ identity_col
+    errors = None
+    if sampled:
+        pinv = np.linalg.pinv(design, rcond=1e-10)
+        covs = np.array([_block_covariance(records, per_rec) for per_rec in bins])
+        var = [np.einsum("wn,bnm,wm->wb", g, covs, g) for g in (ell.real @ pinv, ell.imag @ pinv)]
+        errors = np.sqrt(np.maximum(0.0, np.stack(var, axis=-1))).reshape(shape + (2,))
+    t_col = identity_col @ sols
+    resids = np.max(np.abs(design @ sols - freqs), axis=0)
+    background = {key: {"identity_column": [complex(c) for c in t_col[:, b]],
+                        "solution": sols[:, b]} for b, key in enumerate(keys)}
 
     # the two-weak tensor puts its weak V and W on axes v1, w2 and its
     # final V outcome and prepared W eigenvalue on v2, w3
     dist = quasiprob.QuasiDistribution(
-        values=values,
+        values=(ell @ sols).reshape(shape),
         axis_names=quasiprob.COARSE_AXES,
         axis_eigenvalues=(pm,) * spec.slots + tuple(finals),
         grain="coarse",
         meta={"inferred_from": protocol},
     )
     report = InferenceReport(
-        protocol=protocol, ranks=ranks, effective_conditions=conds,
-        residuals=resids, background=background, phi_values=phis,
+        protocol=protocol, rank=rank, effective_condition=cond,
+        residuals={key: float(r) for key, r in zip(keys, resids)},
+        background=background, phi_values=phis,
         modes=modes, sampled=sampled, std_errors=errors,
     )
     return dist, report

@@ -190,6 +190,8 @@ class TestConfigHandling:
         ["weakmeas-inference", "--phis", "2.0,0.1,0.2"],
         ["weakmeas-inference", "--phis", "nan,0.1,0.2,0.3"],
         ["weakmeas-inference", "--phis", "bogus"],
+        ["brownian-ensemble", "--dt", "0.02", "--t-max", "0.1", "--t-step", "0.04",
+         "--trajectories", "2"],
     ])
     def test_bad_configuration_exits_two(self, capsys, argv):
         rc, _, err = run_cli(capsys, *argv)
@@ -216,6 +218,7 @@ class TestConfigHandling:
         ("otoc-series", {"t_max": True}),
         ("otoc-series", {"h_field": False}),
         ("kfold-series", {"khat": True}),
+        ("weakmeas-inference", {"phis": [True, 0.1, 0.2, 0.3]}),
     ])
     def test_boolean_config_values_are_rejected(self, tmp_path, capsys, experiment, values):
         # bool is an int subclass, so JSON true and false pass isinstance(x, int)

@@ -219,6 +219,33 @@ def test_brownian_closed_forms_match_projector_traces_at_time_zero():
         assert abs(got - trace(mixed, outcome)) < TOL
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("state", ["mixed", "v-diagonal"])
+def test_weak_inversion_recovers_the_sandwich_traces(n, state):
+    """Each solved identity-column trace of the three-weak inversion is
+    Tr(Pi^{W(t)}_{w3} S_x rho) for the sandwich list
+    S = [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv], with every projector an
+    explicit (1 + O)/2 product."""
+    chain = spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05)
+    h = spin.ising_hamiltonian(chain)
+    w, v = spin.site_pauli(n, 1, "z"), spin.site_pauli(n, n, "z")
+    t, dim = 0.8, 2 ** n
+    weights = np.ones(dim) if state == "mixed" else np.linspace(1.0, 2.0, dim)
+    rho = np.diag(weights / weights.sum()).astype(complex)
+    u = lab_exp(h, -1j * t)
+    wt = u.conj().T @ w @ u
+    eye = np.eye(dim)
+    pv, pw = (eye + v) / 2, (eye + wt) / 2
+    sandwiches = [eye, pv, pw, pw @ pv, pv @ pw, pv @ pw @ pv]
+    records = weakmeas.standard_protocol_records(rho, w, v, h, t)
+    _, report = weakmeas.infer_coarse_quasiprob(records)
+    for w3 in (-1.0, 1.0):
+        traces = report.background[(w3,)]["identity_column"]
+        final = (eye + w3 * wt) / 2
+        want = [np.trace(final @ s @ rho) for s in sandwiches]
+        assert max_dev(traces, want) < TOL
+
+
 def _lab_and_compact_states(h, sys, rng):
     """Each form a series takes, (state, its lab-frame rho) keyed by class.
     The lab-frame rho of weights and of psi is built by numpy directly."""

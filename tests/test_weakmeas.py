@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,8 +249,8 @@ class TestInferenceExact:
         records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0,
                                                      protocol=protocol)
         _, report = weakmeas.infer_coarse_quasiprob(records)
-        assert len(report.ranks) == (2 if protocol == "three-weak" else 4)
-        assert set(report.ranks.values()) == {rank}
+        assert report.rank == rank
+        assert len(report.residuals) == (2 if protocol == "three-weak" else 4)
 
     def test_unknown_protocol_rejected(self, two_site):
         rho, w, v, h = two_site
@@ -313,3 +317,14 @@ class TestInferenceSampled:
         _, rep_large = weakmeas.infer_coarse_quasiprob(large)
         ratio = np.median(rep_small.std_errors / rep_large.std_errors)
         assert ratio == pytest.approx(4.0, rel=0.3)  # sqrt(16)
+
+
+def test_weak_measurement_demo_runs():
+    """The demo reads InferenceReport fields, so a report change that
+    breaks it fails here."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "demos" / "weak_measurement_tour.py")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "worst design residual" in proc.stdout

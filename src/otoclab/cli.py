@@ -19,7 +19,11 @@ largest effective condition number and least-squares residual over the
 solved blocks; quasiprob-, toc-, kfold- and regulated-series: the largest
 |sum of entries - 1| and |moment - correlator| over the time grid, the
 correlator of quasiprob-series being the F its entries came with;
-work-distribution: |sum of entries - 1|).
+work-distribution: |sum of entries - 1|; otoc-series: the largest
+|F| - 1, floored at 0, and at infinite temperature, where F is real, the
+largest |Im F|). A key of HEALTH_LIMITS above its limit is a numeric
+failure; the weak-measurement keys are estimates, not invariants, and
+are reported only.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -39,6 +43,11 @@ from . import __version__, brownian, decomp, qla, quasiprob, retrodict, spin, we
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# health keys that are invariants of the exact result, with the largest
+# value a run may report before it exits 3 and writes nothing
+HEALTH_LIMITS = {"max_total_defect": 1e-6, "max_moment_defect": 1e-6,
+                 "unitarity_defect": 1e-6, "max_norm_excess": 1e-6, "max_imag_f": 1e-6}
 
 # a time grid, and a Brownian run's integration steps, stay below this many
 # points; a longer one is a configuration error
@@ -293,7 +302,7 @@ def _chain_pieces(cfg: dict):
     v = _parse_site_axis(cfg["v"], cfg["n"], "v")
     spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
                               g=cfg["g_field"])
-    h_sys = qla.eigh(spin.ising_hamiltonian(spec))
+    h_sys = qla.eigh(spin.ising_hamiltonian(spec), symmetry=spin.reflection(cfg["n"]))
     state = _resolve_state(cfg["state"], cfg["n"], h_sys) if "state" in cfg else None
     return h_sys, w, v, state
 
@@ -386,9 +395,12 @@ def _run_otoc_series(cfg):
     """F(t) on a time grid"""
     h_sys, w, v, state = _chain_pieces(cfg)
     ts = _time_grid(cfg)
-    series = quasiprob.otoc_series(state, w, v, h_sys, ts)
-    rows = [[t, val.real, val.imag] for t, val in zip(ts, series.values)]
-    return ["t", "re_f", "im_f"], rows
+    f = quasiprob.otoc_series(state, w, v, h_sys, ts).values
+    rows = [[t, val.real, val.imag] for t, val in zip(ts, f)]
+    health = {"max_norm_excess": max(float(np.max(np.abs(f))) - 1.0, 0.0)}
+    if _parse_state(cfg["state"])[0] == "infinite-temp":
+        health["max_imag_f"] = float(np.max(np.abs(f.imag)))
+    return ["t", "re_f", "im_f"], rows, health
 
 
 def _run_quasiprob_series(cfg):
@@ -591,6 +603,9 @@ def main(argv=None) -> int:
     try:
         # a runner returns (columns, rows) or (columns, rows, health)
         columns, rows, *health = RUNNERS[args.experiment](cfg)
+        for key, value in (health[0] if health else {}).items():
+            if not value <= HEALTH_LIMITS.get(key, math.inf):
+                raise ArithmeticError(f"health {key} = {value:.3e} > {HEALTH_LIMITS[key]:.0e}")
         metadata = _metadata(args.experiment, cfg, *health)
         if cfg["format"] == "csv":
             text = render_csv(columns, rows, metadata)

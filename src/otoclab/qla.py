@@ -178,7 +178,7 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return vecs * (c.conj() / np.hypot(c.real, c.imag))
 
 
-def eigh(h) -> HermitianEigensystem:
+def eigh(h, symmetry=None) -> HermitianEigensystem:
     """Eigendecomposition of a Hermitian matrix with a reproducible basis.
 
     Eigenvalues come back ascending. Within each degenerate group the
@@ -192,16 +192,53 @@ def eigh(h) -> HermitianEigensystem:
     solver and keeps real eigenvectors under the same conventions; its
     largest entries come out positive.
 
+    symmetry, an involutive basis permutation R as an index array, splits a
+    single h with max |R h R - h| <= HERMITIAN_TOL into even and odd sectors
+    solved apart. A sector vector has |v[r]| = |v[Rr]|, so its largest entry
+    is at the lower index and its sign may differ from the full route's;
+    every reported quantity is blind to column signs.
+
     h may also be a (..., d, d) stack: every member is checked, all are
     decomposed by one stacked complex np.linalg.eigh call and each is
     fixed exactly as it would be on its own; only members with a
     degenerate group take the per-matrix rebuild.
     """
-    m = as_square_array(h, stack=True)
-    if m.ndim == 2 and not np.any(m.imag):
-        m = m.real
+    m = np.asarray(h)
+    if m.ndim == 2 and m.dtype == float:
+        m = _checked_square(m, False)
+    else:
+        m = as_square_array(m, stack=True)
+        if m.ndim == 2 and not np.any(m.imag):
+            m = m.real
     _require_hermitian(m)
-    evals, evecs = np.linalg.eigh(m)
+    if symmetry is not None and m.ndim == 2:
+        sym = np.asarray(symmetry)
+        if not np.array_equal(sym[sym], np.arange(len(m))):
+            raise ValueError("symmetry must be an involutive permutation of the basis")
+        if np.max(np.abs(m[sym].take(sym, axis=1) - m)) <= HERMITIAN_TOL:
+            return _conventions(*_sector_eigh(m, sym))
+    return _conventions(*np.linalg.eigh(m))
+
+
+def _sector_eigh(m: np.ndarray, sym: np.ndarray):
+    """Ascending eigenpairs of m from its even (A + B) and odd (A - B) sectors."""
+    r = np.arange(len(sym))
+    fixed, lo = r[r == sym], r[r < sym]
+    even, ne = np.r_[fixed, lo], len(fixed) + len(lo)
+    rows = m[even]                        # the fixed-point rows, then the rows r < sym[r]
+    c = np.r_[np.full(len(fixed), np.sqrt(0.5)), np.ones(len(lo))]    # fixed points read twice
+    (e_vals, e_vecs), (o_vals, o_vecs) = map(np.linalg.eigh, [
+        (rows.take(even, axis=1) + rows.take(sym[even], axis=1)) * np.outer(c, c),
+        rows[len(fixed):].take(lo, axis=1) - rows[len(fixed):].take(sym[lo], axis=1)])
+    vecs = np.zeros(m.shape, dtype=e_vecs.dtype)
+    vecs[even, :ne] = vecs[sym[even], :ne] = e_vecs * (np.sqrt(0.5) / c)[:, None]
+    vecs[lo, ne:], vecs[sym[lo], ne:] = o_vecs * np.sqrt(0.5), o_vecs * -np.sqrt(0.5)
+    evals = np.concatenate([e_vals, o_vals])
+    order = np.argsort(evals, kind="stable")
+    return evals[order], vecs.take(order, axis=1)
+
+
+def _conventions(evals: np.ndarray, evecs: np.ndarray) -> HermitianEigensystem:
     out = _fix_phase(evecs)
     # a degenerate group exists iff some adjacent spacing is within the
     # tolerance _group_degenerate applies

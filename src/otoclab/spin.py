@@ -148,7 +148,8 @@ def site_pauli(n: int, site: int, axis: str) -> np.ndarray:
 
 def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     """H = -J sum sz.sz - h sum sz - g sum sx with open boundaries: the zz
-    and z strings add up on the diagonal, each x string fills d entries."""
+    and z strings add up on the diagonal, each x string fills d entries.
+    Every phase is real, so H is a float array."""
     n, r = spec.n, np.arange(spec.dim)
     diag = np.zeros(spec.dim)
     for s in range(1, n):
@@ -156,11 +157,17 @@ def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     # a zero field subtracts zeros, which leaves every bit of H as it is
     for s in range(1, n + 1):
         diag -= spec.h * pauli_string(n, [(s, "z")]).phase
-    ham = np.diag(diag.astype(complex))
+    ham = np.diag(diag)
     for s in range(1, n + 1):
         x = pauli_string(n, [(s, "x")])
         ham[x.flipped(), r] -= spec.g * x.phase
     return ham
+
+
+def reflection(n: int) -> np.ndarray:
+    """The site reflection s -> n + 1 - s as a basis permutation, r with its
+    n bits reversed (bits as in pauli_string); the uniform chain's symmetry."""
+    return sum(((np.arange(2**n) >> (n - s)) & 1) << (s - 1) for s in range(1, n + 1))
 
 
 def thermal_weights(eigenvalues, temperature: float) -> np.ndarray:

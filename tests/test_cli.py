@@ -306,8 +306,45 @@ class TestOtherExperiments:
         json_defect = json.loads(out_json)["metadata"]["health"]["unitarity_defect"]
         assert csv_defect == json_defect
         assert 0.0 <= csv_defect <= 1e-12
+
+    @pytest.mark.parametrize("state, keys", [
+        ("infinite-temp", {"max_norm_excess", "max_imag_f"}),
+        ("haar:3", {"max_norm_excess"}),
+        ("thermal:2", {"max_norm_excess"}),
+    ])
+    def test_otoc_health_round_trips_in_csv_and_json(self, capsys, state, keys):
+        """|F| <= 1 always, and F is real at infinite temperature only."""
+        argv = ["otoc-series", *SMALL_SERIES, "--w", "1:x", "--state", state]
+        rc, out_csv, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        csv_health = parse_csv(out_csv)[0]["health"]
+        assert csv_health == json.loads(out_json)["metadata"]["health"]
+        assert set(csv_health) == keys
+        assert all(0.0 <= value <= 1e-12 for value in csv_health.values())
+
+    @pytest.mark.parametrize("key", sorted(cli.HEALTH_LIMITS))
+    def test_health_above_its_limit_exits_three_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.setitem(cli.RUNNERS, "otoc-series",
+                            lambda cfg: (["t"], [[0.0]], {"max_norm_excess": 0.0, key: 2e-6}))
+        target = tmp_path / "out.csv"
+        rc, out, err = run_cli(capsys, "otoc-series", *SMALL_SERIES, "--out", str(target))
+        assert rc == 3 and out == ""
+        assert key in err and "2.000e-06" in err and "1e-06" in err
+        assert not list(tmp_path.iterdir())
+        monkeypatch.setitem(cli.RUNNERS, "otoc-series", lambda cfg: (["t"], [[0.0]], {key: np.nan}))
+        assert cli.main(["otoc-series", *SMALL_SERIES, "--out", str(target)]) == 3
+        assert not list(tmp_path.iterdir())
+
+    def test_estimates_and_values_at_the_limit_are_not_gated(self, capsys, monkeypatch):
+        health = {"max_residual": 1.6e-3, "max_effective_condition": 40.0,
+                  "max_total_defect": cli.HEALTH_LIMITS["max_total_defect"]}
+        monkeypatch.setitem(cli.RUNNERS, "otoc-series", lambda cfg: (["t"], [[0.0]], health))
         rc, out, _ = run_cli(capsys, "otoc-series", *SMALL_SERIES)
-        assert "health" not in parse_csv(out)[0]
+        assert rc == 0
+        assert parse_csv(out)[0]["health"] == health
 
     @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
     def test_weakmeas_health_round_trips_in_csv_and_json(self, capsys, protocol):

@@ -320,6 +320,31 @@ def test_pauli_strings_match_the_matrix_route_and_the_lab_frame(form, chain, tim
     _assert_lab_frame(from_strings, rho, w.matrix(), v.matrix(), h, times)
 
 
+@pytest.mark.parametrize("n, j, h, g", [
+    (3, 0.83, 0.37, 1.21), (4, 1.13, -0.61, 0.47), (5, 0.71, 0.29, 0.93),
+    (6, 1.27, 0.53, 1.09),
+    (4, 0.7, 0.3, 0.0),           # diagonal H: exact degeneracies across the sectors
+])
+@pytest.mark.parametrize("state", ["infinite-temp", "thermal", "haar"])
+def test_sector_eigensystem_gives_the_full_series(n, j, h, g, state):
+    """The eigensystem qla.eigh builds from the reflection sectors of a
+    uniform chain (the CLI's) and the full one give the same F and entries,
+    whatever signs and degenerate bases the two hold."""
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=j, h=h, g=g))
+    w, v = spin.pauli_string(n, [(1, "x")]), spin.pauli_string(n, [(n, "z")])
+    times = [0.0, 0.4, 1.3, 4.0]
+    got = []
+    for sys in (qla.eigh(ham, symmetry=spin.reflection(n)), qla.eigh(ham)):
+        rho = {"infinite-temp": quasiprob.DiagonalState(np.full(2**n, 2.0**-n)),
+               "thermal": quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 0.8)),
+               "haar": qla.haar_random_state(2**n, 11)}[state]
+        got.append((quasiprob.otoc_series(rho, w, v, sys, times).values,
+                    quasiprob.coarse_quasiprob_series(rho, w, v, sys, times).values))
+    (f_sector, q_sector), (f_full, q_full) = got
+    assert max_dev(f_sector, f_full) < TOL
+    assert max_dev(q_sector, q_full) < TOL
+
+
 def test_non_hermitian_involution_is_rejected():
     # squares to the identity but is not Hermitian, so (1 +- W)/2 are not
     # orthogonal projectors and the expansion would return a "distribution"

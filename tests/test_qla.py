@@ -172,10 +172,10 @@ def _largest_entries_are_positive(vecs) -> bool:
 class TestRealFrame:
     def test_real_hamiltonian_gets_real_eigenvectors(self):
         h = spin.ising_hamiltonian(spin.SpinChainSpec(n=4, j=1.0, h=0.5, g=1.05))
-        assert np.iscomplexobj(h) and not np.any(h.imag)
+        assert h.dtype == float
         sys = qla.eigh(h)
         assert np.isrealobj(sys.eigenvectors)
-        evals, _ = _scalar_phase_fixed_eigh(h)          # the complex route
+        evals, _ = _scalar_phase_fixed_eigh(h.astype(complex))  # the complex route
         assert np.max(np.abs(sys.eigenvalues - evals)) <= 1e-13
         assert _largest_entries_are_positive(sys.eigenvectors)
         assert np.max(np.abs(sys.reconstruct() - h)) < 1e-12
@@ -225,6 +225,74 @@ class TestRealFrame:
         qla.eigh(herm)
         qla.eigh(np.array([h, h]))
         assert dtypes == [np.dtype(float), np.dtype(complex), np.dtype(complex)]
+
+
+def _projectors(sys):
+    vecs = sys.eigenvectors
+    return [vecs[:, a:b] @ vecs[:, a:b].conj().T for a, b in sys.degenerate_groups()]
+
+
+def _sector_columns(sys, sym):
+    """Columns that are exactly even (v[R] == v) and exactly odd (v[R] == -v)."""
+    vecs = sys.eigenvectors
+    even = [k for k in range(vecs.shape[1]) if np.array_equal(vecs[sym, k], vecs[:, k])]
+    odd = [k for k in range(vecs.shape[1]) if np.array_equal(vecs[sym, k], -vecs[:, k])]
+    return even, odd
+
+
+class TestSectorRoute:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_uniform_chains_take_the_sector_route(self, n, rng):
+        """Non-dyadic fields: R H R equals H to rounding, not bitwise."""
+        sym = spin.reflection(n)
+        for _ in range(4):
+            spec = spin.SpinChainSpec(n=n, j=rng.uniform(0.5, 1.5), h=rng.uniform(-1.0, 1.0),
+                                      g=rng.uniform(0.3, 1.5))
+            h = spin.ising_hamiltonian(spec)
+            full, sector = qla.eigh(h), qla.eigh(h, symmetry=sym)
+            even, odd = _sector_columns(sector, sym)
+            assert len(odd) == (2**n - 2 ** ((n + 1) // 2)) // 2
+            assert len(even) + len(odd) == 2**n
+            assert np.isrealobj(sector.eigenvectors)
+            assert _largest_entries_are_positive(sector.eigenvectors)
+            assert np.max(np.abs(sector.eigenvalues - full.eigenvalues)) <= 1e-12
+            assert sector.degenerate_groups() == full.degenerate_groups()
+            for p_sector, p_full in zip(_projectors(sector), _projectors(full)):
+                assert np.max(np.abs(p_sector - p_full)) <= 1e-10
+            assert np.max(np.abs(sector.reconstruct() - h)) <= 1e-12
+
+    def test_degenerate_groups_straddling_the_sectors_get_the_full_basis(self):
+        """At g = 0 H is diagonal, and |r> and |Rr> share an energy, so each
+        such group holds one even and one odd sector vector."""
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=4, j=0.7, h=0.3, g=0.0))
+        full, sector = qla.eigh(h), qla.eigh(h, symmetry=spin.reflection(4))
+        assert max(b - a for a, b in full.degenerate_groups()) > 1
+        assert sector.degenerate_groups() == full.degenerate_groups()
+        assert np.max(np.abs(sector.eigenvalues - full.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(sector.eigenvectors - full.eigenvectors)) <= 1e-10
+
+    def test_complex_hermitian_matrices_split_too(self, make_hermitian):
+        a = make_hermitian(8)
+        sym = spin.reflection(3)
+        h = a + a[np.ix_(sym, sym)]
+        full, sector = qla.eigh(h), qla.eigh(h, symmetry=sym)
+        assert len(_sector_columns(sector, sym)[1]) == 2
+        assert np.max(np.abs(sector.eigenvalues - full.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(sector.reconstruct() - h)) <= 1e-12
+
+    def test_asymmetric_matrices_and_stacks_take_the_full_route(self):
+        spec = spin.SpinChainSpec(n=4, j=1.0, h=0.5, g=1.05)
+        h = spin.ising_hamiltonian(spec) - 0.3 * spin.site_pauli(4, 1, "z").real
+        sym = spin.reflection(4)
+        for got, want in ((qla.eigh(h, symmetry=sym), qla.eigh(h)),
+                          (qla.eigh(np.array([h, h]), symmetry=sym), qla.eigh(np.array([h, h])))):
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+    @pytest.mark.parametrize("sym", [[1, 2, 0, 3], [0, 1, 2], [1, 0, 3, 2, 4]])
+    def test_rejects_a_symmetry_that_is_no_involution_of_the_basis(self, sym):
+        with pytest.raises(ValueError, match="involutive permutation"):
+            qla.eigh(np.eye(4), symmetry=np.array(sym))
 
 
 def test_expm_scaled_closed_form():

@@ -3,27 +3,28 @@
 Each subcommand reproduces one desk-scale experiment and serializes the
 result as CSV or JSON. Quasiprobability curves are labeled by the abcd
 bit convention w3 = (-1)^a, v2 = (-1)^b, w2 = (-1)^c, v1 = (-1)^d, so
-curve 0000 is the all-plus entry. Runs are deterministic for a fixed
-seed, outputs embed the resolved configuration, and files are written
-atomically (temp file, then rename) so interrupted runs leave nothing
-behind.
+curve 0000 is the all-plus entry. Runs are deterministic, the three
+that draw random numbers (brownian-ensemble, weakmeas-inference,
+retrodict-benchmark) for a fixed seed; outputs embed the resolved
+configuration, and files are written atomically (temp file, then rename)
+so interrupted runs leave nothing behind.
 
 DEFAULTS lists every key of every subcommand. Each key is a config-file
 key and a flag (t_max is --t-max) typed by its default; flags override
 --config. Choices (format, protocol) are checked in config files too.
 
-Runners may also return numerical diagnostics, which land under "health"
-next to the configuration (brownian-ensemble: the largest unitarity
-defect of any trajectory's final propagator; weakmeas-inference: the
-largest effective condition number and least-squares residual over the
-solved blocks; quasiprob-, toc-, kfold- and regulated-series: the largest
-|sum of entries - 1| and |moment - correlator| over the time grid, the
-correlator of quasiprob-series being the F its entries came with;
-work-distribution: |sum of entries - 1|; otoc-series: the largest
-|F| - 1, floored at 0, and at infinite temperature, where F is real, the
-largest |Im F|). A key of HEALTH_LIMITS above its limit is a numeric
-failure; the weak-measurement keys are estimates, not invariants, and
-are reported only.
+Every runner returns (columns, rows, health), the numerical diagnostics
+that land under "health" next to the configuration (brownian-ensemble:
+the largest unitarity defect of any trajectory's final propagator;
+weakmeas-inference: the largest effective condition number and
+least-squares residual over the solved blocks; quasiprob-, toc-, kfold-
+and regulated-series: the largest |sum of entries - 1| and
+|moment - correlator| over the time grid for the correlator the series
+carries; work-distribution: |sum of entries - 1|; otoc-series: the
+largest |F| - 1, floored at 0, and at infinite temperature, where F is
+real, the largest |Im F|; none elsewhere). A key of HEALTH_LIMITS above
+its limit is a numeric failure; the weak-measurement keys are
+estimates, not invariants, and are reported only.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -63,19 +64,19 @@ class ConfigError(Exception):
 _CHAIN = {"j": 1.0, "h_field": 0.5, "g_field": 1.05, "w": "1:z", "v": None}
 _STATE = {"state": "infinite-temp"}
 _GRID = {"t_max": 20.0, "t_step": 0.1}
-_OUTPUT = {"seed": 0, "format": "csv", "out": None}
+_OUTPUT = {"format": "csv", "out": None}
 
 # every key of a subcommand is a config-file key and a flag of the same type
 DEFAULTS = {
     "otoc-series": {"n": 10, **_CHAIN, **_STATE, **_GRID, **_OUTPUT},
     "quasiprob-series": {"n": 10, **_CHAIN, **_STATE, **_GRID, **_OUTPUT},
     "work-distribution": {"n": 4, **_CHAIN, **_STATE, "t": 1.0, **_OUTPUT},
-    "brownian-ensemble": {**_STATE, **_GRID, "t_max": 4.0, **_OUTPUT, "n": 5, "w": "1:z",
-                          "v": "2:z", "dt": 0.005, "trajectories": 200},
-    "weakmeas-inference": {"n": 2, **_CHAIN, **_STATE, "t": 1.0, **_OUTPUT,
+    "brownian-ensemble": {**_STATE, **_GRID, "t_max": 4.0, "seed": 0, **_OUTPUT, "n": 5,
+                          "w": "1:z", "v": "2:z", "dt": 0.005, "trajectories": 200},
+    "weakmeas-inference": {"n": 2, **_CHAIN, **_STATE, "t": 1.0, "seed": 0, **_OUTPUT,
                            "phis": "0.05,0.1,0.15,0.2", "shots": 0,
                            "protocol": "three-weak"},
-    "retrodict-benchmark": {**_OUTPUT, "instances": 20},
+    "retrodict-benchmark": {"seed": 0, **_OUTPUT, "instances": 20},
     "decomp-report": {"n": 4, **_CHAIN, "t_max": 5.0, "t_step": 0.25, **_OUTPUT},
     "toc-series": {"n": 8, **_CHAIN, **_STATE, **_GRID, **_OUTPUT},
     "kfold-series": {"n": 6, **_CHAIN, **_STATE, **_GRID, "t_max": 10.0, **_OUTPUT,
@@ -314,41 +315,37 @@ def _time_grid(cfg: dict) -> np.ndarray:
 
 # ---------------------------------------------------------------- labels
 
-def _bit_labels(n_axes: int) -> list[str]:
-    return [format(i, f"0{n_axes}b") for i in range(2 ** n_axes)]
+def _by_label(entries, lead: int = 0, slots: int = 4):
+    """The abcd labels of the `slots` +-1 axes after `lead` leading axes of
+    an entry tensor, and the tensor with those axes merged into one in
+    label order: bit 0 is eigenvalue +1, index 1 of an ascending axis, so
+    each axis is flipped, and the first bit is the latest slot's."""
+    axes = tuple(range(lead, lead + slots))
+    merged = np.moveaxis(np.flip(entries, axis=axes), axes, axes[::-1])
+    shape = entries.shape[:lead] + (2 ** slots,) + entries.shape[lead + slots:]
+    return [format(i, f"0{slots}b") for i in range(2 ** slots)], merged.reshape(shape)
 
 
-def _reverse_chrono_index(label: str) -> tuple[int, ...]:
-    # the first bit of the label belongs to the last (latest) axis, as in
-    # abcd; axes hold eigenvalues ascending (-1, +1), so bit 0 is index 1
-    return tuple(1 - int(ch) for ch in reversed(label))
+def _reim(z) -> np.ndarray:
+    """Real and imaginary parts of z side by side along a new last axis."""
+    return np.stack([z.real, z.imag], axis=-1)
 
 
-def _series_table(qs, name=None, corr=None, moment=None):
-    """Columns and rows of a quasiprobability series: t, then re/im of the
-    correlator values corr as `name` when a name is given, then re/im of
-    every entry by bit label. With corr and moment, a third item reports
-    health over the grid: the largest |sum of entries - 1| and
-    |moment(entries) - corr|.
+def _series_table(qs, name, moment):
+    """Columns, rows and health of a quasiprobability series: t, then re/im
+    of its correlator as `name` unless name is None, then re/im of every
+    entry by abcd label. Health over the grid: the largest
+    |sum of entries - 1| and |moment(entries) - correlator|.
     """
-    labels = _bit_labels(qs.values.ndim - 1)
-    curves = [qs.values[(slice(None),) + _reverse_chrono_index(lab)] for lab in labels]
-    head = [] if name is None else [f"re_{name}", f"im_{name}"]
-    columns = ["t", *head]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}"]
-    rows = []
-    for i, t in enumerate(qs.times):
-        row = [t] if name is None else [t, corr[i].real, corr[i].imag]
-        for curve in curves:
-            row += [curve[i].real, curve[i].imag]
-        rows.append(row)
-    if corr is None:
-        return columns, rows
+    labels, entries = _by_label(qs.values, lead=1, slots=qs.values.ndim - 1)
+    if name is not None:
+        labels, entries = [name, *labels], np.column_stack([qs.correlator, entries])
+    columns = ["t"] + [f"{part}_{lab}" for lab in labels for part in ("re", "im")]
+    rows = np.column_stack([qs.times, _reim(entries).reshape(len(qs.times), -1)])
     totals = qs.values.sum(axis=tuple(range(1, qs.values.ndim)))
     health = {"max_total_defect": float(np.max(np.abs(totals - 1.0))),
-              "max_moment_defect": float(np.max(np.abs(moment(qs) - corr)))}
-    return columns, rows, health
+              "max_moment_defect": float(np.max(np.abs(moment(qs) - qs.correlator)))}
+    return columns, rows.tolist(), health
 
 
 # ---------------------------------------------------------------- emit
@@ -408,7 +405,7 @@ def _run_quasiprob_series(cfg):
     h_sys, w, v, state = _chain_pieces(cfg)
     ts = _time_grid(cfg)
     qs = quasiprob.coarse_quasiprob_series(state, w, v, h_sys, ts)
-    return _series_table(qs, corr=qs.correlator, moment=quasiprob.otoc_moment)
+    return _series_table(qs, None, quasiprob.otoc_moment)
 
 
 def _run_work_distribution(cfg):
@@ -436,27 +433,14 @@ def _run_brownian_ensemble(cfg):
     v = _parse_site_axis(cfg["v"], cfg["n"], "v").matrix()
     rho = quasiprob.density_matrix(_resolve_state(cfg["state"], cfg["n"], None))
     result = brownian.ensemble_averages(config, rho=rho, w_op=w, v_op=v)
-    labels = _bit_labels(4)
+    labels, mean = _by_label(result.quasi_mean, lead=1)
     columns = ["t", "re_f", "im_f", "se_f", "re_g", "im_g", "se_g"]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}", f"se_re_{lab}", f"se_im_{lab}"]
-    f_series = result.correlators["F"]
-    g_series = result.correlators["G"]
-    rows = []
-    for i, t in enumerate(result.times):
-        row = [t,
-               f_series.mean[i].real, f_series.mean[i].imag,
-               f_series.standard_error[i],
-               g_series.mean[i].real, g_series.mean[i].imag,
-               g_series.standard_error[i]]
-        for lab in labels:
-            idx = _reverse_chrono_index(lab)
-            val = result.quasi_mean[(i,) + idx]
-            row += [val.real, val.imag,
-                    result.quasi_se[(i,) + idx + (0,)],
-                    result.quasi_se[(i,) + idx + (1,)]]
-        rows.append(row)
-    return columns, rows, {"unitarity_defect": result.unitarity_defect}
+    columns += [f"{part}_{lab}" for lab in labels for part in ("re", "im", "se_re", "se_im")]
+    f, g = result.correlators["F"], result.correlators["G"]
+    entries = np.concatenate([_reim(mean), _by_label(result.quasi_se, lead=1)[1]], axis=-1)
+    rows = np.column_stack([result.times, _reim(f.mean), f.standard_error, _reim(g.mean),
+                            g.standard_error, entries.reshape(len(result.times), -1)])
+    return columns, rows.tolist(), {"unitarity_defect": result.unitarity_defect}
 
 
 def _run_weakmeas_inference(cfg):
@@ -470,13 +454,12 @@ def _run_weakmeas_inference(cfg):
     )
     inferred, report = weakmeas.infer_coarse_quasiprob(records)
     direct = quasiprob.coarse_quasiprob(rho, w, v, h_sys, cfg["t"])
-    rows = []
-    for lab in _bit_labels(4):
-        idx = _reverse_chrono_index(lab)
-        est = inferred.values[idx]
-        ref = direct.values[idx]
-        se = (0.0, 0.0) if report.std_errors is None else report.std_errors[idx]
-        rows.append([lab, est.real, est.imag, ref.real, ref.imag, abs(est - ref), *se])
+    labels, est = _by_label(inferred.values)
+    ref = _by_label(direct.values)[1]
+    se = np.zeros((16, 2)) if report.std_errors is None else _by_label(report.std_errors)[1]
+    err = est - ref          # np.hypot keeps the bytes of scalar abs; np.abs does not
+    table = np.column_stack([_reim(est), _reim(ref), np.hypot(err.real, err.imag), se])
+    rows = [[lab, *row] for lab, row in zip(labels, table.tolist())]
     columns = ["label", "re_inferred", "im_inferred", "re_direct",
                "im_direct", "abs_error", "se_re", "se_im"]
     health = {"max_effective_condition": report.effective_condition,
@@ -525,7 +508,7 @@ def _run_retrodict_benchmark(cfg):
                      meter.peak, nnz])
     columns = ["section", "index", "k", "dim", "method1", "method2",
                "abs_diff", "meter_peak", "m1_nonzeros"]
-    return columns, rows
+    return columns, rows, {}
 
 
 def _run_decomp_report(cfg):
@@ -537,28 +520,28 @@ def _run_decomp_report(cfg):
              int(stats.vanishing_counts[i])] for i, t in enumerate(ts)]
     columns = ["t", "mean_overlap", "min_overlap", "near_mub_fraction",
                "vanishing_count"]
-    return columns, rows
+    return columns, rows, {}
 
 
 def _run_toc_series(cfg):
     """time-ordered correlator and entries"""
     h_sys, w, v, state = _chain_pieces(cfg)
-    toc, qs = quasiprob.toc_series(state, w, v, h_sys, _time_grid(cfg))
-    return _series_table(qs, "toc", toc.values, quasiprob.toc_moment)
+    qs = quasiprob.toc_series(state, w, v, h_sys, _time_grid(cfg))
+    return _series_table(qs, "toc", quasiprob.toc_moment)
 
 
 def _run_kfold_series(cfg):
     """k-fold correlator and entries"""
     h_sys, w, v, state = _chain_pieces(cfg)
-    fk, qs = quasiprob.kfold_series(state, w, v, h_sys, _time_grid(cfg), cfg["khat"])
-    return _series_table(qs, "fk", fk.values, quasiprob.kfold_moment)
+    qs = quasiprob.kfold_series(state, w, v, h_sys, _time_grid(cfg), cfg["khat"])
+    return _series_table(qs, "fk", quasiprob.kfold_moment)
 
 
 def _run_regulated_series(cfg):
     """thermally regulated entries"""
     h_sys, w, v, _ = _chain_pieces(cfg)
-    qs, freg = quasiprob.regulated_series(h_sys, cfg["temperature"], w, v, _time_grid(cfg))
-    return _series_table(qs, "freg", freg.values, quasiprob.otoc_moment)
+    qs = quasiprob.regulated_series(h_sys, cfg["temperature"], w, v, _time_grid(cfg))
+    return _series_table(qs, "freg", quasiprob.otoc_moment)
 
 
 RUNNERS = {
@@ -601,12 +584,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        # a runner returns (columns, rows) or (columns, rows, health)
-        columns, rows, *health = RUNNERS[args.experiment](cfg)
-        for key, value in (health[0] if health else {}).items():
+        columns, rows, health = RUNNERS[args.experiment](cfg)
+        for key, value in health.items():
             if not value <= HEALTH_LIMITS.get(key, math.inf):
                 raise ArithmeticError(f"health {key} = {value:.3e} > {HEALTH_LIMITS[key]:.0e}")
-        metadata = _metadata(args.experiment, cfg, *health)
+        metadata = _metadata(args.experiment, cfg, health)
         if cfg["format"] == "csv":
             text = render_csv(columns, rows, metadata)
         else:

@@ -212,8 +212,10 @@ def eigh(h, symmetry=None) -> HermitianEigensystem:
             m = m.real
     _require_hermitian(m)
     if symmetry is not None and m.ndim == 2:
-        sym = np.asarray(symmetry)
-        if not np.array_equal(sym[sym], np.arange(len(m))):
+        sym, r = np.asarray(symmetry), np.arange(len(m))
+        # shape, dtype and range are checked before sym indexes anything
+        if (sym.shape != r.shape or not np.issubdtype(sym.dtype, np.integer)
+                or np.any((sym < 0) | (sym >= len(m))) or not np.array_equal(sym[sym], r)):
             raise ValueError("symmetry must be an involutive permutation of the basis")
         if np.max(np.abs(m[sym].take(sym, axis=1) - m)) <= HERMITIAN_TOL:
             return _conventions(*_sector_eigh(m, sym))

@@ -18,7 +18,8 @@ constant _word_table(k) applied to the 4k traces Tr(word rho) of
 _word_traces. The coarse and k-fold series, the lab-frame
 coarse_quasiprob_via_correlators and the Brownian ensemble all take their
 entries this way. Projectors of an involution are built as (1 -+ O)/2
-(_distinct_projectors), never by eigendecomposition.
+(_distinct_projectors), never by eigendecomposition; the series build
+them from the operator rotated into the energy frame.
 
 Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
 is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
@@ -38,16 +39,16 @@ W and V reach the series as matrices or as spin.PauliString tables, the
 operator counterpart of DiagonalState. A string P is rotated with one
 product, e^dag (P e), where P e permutes and scales the rows of the
 eigenvectors e, and is checked for Hermiticity and P^2 = 1 on its table
-in O(d); a route that needs the matrix (the projector trace of the
-non-involutory coarse series, the regulated series, the TOC's W^dag W)
-expands it once with spin.pauli_matrix.
+in O(d); no series expands it to its matrix.
 
-The time-ordered, k-fold and regulated single-time functions are their
-series of length one, and the time-ordered distribution is A~ summed
-over w3 (the W(t) projectors resolve the identity). otoc,
-coarse_quasiprob, correlators_for_expansion and fine_quasiprob stay in
-the lab frame as the series' oracles and take density matrices and
-matrix W and V.
+Each series returns one QuasiSeries whose correlator is what its moment
+reproduces (F, F_k, the TOC or F_reg; None on the projector route of the
+non-involutory coarse series); otoc_series returns F as a
+CorrelatorSeries. The single-time functions are series of length one,
+and the time-ordered distribution is A~ summed over w3 (the W(t)
+projectors resolve the identity). otoc, coarse_quasiprob,
+correlators_for_expansion and fine_quasiprob stay in the lab frame as the
+series' oracles and take density matrices and matrix W and V.
 
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
@@ -106,6 +107,8 @@ class QuasiDistribution:
                     f"for eigenvalue {eigenvalue}"
                 )
             return int(hits[0])
+        if self.axis_labels is None:
+            raise KeyError(f"axis {self.axis_names[axis]} carries no degeneracy labels")
         labs = self.axis_labels[axis][hits]
         sub = np.nonzero(labs == label)[0]
         if sub.size != 1:
@@ -176,7 +179,6 @@ class MarginalDistribution:
 class CorrelatorSeries:
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -187,8 +189,9 @@ class CorrelatorSeries:
 class QuasiSeries:
     """Coarse quasiprobability tensors along a time grid (leading time axis).
 
-    Entries taken by the word expansion carry the trace of the longest
-    word, F_k = Tr((W(t) V)^k rho), as correlator: their moment.
+    correlator holds per time what the moment reproduces: F_k =
+    Tr((W(t) V)^k rho) (k = 2 for the coarse series), the TOC or F_reg;
+    it is None only on the non-involutory route of coarse_quasiprob_series.
     """
 
     times: np.ndarray
@@ -341,11 +344,6 @@ def _check_state(rho):
         raise ValueError("rho must be Hermitian")
 
 
-def _dense(op):
-    """The matrix of op: a spin.PauliString expanded once, else op itself."""
-    return op.matrix() if isinstance(op, spin.PauliString) else op
-
-
 def _hermiticity_defect(op) -> float:
     """qla.hermiticity_defect of op, in O(d) on a spin.PauliString's table."""
     if isinstance(op, spin.PauliString):
@@ -392,12 +390,6 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
         evs.append(sys.eigenvalues[start])
         projs.append(cols @ cols.conj().T)
     return np.array(evs), projs
-
-
-def _energy_projectors(sys: qla.HermitianEigensystem, op):
-    """Distinct eigenvalues of op and its projectors in the energy frame."""
-    evs, projs = _distinct_projectors(op)
-    return evs, _energy_frame(sys, *projs)
 
 
 def _four_projector_trace(v_projs, w_projs, rho=None) -> np.ndarray:
@@ -627,7 +619,7 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
     series = _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, 2)
-    return CorrelatorSeries(times=times, values=series.correlator, label="otoc")
+    return CorrelatorSeries(times=times, values=series.correlator)
 
 
 def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
@@ -673,16 +665,17 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     expansion, whose cost per point depends on the form of rho (see
     _word_traces) and whose series carries F as correlator; other
     observables take the four-projector trace of the dressed W(t)
-    projectors and a density matrix. W and V may be matrices or
-    spin.PauliString tables.
+    projectors, taken from the rotated W and V, and a density matrix, with
+    no correlator. W and V may be matrices or spin.PauliString tables.
     """
     _check_dims(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
     if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
         return _word_series(rho, w_op, v_op, sys, times, 2)
-    w_evs, w_projs_e = _energy_projectors(sys, _dense(w_op))
-    v_evs, v_projs_e = _energy_projectors(sys, _dense(v_op))
+    w_e, v_e = _energy_frame(sys, w_op, v_op)
+    w_evs, w_projs_e = _distinct_projectors(w_e)
+    v_evs, v_projs_e = _distinct_projectors(v_e)
     rho_e = density_matrix(_frame_state(rho, sys))
     _check_state(rho_e)
     out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
@@ -879,26 +872,25 @@ def work_distribution(quasi: QuasiDistribution) -> WorkDistribution:
     return _collect(quasi, lambda v1, w2, v2, w3: (np.conj(w3) * np.conj(v2), w2 * v1))
 
 
-def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
+def regulated_series(hamiltonian, temperature: float, w_op, v_op, times) -> QuasiSeries:
     """Thermally regulated coarse distribution and its correlator on a time grid.
 
     The thermal state rho = e^{-H/T}/Z is split into four quarter powers
     interleaved with the projectors: each W(t) projector P becomes
     rho^{1/4} P rho^{1/4}, with rho^{1/4} diagonal in the energy frame and
-    taken from spin.thermal_weights. Returns (QuasiSeries,
-    CorrelatorSeries) with the correlator
+    taken from spin.thermal_weights; the projectors come from the rotated
+    W and V. The QuasiSeries carries as correlator
     F_reg = Tr(rho^{1/4} W(t) rho^{1/4} V rho^{1/4} W(t) rho^{1/4} V),
     which the usual moment of each distribution reproduces: the word trace
     of W' V W' V for W' = rho^{1/4} W(t) rho^{1/4}, at unit weights.
     """
-    w_op, v_op = _dense(w_op), _dense(v_op)
     sys = _eigensystem(hamiltonian)
     _check_dims(w_op, v_op, sys.eigenvectors)
     times = np.asarray(times, dtype=float)
     rho_quarter = spin.thermal_weights(sys.eigenvalues, temperature) ** 0.25
-    w_evs, w_projs_e = _energy_projectors(sys, w_op)
-    v_evs, v_projs_e = _energy_projectors(sys, v_op)
     w_e, v_e = _energy_frame(sys, w_op, v_op)
+    w_evs, w_projs_e = _distinct_projectors(w_e)
+    v_evs, v_projs_e = _distinct_projectors(v_e)
     w_reg = rho_quarter[:, None] * w_e * rho_quarter
     word_traces = _word_traces(DiagonalState(np.ones(sys.dim)), v_e, 2)
     out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
@@ -909,41 +901,41 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times):
         pw_reg = [rho_quarter[:, None] * _dress(p, phase) * rho_quarter for p in w_projs_e]
         out[i] = _four_projector_trace(v_projs_e, pw_reg)
         f_reg[i] = word_traces(w_reg, phase)[_words(2).index("wvwv")]
-    dist = QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
-                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs))
-    return dist, CorrelatorSeries(times=times, values=f_reg, label="regulated otoc")
+    return QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
+                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs), correlator=f_reg)
 
 
 def regulated_quasiprob_and_otoc(hamiltonian, temperature: float, w_op, v_op, t: float):
     """regulated_series at the single time t: (distribution, F_reg)."""
-    series, f_reg = regulated_series(hamiltonian, temperature, w_op, v_op, [t])
+    series = regulated_series(hamiltonian, temperature, w_op, v_op, [t])
     dist = series.at(0)
     dist.meta["temperature"] = temperature
-    return dist, complex(f_reg.values[0])
+    return dist, complex(series.correlator[0])
 
 
-def toc_series(rho, w_op, v_op, hamiltonian, times):
-    """Time-ordered analog on a time grid: TOC values and three-slot distributions.
+def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
+    """Time-ordered analog on a time grid: three-slot distributions and the TOC.
 
-    TOC(t) = <Vdag W(t)dag W(t) V> saturates at 1 for unitary W, V; it is
-    one elementwise sum per point, sum(M^T * W(t)dag W(t)) with
-    M = V rho Vdag formed, and transposed, once. The distribution is
+    The distribution is
     A~_TOC(v1, w1, v2) = Tr(Pi^V_{v2} Pi^{W(t)}_{w1} Pi^V_{v1} rho), the
     coarse series summed over w3: the W(t) projectors resolve the identity.
-    Returns (CorrelatorSeries, QuasiSeries with axes (v1, w1, v2)).
+    Its correlator, TOC(t) = <Vdag W(t)dag W(t) V>, saturates at 1 for
+    unitary W, V; it is one elementwise sum per point,
+    sum(M^T * W(t)dag W(t)) with M = V rho Vdag formed, and transposed,
+    once, and W^dag W taken in the energy frame from the rotated W.
     """
     sys = _eigensystem(hamiltonian)
     coarse = coarse_quasiprob_series(rho, w_op, v_op, sys, times)
-    w = np.asarray(_dense(w_op), dtype=complex)
-    wdw_e, v_e = _energy_frame(sys, qla.dagger(w) @ w, v_op)
+    w_e, v_e = _energy_frame(sys, w_op, v_op)
+    wdw_e = qla.dagger(w_e) @ w_e
     rho_e = density_matrix(_frame_state(rho, sys))
     m_t = np.ascontiguousarray((v_e @ rho_e @ qla.dagger(v_e)).T)
     toc = np.array([_matrix_sum(m_t * _dress(wdw_e, _phases(sys, t))) for t in coarse.times],
                    dtype=complex)
     v_evs, w_evs = coarse.axis_eigenvalues[:2]
-    dist = QuasiSeries(times=coarse.times, values=coarse.values.sum(axis=-1),
-                       axis_names=("v1", "w1", "v2"), axis_eigenvalues=(v_evs, w_evs, v_evs))
-    return CorrelatorSeries(times=coarse.times, values=toc, label="toc"), dist
+    return QuasiSeries(times=coarse.times, values=coarse.values.sum(axis=-1),
+                       axis_names=("v1", "w1", "v2"), axis_eigenvalues=(v_evs, w_evs, v_evs),
+                       correlator=toc)
 
 
 def toc_and_toc_quasiprob(rho, w_op, v_op, hamiltonian, t: float):
@@ -952,10 +944,10 @@ def toc_and_toc_quasiprob(rho, w_op, v_op, hamiltonian, t: float):
     Collecting the distribution onto (W, W') = (w1 v2, w1 v1) gives P_TOC,
     whose moment recovers the TOC for Hermitian W, V.
     """
-    toc, series = toc_series(rho, w_op, v_op, hamiltonian, [t])
+    series = toc_series(rho, w_op, v_op, hamiltonian, [t])
     dist = series.at(0)
     p_toc = _collect(dist, lambda v1, w1, v2: (w1 * v2, w1 * v1))
-    return complex(toc.values[0]), dist, p_toc
+    return complex(series.correlator[0]), dist, p_toc
 
 
 def toc_moment(quasi: QuasiDistribution) -> complex:
@@ -964,8 +956,9 @@ def toc_moment(quasi: QuasiDistribution) -> complex:
     return _moment(quasi.values, (v1, w1**2, v2))
 
 
-def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int):
-    """k-fold correlator Tr(rho (W(t) V)^k) and its 2k-slot distribution on a time grid.
+def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
+    """The 2k-slot distribution on a time grid, with the k-fold correlator
+    F_k = Tr(rho (W(t) V)^k) as its correlator.
 
     Slots run chronologically (v1, w2, v2, w3, ..., vk, w_{k+1}); the
     moment with weight (product of all w) (product of all v) recovers the
@@ -979,14 +972,13 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int):
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")
     times = np.asarray(times, dtype=float)
-    dist = _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, khat)
-    return CorrelatorSeries(times=times, values=dist.correlator, label=f"{khat}-fold otoc"), dist
+    return _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, khat)
 
 
 def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
     """kfold_series at the single time t: (F_k, distribution)."""
-    f_k, series = kfold_series(rho, w_op, v_op, hamiltonian, [t], khat)
-    return complex(f_k.values[0]), series.at(0)
+    series = kfold_series(rho, w_op, v_op, hamiltonian, [t], khat)
+    return complex(series.correlator[0]), series.at(0)
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from otoclab import cli, qla, quasiprob, spin, weakmeas
+from otoclab import brownian, cli, qla, quasiprob, spin, weakmeas
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +198,21 @@ class TestConfigHandling:
         assert rc == 2
         assert "config error" in err
 
+    def test_seed_is_a_key_of_the_random_runs_only(self, tmp_path, capsys):
+        """Only these three draw random numbers; elsewhere --seed is an
+        unknown flag and seed an unknown config key."""
+        seeded = [experiment for experiment, keys in cli.DEFAULTS.items() if "seed" in keys]
+        assert seeded == ["brownian-ensemble", "weakmeas-inference", "retrodict-benchmark"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["otoc-series", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({"seed": 0}))
+        rc, out, err = run_cli(capsys, "otoc-series", "--config", str(cfg))
+        assert rc == 2 and out == ""
+        assert "unknown config key 'seed'" in err
+
     @pytest.mark.parametrize("argv, message", [
         (["otoc-series", "--n", "12", "--state", "bogus"], "bad state"),
         (["weakmeas-inference", "--n", "10", "--phis", "bogus"], "bad phis"),
@@ -345,6 +360,58 @@ class TestOtherExperiments:
         rc, out, _ = run_cli(capsys, "otoc-series", *SMALL_SERIES)
         assert rc == 0
         assert parse_csv(out)[0]["health"] == health
+
+    def test_brownian_columns_follow_the_label_map(self, capsys):
+        """Column xx_abcd carries the ensemble entry at (v1, w2, v2, w3)
+        indices (1-d, 1-c, 1-b, 1-a); a Haar state breaks the symmetries
+        that would hide a permuted label."""
+        argv = ["brownian-ensemble", "--n", "2", "--t-max", "0.5", "--t-step", "0.25",
+                "--trajectories", "2", "--state", "haar:3", "--seed", "4", "--format", "json"]
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        doc = json.loads(out)
+        config = brownian.BrownianConfig(n=2, dt=0.005, steps=100, trajectories=2, seed=4,
+                                         stride=50)
+        result = brownian.ensemble_averages(
+            config, rho=quasiprob.density_matrix(qla.haar_random_state(4, 3)),
+            w_op=spin.pauli_string(2, [(1, "z")]).matrix(),
+            v_op=spin.pauli_string(2, [(2, "z")]).matrix())
+        assert len(doc["rows"]) == len(result.times) == 3
+        for i, row in enumerate(doc["rows"]):
+            cells = dict(zip(doc["columns"], row))
+            for a, b, c, d in np.ndindex(2, 2, 2, 2):
+                label, idx = f"{a}{b}{c}{d}", (i, 1 - d, 1 - c, 1 - b, 1 - a)
+                assert cells[f"re_{label}"] == pytest.approx(result.quasi_mean[idx].real, abs=1e-12)
+                assert cells[f"im_{label}"] == pytest.approx(result.quasi_mean[idx].imag, abs=1e-12)
+                assert cells[f"se_re_{label}"] == pytest.approx(result.quasi_se[idx + (0,)],
+                                                                abs=1e-12)
+                assert cells[f"se_im_{label}"] == pytest.approx(result.quasi_se[idx + (1,)],
+                                                                abs=1e-12)
+
+    @pytest.mark.parametrize("protocol, state", [("three-weak", "haar:2"),
+                                                 ("two-weak", "infinite-temp")])
+    def test_weakmeas_direct_columns_follow_the_label_map(self, capsys, protocol, state):
+        """Row abcd's direct entry is the lab-frame entry at w3 = (-1)^a,
+        v2 = (-1)^b, w2 = (-1)^c, v1 = (-1)^d: abs_error compares two columns
+        that one shared label permutation would leave equal. two-weak needs
+        a state that commutes with W(t); at infinite temperature the entries
+        are blind to reversing the slot order, which the Haar state sees."""
+        rc, out, _ = run_cli(capsys, "weakmeas-inference", "--protocol", protocol,
+                             "--state", state, "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+        rho = (quasiprob.density_matrix(qla.haar_random_state(4, 2)) if state == "haar:2"
+               else np.eye(4) / 4)
+        qd = quasiprob.coarse_quasiprob(rho, spin.site_pauli(2, 1, "z"),
+                                        spin.site_pauli(2, 2, "z"), h, 1.0)
+        assert [row[0] for row in doc["rows"]] == [format(i, "04b") for i in range(16)]
+        for row in doc["rows"]:
+            cells = dict(zip(doc["columns"], row))
+            a, b, c, d = (int(ch) for ch in cells["label"])
+            want = qd.entry((-1.0) ** d, (-1.0) ** c, (-1.0) ** b, (-1.0) ** a)
+            assert cells["re_direct"] == pytest.approx(want.real, abs=1e-12)
+            assert cells["im_direct"] == pytest.approx(want.imag, abs=1e-12)
 
     @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
     def test_weakmeas_health_round_trips_in_csv_and_json(self, capsys, protocol):

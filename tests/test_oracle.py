@@ -122,12 +122,12 @@ def test_independent_routes_agree(instance):
 @given(series_instances(), st.sampled_from([2, 3, 4]))
 def test_kfold_series_matches_lab_frame_products(instance, khat):
     rho, w, v, h, times = instance
-    f_k, dist = quasiprob.kfold_series(rho, w, v, h, times, khat)
+    dist = quasiprob.kfold_series(rho, w, v, h, times, khat)
     pv = pm_projectors(v)
     for i, t in enumerate(times):
         u = lab_exp(h, -1j * t)
         wt = u.conj().T @ w @ u
-        assert abs(f_k.values[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, khat))) < TOL
+        assert abs(dist.correlator[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, khat))) < TOL
         pw = pm_projectors(wt)
         for idx in np.ndindex(dist.values.shape[1:]):
             # slots (v1, w2, v2, w3, ...) act on rho in chronological order
@@ -141,7 +141,7 @@ def test_kfold_series_matches_lab_frame_products(instance, khat):
 @given(series_instances(), st.floats(min_value=0.3, max_value=5.0))
 def test_regulated_series_matches_explicit_u_reg(instance, temperature):
     _, w, v, h, times = instance
-    dist, f_reg = quasiprob.regulated_series(h, temperature, w, v, times)
+    dist = quasiprob.regulated_series(h, temperature, w, v, times)
     z = float(np.sum(np.exp(-np.linalg.eigvalsh(h) / temperature)))
     rho_quarter = lab_exp(h, -1.0 / (4.0 * temperature)) / z**0.25
     pv = pm_projectors(v)
@@ -154,7 +154,7 @@ def test_regulated_series_matches_explicit_u_reg(instance, temperature):
         u = lab_exp(h, -1j * t)
         wt = u.conj().T @ w @ u
         want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
-        assert abs(f_reg.values[i] - want) < TOL
+        assert abs(dist.correlator[i] - want) < TOL
 
 
 def test_regulated_series_at_low_temperature_on_the_cli_chain():
@@ -167,9 +167,9 @@ def test_regulated_series_at_low_temperature_on_the_cli_chain():
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=cfg["j"], h=cfg["h_field"],
                                                   g=cfg["g_field"]))
     w, v = spin.site_pauli(n, 1, "z"), spin.site_pauli(n, n, "z")
-    dist, f_reg = quasiprob.regulated_series(h, temperature, w, v, times)
+    dist = quasiprob.regulated_series(h, temperature, w, v, times)
     assert max_dev(dist.values.sum(axis=(1, 2, 3, 4)), 1.0) < 1e-9
-    assert max_dev(quasiprob.otoc_moment(dist), f_reg.values) < 1e-10
+    assert max_dev(quasiprob.otoc_moment(dist), dist.correlator) < 1e-10
     evals, vecs = np.linalg.eigh(h)
     boltzmann = np.exp(-(evals - evals.min()) / temperature)
     rho_quarter = (vecs * (boltzmann / boltzmann.sum()) ** 0.25) @ vecs.conj().T
@@ -182,7 +182,7 @@ def test_regulated_series_at_low_temperature_on_the_cli_chain():
             want = np.trace(pw[i4] @ pv[i3] @ pw[i2] @ pv[i1])
             assert abs(dist.values[i, i1, i2, i3, i4] - want) < TOL
         want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
-        assert abs(f_reg.values[i] - want) < TOL
+        assert abs(dist.correlator[i] - want) < TOL
 
 
 def test_brownian_closed_forms_match_projector_traces_at_time_zero():
@@ -270,26 +270,26 @@ def _word_series(state, w, v, sys, times):
     """F, the coarse entries and the two- and three-fold series."""
     return (quasiprob.otoc_series(state, w, v, sys, times),
             quasiprob.coarse_quasiprob_series(state, w, v, sys, times),
-            *quasiprob.kfold_series(state, w, v, sys, times, 2),
-            *quasiprob.kfold_series(state, w, v, sys, times, 3))
+            quasiprob.kfold_series(state, w, v, sys, times, 2),
+            quasiprob.kfold_series(state, w, v, sys, times, 3))
 
 
 def _assert_lab_frame(series, rho, w, v, h, times):
     """The series of _word_series against the lab-frame F, entries and F_3
     for the matrices W and V."""
-    f, coarse, f2, two, f3, three = series
+    f, coarse, two, three = series
     for i, t in enumerate(times):
         want_f = quasiprob.otoc(rho, w, v, h, t)
         want = quasiprob.coarse_quasiprob(rho, w, v, h, t).values
         assert abs(f.values[i] - want_f) < TOL
-        assert abs(f2.values[i] - want_f) < TOL
+        assert abs(two.correlator[i] - want_f) < TOL
         assert max_dev(coarse.values[i], want) < TOL
         assert max_dev(two.values[i], want) < TOL
         # the last two projectors of the six-slot entries resolve the identity
         assert max_dev(three.values[i].sum(axis=(-2, -1)), want) < TOL
         u = lab_exp(h, -1j * t)
         wt = u.conj().T @ w @ u
-        assert abs(f3.values[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, 3))) < TOL
+        assert abs(three.correlator[i] - np.trace(rho @ np.linalg.matrix_power(wt @ v, 3))) < TOL
 
 
 @settings(max_examples=10, deadline=None)
@@ -317,6 +317,8 @@ def test_pauli_strings_match_the_matrix_route_and_the_lab_frame(form, chain, tim
     from_matrices = _word_series(state, w.matrix(), v.matrix(), sys, times)
     for a, b in zip(from_strings, from_matrices):
         assert max_dev(a.values, b.values) < TOL
+    for a, b in zip(from_strings[1:], from_matrices[1:]):
+        assert max_dev(a.correlator, b.correlator) < TOL
     _assert_lab_frame(from_strings, rho, w.matrix(), v.matrix(), h, times)
 
 
@@ -430,8 +432,8 @@ def test_strings_off_the_involutions_behave_as_their_matrices(scale, operand):
     calls = {
         "otoc": lambda w, v: quasiprob.otoc_series(rho, w, v, h, [0.0, 0.5]).values,
         "coarse": lambda w, v: quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.5]).values,
-        "kfold": lambda w, v: quasiprob.kfold_series(rho, w, v, h, [0.5], 2)[0].values,
-        "toc": lambda w, v: quasiprob.toc_series(rho, w, v, h, [0.5])[0].values,
+        "kfold": lambda w, v: quasiprob.kfold_series(rho, w, v, h, [0.5], 2).correlator,
+        "toc": lambda w, v: quasiprob.toc_series(rho, w, v, h, [0.5]).correlator,
     }
 
     def outcome(call, w, v):

@@ -289,7 +289,8 @@ class TestSectorRoute:
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
-    @pytest.mark.parametrize("sym", [[1, 2, 0, 3], [0, 1, 2], [1, 0, 3, 2, 4]])
+    @pytest.mark.parametrize("sym", [[1, 2, 0, 3], [0, 1, 2], [1, 0, 3, 2, 4], [5, 0, 1, 2],
+                                     [1.0, 0.0, 3.0, 2.0], [[1, 0, 3, 2]]])
     def test_rejects_a_symmetry_that_is_no_involution_of_the_basis(self, sym):
         with pytest.raises(ValueError, match="involutive permutation"):
             qla.eigh(np.eye(4), symmetry=np.array(sym))

@@ -226,6 +226,12 @@ class TestCoarseQuasiprob:
         with pytest.raises(KeyError):
             qd.entry(0.5, 1.0, 1.0, 1.0)  # not an eigenvalue
 
+    def test_labeled_entry_on_a_coarse_distribution_names_the_axis(self, small_chain):
+        rho, w, v, h = small_chain
+        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.5)
+        with pytest.raises(KeyError, match="w2 carries no degeneracy labels"):
+            qd.entry(1.0, (1.0, 0), 1.0, 1.0)
+
     def test_swap_symmetry_at_t_zero(self, small_chain):
         rho, w, v, h = small_chain
         vals = quasiprob.coarse_quasiprob(rho, w, v, h, 0.0).values

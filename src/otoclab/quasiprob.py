@@ -12,14 +12,16 @@ live here next to the distributions so the identities stay testable.
 
 Every coarse distribution comes from one of two independent routes, which
 the tests use as each other's oracle: the explicit projector trace
-(_four_projector_trace) and, for involutory W and V, the word expansion:
-with each projector written as (1 + s O)/2, every 2k-slot entry is the
-constant _word_table(k) applied to the 4k traces Tr(word rho) of
-_word_traces. The coarse and k-fold series, the lab-frame
-coarse_quasiprob_via_correlators and the Brownian ensemble all take their
-entries this way. Projectors of an involution are built as (1 -+ O)/2
-(_distinct_projectors), never by eigendecomposition; the series build
-them from the operator rotated into the energy frame.
+(_four_projector_trace) of coarse_quasiprob and of the coarse series of a
+non-involutory W or V, whose projectors come from the operators rotated
+into the energy frame, and, for involutory W and V, a signed expansion: with
+each projector written as (1 + s O)/2, every 2k-slot entry is the +-1
+Hadamard matrix (_hadamard) applied to traces of operator products. Every
+other series, coarse_quasiprob_via_correlators and the Brownian ensemble
+take the traces Tr(word rho) of _word_traces through _word_table(k);
+regulated_series, whose W projectors carry quarter powers of rho, takes
+sixteen of its own. Projectors of an involution are built as (1 -+ O)/2
+(_distinct_projectors), never by eigendecomposition.
 
 Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
 is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
@@ -44,9 +46,8 @@ in O(d); no series expands it to its matrix.
 Each series returns one QuasiSeries whose correlator is what its moment
 reproduces (F, F_k, the TOC or F_reg; None on the projector route of the
 non-involutory coarse series); otoc_series returns F as a
-CorrelatorSeries. The single-time functions are series of length one,
-and the time-ordered distribution is A~ summed over w3 (the W(t)
-projectors resolve the identity). otoc, coarse_quasiprob,
+CorrelatorSeries. The time-ordered distribution is A~ summed over w3 (the
+W(t) projectors resolve the identity). otoc, coarse_quasiprob,
 correlators_for_expansion and fine_quasiprob stay in the lab frame as the
 series' oracles and take density matrices and matrix W and V.
 
@@ -392,16 +393,16 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array(evs), projs
 
 
-def _four_projector_trace(v_projs, w_projs, rho=None) -> np.ndarray:
+def _four_projector_trace(v_projs, w_projs, rho) -> np.ndarray:
     """Tr(Pw3 Pv2 Pw2 Pv1 rho) over every index quadruple (v1, w2, v2, w3).
 
-    rho=None drops the state, for projectors that already carry it. Partial
-    products are built one at a time, so at most three extra matrices live.
+    Partial products are built one at a time, so at most three extra
+    matrices live.
     """
     nv, nw = len(v_projs), len(w_projs)
     vals = np.empty((nv, nw, nv, nw), dtype=complex)
     for i_v1, pv1 in enumerate(v_projs):
-        right = pv1 if rho is None else pv1 @ rho
+        right = pv1 @ rho
         for i_w2, pw2 in enumerate(w_projs):
             m = pw2 @ right
             for i_v2, pv2 in enumerate(v_projs):
@@ -433,8 +434,8 @@ def _word_table(k: int) -> np.ndarray:
     Rows run over the outcomes of the slots (v1, w2, v2, w3, ...) in C
     order, -1 before +1; columns over _words(k). With P = (1 + s O)/2,
     Tr(P_2k ... P_1 rho) is 4^-k times the sum over slot subsets S of
-    (product of s over S) Tr(O_S rho): a +-1 Hadamard matrix carries the
-    signs, and W^2 = V^2 = 1 reduces each ordered product O_S to a word.
+    (product of s over S) Tr(O_S rho): _hadamard carries the signs, and
+    W^2 = V^2 = 1 reduces each ordered product O_S to a word.
     """
     slots = 2 * k
     column = {word: col for col, word in enumerate(_words(k))}
@@ -446,8 +447,16 @@ def _word_table(k: int) -> np.ndarray:
                 letter = "vw"[slot % 2]
                 letters = letters[:-1] if letters.endswith(letter) else letters + letter
         indicator[subset, column[letters[::-1] or "1"]] = 1.0
-    hadamard = functools.reduce(np.kron, [np.array([[1.0, -1.0], [1.0, 1.0]])] * slots)
-    table = hadamard @ indicator / 4**k
+    table = _hadamard(slots) @ indicator / 4**k
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _hadamard(slots: int) -> np.ndarray:
+    """The +-1 Kronecker Hadamard matrix: rows run over the slots' outcomes in
+    C order, -1 first, columns over slot subsets, the first slot highest."""
+    table = functools.reduce(np.kron, [np.array([[1.0, -1.0], [1.0, 1.0]])] * slots)
     table.flags.writeable = False
     return table
 
@@ -590,11 +599,10 @@ def commutator_square(rho, w_op, v_op, hamiltonian, t: float) -> float:
     return float(val.real)
 
 
-def _word_series(state, w_op, v_op, sys: qla.HermitianEigensystem, times, k: int):
-    """The word traces on a time grid, taken in the energy frame, as the
-    2k-slot series (v1, w2, v2, w3, ...) of involutions W and V; its
-    correlator F_k holds for any Hermitian W and V."""
-    w_e, v_e = _energy_frame(sys, w_op, v_op)
+def _word_series(state, w_e, v_e, sys: qla.HermitianEigensystem, times, k: int):
+    """The word traces on a time grid, taken in the energy frame, where W
+    and V are given rotated, as the 2k-slot series (v1, w2, v2, w3, ...) of
+    involutions W and V; its correlator F_k holds for any Hermitian W and V."""
     word_traces = _word_traces(_frame_state(state, sys), v_e, k)
     traces = np.empty((len(times), 4 * k), dtype=complex)
     for i, t in enumerate(times):
@@ -618,7 +626,8 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     if max(_hermiticity_defect(w_op), _hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
-    series = _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, 2)
+    sys = _eigensystem(hamiltonian)
+    series = _word_series(rho, *_energy_frame(sys, w_op, v_op), sys, times, 2)
     return CorrelatorSeries(times=times, values=series.correlator)
 
 
@@ -668,12 +677,17 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     projectors, taken from the rotated W and V, and a density matrix, with
     no correlator. W and V may be matrices or spin.PauliString tables.
     """
+    return _coarse_series(rho, w_op, v_op, _eigensystem(hamiltonian), times)[0]
+
+
+def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
+    """coarse_quasiprob_series, and W and V as it rotated them into the
+    energy frame."""
     _check_dims(rho, w_op, v_op)
-    sys = _eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
-    if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
-        return _word_series(rho, w_op, v_op, sys, times, 2)
     w_e, v_e = _energy_frame(sys, w_op, v_op)
+    if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
+        return _word_series(rho, w_e, v_e, sys, times, 2), w_e, v_e
     w_evs, w_projs_e = _distinct_projectors(w_e)
     v_evs, v_projs_e = _distinct_projectors(v_e)
     rho_e = density_matrix(_frame_state(rho, sys))
@@ -683,12 +697,8 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     for i, t in enumerate(times):
         phase = _phases(sys, t)
         out[i] = _four_projector_trace(v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e)
-    return QuasiSeries(
-        times=times,
-        values=out,
-        axis_names=COARSE_AXES,
-        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs),
-    )
+    return QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
+                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs)), w_e, v_e
 
 
 def correlators_for_expansion(rho, w_op, v_op, hamiltonian, t: float) -> dict[str, complex]:
@@ -855,8 +865,14 @@ def marginalize(quasi: QuasiDistribution, keep) -> MarginalDistribution:
 # derived distributions
 
 
-def _collect(quasi: QuasiDistribution, key) -> WorkDistribution:
-    """Sum the entries onto (W, W') = key(eigenvalue of each slot)."""
+def work_distribution(quasi: QuasiDistribution) -> WorkDistribution:
+    """Collect A~ onto (W, W') = (conj(w3) conj(v2), w2 v1), or the
+    time-ordered A~_TOC onto (W, W') = (w1 v2, w1 v1): P_TOC, whose moment
+    recovers the TOC for Hermitian W and V."""
+    key = {4: lambda v1, w2, v2, w3: (np.conj(w3) * np.conj(v2), w2 * v1),
+           3: lambda v1, w1, v2: (w1 * v2, w1 * v1)}.get(quasi.values.ndim)
+    if key is None:
+        raise ValueError("expected the three- or four-slot distribution")
     entries: dict[tuple[complex, complex], complex] = {}
     for idx, val in np.ndenumerate(quasi.values):
         w, wprime = key(*(evs[i] for evs, i in zip(quasi.axis_eigenvalues, idx)))
@@ -865,52 +881,51 @@ def _collect(quasi: QuasiDistribution, key) -> WorkDistribution:
     return WorkDistribution(entries=entries)
 
 
-def work_distribution(quasi: QuasiDistribution) -> WorkDistribution:
-    """Collect A~ onto (W, W') = (conj(w3) conj(v2), w2 v1)."""
-    if quasi.values.ndim != 4:
-        raise ValueError("expected the four-slot distribution")
-    return _collect(quasi, lambda v1, w2, v2, w3: (np.conj(w3) * np.conj(v2), w2 * v1))
+# for each slot subset of _hadamard(4), the column of regulated_series'
+# traces (Tr rho, rho V, rho W, qVqV, W'W', qW'V, its conj, W'W'V, W'VqV,
+# W'VW'V) that equals its Tr(A3 B2 A2 B1) by cyclicity and Hermiticity
+_REGULATED_TERMS = (0, 2, 1, 5, 2, 4, 6, 7, 1, 6, 3, 8, 5, 7, 8, 9)
 
 
 def regulated_series(hamiltonian, temperature: float, w_op, v_op, times) -> QuasiSeries:
     """Thermally regulated coarse distribution and its correlator on a time grid.
 
     The thermal state rho = e^{-H/T}/Z is split into four quarter powers
-    interleaved with the projectors: each W(t) projector P becomes
-    rho^{1/4} P rho^{1/4}, with rho^{1/4} diagonal in the energy frame and
-    taken from spin.thermal_weights; the projectors come from the rotated
-    W and V. The QuasiSeries carries as correlator
-    F_reg = Tr(rho^{1/4} W(t) rho^{1/4} V rho^{1/4} W(t) rho^{1/4} V),
-    which the usual moment of each distribution reproduces: the word trace
-    of W' V W' V for W' = rho^{1/4} W(t) rho^{1/4}, at unit weights.
+    interleaved with the projectors: each W(t) projector P becomes r P r
+    for r = rho^{1/4}, diagonal in the energy frame and taken from
+    spin.thermal_weights. W and V must be Hermitian involutions (else
+    ValueError): with q = r^2 and W' = r W(t) r the projectors are
+    (q +- W')/2 and (1 +- V)/2, so the entries are _hadamard(4) applied to
+    the 16 traces Tr(A3 B2 A2 B1), A in {q, W'} and B in {1, V}, of which
+    cyclicity and Hermiticity leave five static and four per point
+    (_REGULATED_TERMS). Each is an elementwise sum over W', G = W' V or the
+    static q V, so a point costs the one matrix product G. The correlator
+    is F_reg = Tr(W' V W' V) = Tr(G G), which the usual moment reproduces.
     """
     sys = _eigensystem(hamiltonian)
     _check_dims(w_op, v_op, sys.eigenvectors)
+    if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
+        raise ValueError("regulated_series needs involutory W and V")
     times = np.asarray(times, dtype=float)
-    rho_quarter = spin.thermal_weights(sys.eigenvalues, temperature) ** 0.25
+    p = spin.thermal_weights(sys.eigenvalues, temperature)
+    r = p ** 0.25
+    q = r * r
     w_e, v_e = _energy_frame(sys, w_op, v_op)
-    w_evs, w_projs_e = _distinct_projectors(w_e)
-    v_evs, v_projs_e = _distinct_projectors(v_e)
-    w_reg = rho_quarter[:, None] * w_e * rho_quarter
-    word_traces = _word_traces(DiagonalState(np.ones(sys.dim)), v_e, 2)
-    out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
-                   dtype=complex)
-    f_reg = np.empty(times.shape[0], dtype=complex)
+    w_reg = r[:, None] * w_e * r          # W' at t = 0
+    qv = q[:, None] * v_e
+    traces = np.empty((len(times), 10), dtype=complex)
+    traces[:, :5] = (np.sum(p), p @ np.diagonal(v_e), p @ np.diagonal(w_e),
+                     _matrix_sum(qv * qv.T), _matrix_sum(w_reg * w_reg.T))
     for i, t in enumerate(times):
         phase = _phases(sys, t)
-        pw_reg = [rho_quarter[:, None] * _dress(p, phase) * rho_quarter for p in w_projs_e]
-        out[i] = _four_projector_trace(v_projs_e, pw_reg)
-        f_reg[i] = word_traces(w_reg, phase)[_words(2).index("wvwv")]
-    return QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
-                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs), correlator=f_reg)
-
-
-def regulated_quasiprob_and_otoc(hamiltonian, temperature: float, w_op, v_op, t: float):
-    """regulated_series at the single time t: (distribution, F_reg)."""
-    series = regulated_series(hamiltonian, temperature, w_op, v_op, [t])
-    dist = series.at(0)
-    dist.meta["temperature"] = temperature
-    return dist, complex(series.correlator[0])
+        g = phase.conj()[:, None] * _matmul(w_reg, phase[:, None] * v_e)     # W' V
+        qwv = q @ np.diagonal(g)
+        traces[i, 5:] = (qwv, np.conj(qwv), _matrix_sum(_dress(w_reg, phase) * g.T),
+                         _matrix_sum(g * qv.T), _matrix_sum(g * g.T))
+    values = traces[:, _REGULATED_TERMS] @ _hadamard(4).T / 16
+    return QuasiSeries(times=times, values=values.reshape((len(times),) + (2,) * 4),
+                       axis_names=COARSE_AXES, axis_eigenvalues=(np.array([-1.0, 1.0]),) * 4,
+                       correlator=traces[:, 9])
 
 
 def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
@@ -918,36 +933,23 @@ def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
 
     The distribution is
     A~_TOC(v1, w1, v2) = Tr(Pi^V_{v2} Pi^{W(t)}_{w1} Pi^V_{v1} rho), the
-    coarse series summed over w3: the W(t) projectors resolve the identity.
-    Its correlator, TOC(t) = <Vdag W(t)dag W(t) V>, saturates at 1 for
-    unitary W, V; it is one elementwise sum per point,
-    sum(M^T * W(t)dag W(t)) with M = V rho Vdag formed, and transposed,
-    once, and W^dag W taken in the energy frame from the rotated W.
+    coarse series summed over w3: the W(t) projectors resolve the identity;
+    work_distribution collects it onto P_TOC. Its correlator,
+    TOC(t) = <Vdag W(t)dag W(t) V>, saturates at 1 for unitary W, V; with
+    M = V rho Vdag and W^dag W taken once in the energy frame from the W
+    and V the coarse series rotated, K = M^T * W^dag W (elementwise) makes
+    each point conj(phase) @ K @ phase.
     """
     sys = _eigensystem(hamiltonian)
-    coarse = coarse_quasiprob_series(rho, w_op, v_op, sys, times)
-    w_e, v_e = _energy_frame(sys, w_op, v_op)
-    wdw_e = qla.dagger(w_e) @ w_e
+    coarse, w_e, v_e = _coarse_series(rho, w_op, v_op, sys, times)
     rho_e = density_matrix(_frame_state(rho, sys))
-    m_t = np.ascontiguousarray((v_e @ rho_e @ qla.dagger(v_e)).T)
-    toc = np.array([_matrix_sum(m_t * _dress(wdw_e, _phases(sys, t))) for t in coarse.times],
-                   dtype=complex)
+    kernel = (v_e @ rho_e @ qla.dagger(v_e)).T * (qla.dagger(w_e) @ w_e)
+    toc = np.array([phase.conj() @ kernel @ phase
+                    for phase in (_phases(sys, t) for t in coarse.times)], dtype=complex)
     v_evs, w_evs = coarse.axis_eigenvalues[:2]
     return QuasiSeries(times=coarse.times, values=coarse.values.sum(axis=-1),
                        axis_names=("v1", "w1", "v2"), axis_eigenvalues=(v_evs, w_evs, v_evs),
                        correlator=toc)
-
-
-def toc_and_toc_quasiprob(rho, w_op, v_op, hamiltonian, t: float):
-    """toc_series at the single time t: TOC value, distribution, and P_TOC.
-
-    Collecting the distribution onto (W, W') = (w1 v2, w1 v1) gives P_TOC,
-    whose moment recovers the TOC for Hermitian W, V.
-    """
-    series = toc_series(rho, w_op, v_op, hamiltonian, [t])
-    dist = series.at(0)
-    p_toc = _collect(dist, lambda v1, w1, v2: (w1 * v2, w1 * v1))
-    return complex(series.correlator[0]), dist, p_toc
 
 
 def toc_moment(quasi: QuasiDistribution) -> complex:
@@ -972,13 +974,8 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")
     times = np.asarray(times, dtype=float)
-    return _word_series(rho, w_op, v_op, _eigensystem(hamiltonian), times, khat)
-
-
-def kfold_otoc_and_quasiprob(rho, w_op, v_op, hamiltonian, t: float, khat: int):
-    """kfold_series at the single time t: (F_k, distribution)."""
-    series = kfold_series(rho, w_op, v_op, hamiltonian, [t], khat)
-    return complex(series.correlator[0]), series.at(0)
+    sys = _eigensystem(hamiltonian)
+    return _word_series(rho, *_energy_frame(sys, w_op, v_op), sys, times, khat)
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:

@@ -269,11 +269,14 @@ def test_criterion_10_work_distribution_degeneracy_and_marginal():
 def test_criterion_11_time_ordered_correlator_suite():
     rho, w, v, ham = nonintegrable_chain(3)
     for t in (0.0, 0.7, 2.3):
-        toc, _, pw = quasiprob.toc_and_toc_quasiprob(rho, w, v, ham, t)
+        series = quasiprob.toc_series(rho, w, v, ham, [t])
+        toc, pw = series.correlator[0], quasiprob.work_distribution(series.at(0))
         assert abs(toc - 1.0) <= 1e-12
         assert abs(pw.moment() - toc) <= 1e-10
     rho_v = ((np.eye(8) + 0.3 * v) / 8).astype(complex)
-    toc, dist, pw = quasiprob.toc_and_toc_quasiprob(rho_v, w, v, ham, 1.3)
+    series = quasiprob.toc_series(rho_v, w, v, ham, [1.3])
+    toc, dist = series.correlator[0], series.at(0)
+    pw = quasiprob.work_distribution(dist)
     assert np.max(np.abs(dist.values.imag)) <= 1e-12
     assert dist.values.real.min() >= -1e-12
     assert abs(pw.moment() - toc) <= 1e-10
@@ -282,19 +285,21 @@ def test_criterion_11_time_ordered_correlator_suite():
 def test_criterion_12_kfold_extension():
     rho, w, v, ham = nonintegrable_chain(3)
     for t in (0.4, 1.1):
-        f2, _ = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, ham, t, 2)
+        f2 = quasiprob.kfold_series(rho, w, v, ham, [t], 2).correlator[0]
         assert abs(f2 - quasiprob.otoc(rho, w, v, ham, t)) <= 1e-12
-        f3, dist3 = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, ham, t, 3)
+        three = quasiprob.kfold_series(rho, w, v, ham, [t], 3)
+        f3, dist3 = three.correlator[0], three.at(0)
         assert abs(quasiprob.kfold_moment(dist3) - f3) <= 1e-10
 
 
 def test_criterion_13_regulated_suite():
     rho, w, v, ham = nonintegrable_chain(3)
-    qreg, freg = quasiprob.regulated_quasiprob_and_otoc(ham, 1.0, w, v, 1.0)
+    reg = quasiprob.regulated_series(ham, 1.0, w, v, [1.0])
+    qreg, freg = reg.at(0), reg.correlator[0]
     assert np.max(np.abs(qreg.values
                          - qreg.values.transpose(2, 3, 0, 1))) <= 1e-10
     assert abs(quasiprob.otoc_moment(qreg) - freg) <= 1e-10
-    qhot, _ = quasiprob.regulated_quasiprob_and_otoc(ham, 1e6, w, v, 1.0)
+    qhot = quasiprob.regulated_series(ham, 1e6, w, v, [1.0]).at(0)
     plain = quasiprob.coarse_quasiprob(rho, w, v, ham, 1.0)
     assert np.max(np.abs(qhot.values - plain.values)) <= 1e-6
 

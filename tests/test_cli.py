@@ -46,10 +46,13 @@ class TestQuasiprobSeries:
         # 1000 pairs w3 = -1 with w2 = +1, impossible at t = 0
         assert first["re_1000"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_bit_labels_map_to_entry_eigenvalues(self, capsys):
+    @pytest.mark.parametrize("state", ["infinite-temp", "haar:4", "plus-x"])
+    def test_bit_labels_map_to_entry_eigenvalues(self, capsys, state):
         # curve abcd carries the entry with w3=(-1)^a, v2=(-1)^b,
-        # w2=(-1)^c, v1=(-1)^d; check every labeled column at t=0.2
-        rc, out, _ = run_cli(capsys, "quasiprob-series", *SMALL_SERIES)
+        # w2=(-1)^c, v1=(-1)^d; check every labeled column at t=0.2. At
+        # infinite temperature the entries do not change under reversing
+        # the slots or flipping every sign; the pure states tell them apart
+        rc, out, _ = run_cli(capsys, "quasiprob-series", *SMALL_SERIES, "--state", state)
         assert rc == 0
         _, columns, rows = parse_csv(out)
         last = dict(zip(columns, map(float, rows[-1])))
@@ -57,9 +60,9 @@ class TestQuasiprobSeries:
         h = spin.ising_hamiltonian(spec)
         w = spin.site_pauli(3, 1, "z")
         v = spin.site_pauli(3, 3, "z")
-        rho = np.eye(8, dtype=complex) / 8
+        rho = quasiprob.density_matrix(cli._resolve_state(state, 3, None))
         qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.2)
-        for label in ("0000", "1010", "0110", "1001"):
+        for label in (format(i, "04b") for i in range(16)):
             a, b, c, d = (int(ch) for ch in label)
             val = qd.entry((-1.0) ** d, (-1.0) ** c, (-1.0) ** b, (-1.0) ** a)
             assert last[f"re_{label}"] == pytest.approx(val.real, abs=1e-12)

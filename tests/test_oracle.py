@@ -109,7 +109,7 @@ def test_independent_routes_agree(instance):
     # time-ordered distribution against an explicit three-projector trace
     u = qla.eigh(h).propagator(-1j * t)
     wt = u.conj().T @ w @ u
-    _, toc_dist, _ = quasiprob.toc_and_toc_quasiprob(rho, w, v, h, t)
+    toc_dist = quasiprob.toc_series(rho, w, v, h, [t]).at(0)
     for i1, v1 in enumerate((-1.0, 1.0)):
         for i2, w1 in enumerate((-1.0, 1.0)):
             for i3, v2 in enumerate((-1.0, 1.0)):
@@ -137,10 +137,7 @@ def test_kfold_series_matches_lab_frame_products(instance, khat):
             assert abs(dist.values[(i,) + idx] - np.trace(acc)) < TOL
 
 
-@settings(max_examples=15, deadline=None)
-@given(series_instances(), st.floats(min_value=0.3, max_value=5.0))
-def test_regulated_series_matches_explicit_u_reg(instance, temperature):
-    _, w, v, h, times = instance
+def assert_regulated_matches_explicit_u_reg(h, temperature, w, v, times):
     dist = quasiprob.regulated_series(h, temperature, w, v, times)
     z = float(np.sum(np.exp(-np.linalg.eigvalsh(h) / temperature)))
     rho_quarter = lab_exp(h, -1.0 / (4.0 * temperature)) / z**0.25
@@ -155,6 +152,23 @@ def test_regulated_series_matches_explicit_u_reg(instance, temperature):
         wt = u.conj().T @ w @ u
         want = np.trace(rho_quarter @ wt @ rho_quarter @ v @ rho_quarter @ wt @ rho_quarter @ v)
         assert abs(dist.correlator[i] - want) < TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(series_instances(), st.floats(min_value=0.3, max_value=5.0))
+def test_regulated_series_matches_explicit_u_reg(instance, temperature):
+    _, w, v, h, times = instance
+    assert_regulated_matches_explicit_u_reg(h, temperature, w, v, times)
+
+
+def test_regulated_series_takes_a_complex_involution_that_is_no_pauli_string():
+    """W = U Z_1 Udag for a Haar U is a Hermitian involution with complex
+    entries in every frame, unlike the Pauli matrices of the draws above."""
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
+    u = qla.haar_unitary(8, 5)
+    w = u @ spin.site_pauli(3, 1, "z") @ u.conj().T
+    assert_regulated_matches_explicit_u_reg(h, 0.7, w, spin.site_pauli(3, 3, "z"),
+                                            [0.0, 0.6, 2.5])
 
 
 def test_regulated_series_at_low_temperature_on_the_cli_chain():
@@ -360,7 +374,7 @@ def test_non_hermitian_involution_is_rejected():
     with pytest.raises(ValueError):
         quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
     with pytest.raises(ValueError):
-        quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.5, 2)
+        quasiprob.kfold_series(rho, w, v, h, [0.5], 2)
     with pytest.raises(ValueError):
         brownian.ensemble_averages(brownian.BrownianConfig(n=2, dt=0.01, steps=1,
                                                            trajectories=2, stride=1),
@@ -399,7 +413,7 @@ def test_involution_projectors_skip_eigendecomposition(small_chain, monkeypatch)
     real_eigh = qla.eigh
     monkeypatch.setattr(qla, "eigh", lambda m, *a, **k: calls.append(m) or real_eigh(m, *a, **k))
     quasiprob.coarse_quasiprob(rho, w, v, h_sys, 0.7)
-    quasiprob.toc_and_toc_quasiprob(rho, w, v, h_sys, 0.7)
+    quasiprob.toc_series(rho, w, v, h_sys, [0.7])
     weakmeas.simulate_protocol(rho, w, v, h_sys, 0.7, weakmeas.CouplingConfig(0.1))
     assert calls == []
     # a non-involutory observable still goes through the eigendecomposition

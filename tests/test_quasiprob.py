@@ -359,27 +359,31 @@ class TestRegulated:
     def test_swap_symmetry_at_unit_temperature(self):
         # invariant under swapping both outcome pairs at once:
         # (v1, w2, v2, w3) -> (v2, w3, v1, w2)
-        dist, _ = quasiprob.regulated_quasiprob_and_otoc(self.h, 1.0, self.w, self.v, 1.0)
+        dist = quasiprob.regulated_series(self.h, 1.0, self.w, self.v, [1.0]).at(0)
         vals = dist.values
         assert np.max(np.abs(vals - vals.transpose(2, 3, 0, 1))) < 1e-10
 
     def test_moment_matches_regulated_otoc(self):
-        dist, f_reg = quasiprob.regulated_quasiprob_and_otoc(self.h, 1.0, self.w, self.v, 0.8)
-        assert abs(quasiprob.otoc_moment(dist) - f_reg) < 1e-10
+        series = quasiprob.regulated_series(self.h, 1.0, self.w, self.v, [0.8])
+        assert abs(quasiprob.otoc_moment(series.at(0)) - series.correlator[0]) < 1e-10
 
     def test_high_temperature_limit(self):
         # frozen independent check put the T = 1e6 deviation near 3.5e-7
-        dist, _ = quasiprob.regulated_quasiprob_and_otoc(self.h, 1e6, self.w, self.v, 1.0)
+        dist = quasiprob.regulated_series(self.h, 1e6, self.w, self.v, [1.0]).at(0)
         plain = quasiprob.coarse_quasiprob(np.eye(4, dtype=complex) / 4,
                                            self.w, self.v, self.h, 1.0)
         assert np.max(np.abs(dist.values - plain.values)) < 1e-6
 
     def test_temperature_guard(self):
         with pytest.raises(ValueError, match="temperature"):
-            quasiprob.regulated_quasiprob_and_otoc(self.h, 0.0, self.w, self.v, 1.0)
+            quasiprob.regulated_series(self.h, 0.0, self.w, self.v, [1.0])
+
+    def test_involution_guard(self):
+        with pytest.raises(ValueError, match="involut"):
+            quasiprob.regulated_series(self.h, 1.0, 2 * self.w, self.v, [1.0])
 
     def test_total_is_one(self):
-        dist, _ = quasiprob.regulated_quasiprob_and_otoc(self.h, 2.0, self.w, self.v, 1.3)
+        dist = quasiprob.regulated_series(self.h, 2.0, self.w, self.v, [1.3]).at(0)
         assert dist.total() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -387,26 +391,27 @@ class TestTimeOrdered:
     def test_unitary_probes_give_one(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
-        toc, _, _ = quasiprob.toc_and_toc_quasiprob(rho, w, v, h, 1.7)
+        toc = quasiprob.toc_series(rho, w, v, h, [1.7]).correlator[0]
         assert abs(toc - 1.0) < 1e-12
 
     def test_v_diagonal_state_is_classical(self, small_chain):
         _, w, v, h = small_chain
         weights = np.linspace(1.0, 3.0, 8)
         rho_v = np.diag(weights / weights.sum()).astype(complex)
-        _, dist, _ = quasiprob.toc_and_toc_quasiprob(rho_v, w, v, h, 1.2)
+        dist = quasiprob.toc_series(rho_v, w, v, h, [1.2]).at(0)
         assert np.max(np.abs(dist.values.imag)) < 1e-12
         assert np.min(dist.values.real) > -1e-12
 
     def test_moment_recovers_toc(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
-        toc, _, pw = quasiprob.toc_and_toc_quasiprob(rho, w, v, h, 0.9)
-        assert abs(pw.moment() - toc) < 1e-10
+        series = quasiprob.toc_series(rho, w, v, h, [0.9])
+        pw = quasiprob.work_distribution(series.at(0))
+        assert abs(pw.moment() - series.correlator[0]) < 1e-10
 
     def test_three_slot_names(self, small_chain):
         rho, w, v, h = small_chain
-        _, dist, _ = quasiprob.toc_and_toc_quasiprob(rho, w, v, h, 0.3)
+        dist = quasiprob.toc_series(rho, w, v, h, [0.3]).at(0)
         assert dist.axis_names == ("v1", "w1", "v2")
         assert dist.values.shape == (2, 2, 2)
 
@@ -415,7 +420,8 @@ class TestKFold:
     def test_two_fold_is_the_otoc(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
-        f2, dist = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 1.1, 2)
+        series = quasiprob.kfold_series(rho, w, v, h, [1.1], 2)
+        f2, dist = series.correlator[0], series.at(0)
         f = quasiprob.otoc(rho, w, v, h, 1.1)
         assert abs(f2 - f) < 1e-12
         assert abs(quasiprob.kfold_moment(dist) - f) < 1e-10
@@ -426,7 +432,8 @@ class TestKFold:
     def test_three_fold_moment(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
-        f3, dist = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.8, 3)
+        series = quasiprob.kfold_series(rho, w, v, h, [0.8], 3)
+        f3, dist = series.correlator[0], series.at(0)
         assert dist.values.shape == (2,) * 6
         assert abs(quasiprob.kfold_moment(dist) - f3) < 1e-10
 
@@ -434,9 +441,9 @@ class TestKFold:
         rho, w, v, h = small_chain
         for bad in (1, 6, 2.0):
             with pytest.raises(ValueError):
-                quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.5, bad)
+                quasiprob.kfold_series(rho, w, v, h, [0.5], bad)
         with pytest.raises(ValueError, match="involutory"):
-            quasiprob.kfold_otoc_and_quasiprob(rho, 2 * w, v, h, 0.5, 2)
+            quasiprob.kfold_series(rho, 2 * w, v, h, [0.5], 2)
 
 
 class _CountingMatmul(np.ndarray):
@@ -529,7 +536,8 @@ class TestWordExpansion:
     def test_entries_sum_to_trace_and_moment_is_fk(self, small_chain, make_density, k):
         _, w, v, h = small_chain
         rho = 2.0 * make_density(8)       # unnormalized, so the empty word is Tr rho
-        f_k, dist = quasiprob.kfold_otoc_and_quasiprob(rho, w, v, h, 0.9, k)
+        series = quasiprob.kfold_series(rho, w, v, h, [0.9], k)
+        f_k, dist = series.correlator[0], series.at(0)
         assert abs(dist.total() - 2.0) < 1e-12
         assert abs(quasiprob.kfold_moment(dist) - f_k) < 1e-12
 

@@ -22,9 +22,10 @@ and regulated-series: the largest |sum of entries - 1| and
 |moment - correlator| over the time grid for the correlator the series
 carries; work-distribution: |sum of entries - 1|; otoc-series: the
 largest |F| - 1, floored at 0, and at infinite temperature, where F is
-real, the largest |Im F|; none elsewhere). A key of HEALTH_LIMITS above
-its limit is a numeric failure; the weak-measurement keys are
-estimates, not invariants, and are reported only.
+real, the largest |Im F|; retrodict-benchmark: the largest |direct -
+factored| / max(1, |direct|) weak value; none elsewhere). A key of
+HEALTH_LIMITS above its limit is a numeric failure; the weak-measurement
+keys are estimates, not invariants, and are reported only.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -47,8 +48,8 @@ EXIT_NUMERIC = 3
 
 # health keys that are invariants of the exact result, with the largest
 # value a run may report before it exits 3 and writes nothing
-HEALTH_LIMITS = {"max_total_defect": 1e-6, "max_moment_defect": 1e-6,
-                 "unitarity_defect": 1e-6, "max_norm_excess": 1e-6, "max_imag_f": 1e-6}
+HEALTH_LIMITS = dict.fromkeys(["max_total_defect", "max_moment_defect", "unitarity_defect",
+                               "max_norm_excess", "max_imag_f", "max_weak_value_defect"], 1e-6)
 
 # a time grid, and a Brownian run's integration steps, stay below this many
 # points; a longer one is a configuration error
@@ -508,7 +509,8 @@ def _run_retrodict_benchmark(cfg):
                      meter.peak, nnz])
     columns = ["section", "index", "k", "dim", "method1", "method2",
                "abs_diff", "meter_peak", "m1_nonzeros"]
-    return columns, rows, {}
+    defect = max(row[6] / max(1.0, abs(row[4])) for row in rows)
+    return columns, rows, {"max_weak_value_defect": defect}
 
 
 def _run_decomp_report(cfg):

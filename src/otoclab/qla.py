@@ -54,10 +54,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(a) -> float:
     """Largest entry of |a - a^dag|, over every member of a stack. A float
-    array is checked as it is, in real arithmetic; anything else as a
-    complex array."""
+    array is checked as it is, in real arithmetic (a single matrix by row
+    blocks of its upper triangle); anything else as a complex array."""
     m = np.asarray(a)
     m = _checked_square(m, True) if m.dtype == float else as_square_array(m, stack=True)
+    if m.ndim == 2 and m.dtype == float:
+        return max(float(np.max(np.abs(m[i:i + 128, i:] - m[i:, i:i + 128].T)))
+                   for i in range(0, len(m), 128))
     return float(np.max(np.abs(m - dagger(m))))
 
 
@@ -196,7 +199,8 @@ def eigh(h, symmetry=None) -> HermitianEigensystem:
     single h with max |R h R - h| <= HERMITIAN_TOL into even and odd sectors
     solved apart. A sector vector has |v[r]| = |v[Rr]|, so its largest entry
     is at the lower index and its sign may differ from the full route's;
-    every reported quantity is blind to column signs.
+    every reported quantity is blind to column signs. Its parity is exact,
+    v[R] == +-v bitwise, unless its degenerate group was rebuilt.
 
     h may also be a (..., d, d) stack: every member is checked, all are
     decomposed by one stacked complex np.linalg.eigh call and each is
@@ -204,44 +208,50 @@ def eigh(h, symmetry=None) -> HermitianEigensystem:
     degenerate group take the per-matrix rebuild.
     """
     m = np.asarray(h)
-    if m.ndim == 2 and m.dtype == float:
-        m = _checked_square(m, False)
-    else:
+    if m.ndim != 2 or m.dtype != float:
         m = as_square_array(m, stack=True)
         if m.ndim == 2 and not np.any(m.imag):
             m = m.real
-    _require_hermitian(m)
+    _require_hermitian(m)                 # which also checks a float m
     if symmetry is not None and m.ndim == 2:
         sym, r = np.asarray(symmetry), np.arange(len(m))
         # shape, dtype and range are checked before sym indexes anything
         if (sym.shape != r.shape or not np.issubdtype(sym.dtype, np.integer)
                 or np.any((sym < 0) | (sym >= len(m))) or not np.array_equal(sym[sym], r)):
             raise ValueError("symmetry must be an involutive permutation of the basis")
-        if np.max(np.abs(m[sym].take(sym, axis=1) - m)) <= HERMITIAN_TOL:
-            return _conventions(*_sector_eigh(m, sym))
-    return _conventions(*np.linalg.eigh(m))
+        sectors = _sector_eigh(m, sym)
+        if sectors is not None:
+            return _conventions(*sectors, sectors[1])
+    evals, evecs = np.linalg.eigh(m)
+    return _conventions(evals, evecs, _fix_phase(evecs))
 
 
 def _sector_eigh(m: np.ndarray, sym: np.ndarray):
-    """Ascending eigenpairs of m from its even (A + B) and odd (A - B) sectors."""
+    """Ascending eigenpairs of m from its even (A + B) and odd (A - B) sectors,
+    phases fixed, or None unless R m R matches m (HERMITIAN_TOL) on rows r <= sym[r]."""
     r = np.arange(len(sym))
     fixed, lo = r[r == sym], r[r < sym]
-    even, ne = np.r_[fixed, lo], len(fixed) + len(lo)
+    even = np.r_[fixed, lo]
     rows = m[even]                        # the fixed-point rows, then the rows r < sym[r]
+    if np.max(np.abs(m[np.ix_(sym[even], sym)] - rows)) > HERMITIAN_TOL:
+        return None
     c = np.r_[np.full(len(fixed), np.sqrt(0.5)), np.ones(len(lo))]    # fixed points read twice
     (e_vals, e_vecs), (o_vals, o_vecs) = map(np.linalg.eigh, [
         (rows.take(even, axis=1) + rows.take(sym[even], axis=1)) * np.outer(c, c),
         rows[len(fixed):].take(lo, axis=1) - rows[len(fixed):].take(sym[lo], axis=1)])
+    e_vecs = _fix_phase((e_vecs * (np.sqrt(0.5) / c)[:, None])[np.argsort(even)])
+    o_vecs = _fix_phase(o_vecs * np.sqrt(0.5))
+    even, ne = np.sort(even), len(even)
     vecs = np.zeros(m.shape, dtype=e_vecs.dtype)
-    vecs[even, :ne] = vecs[sym[even], :ne] = e_vecs * (np.sqrt(0.5) / c)[:, None]
-    vecs[lo, ne:], vecs[sym[lo], ne:] = o_vecs * np.sqrt(0.5), o_vecs * -np.sqrt(0.5)
+    vecs[even, :ne] = vecs[sym[even], :ne] = e_vecs
+    vecs[lo, ne:], vecs[sym[lo], ne:] = o_vecs, -o_vecs
     evals = np.concatenate([e_vals, o_vals])
     order = np.argsort(evals, kind="stable")
     return evals[order], vecs.take(order, axis=1)
 
 
-def _conventions(evals: np.ndarray, evecs: np.ndarray) -> HermitianEigensystem:
-    out = _fix_phase(evecs)
+def _conventions(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray) -> HermitianEigensystem:
+    """out, evecs with fixed phases, with each degenerate group rebuilt."""
     # a degenerate group exists iff some adjacent spacing is within the
     # tolerance _group_degenerate applies
     scale = np.maximum(np.max(np.abs(evals), axis=-1), 1.0)

@@ -34,8 +34,9 @@ product and elementwise sums, and any other state, as a block of weighted
 vectors (psi, or the eigenvectors of a density matrix), three products
 of a matrix by the block that never form W(t); a dense rho equal to c 1
 (a constant real diagonal, nothing off it) is read as equal weights. F is
-one column of those traces (otoc_series), and density_matrix makes any
-form dense.
+the one trace otoc_series asks for. When V is W's image under the site
+reflection R (W = Z_1, V = Z_n) and every eigenvector has an exact parity,
+e[R] == e s, then V~ = S W~ S and G^T = S G S (_energy_frame).
 
 W and V reach the series as matrices or as spin.PauliString tables, the
 operator counterpart of DiagonalState. A string P is rotated with one
@@ -262,8 +263,7 @@ def _frame_state(state, sys: qla.HermitianEigensystem):
     # c 1 has a constant real diagonal and no nonzero entry off it
     if np.all(diag == diag[0].real) and np.count_nonzero(s) == np.count_nonzero(diag):
         return DiagonalState(np.full(s.shape[0], diag[0].real))
-    (rho_e,) = _energy_frame(sys, s)
-    return rho_e
+    return _rotated(sys.eigenvectors, s)
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +297,38 @@ def _matmul(a, b, out=None):
     return np.matmul(a, b, out=out)
 
 
-def _energy_frame(sys: qla.HermitianEigensystem, *ops) -> list[np.ndarray]:
-    """Operators rotated into the eigenbasis of the Hamiltonian. In a real
-    frame (real eigenvectors) an operator with no imaginary part stays
+def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
+    """W and V rotated (_rotated) into the eigenbasis e of H, and the column
+    parities s of e when V is W's reflection partner, else None. Partners
+    are spin.PauliStrings with V = R W R for the site reflection R; when
+    every column of a real e has an exact parity, e[R] == e s (qla.eigh's
+    sector solve gives one unless a degenerate group was rebuilt across the
+    sectors), V~ = S W~ S and W alone is rotated; else both are."""
+    e, s = sys.eigenvectors, None
+    if (isinstance(w_op, spin.PauliString) and isinstance(v_op, spin.PauliString)
+            and np.isrealobj(e) and len(e) == w_op.dim):
+        r = spin.reflection(w_op.dim.bit_length() - 1)
+        if v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r]):
+            s = np.where(np.einsum("ij,ij->j", e[r], e) < 0, -1.0, 1.0)
+            s = s if np.array_equal(e[r] * s, e) else None
+    w_e = _rotated(e, w_op)
+    if s is None:
+        return w_e, _rotated(e, v_op), None
+    v_e = w_e * s
+    return w_e, np.multiply(v_e, s[:, None], out=v_e), s
+
+
+def _rotated(e: np.ndarray, op) -> np.ndarray:
+    """e^dag op e. In a real frame an operator with no imaginary part stays
     real. A spin.PauliString P takes one product, e^dag (P e): P e is e
     with its rows permuted by r ^ mask and scaled by the phases."""
-    e = sys.eigenvectors
-    out = []
-    for op in ops:
-        if isinstance(op, spin.PauliString):
-            flipped = op.flipped()
-            out.append(_matmul(e.conj().T, op.phase[flipped, None] * e[flipped]))
-            continue
-        m = np.asarray(op, dtype=complex)
-        if np.isrealobj(e) and not np.any(m.imag):
-            m = m.real
-        out.append(_matmul(e.conj().T, m) @ e)
-    return out
+    if isinstance(op, spin.PauliString):
+        flipped = op.flipped()
+        return _matmul(e.conj().T, op.phase[flipped, None] * e[flipped])
+    m = np.asarray(op, dtype=complex)
+    if np.isrealobj(e) and not np.any(m.imag):
+        m = m.real
+    return _matmul(e.conj().T, m) @ e
 
 
 def _phases(sys: qla.HermitianEigensystem, t: float) -> np.ndarray:
@@ -466,37 +481,35 @@ def _entries(traces, k: int) -> np.ndarray:
     return (traces @ _word_table(k).T).reshape(np.shape(traces)[:-1] + (2,) * (2 * k))
 
 
-def _word_traces(state, v, k: int):
-    """Map (W, phase) -> the traces Tr(word rho) over _words(k), as an array.
+def _word_traces(state, v, k: int, parities=None, words=None):
+    """Map (W, phase) -> the traces Tr(word rho) over words (or _words(k)).
 
     W(t) is W dressed by the unit phases e^{-iEt} (_dress), or W itself
     when phase is None. The state, in the frame V and W share, picks the
-    contraction: DiagonalState weights take _diagonal_kernel, k - 1 matrix
-    products per call; a vector psi or a density matrix take _block_kernel
-    on rho = B diag(lam) B^dag, 2k - 1 products of a matrix by the (d, r)
-    block B. For Hermitian rho, W and V a word's trace is the conjugate of
-    its reverse's, which gives the even W-first words; a dense rho is
-    checked. The block kernel also takes a (..., d, d) stack of W(t), with
-    phase None, for traces of shape (..., 4k)."""
+    contraction: DiagonalState weights take _diagonal_kernel (which takes
+    the parities), k - 1 matrix products per call; a vector psi or a density
+    matrix take _block_kernel on rho = B diag(lam) B^dag, 2k - 1 products of
+    a matrix by the (d, r) block B. For Hermitian rho, W and V a word's
+    trace is the conjugate of its reverse's, which gives the even W-first
+    words; a dense rho is checked. The block kernel also takes a (..., d, d)
+    stack of W(t), with phase None, for traces of shape (..., 4k)."""
+    words = _words(k) if words is None else words
     if isinstance(state, DiagonalState):
-        kernel = _diagonal_kernel(state.weights, v, k)
+        kernel = _diagonal_kernel(state.weights, v, k, parities, words)
     else:
         kernel = _block_kernel(state, v, k)
-    words = _words(k)
 
     def traces(w, phase=None) -> np.ndarray:
         vals = kernel(w, phase)
-        for m in range(1, k):
-            vals["vw" * m] = np.conj(vals["wv" * m])
         out = np.empty(np.shape(w)[:-2] + (len(words),), dtype=complex)
         for j, word in enumerate(words):
-            out[..., j] = vals[word]
+            out[..., j] = vals[word] if word in vals else np.conj(vals[word[::-1]])
         return out
     return traces
 
 
-def _diagonal_kernel(p, v, k: int):
-    """Word traces Tr(word rho) for rho = diag(p).
+def _diagonal_kernel(p, v, k: int, parities, words):
+    """Word traces Tr(word rho) for rho = diag(p), the given words only.
 
     With D = diag(phase) and c = conj(phase), X = W(t) V is D* G for
     G = W (D V), and G_m = D X^m = G_(m-1) D* G. For unit phases and
@@ -506,12 +519,16 @@ def _diagonal_kernel(p, v, k: int):
     Tr(X^m W(t) rho) = sum_ij p_i (G_m)_ij conj(W_ij) c_j and
     Tr(X^(m+1) rho) = sum_ij p_i c_i (G_m)_ij c_j G_ji. W(t) and X are never
     formed, and a call costs G_1, ..., G_(k-1): k - 1 matrix products.
-    D V, G, the weights p_i conj(W_ij) and the G_m are written into (d, d)
-    buffers allocated on the first call, not freshly at every point.
+    The parities s of a reflection partner (V = S W S, W^T = +-W) give
+    G^T = S G S: the last sum reads G by rows, sum p_i c_i s_i (G_m)_ij G_ij
+    c_j s_j. D V, G and the G_m are written into (d, d) buffers allocated
+    on the first call, and the weights p_i conj(W_ij) are formed once per W.
     """
     static = {"1": np.sum(p), "v": p @ np.diagonal(v)}
-    vp = np.asarray(v.conj() * p, dtype=complex)
-    buffers = {}
+    ends = {word[0] for word in words if len(word) % 2 and len(word) > 1}   # v: V X^m, w: X^m W
+    if "v" in ends:
+        vp = v.conj() * p
+    buffers, weights = {}, {}
 
     def buffer(name, dtype):
         buf = buffers.get(name)
@@ -524,13 +541,19 @@ def _diagonal_kernel(p, v, k: int):
         c = phase.conj()
         dv = np.multiply(phase[:, None], v, out=buffer("dv", np.result_type(phase, v)))
         g = _matmul(w, dv, buffer("g", np.result_type(w, dv)))
-        wp = np.multiply(p[:, None], w.conj(), out=buffer("wp", np.result_type(p, w)))
+        if "w" in ends and weights.get("w") is not w:
+            weights.update(w=w, wp=p[:, None] * w.conj())
         vals = dict(static, w=p @ np.diagonal(w), wv=(p * c) @ np.diagonal(g))
+        cs = c if parities is None else c * parities
         gm = g
         for m in range(1, k):
-            vals["v" + "wv" * m] = c @ np.einsum("ab,ab->a", gm, vp)
-            vals["wv" * m + "w"] = np.einsum("ij,ij->j", gm, wp) @ c
-            vals["wv" * m + "wv"] = np.einsum("ij,ji,j->i", gm, g, c) @ (p * c)
+            if "v" + "wv" * m in words:
+                vals["v" + "wv" * m] = c @ np.einsum("ab,ab->a", gm, vp)
+            if "wv" * m + "w" in words:
+                vals["wv" * m + "w"] = np.einsum("ij,ij->j", gm, weights["wp"]) @ c
+            f = (np.einsum("ij,ji,j->i", gm, g, c) if parities is None
+                 else np.einsum("ij,ij,j->i", gm, g, cs))
+            vals["wv" * m + "wv"] = f @ (p * cs)
             if m < k - 1:
                 gc = np.multiply(gm, c, out=buffer("gc", g.dtype))
                 gm = np.matmul(gc, g, out=buffer("gm", g.dtype))
@@ -599,14 +622,14 @@ def commutator_square(rho, w_op, v_op, hamiltonian, t: float) -> float:
     return float(val.real)
 
 
-def _word_series(state, w_e, v_e, sys: qla.HermitianEigensystem, times, k: int):
-    """The word traces on a time grid, taken in the energy frame, where W
-    and V are given rotated, as the 2k-slot series (v1, w2, v2, w3, ...) of
+def _word_series(state, frame, sys: qla.HermitianEigensystem, times, k: int):
+    """The word traces on a time grid, taken in the energy frame (frame, from
+    _energy_frame), as the 2k-slot series (v1, w2, v2, w3, ...) of
     involutions W and V; its correlator F_k holds for any Hermitian W and V."""
-    word_traces = _word_traces(_frame_state(state, sys), v_e, k)
-    traces = np.empty((len(times), 4 * k), dtype=complex)
-    for i, t in enumerate(times):
-        traces[i] = word_traces(w_e, _phases(sys, t))
+    w_e, v_e, parities = frame
+    word_traces = _word_traces(_frame_state(state, sys), v_e, k, parities)
+    traces = np.array([word_traces(w_e, _phases(sys, t)) for t in times], dtype=complex)
+    traces = traces.reshape(-1, 4 * k)
     names = tuple(x for ell in range(1, k + 1) for x in (f"v{ell}", f"w{ell + 1}"))
     return QuasiSeries(times=times, values=_entries(traces, k), axis_names=names,
                        axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * k),
@@ -616,8 +639,8 @@ def _word_series(state, w_e, v_e, sys: qla.HermitianEigensystem, times, k: int):
 def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     """F(t) on a time grid, diagonalizing the Hamiltonian once.
 
-    F is the trace of the word W(t) V W(t) V, one column of the
-    energy-frame word traces (_word_traces), so W and V must be Hermitian;
+    F is the trace of the word W(t) V W(t) V, the one energy-frame word
+    trace (_word_traces) it takes, so W and V must be Hermitian;
     the lab-frame otoc takes any W and V. rho may be any state form that
     density_matrix accepts, and W and V matrices or spin.PauliString
     tables.
@@ -627,8 +650,10 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
     sys = _eigensystem(hamiltonian)
-    series = _word_series(rho, *_energy_frame(sys, w_op, v_op), sys, times, 2)
-    return CorrelatorSeries(times=times, values=series.correlator)
+    w_e, v_e, parities = _energy_frame(sys, w_op, v_op)
+    word_traces = _word_traces(_frame_state(rho, sys), v_e, 2, parities, ("wvwv",))
+    values = np.array([word_traces(w_e, _phases(sys, t))[0] for t in times], dtype=complex)
+    return CorrelatorSeries(times=times, values=values)
 
 
 def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
@@ -685,9 +710,10 @@ def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
     energy frame."""
     _check_dims(rho, w_op, v_op)
     times = np.asarray(times, dtype=float)
-    w_e, v_e = _energy_frame(sys, w_op, v_op)
+    frame = _energy_frame(sys, w_op, v_op)
+    w_e, v_e, _ = frame
     if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
-        return _word_series(rho, w_e, v_e, sys, times, 2), w_e, v_e
+        return _word_series(rho, frame, sys, times, 2), w_e, v_e
     w_evs, w_projs_e = _distinct_projectors(w_e)
     v_evs, v_projs_e = _distinct_projectors(v_e)
     rho_e = density_matrix(_frame_state(rho, sys))
@@ -910,7 +936,7 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times) -> Quas
     p = spin.thermal_weights(sys.eigenvalues, temperature)
     r = p ** 0.25
     q = r * r
-    w_e, v_e = _energy_frame(sys, w_op, v_op)
+    w_e, v_e, _ = _energy_frame(sys, w_op, v_op)
     w_reg = r[:, None] * w_e * r          # W' at t = 0
     qv = q[:, None] * v_e
     traces = np.empty((len(times), 10), dtype=complex)
@@ -938,12 +964,14 @@ def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     TOC(t) = <Vdag W(t)dag W(t) V>, saturates at 1 for unitary W, V; with
     M = V rho Vdag and W^dag W taken once in the energy frame from the W
     and V the coarse series rotated, K = M^T * W^dag W (elementwise) makes
-    each point conj(phase) @ K @ phase.
+    each point conj(phase) @ K @ phase. Energy-frame weights p give
+    M = (V p) V^dag, one product.
     """
     sys = _eigensystem(hamiltonian)
     coarse, w_e, v_e = _coarse_series(rho, w_op, v_op, sys, times)
-    rho_e = density_matrix(_frame_state(rho, sys))
-    kernel = (v_e @ rho_e @ qla.dagger(v_e)).T * (qla.dagger(w_e) @ w_e)
+    state = _frame_state(rho, sys)
+    v_rho = v_e * state.weights if isinstance(state, DiagonalState) else v_e @ density_matrix(state)
+    kernel = (v_rho @ qla.dagger(v_e)).T * (qla.dagger(w_e) @ w_e)
     toc = np.array([phase.conj() @ kernel @ phase
                     for phase in (_phases(sys, t) for t in coarse.times)], dtype=complex)
     v_evs, w_evs = coarse.axis_eigenvalues[:2]
@@ -975,7 +1003,7 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
         raise ValueError("k-fold enumeration needs involutory W and V")
     times = np.asarray(times, dtype=float)
     sys = _eigensystem(hamiltonian)
-    return _word_series(rho, *_energy_frame(sys, w_op, v_op), sys, times, khat)
+    return _word_series(rho, _energy_frame(sys, w_op, v_op), sys, times, khat)
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:

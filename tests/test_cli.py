@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from otoclab import brownian, cli, qla, quasiprob, spin, weakmeas
+from otoclab import brownian, cli, qla, quasiprob, retrodict, spin, weakmeas
 
 
 def run_cli(capsys, *argv):
@@ -565,6 +565,33 @@ class TestOtherExperiments:
         assert rc == 0
         assert calls.count(True) == 1
 
+    @pytest.mark.parametrize("experiment", ["otoc-series", "quasiprob-series"])
+    @pytest.mark.parametrize("extra, rotations", [([], 1), (["--v", "5:z"], 2)],
+                             ids=["reflection partner", "5:z"])
+    def test_partner_v_takes_no_rotation_of_its_own(self, capsys, monkeypatch, experiment,
+                                                    extra, rotations):
+        # the default V = n:z is the reflection partner of W = 1:z, so the
+        # energy frame rotates W alone; any other V is rotated itself
+        real_frame, real_matmul = quasiprob._energy_frame, quasiprob._matmul
+        inside, products = [], []
+
+        def frame(*args):
+            inside.append(True)
+            try:
+                return real_frame(*args)
+            finally:
+                inside.pop()
+
+        def matmul(a, b, out=None):
+            if inside and np.shape(a) == np.shape(b) == (64, 64):
+                products.append(True)
+            return real_matmul(a, b, out)
+        monkeypatch.setattr(quasiprob, "_energy_frame", frame)
+        monkeypatch.setattr(quasiprob, "_matmul", matmul)
+        rc, _, _ = run_cli(capsys, experiment, "--n", "6", *extra)
+        assert rc == 0
+        assert len(products) == rotations
+
     def test_weakmeas_inference_exact_mode(self, capsys):
         rc, out, _ = run_cli(capsys, "weakmeas-inference")
         assert rc == 0
@@ -584,6 +611,32 @@ class TestOtherExperiments:
         assert sum(1 for r in rows if r[i_section] == "random") == 2
         assert sum(1 for r in rows if r[i_section] == "scaling") == 5
         assert all(float(r[i_diff]) < 1e-10 for r in rows)
+
+    def test_retrodict_health_round_trips_in_csv_and_json(self, capsys):
+        argv = ["retrodict-benchmark", "--instances", "3", "--seed", "2"]
+        rc, out_csv, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        metadata, columns, rows = parse_csv(out_csv)
+        assert metadata["health"] == json.loads(out_json)["metadata"]["health"]
+        assert set(metadata["health"]) == {"max_weak_value_defect"}
+        i1, i_diff = columns.index("method1"), columns.index("abs_diff")
+        want = max(float(r[i_diff]) / max(1.0, abs(float(r[i1]))) for r in rows)
+        assert metadata["health"]["max_weak_value_defect"] == want
+        assert 0.0 <= want <= 1e-12
+
+    def test_retrodict_weak_value_defect_above_its_limit_exits_three(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        real = retrodict.gamma_weak_factored
+        monkeypatch.setattr(retrodict, "gamma_weak_factored",
+                            lambda *args: real(*args) * (1 + 1e-5) + 1e-5)
+        target = tmp_path / "out.csv"
+        rc, out, err = run_cli(capsys, "retrodict-benchmark", "--instances", "2",
+                               "--out", str(target))
+        assert rc == 3 and out == ""
+        assert "max_weak_value_defect" in err
+        assert not list(tmp_path.iterdir())
 
     def test_decomp_report_commuting_start(self, capsys):
         rc, out, _ = run_cli(capsys, "decomp-report", "--n", "2",

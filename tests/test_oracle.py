@@ -480,3 +480,70 @@ def test_dense_rho_with_a_zero_diagonal_is_not_read_as_equal_weights():
     assert abs(want_f) > 1e-4 and np.max(np.abs(want)) > 0.5
     assert abs(quasiprob.otoc_series(rho, w, v, h, [0.7]).values[0] - want_f) < TOL
     assert max_dev(quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).values[0], want) < TOL
+
+
+PARTNERS = {
+    "z-z": ([(1, "z")], lambda n: [(n, "z")]),
+    "y-y": ([(1, "y")], lambda n: [(n, "y")]),
+    "x1y2-xnyn-1": ([(1, "x"), (2, "y")], lambda n: [(n, "x"), (n - 1, "y")]),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("pair", sorted(PARTNERS))
+@pytest.mark.parametrize("state", ["infinite-temp", "thermal", "random weights", "psi"])
+def test_reflection_partner_route_matches_the_product_route(n, pair, state):
+    """V = R W R on a sector eigensystem: V~ = S W~ S from the parities and
+    the contiguous (W(t) V)^k sum give every word trace of k = 2..5 that the
+    rotation of both operators and the product route give."""
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    w_factors, v_factors = PARTNERS[pair]
+    w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors(n))
+    w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
+    assert parities is not None
+    w_full, v_full, no_parities = quasiprob._energy_frame(sys, w.matrix(), v.matrix())
+    assert no_parities is None
+    assert max_dev(w_e, w_full) < 1e-12 and max_dev(v_e, v_full) < 1e-12
+    weights = np.random.default_rng(n).random(2**n)
+    rho = {"infinite-temp": quasiprob.DiagonalState(np.full(2**n, 2.0**-n)),
+           "thermal": quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 0.8)),
+           "random weights": quasiprob.DiagonalState(weights / weights.sum()),
+           "psi": quasiprob._frame_state(qla.haar_random_state(2**n, 5), sys)}[state]
+    for k in range(2, 6):
+        partner = quasiprob._word_traces(rho, v_e, k, parities)
+        product = quasiprob._word_traces(rho, v_full, k)
+        for t in (0.0, 0.7, 3.1):
+            phase = np.exp(-1j * t * sys.eigenvalues)
+            assert max_dev(partner(w_e, phase), product(w_full, phase)) < 1e-12
+
+
+def test_rebuilt_degenerate_groups_across_the_sectors_take_the_product_route():
+    """At g = h = 0, H is diagonal and its degenerate groups are rebuilt from
+    computational basis vectors that straddle the sectors: no parities, so V
+    is rotated itself, and F still matches the lab-frame otoc."""
+    n = 6
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.0, g=0.0))
+    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
+    assert quasiprob._energy_frame(sys, w, v)[2] is None
+    times = [0.0, 0.9, 2.3]
+    for rho in (quasiprob.DiagonalState(np.full(2**n, 2.0**-n)), qla.haar_random_state(2**n, 2)):
+        f = quasiprob.otoc_series(rho, w, v, sys, times).values
+        dense = quasiprob.density_matrix(rho, sys)
+        for i, t in enumerate(times):
+            assert abs(f[i] - quasiprob.otoc(dense, w.matrix(), v.matrix(), ham, t)) < TOL
+
+
+@pytest.mark.parametrize("w_factors, v_factors", [
+    ([(1, "z")], [(5, "z")]), ([(1, "z")], [(6, "x")]),
+    ([(1, "x"), (2, "y")], [(6, "y"), (5, "x")]),
+], ids=["(n-1):z", "n:x", "axes swapped"])
+def test_non_partner_pairs_rotate_both_operators(w_factors, v_factors):
+    n = 6
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors)
+    w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
+    assert parities is None
+    assert max_dev(v_e, quasiprob._rotated(sys.eigenvectors, v)) == 0.0

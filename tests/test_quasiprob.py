@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,7 +509,7 @@ class TestWordExpansion:
         # in the energy frame, with W dressed by the phases and undressed
         _, w, v, h = small_chain
         sys = qla.eigh(h)
-        w_e, v_e = quasiprob._energy_frame(sys, w, v)
+        w_e, v_e, _ = quasiprob._energy_frame(sys, w, v)
         if form == "psi":
             state = qla.haar_random_state(8, rng)
             rho = np.outer(state, state.conj())
@@ -522,6 +523,33 @@ class TestWordExpansion:
             for word, value in zip(quasiprob._words(k), traces(w_e, given)):
                 product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
                 assert abs(value - np.trace(product @ rho)) < 1e-12
+
+    def test_partner_otoc_points_allocate_no_square_temporary(self):
+        """Per point, the F word of a reflection partner on energy-frame
+        weights holds two (d, d) buffers, D V and G (one fewer than with the
+        p conj(W) weights of every word), and the contiguous sum allocates
+        no (d, d) temporary; what a point allocates is numpy's fixed-size
+        casting buffer of about 256 kB."""
+        n, d = 9, 512
+        ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+        sys = qla.eigh(ham, symmetry=spin.reflection(n))
+        w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
+        w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
+        assert parities is not None
+        state = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 2.0))
+        traces = quasiprob._word_traces(state, v_e, 2, parities, ("wvwv",))
+        square = 16 * d * d                   # one complex (d, d) matrix
+        tracemalloc.start()
+        try:
+            traces(w_e, np.exp(-0.3j * sys.eigenvalues))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            traces(w_e, np.exp(-1.1j * sys.eigenvalues))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * square <= held < 2 * square + square // 8
+        assert peak - held < square // 8
 
     def test_matmul_takes_blocks_and_stacks(self, rng):
         # a real matrix times a complex operand takes one real product over

@@ -23,7 +23,8 @@ and regulated-series: the largest |sum of entries - 1| and
 carries; work-distribution: |sum of entries - 1|; otoc-series: the
 largest |F| - 1, floored at 0, and at infinite temperature, where F is
 real, the largest |Im F|; retrodict-benchmark: the largest |direct -
-factored| / max(1, |direct|) weak value; none elsewhere). A key of
+factored| / max(1, |direct|) weak value; decomp-report: the largest
+|sum over lambda of |<w,lambda|U_t|v,nu>|^2 - 1| over nu and t). A key of
 HEALTH_LIMITS above its limit is a numeric failure; the weak-measurement
 keys are estimates, not invariants, and are reported only.
 
@@ -49,7 +50,8 @@ EXIT_NUMERIC = 3
 # health keys that are invariants of the exact result, with the largest
 # value a run may report before it exits 3 and writes nothing
 HEALTH_LIMITS = dict.fromkeys(["max_total_defect", "max_moment_defect", "unitarity_defect",
-                               "max_norm_excess", "max_imag_f", "max_weak_value_defect"], 1e-6)
+                               "max_norm_excess", "max_imag_f", "max_weak_value_defect",
+                               "max_completeness_defect"], 1e-6)
 
 # a time grid, and a Brownian run's integration steps, stay below this many
 # points; a longer one is a configuration error
@@ -522,7 +524,9 @@ def _run_decomp_report(cfg):
              int(stats.vanishing_counts[i])] for i, t in enumerate(ts)]
     columns = ["t", "mean_overlap", "min_overlap", "near_mub_fraction",
                "vanishing_count"]
-    return columns, rows, {}
+    # each column nu of <w,lambda|U_t|v,nu> is a unit vector over lambda
+    norms = np.sum(stats.magnitudes.reshape(len(ts), -1, h_sys.dim) ** 2, axis=1)
+    return columns, rows, {"max_completeness_defect": float(np.max(np.abs(norms - 1.0)))}
 
 
 def _run_toc_series(cfg):

@@ -19,6 +19,8 @@ MAX_DIM = 4096
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+# Distance below which a computed eigenvalue is read as a requested one.
+EIGENVALUE_MATCH_TOL = 1e-9
 
 # Relative eigenvalue spacing below which two eigenvalues are treated as
 # one degenerate group when fixing the eigenbasis.

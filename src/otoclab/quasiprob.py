@@ -99,7 +99,7 @@ class QuasiDistribution:
 
     def _axis_index(self, axis: int, eigenvalue: float, label=None) -> int:
         evs = self.axis_eigenvalues[axis]
-        hits = np.nonzero(np.abs(evs - eigenvalue) < 1e-9)[0]
+        hits = np.nonzero(np.abs(evs - eigenvalue) < qla.EIGENVALUE_MATCH_TOL)[0]
         if hits.size == 0:
             raise KeyError(f"{eigenvalue} not an outcome on axis {self.axis_names[axis]}")
         if label is None:
@@ -778,10 +778,10 @@ def otoc_moment(quasi) -> complex:
 
 
 def _eigenvalue_runs(evs) -> list[slice]:
-    """Runs of equal (to 1e-9) consecutive eigenvalues along one axis."""
+    """Runs of equal (to qla.EIGENVALUE_MATCH_TOL) consecutive eigenvalues on one axis."""
     runs, start = [], 0
     for k in range(1, evs.shape[0] + 1):
-        if k == evs.shape[0] or abs(evs[k] - evs[start]) > 1e-9:
+        if k == evs.shape[0] or abs(evs[k] - evs[start]) > qla.EIGENVALUE_MATCH_TOL:
             runs.append(slice(start, k))
             start = k
     return runs

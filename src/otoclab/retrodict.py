@@ -103,7 +103,7 @@ class RetrodictionContext:
 def _resolved_eigenvector(observable, outcome: float) -> np.ndarray:
     sys = qla.eigh(observable)
     hits = [(start, stop) for start, stop in sys.degenerate_groups()
-            if abs(sys.eigenvalues[start] - outcome) < 1e-9]
+            if abs(sys.eigenvalues[start] - outcome) < qla.EIGENVALUE_MATCH_TOL]
     if not hits:
         raise ValueError(f"outcome {outcome} is not an eigenvalue of the final observable")
     start, stop = hits[0]
@@ -280,7 +280,7 @@ def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float)
     """
     qd = quasiprob.coarse_quasiprob(rho, w_op, v_op, hamiltonian, t)
     w_evs = qd.axis_eigenvalues[3]
-    hits = np.flatnonzero(np.abs(w_evs - w3_outcome) < 1e-9)
+    hits = np.flatnonzero(np.abs(w_evs - w3_outcome) < qla.EIGENVALUE_MATCH_TOL)
     if hits.size == 0:
         raise ValueError(f"{w3_outcome} is not an eigenvalue of W")
     i3 = int(hits[0])

@@ -27,8 +27,6 @@ PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 # action of one Pauli on its site's bit b: (flips b, constant phase, times (-1)^b)
 _AXIS_ACTION = {"1": (0, 1, 0), "x": (1, 1, 0), "y": (1, 1j, 1), "z": (0, 1, 1)}
 
-_EIGENVALUE_MATCH_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SpinChainSpec:
@@ -217,7 +215,7 @@ def product_plus_x_state(n: int) -> np.ndarray:
 def eigenprojector(o, eigenvalue: float) -> np.ndarray:
     """Projector onto the full degenerate eigenspace of the given eigenvalue."""
     sys = qla.eigh(o)
-    sel = np.abs(sys.eigenvalues - eigenvalue) < _EIGENVALUE_MATCH_TOL
+    sel = np.abs(sys.eigenvalues - eigenvalue) < qla.EIGENVALUE_MATCH_TOL
     if not np.any(sel):
         raise ValueError(f"{eigenvalue} is not in the spectrum")
     cols = sys.eigenvectors[:, sel]

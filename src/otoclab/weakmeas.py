@@ -5,7 +5,10 @@ ancillas weakly (weak V, evolve, weak W, evolve back, weak V, evolve,
 strong W); for states sharing the evolved-W eigenbasis a shorter variant
 with two weak couplings suffices. Each weak coupling applies a Kraus pair
 of the form M_s = a_s 1 + b_s Pi, so every joint outcome probability is
-exactly multilinear in the slot coefficients (a, b).
+exactly multilinear in the slot coefficients (a, b). One simulator runs
+both in the Heisenberg picture, where each prepares a state, applies the
+Kraus operators of its weak couplings in time order and ends in a strong
+measurement.
 
 Inference exploits that structure directly, with one linear map for both
 families: the probabilities of each final-outcome block are linear in a
@@ -20,10 +23,11 @@ gives one overdetermined real design that every block shares; the
 quasiprobability is the identity-column traces T[x, 0] = P[x, 0] . sol
 summed by inclusion-exclusion over projector complements, and the
 remaining traces are the independently measurable background terms.
-What differs between the families (the number of weak slots, the
+What differs between the families (the weak couplings in time order, the
 sandwich list and the x, y tuples that index it, its dagger permutation,
 the identifiable rank, and where the final outcomes sit in a record) is
-one row of the _PROTOCOLS table.
+one row of the _PROTOCOLS table, which describes each circuit for its
+simulation as well as its inversion.
 """
 from __future__ import annotations
 
@@ -138,6 +142,61 @@ def ancilla_subcircuit_kraus(axis_projectors, phi: float, base_angle: float = ma
 
 
 # ---------------------------------------------------------------------------
+# the protocol table
+
+
+@dataclass(frozen=True)
+class _Protocol:
+    """One circuit family, as its simulation and its inversion see it.
+
+    letters names the weak couplings in time order ("v" or "w"). A slot
+    pattern takes, per weak coupling, a_s 1 (bit 0) or b_s Pi (bit 1);
+    patterns run in binary order, the first coupling the most significant
+    bit. Pattern p picks the sandwich operator S_{x[p]} left of rho and
+    S_{y[p]}^dag right of it. sigma is the dagger permutation of the
+    sandwich list, T[i,j]* = T[sigma(j), sigma(i)], and rank counts the
+    real degrees of freedom the records identify. final gives the
+    positions of the final-outcome eigenvalues in each record outcome
+    tuple, in tensor axis order; the ancilla outcomes fill the leading
+    axes. per_slot builds a Kronecker product of 2x2 per-slot factors and
+    onehot the pattern-to-sandwich matrix of x or y; _columns(sigma) is
+    the parameterization P of the traces.
+    """
+
+    letters: str
+    x: tuple
+    y: tuple
+    sigma: tuple
+    rank: int
+    final: tuple
+
+    @property
+    def outcomes(self) -> list[tuple]:
+        """Ancilla outcome tuples, in the order records store them."""
+        return list(itertools.product((1, -1), repeat=len(self.letters)))
+
+    def per_slot(self, factor) -> np.ndarray:
+        """The Kronecker product of one 2x2 factor over the weak slots."""
+        return functools.reduce(np.kron, [np.asarray(factor)] * len(self.letters))
+
+    def onehot(self, index: tuple) -> np.ndarray:
+        """(patterns, sandwiches) matrix with a 1 at (p, index[p])."""
+        return np.eye(len(self.sigma))[list(index)]
+
+
+_PROTOCOLS = {
+    # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x indexes the
+    # product X3 X2 X1, y the product Y1 Y2 Y3; 27 of 36 real traces
+    "three-weak": _Protocol(letters="vwv", x=(0, 1, 2, 4, 1, 1, 3, 5), y=(0, 1, 2, 3, 1, 1, 4, 5),
+                            sigma=(0, 1, 2, 4, 3, 5), rank=27, final=(3,)),
+    # sandwich list [1, Pv, Pw Pv, Pw]; both sides carry the same product,
+    # so T is Hermitian; 13 of 16 real traces
+    "two-weak": _Protocol(letters="vw", x=(0, 3, 1, 2), y=(0, 3, 1, 2),
+                          sigma=(0, 1, 2, 3), rank=13, final=(3, 0)),
+}
+
+
+# ---------------------------------------------------------------------------
 # protocol simulation
 
 
@@ -165,11 +224,6 @@ class MeasurementRecord:
         return self.counts / self.shots
 
 
-def _weak_slot_operators(proj, coupling: CouplingConfig) -> dict[int, np.ndarray]:
-    m_plus, m_minus = kraus_pair(proj, coupling)
-    return {+1: m_plus, -1: m_minus}
-
-
 def _sample_counts(probabilities, shots, seed) -> np.ndarray:
     """Multinomial histogram; only rounding residue below zero is clipped."""
     p = np.asarray(probabilities, dtype=float)
@@ -195,34 +249,7 @@ def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
     shots >= 1 draws a multinomial histogram from them (statistically
     identical to per-shot conditional updates).
     """
-    return _three_weak(rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
-
-
-def _three_weak(rho, w_op, v_op, hamiltonian, t: float):
-    """simulate_protocol at fixed rho, W, V and t, as a map (coupling, shots,
-    seed) -> record; W(t) and both projector pairs are built once."""
-    quasiprob._check_dims(rho, w_op, v_op)
-    wt = quasiprob.heisenberg(w_op, quasiprob.propagator(hamiltonian, t))
-    w_evs, w_projs = quasiprob._distinct_projectors(wt)
-    v_evs, v_projs = quasiprob._distinct_projectors(v_op)
-    if len(v_evs) != 2:
-        raise ValueError("weak V coupling needs a two-outcome observable")
-    pv_plus = v_projs[int(np.argmax(v_evs))]
-    pw_plus = w_projs[int(np.argmax(w_evs))]
-    rho = np.asarray(rho, dtype=complex)
-
-    def record(coupling: CouplingConfig, shots: int, seed) -> MeasurementRecord:
-        mv = _weak_slot_operators(pv_plus, coupling)
-        mw = _weak_slot_operators(pw_plus, coupling)
-        outcomes, probs = [], []
-        for s in _PROTOCOLS["three-weak"].outcomes:
-            op = mv[s[2]] @ mw[s[1]] @ mv[s[0]]
-            evolved = op @ rho @ qla.dagger(op)
-            for i_w, w3 in enumerate(w_evs):
-                outcomes.append((*s, float(w3)))
-                probs.append(float(np.trace(w_projs[i_w] @ evolved).real))
-        return _record("three-weak", coupling, outcomes, probs, shots, seed, w_evs)
-    return record
+    return _simulator("three-weak", rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
 
 
 def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
@@ -234,135 +261,72 @@ def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
     weights, evolve backward, weak V, evolve forward, weak W, evolve
     backward, strong V. Valid only when rho commutes with the evolved W,
     so that preparing W eigenstates with the weights <w,l| U rho U+ |w,l>
-    reproduces the ensemble; other states are rejected.
+    reproduces the ensemble; other states are rejected. The prepared
+    ensemble of each W eigenvalue is rho dephased in the W(t) eigenbasis,
+    sum_l p_l |c_l><c_l| with c_l = U+ |w,l> and p_l = <c_l| rho |c_l>.
     """
-    return _two_weak(rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
+    return _simulator("two-weak", rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
 
 
-def _two_weak(rho, w_op, v_op, hamiltonian, t: float):
-    """two_measurement_protocol at fixed rho, W, V and t, as a map
-    (coupling, shots, seed) -> record; the propagator, the W eigenbasis and
-    its preparation weights and both projector pairs are built once."""
+def _simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
+    """The protocol's record at fixed rho, W, V and t, as a map (coupling,
+    shots, seed) -> record; W(t), both projector pairs and the prepared
+    states are built once.
+
+    Each outcome's probability is Re Tr(Pi_final K_s sigma K_s^dag), with
+    K_s the Kraus operators of the row's letters applied in time order.
+    The strong measurements alternate with the weak ones: the final one
+    measures the observable not coupled last, and a row whose records
+    start with a prepared eigenvalue (final position 0) prepares one
+    sigma per degenerate group of W, sum_l p_l |c_l><c_l| over its
+    eigenvectors e_l with c_l = U^dag e_l and p_l = <c_l|rho|c_l>;
+    otherwise sigma is rho.
+    """
+    spec = _PROTOCOLS[protocol]
     quasiprob._check_dims(rho, w_op, v_op)
-    u = quasiprob.propagator(hamiltonian, t)
-    w = np.asarray(w_op, dtype=complex)
-    v = np.asarray(v_op, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    rho_fwd = u @ rho @ qla.dagger(u)
-    if np.max(np.abs(rho_fwd @ w - w @ rho_fwd)) > _COMMUTATION_TOL:
-        raise ValueError(
-            "two-coupling protocol needs a state commuting with the evolved W"
-        )
-    v_evs, v_projs = quasiprob._distinct_projectors(v)
-    if len(v_evs) != 2:
+    u = quasiprob.propagator(hamiltonian, t)
+    wt = quasiprob.heisenberg(w_op, u)
+    prepared = 0 in spec.final
+    if prepared and np.max(np.abs(rho @ wt - wt @ rho)) > _COMMUTATION_TOL:
+        raise ValueError("two-coupling protocol needs a state commuting with the evolved W")
+    pairs = {"w": quasiprob._distinct_projectors(wt), "v": quasiprob._distinct_projectors(v_op)}
+    if len(pairs["v"][0]) != 2:
         raise ValueError("weak V coupling needs a two-outcome observable")
-    w_sys = qla.eigh(w)
-    w_evs, w_projs = quasiprob._distinct_projectors(w)
-    pv_plus = v_projs[int(np.argmax(v_evs))]
-    pw_plus_lab = w_projs[int(np.argmax(w_evs))]
-    u_dag = qla.dagger(u)
-    col_weights = np.real(np.einsum("ij,jk,ki->i",
-                                    w_sys.eigenvectors.conj().T, rho_fwd,
-                                    w_sys.eigenvectors))
-    # prepared eigenstates and their weights, per W eigenvalue
-    preparations = []
-    for wb in w_evs:
-        in_block = [k for k in range(w.shape[0])
-                    if abs(w_sys.eigenvalues[k] - wb) < 1e-9]
-        preparations.append((wb, [w_sys.eigenvectors[:, k] for k in in_block],
-                             [col_weights[k] for k in in_block]))
+    plus = {k: projs[int(np.argmax(evs))] for k, (evs, projs) in pairs.items()}
+    final_evs, final_projs = pairs["w" if spec.letters[-1] == "v" else "v"]
+    states = [((), rho)]
+    if prepared:
+        w_sys = qla.eigh(w_op)
+        c = qla.dagger(u) @ w_sys.eigenvectors
+        p = np.sum(c.conj() * (rho @ c), axis=0).real
+        states = [((float(w_sys.eigenvalues[a]),), (c[:, a:b] * p[a:b]) @ qla.dagger(c[:, a:b]))
+                  for a, b in w_sys.degenerate_groups()]
 
     def record(coupling: CouplingConfig, shots: int, seed) -> MeasurementRecord:
-        mv = _weak_slot_operators(pv_plus, coupling)
-        mw = _weak_slot_operators(pw_plus_lab, coupling)
+        if shots < 0:
+            raise ValueError("shots must be >= 0")
+        kraus = {k: dict(zip((1, -1), kraus_pair(proj, coupling))) for k, proj in plus.items()}
         outcomes, probs = [], []
-        for wb, cols, wts in preparations:
-            for s1, s2 in _PROTOCOLS["two-weak"].outcomes:
-                chain = u_dag @ mw[s2] @ u @ mv[s1] @ u_dag
-                for i_v, v3 in enumerate(v_evs):
-                    tot = 0.0
-                    for c, wt_c in zip(cols, wts):
-                        vec = chain @ c
-                        tot += wt_c * float(np.linalg.norm(v_projs[i_v] @ vec) ** 2)
-                    outcomes.append((float(wb), s1, s2, float(v3)))
-                    probs.append(tot)
-        return _record("two-weak", coupling, outcomes, probs, shots, seed, v_evs)
+        for label, sigma in states:
+            for s in spec.outcomes:
+                op = functools.reduce(np.matmul, [kraus[k][b] for k, b in
+                                                  zip(spec.letters[::-1], s[::-1])])
+                evolved = op @ sigma @ qla.dagger(op)
+                for ev, proj in zip(final_evs, final_projs):
+                    outcomes.append((*label, *s, float(ev)))
+                    probs.append(float(np.trace(proj @ evolved).real))
+        probabilities = np.array(probs)
+        if abs(probabilities.sum() - 1.0) > _PROBABILITY_TOL:
+            raise RuntimeError(f"joint probabilities sum to {probabilities.sum()}, not 1")
+        counts = _sample_counts(probabilities, shots, seed) if shots else None
+        return MeasurementRecord(protocol, coupling, outcomes, probabilities, counts, shots,
+                                 final_evs)
     return record
-
-
-def _record(protocol, coupling, outcomes, probs, shots, seed,
-            final_eigenvalues) -> MeasurementRecord:
-    """Check that the joint probabilities sum to one and sample them."""
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
-    probabilities = np.array(probs)
-    total = probabilities.sum()
-    if abs(total - 1.0) > _PROBABILITY_TOL:
-        raise RuntimeError(f"joint probabilities sum to {total}, not 1")
-    counts = _sample_counts(probabilities, shots, seed) if shots else None
-    return MeasurementRecord(
-        protocol=protocol,
-        coupling=coupling,
-        outcomes=outcomes,
-        probabilities=probabilities,
-        counts=counts,
-        shots=shots,
-        final_eigenvalues=final_eigenvalues,
-    )
 
 
 # ---------------------------------------------------------------------------
 # inference
-
-
-@dataclass(frozen=True)
-class _Protocol:
-    """One circuit family, as the inversion sees it.
-
-    A slot pattern takes, per weak coupling, a_s 1 (bit 0) or b_s Pi
-    (bit 1); patterns run in binary order, the first coupling the most
-    significant bit. Pattern p picks the sandwich operator S_{x[p]} left
-    of rho and S_{y[p]}^dag right of it. sigma is the dagger permutation of
-    the sandwich list, T[i,j]* = T[sigma(j), sigma(i)], and rank counts the
-    real degrees of freedom the records identify. final gives the
-    positions of the final-outcome eigenvalues in each record outcome
-    tuple, in tensor axis order; the ancilla outcomes fill the leading
-    axes. per_slot builds a Kronecker product of 2x2 per-slot factors and
-    onehot the pattern-to-sandwich matrix of x or y; _columns(sigma) is
-    the parameterization P of the traces.
-    """
-
-    slots: int
-    x: tuple
-    y: tuple
-    sigma: tuple
-    rank: int
-    final: tuple
-
-    @property
-    def outcomes(self) -> list[tuple]:
-        """Ancilla outcome tuples, in the order records store them."""
-        return list(itertools.product((1, -1), repeat=self.slots))
-
-    def per_slot(self, factor) -> np.ndarray:
-        """The Kronecker product of one 2x2 factor over the weak slots."""
-        return functools.reduce(np.kron, [np.asarray(factor)] * self.slots)
-
-    def onehot(self, index: tuple) -> np.ndarray:
-        """(patterns, sandwiches) matrix with a 1 at (p, index[p])."""
-        return np.eye(len(self.sigma))[list(index)]
-
-
-_PROTOCOLS = {
-    # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x indexes the
-    # product X3 X2 X1, y the product Y1 Y2 Y3; 27 of 36 real traces
-    "three-weak": _Protocol(slots=3, x=(0, 1, 2, 4, 1, 1, 3, 5), y=(0, 1, 2, 3, 1, 1, 4, 5),
-                            sigma=(0, 1, 2, 4, 3, 5), rank=27, final=(3,)),
-    # sandwich list [1, Pv, Pw Pv, Pw]; both sides carry the same product,
-    # so T is Hermitian; 13 of 16 real traces
-    "two-weak": _Protocol(slots=2, x=(0, 3, 1, 2), y=(0, 3, 1, 2),
-                          sigma=(0, 1, 2, 3), rank=13, final=(3, 0)),
-}
 
 
 @functools.cache
@@ -424,6 +388,8 @@ class InferenceReport:
     modes: tuple[str, ...]
     sampled: bool
     std_errors: np.ndarray | None = None
+
+
 def _validate_records(records) -> tuple[str, tuple[float, ...], tuple[str, ...]]:
     if not records:
         raise ValueError("no measurement records supplied")
@@ -490,31 +456,28 @@ def infer_coarse_quasiprob(records):
     entries can carry an O(1e-2) bias that no strength schedule removes;
     check residuals and compare against a direct computation when in
     doubt.
-    """
-    protocol, phis, modes = _validate_records(records)
-    return _infer(protocol, records, phis, modes)
 
-
-def _infer(protocol: str, records, phis, modes):
-    """One least-squares solve for every final-outcome block at once.
-
-    The design matrix depends only on the couplings, so it, its
-    conditioning and (for sampled records) its pseudo-inverse are shared
-    by the blocks; each block's column of the right-hand side is its own
-    frequency vector. The entries are T[x, 0] = P[x, 0] . sol summed with
-    the inclusion-exclusion weights kron over slots of [[1, -1], [0, 1]]
+    Every final-outcome block is solved in one least-squares call. The
+    design matrix depends only on the couplings, so it, its conditioning
+    and (for sampled records) its pseudo-inverse are shared by the blocks;
+    each block's column of the right-hand side is its own frequency
+    vector. The entries are T[x, 0] = P[x, 0] . sol summed with the
+    inclusion-exclusion weights kron over slots of [[1, -1], [0, 1]]
     (outcome -1 is 1 - Pi, outcome +1 is Pi) on the left sandwiches x.
     """
+    protocol, phis, modes = _validate_records(records)
     spec = _PROTOCOLS[protocol]
+    slots = len(spec.letters)
     sampled = any(r.counts is not None for r in records)
     pm = np.array([-1.0, 1.0])
     finals = [np.array(sorted({out[p] for out in records[0].outcomes}))
               for p in spec.final]
-    shape = (2,) * spec.slots + tuple(len(evs) for evs in finals)
+    shape = (2,) * slots + tuple(len(evs) for evs in finals)
     keys = [tuple(float(evs[i]) for evs, i in zip(finals, f_idx))
-            for f_idx in np.ndindex(*shape[spec.slots:])]
+            for f_idx in np.ndindex(*shape[slots:])]
     bins = [[[k for k, out in enumerate(rec.outcomes)
-              if all(abs(out[p] - ev) < 1e-9 for p, ev in zip(spec.final, key))]
+              if all(abs(out[p] - ev) < qla.EIGENVALUE_MATCH_TOL
+                     for p, ev in zip(spec.final, key))]
              for rec in records] for key in keys]
     if any(len(b) != len(spec.outcomes) for per_rec in bins for b in per_rec):
         raise ValueError("record bins do not cover all ancilla outcomes")
@@ -541,7 +504,7 @@ def _infer(protocol: str, records, phis, modes):
     dist = quasiprob.QuasiDistribution(
         values=(ell @ sols).reshape(shape),
         axis_names=quasiprob.COARSE_AXES,
-        axis_eigenvalues=(pm,) * spec.slots + tuple(finals),
+        axis_eigenvalues=(pm,) * slots + tuple(finals),
         grain="coarse",
         meta={"inferred_from": protocol},
     )
@@ -567,8 +530,7 @@ def standard_protocol_records(rho, w_op, v_op, hamiltonian, t: float,
     if protocol not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; "
                          f"expected one of {', '.join(_PROTOCOLS)}")
-    setup = _three_weak if protocol == "three-weak" else _two_weak
-    record = setup(rho, w_op, v_op, hamiltonian, t)
+    record = _simulator(protocol, rho, w_op, v_op, hamiltonian, t)
     return [record(CouplingConfig(phi, mode), shots,
                    None if seed is None else (seed, k))
             for k, (mode, phi) in enumerate((m, p) for m in PHASE_MODES for p in phis)]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from otoclab import brownian, cli, qla, quasiprob, retrodict, spin, weakmeas
+from otoclab import brownian, cli, decomp, qla, quasiprob, retrodict, spin, weakmeas
 
 
 def run_cli(capsys, *argv):
@@ -646,6 +646,32 @@ class TestOtherExperiments:
         start = dict(zip(columns, map(float, rows[0])))
         assert start["vanishing_count"] == 12.0
         assert start["mean_overlap"] == pytest.approx(0.25, abs=1e-12)
+
+    def test_decomp_health_round_trips_in_csv_and_json(self, capsys):
+        argv = ["decomp-report", "--n", "3", "--t-max", "2", "--t-step", "0.5"]
+        rc, out_csv, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        metadata = parse_csv(out_csv)[0]
+        assert metadata["health"] == json.loads(out_json)["metadata"]["health"]
+        assert set(metadata["health"]) == {"max_completeness_defect"}
+        assert 0.0 <= metadata["health"]["max_completeness_defect"] <= 1e-12
+
+    def test_decomp_completeness_defect_above_its_limit_exits_three(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        real = decomp.mub_overlap_statistics
+
+        def stretched(*args):
+            stats = real(*args)
+            stats.magnitudes *= 1 + 1e-5
+            return stats
+        monkeypatch.setattr(decomp, "mub_overlap_statistics", stretched)
+        target = tmp_path / "out.csv"
+        rc, out, err = run_cli(capsys, "decomp-report", "--n", "2", "--out", str(target))
+        assert rc == 3 and out == ""
+        assert "max_completeness_defect" in err
+        assert not list(tmp_path.iterdir())
 
     def test_toc_series_is_flat_for_unitary_probes(self, capsys):
         rc, out, _ = run_cli(capsys, "toc-series", "--n", "2",

@@ -13,7 +13,10 @@ time-ordered and regulated series. The series contract a state by its form
 (energy-frame weights, a vector psi, or a density matrix), and each form is
 checked against the lab-frame routes on its dense rho. W and V enter the
 series as matrices or as spin.PauliString tables, and the tables are
-checked against their matrices and the same lab-frame routes.
+checked against their matrices and the same lab-frame routes. The
+Brownian Monte-Carlo ensemble is checked at t > 0 against the exact noise
+average, the Markov chain its increments drive on the squared Pauli
+coefficients of W(t).
 """
 from __future__ import annotations
 
@@ -231,6 +234,89 @@ def test_brownian_closed_forms_match_projector_traces_at_time_zero():
         assert abs(got - trace(v_plus, outcome)) < TOL
         got = brownian.analytic_avg_quasiprob(w2, w3, v1, v2, 1.0)
         assert abs(got - trace(mixed, outcome)) < TOL
+
+
+def _xz(string):
+    """(x, z) bit masks of a spin.PauliString: it flips the x bits, and its
+    phase changes sign with each z bit."""
+    bits = len(string.phase).bit_length() - 1
+    z = sum(1 << q for q in range(bits) if (string.phase[1 << q] / string.phase[0]).real < 0)
+    return string.mask, z
+
+
+def _anticommute(a, b) -> bool:
+    return bin(a[0] & b[1] ^ a[1] & b[0]).count("1") % 2 == 1
+
+
+def brownian_markov_generator(n):
+    """The 4^n Pauli strings, as spin.PauliString tables, and the generator G of
+    h_P = E[c_P^2], the averaged squared coefficients of W(t) = sum_P c_P P
+    under the Brownian noise: each increment string K of
+    spin.pair_pauli_strings that anticommutes with P moves weight from P to
+    K P at rate 4 s^2, s = brownian.increment_scale(n). G is symmetric."""
+    strings = [spin.pauli_string(n, [(site, a) for site, a in enumerate(axes, 1) if a != "1"])
+               for axes in itertools.product("1xyz", repeat=n)]
+    keys = [_xz(p) for p in strings]
+    index = {xz: i for i, xz in enumerate(keys)}
+    rate = 4.0 * brownian.increment_scale(n) ** 2
+    gen = np.zeros((4**n, 4**n))
+    for mask, phase in zip(*spin.pair_pauli_strings(n)):
+        k = _xz(spin.PauliString(mask, phase))
+        for p, xz in enumerate(keys):
+            if _anticommute(k, xz):
+                gen[index[(k[0] ^ xz[0], k[1] ^ xz[1])], p] += rate
+                gen[p, p] -= rate
+    return strings, gen
+
+
+def test_brownian_ensemble_matches_the_exact_noise_average():
+    """At infinite temperature E[F(t)] = sum_P h_P(t) chi_V(P), chi_V(P) = +-1
+    as P commutes or anticommutes with V, and E[Tr(W(t) W)/d] = e^{-2t} for
+    W = Z_1; the Monte-Carlo ensemble must lie within 4 standard errors of
+    both, and of the closed-form entries at the exact F, at every t > 0."""
+    n = 3
+    cfg = brownian.BrownianConfig(n=n, steps=400, trajectories=200)
+    result = brownian.ensemble_averages(cfg)
+    strings, gen = brownian_markov_generator(n)
+    keys = [_xz(p) for p in strings]
+    w, v = _xz(spin.pauli_string(n, [(1, "z")])), _xz(spin.pauli_string(n, [(2, "z")]))
+    chi = np.array([-1.0 if _anticommute(p, v) else 1.0 for p in keys])
+    evals, vecs = np.linalg.eigh(gen)
+    times = result.times
+    f_exact = (np.exp(np.outer(times, evals)) * vecs[keys.index(w)]) @ (vecs.T @ chi)
+    later = times > 0
+    for name, want in (("F", f_exact), ("q_11", np.exp(-2.0 * times))):
+        series = result.correlators[name]
+        z = np.abs(series.mean - want)[later] / series.standard_error[later]
+        assert np.max(z) < 4.0, name
+    se = np.hypot(result.quasi_se[..., 0], result.quasi_se[..., 1])
+    for idx in np.ndindex(2, 2, 2, 2):
+        v1, w2, v2, w3 = (2 * i - 1 for i in idx)
+        want = np.array([brownian.analytic_avg_quasiprob(w2, w3, v1, v2, f) for f in f_exact])
+        z = np.abs(result.quasi_mean[(slice(None),) + idx] - want)[later] / se[(later,) + idx]
+        assert np.max(z) < 4.0, idx
+
+
+def test_markov_generator_is_the_two_copy_generator():
+    """On the span of P (x) P the dense two-copy generator
+    L2(X) = -(s^2/2) sum_K [KK, [KK, X]], KK = K (x) 1 + 1 (x) K, built from
+    brownian.pair_paulis, is the Markov generator of the squared
+    coefficients: L2(P (x) P) = sum_Q G[Q, P] Q (x) Q."""
+    n = 2
+    strings, gen = brownian_markov_generator(n)
+    s2 = brownian.increment_scale(n) ** 2
+    eye = np.eye(2**n)
+    doubled = [np.kron(k, eye) + np.kron(eye, k) for k in brownian.pair_paulis(n)]
+
+    def l2(x):
+        out = np.zeros_like(x)
+        for kk in doubled:
+            inner = kk @ x - x @ kk
+            out -= 0.5 * s2 * (kk @ inner - inner @ kk)
+        return out
+    pairs = np.array([np.kron(p.matrix(), p.matrix()) for p in strings])
+    for p, pp in enumerate(pairs):
+        assert max_dev(l2(pp), np.tensordot(gen[:, p], pairs, axes=1)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])

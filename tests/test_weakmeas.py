@@ -113,6 +113,36 @@ class TestSimulateProtocol:
             want = np.trace(proj3 @ op @ rho @ qla.dagger(op)).real
             assert rec.probabilities[k] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", weakmeas.PHASE_MODES)
+    @pytest.mark.parametrize("state", ["mixed", "commuting"])
+    def test_two_weak_against_explicit_kraus_chain(self, two_site, state, mode):
+        """The two-coupling circuit in the Schroedinger picture: prepare the
+        W eigenvector e_l with weight p_l = <e_l| U rho U+ |e_l>, evolve back,
+        weak V, evolve forward, weak W, evolve back, strong V."""
+        rho, w, v, h = two_site
+        t = 1.0
+        u = quasiprob.propagator(h, t)
+        u_dag = u.conj().T
+        if state == "commuting":
+            # the block-nonuniform state of test_two_weak_commuting_nonuniform_state
+            wt = u_dag @ w @ u
+            eye = np.eye(4)
+            rho = 0.3 * (0.5 * (eye + wt)) / 2 + 0.7 * (0.5 * (eye - wt)) / 2
+        coupling = weakmeas.CouplingConfig(0.13, mode)
+        rec = weakmeas.two_measurement_protocol(rho, w, v, h, t, coupling)
+        evals, vecs = np.linalg.eigh(w)
+        weights = np.einsum("il,ij,jl->l", vecs.conj(), u @ rho @ u_dag, vecs).real
+        mv = weakmeas.kraus_pair(spin.eigenprojector(v, 1.0), coupling)
+        mw = weakmeas.kraus_pair(spin.eigenprojector(w, 1.0), coupling)
+        m_map = {+1: 0, -1: 1}
+        assert len(rec.outcomes) == 16  # 2 prepared x 2^2 ancilla x 2 final
+        for k, (wb, s1, s2, v3) in enumerate(rec.outcomes):
+            chain = (spin.eigenprojector(v, v3) @ u_dag @ mw[m_map[s2]] @ u
+                     @ mv[m_map[s1]] @ u_dag)
+            want = sum(p * np.linalg.norm(chain @ e) ** 2
+                       for p, e, ev in zip(weights, vecs.T, evals) if abs(ev - wb) < 1e-9)
+            assert rec.probabilities[k] == pytest.approx(want, abs=1e-12)
+
     def test_sampled_counts_reproducible(self, two_site):
         rho, w, v, h = two_site
         kw = dict(shots=5000, seed=21)

@@ -32,11 +32,6 @@ from . import qla, quasiprob, spin
 
 _MAX_SITES = 8
 _MAX_DT = 0.01
-# Memory budget of one stacked (chunk, d, d) complex array; it fixes how
-# many trajectories advance together (32 at n=5, 1 at n=8). Stacks of
-# this size stay in cache: at n=5, chunks of 32 trajectories stepped about
-# 15% faster than one chunk of 192.
-_CHUNK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -207,13 +202,12 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     """Run the trajectory ensemble and reduce correlators and quasiprobability.
 
     Defaults: rho = 1/d, W = sigma^z on site 1, V = sigma^z on site 2.
-    Trajectories advance in chunks sized by a fixed memory budget
-    (_CHUNK_BYTES per stacked array): each time step draws every
-    trajectory's increment from its own stream, builds the (chunk, d, d)
-    stack of dB and applies one stacked qla.expm_scaled. Each chunk's
-    statistics are merged into the running ones, so memory stays bounded
-    for any number of trajectories. With a single trajectory the standard
-    errors are None.
+    Trajectories advance in chunks sized by the stack budget
+    (qla.chunk_length): each time step draws every trajectory's increment
+    from its own stream, builds the (chunk, d, d) stack of dB and applies
+    one stacked qla.expm_scaled. Each chunk's statistics are merged into
+    the running ones, so memory stays bounded for any number of
+    trajectories. With a single trajectory the standard errors are None.
     """
     n, dim = config.n, config.dim
     w = spin.site_pauli(n, 1, "z") if w_op is None else np.asarray(w_op, dtype=complex)
@@ -230,7 +224,7 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     increment = _stacked_increment(n)
     n_terms = 16 * n * (n - 1) // 2
     sd = math.sqrt(config.dt)
-    chunk = max(1, _CHUNK_BYTES // (16 * dim * dim))
+    chunk = qla.chunk_length(dim)
     unitarity_defect = 0.0
 
     for first in range(0, config.trajectories, chunk):

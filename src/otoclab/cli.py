@@ -33,6 +33,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -135,6 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
                            type=str if default is None else type(default),
                            help=_HELP[key] + shown)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use: parse_args leaves a parser
+    as it was, so one serves every main call of a process."""
+    return build_parser()
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -582,8 +590,7 @@ def _metadata(experiment: str, cfg: dict, health: dict | None = None) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:

@@ -27,16 +27,22 @@ Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
 is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
 such as the Ising chain, qla.eigh returns real eigenvectors, so real
 observables stay real in that frame and their products are real GEMMs.
-The word traces take their contraction from the form of the state
-(_word_traces); per point of the four-slot series, energy-frame weights
-(DiagonalState: infinite temperature, thermal states) cost one matrix
-product and elementwise sums, and any other state, as a block of weighted
-vectors (psi, or the eigenvectors of a density matrix), three products
-of a matrix by the block that never form W(t); a dense rho equal to c 1
-(a constant real diagonal, nothing off it) is read as equal weights. F is
-the one trace otoc_series asks for. When V is W's image under the site
-reflection R (W = Z_1, V = Z_n) and every eigenvector has an exact parity,
-e[R] == e s, then V~ = S W~ S and G^T = S G S (_energy_frame).
+Each series steps through its time grid one chunk at a time (_on_grid):
+the phases of qla.chunk_length(d) points (128 at n = 4, 8 at n = 6, one
+from n = 8) form a (chunk, d) stack, and the dressing, the projectors and
+the word-trace kernels take the whole stack in one call, each product
+stacked over the chunk, so a small point pays for no numpy call of its
+own. The word traces take their contraction from the form of the state
+(_word_traces); per chunk of the four-slot series, energy-frame weights
+(DiagonalState: infinite temperature, thermal states) cost one stacked
+matrix product and elementwise sums, and any other state, as a block of
+weighted vectors (psi, or the eigenvectors of a density matrix), three
+stacked products of a matrix by the block that never form W(t); a dense
+rho equal to c 1 (a constant real diagonal, nothing off it) is read as
+equal weights. F is the one trace otoc_series asks for. When V is W's
+image under the site reflection R (W = Z_1, V = Z_n) and every
+eigenvector has an exact parity, e[R] == e s, then V~ = S W~ S and
+G^T = S G S (_energy_frame).
 
 W and V reach the series as matrices or as spin.PauliString tables, the
 operator counterpart of DiagonalState. A string P is rotated with one
@@ -59,6 +65,7 @@ many times without rediagonalizing.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,15 +338,27 @@ def _rotated(e: np.ndarray, op) -> np.ndarray:
     return _matmul(e.conj().T, m) @ e
 
 
-def _phases(sys: qla.HermitianEigensystem, t: float) -> np.ndarray:
-    """e^{-i E t}, the diagonal of U in the energy frame."""
-    return np.exp(-1j * sys.eigenvalues * t)
+def _phases(sys: qla.HermitianEigensystem, times) -> np.ndarray:
+    """e^{-i E t} for each t of a 1-D array of times: the (T, d) stack of
+    the diagonals of U in the energy frame."""
+    return np.exp(-1j * sys.eigenvalues * times[:, None])
 
 
 def _dress(op_e, phase) -> np.ndarray:
     """Udag op U in the energy frame for U = diag(phase), an elementwise
-    phase dressing."""
-    return (phase.conj()[:, None] * op_e) * phase[None, :]
+    phase dressing; a (..., d) stack of phases gives a (..., d, d) stack."""
+    return (phase.conj()[..., :, None] * op_e) * phase[..., None, :]
+
+
+def _on_grid(sys: qla.HermitianEigensystem, times, shape: tuple, values) -> np.ndarray:
+    """values(phases) on a time grid, filled one chunk of times at a time:
+    each call takes the (chunk, d) phases of qla.chunk_length(d) points (fewer
+    at the end) and returns (chunk, *shape) values."""
+    out = np.empty((len(times),) + shape, dtype=complex)
+    step = qla.chunk_length(len(sys.eigenvalues))
+    for start in range(0, len(times), step):
+        out[start:start + step] = values(_phases(sys, times[start:start + step]))
+    return out
 
 
 def _dim(op) -> int:
@@ -411,11 +430,12 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
 def _four_projector_trace(v_projs, w_projs, rho) -> np.ndarray:
     """Tr(Pw3 Pv2 Pw2 Pv1 rho) over every index quadruple (v1, w2, v2, w3).
 
-    Partial products are built one at a time, so at most three extra
-    matrices live.
+    The W projectors may be (..., d, d) stacks, for entries of shape
+    (..., nv, nw, nv, nw). Partial products are built one at a time, so at
+    most three extra matrices (or stacks) live.
     """
     nv, nw = len(v_projs), len(w_projs)
-    vals = np.empty((nv, nw, nv, nw), dtype=complex)
+    vals = np.empty(np.shape(w_projs[0])[:-2] + (nv, nw, nv, nw), dtype=complex)
     for i_v1, pv1 in enumerate(v_projs):
         right = pv1 @ rho
         for i_w2, pw2 in enumerate(w_projs):
@@ -423,7 +443,7 @@ def _four_projector_trace(v_projs, w_projs, rho) -> np.ndarray:
             for i_v2, pv2 in enumerate(v_projs):
                 mm = pv2 @ m
                 for i_w3, pw3 in enumerate(w_projs):
-                    vals[i_v1, i_w2, i_v2, i_w3] = np.einsum("ij,ji->", pw3, mm)
+                    vals[..., i_v1, i_w2, i_v2, i_w3] = np.einsum("...ij,...ji->...", pw3, mm)
     return vals
 
 
@@ -431,6 +451,13 @@ def _matrix_sum(x):
     """Sum over the last two axes; Tr(a b) is _matrix_sum(a * b^T), which
     never forms the product a b."""
     return np.sum(x, axis=(-2, -1))[()]
+
+
+def _rowdot(a, b):
+    """sum_i a_i b_i along the last axis, without conjugation: a @ b row by
+    row, the dot product a lone pair of vectors takes, so a chunk of one
+    time point sums in the same order as a single point."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -485,14 +512,17 @@ def _word_traces(state, v, k: int, parities=None, words=None):
     """Map (W, phase) -> the traces Tr(word rho) over words (or _words(k)).
 
     W(t) is W dressed by the unit phases e^{-iEt} (_dress), or W itself
-    when phase is None. The state, in the frame V and W share, picks the
-    contraction: DiagonalState weights take _diagonal_kernel (which takes
-    the parities), k - 1 matrix products per call; a vector psi or a density
-    matrix take _block_kernel on rho = B diag(lam) B^dag, 2k - 1 products of
-    a matrix by the (d, r) block B. For Hermitian rho, W and V a word's
-    trace is the conjugate of its reverse's, which gives the even W-first
-    words; a dense rho is checked. The block kernel also takes a (..., d, d)
-    stack of W(t), with phase None, for traces of shape (..., 4k)."""
+    when phase is None. phase may be a (..., d) stack, one row per time
+    point, for traces of shape (..., words): a stack costs what one point
+    costs in matrix products, each product stacked. The state, in the frame
+    V and W share, picks the contraction: DiagonalState weights take
+    _diagonal_kernel (which takes the parities), k - 1 matrix products per
+    call; a vector psi or a density matrix take _block_kernel on
+    rho = B diag(lam) B^dag, 2k - 1 products of a matrix by the (d, r)
+    block B. For Hermitian rho, W and V a word's trace is the conjugate of
+    its reverse's, which gives the even W-first words; a dense rho is
+    checked. The block kernel also takes a (..., d, d) stack of W(t), with
+    phase None, for traces of shape (..., 4k)."""
     words = _words(k) if words is None else words
     if isinstance(state, DiagonalState):
         kernel = _diagonal_kernel(state.weights, v, k, parities, words)
@@ -501,7 +531,10 @@ def _word_traces(state, v, k: int, parities=None, words=None):
 
     def traces(w, phase=None) -> np.ndarray:
         vals = kernel(w, phase)
-        out = np.empty(np.shape(w)[:-2] + (len(words),), dtype=complex)
+        lead = np.shape(w)[:-2]
+        if phase is not None:
+            lead = np.broadcast_shapes(lead, np.shape(phase)[:-1])
+        out = np.empty(lead + (len(words),), dtype=complex)
         for j, word in enumerate(words):
             out[..., j] = vals[word] if word in vals else np.conj(vals[word[::-1]])
         return out
@@ -518,11 +551,13 @@ def _diagonal_kernel(p, v, k: int, parities, words):
     Tr(V X^m rho) = sum_ab c_a (G_m)_ab conj(V_ab) p_b,
     Tr(X^m W(t) rho) = sum_ij p_i (G_m)_ij conj(W_ij) c_j and
     Tr(X^(m+1) rho) = sum_ij p_i c_i (G_m)_ij c_j G_ji. W(t) and X are never
-    formed, and a call costs G_1, ..., G_(k-1): k - 1 matrix products.
-    The parities s of a reflection partner (V = S W S, W^T = +-W) give
-    G^T = S G S: the last sum reads G by rows, sum p_i c_i s_i (G_m)_ij G_ij
-    c_j s_j. D V, G and the G_m are written into (d, d) buffers allocated
-    on the first call, and the weights p_i conj(W_ij) are formed once per W.
+    formed, and a call costs G_1, ..., G_(k-1): k - 1 matrix products,
+    each stacked over a (chunk, d) stack of phases, whose sums run over
+    the leading axis. The parities s of a reflection partner (V = S W S,
+    W^T = +-W) give G^T = S G S: the last sum reads G by rows,
+    sum p_i c_i s_i (G_m)_ij G_ij c_j s_j. D V, G and the G_m are written
+    into (chunk, d, d) buffers, allocated on the first call and again only
+    for a longer chunk, and the weights p_i conj(W_ij) are formed once per W.
     """
     static = {"1": np.sum(p), "v": p @ np.diagonal(v)}
     ends = {word[0] for word in words if len(word) % 2 and len(word) > 1}   # v: V X^m, w: X^m W
@@ -530,33 +565,36 @@ def _diagonal_kernel(p, v, k: int, parities, words):
         vp = v.conj() * p
     buffers, weights = {}, {}
 
-    def buffer(name, dtype):
+    def buffer(name, lead, dtype):
+        size = math.prod(lead)
         buf = buffers.get(name)
-        if buf is None or buf.dtype != dtype:
-            buf = buffers[name] = np.empty(v.shape, dtype)
-        return buf
+        if buf is None or buf.dtype != dtype or len(buf) < size:
+            buffers.pop(name, None)
+            buf = buffers[name] = np.empty((size,) + v.shape, dtype)
+        return buf[:size].reshape(lead + v.shape)
 
     def kernel(w, phase):
         phase = np.ones(len(p)) if phase is None else phase
-        c = phase.conj()
-        dv = np.multiply(phase[:, None], v, out=buffer("dv", np.result_type(phase, v)))
-        g = _matmul(w, dv, buffer("g", np.result_type(w, dv)))
+        c, lead = phase.conj(), phase.shape[:-1]
+        dv = np.multiply(phase[..., None], v, out=buffer("dv", lead, np.result_type(phase, v)))
+        g = _matmul(w, dv, buffer("g", lead, np.result_type(w, dv)))
         if "w" in ends and weights.get("w") is not w:
             weights.update(w=w, wp=p[:, None] * w.conj())
-        vals = dict(static, w=p @ np.diagonal(w), wv=(p * c) @ np.diagonal(g))
+        vals = dict(static, w=p @ np.diagonal(w),
+                    wv=_rowdot(p * c, np.diagonal(g, axis1=-2, axis2=-1)))
         cs = c if parities is None else c * parities
         gm = g
         for m in range(1, k):
             if "v" + "wv" * m in words:
-                vals["v" + "wv" * m] = c @ np.einsum("ab,ab->a", gm, vp)
+                vals["v" + "wv" * m] = _rowdot(c, np.einsum("...ab,ab->...a", gm, vp))
             if "wv" * m + "w" in words:
-                vals["wv" * m + "w"] = np.einsum("ij,ij->j", gm, weights["wp"]) @ c
-            f = (np.einsum("ij,ji,j->i", gm, g, c) if parities is None
-                 else np.einsum("ij,ij,j->i", gm, g, cs))
-            vals["wv" * m + "wv"] = f @ (p * cs)
+                vals["wv" * m + "w"] = _rowdot(np.einsum("...ij,ij->...j", gm, weights["wp"]), c)
+            f = (np.einsum("...ij,...ji,...j->...i", gm, g, c) if parities is None
+                 else np.einsum("...ij,...ij,...j->...i", gm, g, cs))
+            vals["wv" * m + "wv"] = _rowdot(f, p * cs)
             if m < k - 1:
-                gc = np.multiply(gm, c, out=buffer("gc", g.dtype))
-                gm = np.matmul(gc, g, out=buffer("gm", g.dtype))
+                gc = np.multiply(gm, c[..., None, :], out=buffer("gc", lead, g.dtype))
+                gm = np.matmul(gc, g, out=buffer("gm", lead, g.dtype))
         return vals
     return kernel
 
@@ -571,7 +609,8 @@ def _block_kernel(state, v, k: int):
     Hermitian letters. Both are words of at most k letters applied to B, so
     a call costs 2k - 1 products of a (d, d) matrix by a (d, r) block, V B
     being formed once. W(t) acts on a block as phase* (W (phase x)) and is
-    never formed; a (..., d, d) stack of W broadcasts through the products.
+    never formed; a (..., d) stack of phases, or a (..., d, d) stack of W,
+    broadcasts through the products to (..., d, r) blocks.
     """
     if np.ndim(state) == 1:
         b, lam = np.asarray(state)[:, None], np.ones(1)
@@ -588,7 +627,7 @@ def _block_kernel(state, v, k: int):
         for word in _words(k)[2:2 * k + 1]:   # by length, the words of 1 to k letters but V
             x = blocks[word[1:]]
             blocks[word] = (_matmul(v, x) if word[0] == "v" else
-                            phase.conj()[:, None] * _matmul(w, phase[:, None] * x))
+                            phase.conj()[..., None] * _matmul(w, phase[..., None] * x))
 
         def trace(word):
             half = len(word) // 2
@@ -628,8 +667,7 @@ def _word_series(state, frame, sys: qla.HermitianEigensystem, times, k: int):
     involutions W and V; its correlator F_k holds for any Hermitian W and V."""
     w_e, v_e, parities = frame
     word_traces = _word_traces(_frame_state(state, sys), v_e, k, parities)
-    traces = np.array([word_traces(w_e, _phases(sys, t)) for t in times], dtype=complex)
-    traces = traces.reshape(-1, 4 * k)
+    traces = _on_grid(sys, times, (4 * k,), lambda phase: word_traces(w_e, phase))
     names = tuple(x for ell in range(1, k + 1) for x in (f"v{ell}", f"w{ell + 1}"))
     return QuasiSeries(times=times, values=_entries(traces, k), axis_names=names,
                        axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * k),
@@ -652,7 +690,7 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     sys = _eigensystem(hamiltonian)
     w_e, v_e, parities = _energy_frame(sys, w_op, v_op)
     word_traces = _word_traces(_frame_state(rho, sys), v_e, 2, parities, ("wvwv",))
-    values = np.array([word_traces(w_e, _phases(sys, t))[0] for t in times], dtype=complex)
+    values = _on_grid(sys, times, (), lambda phase: word_traces(w_e, phase)[..., 0])
     return CorrelatorSeries(times=times, values=values)
 
 
@@ -718,11 +756,9 @@ def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
     v_evs, v_projs_e = _distinct_projectors(v_e)
     rho_e = density_matrix(_frame_state(rho, sys))
     _check_state(rho_e)
-    out = np.empty((times.shape[0], len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
-                   dtype=complex)
-    for i, t in enumerate(times):
-        phase = _phases(sys, t)
-        out[i] = _four_projector_trace(v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e)
+    out = _on_grid(sys, times, (len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
+                   lambda phase: _four_projector_trace(
+                       v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e))
     return QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
                        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs)), w_e, v_e
 
@@ -925,7 +961,8 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times) -> Quas
     the 16 traces Tr(A3 B2 A2 B1), A in {q, W'} and B in {1, V}, of which
     cyclicity and Hermiticity leave five static and four per point
     (_REGULATED_TERMS). Each is an elementwise sum over W', G = W' V or the
-    static q V, so a point costs the one matrix product G. The correlator
+    static q V, so a chunk of points (_on_grid) costs the one matrix
+    product G, stacked over the chunk's (chunk, d) phases. The correlator
     is F_reg = Tr(W' V W' V) = Tr(G G), which the usual moment reproduces.
     """
     sys = _eigensystem(hamiltonian)
@@ -939,15 +976,17 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times) -> Quas
     w_e, v_e, _ = _energy_frame(sys, w_op, v_op)
     w_reg = r[:, None] * w_e * r          # W' at t = 0
     qv = q[:, None] * v_e
+    trace = functools.partial(np.einsum, "...ij,...ji->...")     # Tr(a b) per member
+
+    def points(phase):
+        g = phase.conj()[..., None] * _matmul(w_reg, phase[..., None] * v_e)     # W' V
+        qwv = np.einsum("i,...ii->...", q, g)
+        return np.stack((qwv, np.conj(qwv), trace(_dress(w_reg, phase), g), trace(g, qv),
+                         trace(g, g)), axis=-1)
     traces = np.empty((len(times), 10), dtype=complex)
     traces[:, :5] = (np.sum(p), p @ np.diagonal(v_e), p @ np.diagonal(w_e),
                      _matrix_sum(qv * qv.T), _matrix_sum(w_reg * w_reg.T))
-    for i, t in enumerate(times):
-        phase = _phases(sys, t)
-        g = phase.conj()[:, None] * _matmul(w_reg, phase[:, None] * v_e)     # W' V
-        qwv = q @ np.diagonal(g)
-        traces[i, 5:] = (qwv, np.conj(qwv), _matrix_sum(_dress(w_reg, phase) * g.T),
-                         _matrix_sum(g * qv.T), _matrix_sum(g * g.T))
+    traces[:, 5:] = _on_grid(sys, times, (5,), points)
     values = traces[:, _REGULATED_TERMS] @ _hadamard(4).T / 16
     return QuasiSeries(times=times, values=values.reshape((len(times),) + (2,) * 4),
                        axis_names=COARSE_AXES, axis_eigenvalues=(np.array([-1.0, 1.0]),) * 4,
@@ -964,7 +1003,8 @@ def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     TOC(t) = <Vdag W(t)dag W(t) V>, saturates at 1 for unitary W, V; with
     M = V rho Vdag and W^dag W taken once in the energy frame from the W
     and V the coarse series rotated, K = M^T * W^dag W (elementwise) makes
-    each point conj(phase) @ K @ phase. Energy-frame weights p give
+    each point conj(phase) @ K @ phase, one product per chunk (_on_grid)
+    for its (chunk, d) stack of phases. Energy-frame weights p give
     M = (V p) V^dag, one product.
     """
     sys = _eigensystem(hamiltonian)
@@ -972,8 +1012,7 @@ def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     state = _frame_state(rho, sys)
     v_rho = v_e * state.weights if isinstance(state, DiagonalState) else v_e @ density_matrix(state)
     kernel = (v_rho @ qla.dagger(v_e)).T * (qla.dagger(w_e) @ w_e)
-    toc = np.array([phase.conj() @ kernel @ phase
-                    for phase in (_phases(sys, t) for t in coarse.times)], dtype=complex)
+    toc = _on_grid(sys, coarse.times, (), lambda phase: _rowdot(phase.conj() @ kernel, phase))
     v_evs, w_evs = coarse.axis_eigenvalues[:2]
     return QuasiSeries(times=coarse.times, values=coarse.values.sum(axis=-1),
                        axis_names=("v1", "w1", "v2"), axis_eigenvalues=(v_evs, w_evs, v_evs),

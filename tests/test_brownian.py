@@ -244,7 +244,7 @@ class TestBatchedEnsemble:
         v = spin.site_pauli(3, 2, "x")
         whole = brownian.ensemble_averages(cfg, rho=rho, w_op=w, v_op=v)
         # two trajectories of 8x8 complex matrices per chunk: chunks 2, 2, 1
-        monkeypatch.setattr(brownian, "_CHUNK_BYTES", 2 * 16 * 64)
+        monkeypatch.setattr(qla, "STACK_BYTES", 2 * 16 * 64)
         chunked = brownian.ensemble_averages(cfg, rho=rho, w_op=w, v_op=v)
         assert np.max(np.abs(chunked.quasi_mean - whole.quasi_mean)) <= 1e-12
         assert np.max(np.abs(chunked.quasi_se - whole.quasi_se)) <= 1e-12

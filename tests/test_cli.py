@@ -270,6 +270,30 @@ class TestConfigHandling:
         assert "numeric failure" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_parser_serves_back_to_back_calls(self, tmp_path, capsys):
+        """main reuses the parser it built first; calls on different
+        subcommands after one another write what fresh calls write, and a
+        bad configuration or output still exits 2 or 3."""
+        argvs = [["toc-series", *SMALL_SERIES],
+                 ["kfold-series", *SMALL_SERIES, "--format", "json"]]
+
+        def run(tag, argv):
+            target = tmp_path / f"{tag}-{argv[0]}"
+            assert cli.main([*argv, "--out", str(target)]) == 0
+            return target.read_bytes()
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run("fresh", argv))
+        cli._parser.cache_clear()
+        reused = [run("reused", argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        assert reused == fresh
+        assert run_cli(capsys, "kfold-series", "--khat", "7")[0] == 2
+        assert run_cli(capsys, "toc-series", *SMALL_SERIES,
+                       "--out", str(tmp_path / "missing" / "out.csv"))[0] == 3
+        assert cli._parser.cache_info().misses == 1
+
 
 class TestOtherExperiments:
     def test_otoc_series_starts_at_one(self, capsys):

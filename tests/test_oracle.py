@@ -633,3 +633,57 @@ def test_non_partner_pairs_rotate_both_operators(w_factors, v_factors):
     w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
     assert parities is None
     assert max_dev(v_e, quasiprob._rotated(sys.eigenvectors, v)) == 0.0
+
+
+# W, V, the state form and whether V is W's reflection partner
+CHUNK_STATES = {
+    "partner weights": ([(1, "z")], [(3, "z")], "thermal weights", True),
+    "non-partner weights": ([(1, "z")], [(2, "x")], "thermal weights", False),
+    "psi": ([(1, "z")], [(3, "z")], "pure", True),
+    "dense rho": ([(1, "x")], [(3, "y")], "dense", False),
+}
+
+
+@pytest.mark.parametrize("points", [1, 3, 4, 7])
+@pytest.mark.parametrize("case", sorted(CHUNK_STATES))
+def test_series_chunks_match_the_lab_frame(monkeypatch, case, points):
+    """With three points per kernel call, grids that end on, before and
+    after a chunk boundary give every series the lab-frame values point by
+    point: F, the coarse, three-fold, time-ordered and regulated entries
+    and their correlators, and the projector route of a non-involution."""
+    monkeypatch.setattr(qla, "STACK_BYTES", 3 * 16 * 8 * 8)
+    assert qla.chunk_length(8) == 3
+    w_factors, v_factors, form, partner = CHUNK_STATES[case]
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=0.9, h=0.4, g=1.1))
+    sys = qla.eigh(h, symmetry=spin.reflection(3))
+    w, v = spin.pauli_string(3, w_factors), spin.pauli_string(3, v_factors)
+    assert (quasiprob._energy_frame(sys, w, v)[2] is not None) == partner
+    state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(points))[form]
+    wm, vm = w.matrix(), v.matrix()
+    times = [0.2 + 0.55 * i for i in range(points)]
+    f = quasiprob.otoc_series(state, w, v, sys, times)
+    coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, times)
+    three = quasiprob.kfold_series(state, w, v, sys, times, 3)
+    toc = quasiprob.toc_series(state, w, v, sys, times)
+    w_off = wm + 0.5 * np.eye(8)              # no involution: the projector route
+    off = quasiprob.coarse_quasiprob_series(state, w_off, v, sys, times)
+    pv = pm_projectors(vm)
+    for i, t in enumerate(times):
+        u = lab_exp(h, -1j * t)
+        wt = u.conj().T @ wm @ u
+        pw = pm_projectors(wt)
+        want = quasiprob.coarse_quasiprob(rho, wm, vm, h, t).values
+        assert abs(f.values[i] - quasiprob.otoc(rho, wm, vm, h, t)) < TOL
+        assert max_dev(coarse.values[i], want) < TOL
+        assert abs(coarse.correlator[i] - f.values[i]) < TOL
+        assert max_dev(off.values[i], quasiprob.coarse_quasiprob(rho, w_off, vm, h, t).values) < TOL
+        assert abs(three.correlator[i] - np.trace(rho @ np.linalg.matrix_power(wt @ vm, 3))) < TOL
+        for idx in np.ndindex(three.values.shape[1:]):
+            acc = rho
+            for slot, k in enumerate(idx):
+                acc = (pw if slot % 2 else pv)[k] @ acc
+            assert abs(three.values[(i,) + idx] - np.trace(acc)) < TOL
+        for i1, i2, i3 in np.ndindex(2, 2, 2):
+            assert abs(toc.values[i, i1, i2, i3] - np.trace(pv[i3] @ pw[i2] @ pv[i1] @ rho)) < TOL
+        assert abs(toc.correlator[i] - np.trace(rho @ vm @ wt @ wt @ vm)) < TOL
+    assert_regulated_matches_explicit_u_reg(h, 0.8, wm, vm, times)

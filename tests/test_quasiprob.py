@@ -448,14 +448,15 @@ class TestKFold:
 
 
 class _CountingMatmul(np.ndarray):
-    """An array that counts the matrix products it takes part in."""
+    """An array that counts the matrix products it takes part in; dot
+    products, whose members are numbers (1 x 1), are not counted."""
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            _CountingMatmul.products += 1
         out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is np.matmul and np.shape(out)[-2:] not in ((), (1, 1)):
+            _CountingMatmul.products += 1
         return out.view(_CountingMatmul) if isinstance(out, np.ndarray) else out
 
 
@@ -523,6 +524,43 @@ class TestWordExpansion:
             for word, value in zip(quasiprob._words(k), traces(w_e, given)):
                 product = functools.reduce(np.matmul, [ops[c] for c in word.strip("1")], np.eye(8))
                 assert abs(value - np.trace(product @ rho)) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_a_chunk_of_weights_points_costs_one_point_in_products(self, small_chain, rng, k):
+        """A (T, d) stack of phases makes the k - 1 products of one point,
+        each stacked, and row t of its traces is the point at phase t."""
+        _, w, v, h = small_chain
+        sys = qla.eigh(h)
+        w_e, v_e, _ = quasiprob._energy_frame(sys, w, v)
+        p = rng.random(8)
+        traces = quasiprob._word_traces(quasiprob.DiagonalState(p / p.sum()), v_e, k)
+        phases = quasiprob._phases(sys, np.array([0.0, 0.4, 1.1, 2.5, 7.0]))
+        _CountingMatmul.products = 0
+        chunk = np.asarray(traces(w_e.view(_CountingMatmul), phases))
+        assert _CountingMatmul.products == k - 1
+        assert chunk.shape == (5, 4 * k)
+        for row, phase in zip(chunk, phases):
+            assert np.max(np.abs(row - traces(w_e, phase))) < 1e-13
+
+    def test_series_memory_stays_within_two_stacks_beyond_its_output(self):
+        """On a 20 001-point n=4 grid the weights series holds D V and G, two
+        (chunk, d, d) stacks of at most qla.STACK_BYTES each, beyond its
+        (T, 4k) traces and (T, 4^k) entries, however long the grid."""
+        n = 4
+        ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+        sys = qla.eigh(ham, symmetry=spin.reflection(n))
+        w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
+        state = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 2.0))
+        times = np.linspace(0.0, 200.0, 20_001)
+        assert 16 * 16**2 * qla.chunk_length(16) == qla.STACK_BYTES
+        tracemalloc.start()
+        try:
+            series = quasiprob.coarse_quasiprob_series(state, w, v, sys, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = series.values.nbytes + len(times) * 8 * 16      # entries and (T, 8) traces
+        assert peak - outputs <= 2 * qla.STACK_BYTES + qla.STACK_BYTES // 8
 
     def test_partner_otoc_points_allocate_no_square_temporary(self):
         """Per point, the F word of a reflection partner on energy-frame

@@ -494,28 +494,27 @@ def _run_retrodict_benchmark(cfg):
             rho, rand_herm(d), 0.7, 1.3,
             final_vector=qla.haar_random_state(d, rng))
 
+    def instances():
+        """(section, index, chain, context), drawn one instance at a time."""
+        for i in range(cfg["instances"]):
+            d = int(rng.integers(2, 9))
+            k = int(rng.integers(1, 5))
+            chain = retrodict.ObservableChain([rand_herm(d) for _ in range(k)])
+            yield "random", i, chain, rand_context(d)
+        nq = 6
+        site_ops = [(spin.site_pauli(nq, s, "x") + spin.site_pauli(nq, s, "z"))
+                    / np.sqrt(2) for s in range(1, nq + 1)]
+        ctx6 = rand_context(2 ** nq)
+        for k in range(2, 7):
+            yield "scaling", k - 2, retrodict.ObservableChain(site_ops[:k]), ctx6
+
     rows = []
-    for i in range(cfg["instances"]):
-        d = int(rng.integers(2, 9))
-        k = int(rng.integers(1, 5))
-        chain = retrodict.ObservableChain([rand_herm(d) for _ in range(k)])
-        ctx = rand_context(d)
+    for section, index, chain, ctx in instances():
         meter = retrodict.MemoryMeter()
         g1 = retrodict.gamma_weak_direct(chain, ctx)
         g2 = retrodict.gamma_weak_factored(chain, ctx, meter)
         nnz = retrodict.matrix_nonzeros(retrodict.gamma_matrix(chain))
-        rows.append(["random", i, k, d, g1, g2, abs(g1 - g2), meter.peak, nnz])
-    nq = 6
-    site_ops = [(spin.site_pauli(nq, s, "x") + spin.site_pauli(nq, s, "z"))
-                / np.sqrt(2) for s in range(1, nq + 1)]
-    ctx6 = rand_context(2 ** nq)
-    for k in range(2, 7):
-        chain = retrodict.ObservableChain(site_ops[:k])
-        meter = retrodict.MemoryMeter()
-        g1 = retrodict.gamma_weak_direct(chain, ctx6)
-        g2 = retrodict.gamma_weak_factored(chain, ctx6, meter)
-        nnz = retrodict.matrix_nonzeros(retrodict.gamma_matrix(chain))
-        rows.append(["scaling", k - 2, k, 2 ** nq, g1, g2, abs(g1 - g2),
+        rows.append([section, index, len(chain), chain.dim, g1, g2, abs(g1 - g2),
                      meter.peak, nnz])
     columns = ["section", "index", "k", "dim", "method1", "method2",
                "abs_diff", "meter_peak", "m1_nonzeros"]

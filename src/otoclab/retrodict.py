@@ -9,10 +9,11 @@ best symmetric guess for the unmeasured product
 is its weak value, a sum of eigenvalue tuples weighted by conditional
 quasiprobabilities that obey analogs of Bayes' theorem. Two evaluation
 routes are provided: building Gamma as an explicit matrix, and a factored
-accumulation over eigenvalue tuples that keeps only a stack of partial
-bra vectors alive. The factored route's working set grows linearly with
-the chain length, while the explicit matrix densifies exponentially for
-chains of traceless local operators; a MemoryMeter records the contrast.
+accumulation over eigenvalue tuples by a depth-first walk that keeps only
+a stack of partial bra pairs alive, 2kd complex entries for k observables
+of dimension d. That grows linearly with the chain length, while the
+explicit matrix densifies exponentially for chains of traceless local
+operators; a MemoryMeter records the contrast.
 
 The retrodicted out-of-time-ordered correlator is the special case
 Gamma = V W(t) V conditioned on the final W(t) outcome, with weights read
@@ -21,7 +22,7 @@ directly from the coarse quasiprobability.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from . import qla, quasiprob
 
 _CONDITION_FLOOR = 1e-12
-_ZERO_EIGENVALUE_RTOL = 1e-12
 
 
 class ObservableChain:
@@ -78,6 +78,8 @@ class RetrodictionContext:
         h_sys = quasiprob._eigensystem(hamiltonian)
         if final_vector is not None:
             f = np.asarray(final_vector, dtype=complex).reshape(-1)
+            if not np.all(np.isfinite(f)):
+                raise ValueError("final_vector must be finite")
             norm = np.linalg.norm(f)
             if norm <= 0:
                 raise ValueError("final_vector must be nonzero")
@@ -95,7 +97,7 @@ class RetrodictionContext:
         self.t_prime = t_prime
         self.t_double_prime = t_double_prime
         prob = float(np.real(self.f_prime.conj() @ self.rho_prime @ self.f_prime))
-        if prob <= _CONDITION_FLOOR:
+        if not prob > _CONDITION_FLOOR:
             raise ValueError("conditioning probability vanishes; weak values undefined")
         self.conditioning_probability = prob
 
@@ -139,24 +141,22 @@ def weak_value(observable, context: RetrodictionContext) -> float:
     return float(np.real(num) / context.conditioning_probability)
 
 
-def _ordered_products(chain: ObservableChain) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit products K...A and A...K."""
+def _ordered_product(chain: ObservableChain) -> np.ndarray:
+    """The explicit product K...A; A...K is its adjoint (Hermitian chain)."""
     eye = np.eye(chain.dim, dtype=complex)
-    forward = functools.reduce(lambda acc, m: m @ acc, chain.observables, eye)
-    backward = functools.reduce(np.matmul, chain.observables, eye)
-    return forward, backward
+    return functools.reduce(lambda acc, m: m @ acc, chain.observables, eye)
 
 
 def gamma_matrix(chain: ObservableChain) -> np.ndarray:
     """Gamma = K...A + A...K as an explicit matrix."""
-    forward, backward = _ordered_products(chain)
-    return forward + backward
+    forward = _ordered_product(chain)
+    return forward + forward.conj().T
 
 
 def tilde_gamma_matrix(chain: ObservableChain) -> np.ndarray:
     """Gamma~ = i(K...A - A...K), the antisymmetric companion."""
-    forward, backward = _ordered_products(chain)
-    return 1j * (forward - backward)
+    forward = _ordered_product(chain)
+    return 1j * (forward - forward.conj().T)
 
 
 def matrix_nonzeros(m, rtol: float = 1e-12) -> int:
@@ -170,56 +170,57 @@ def matrix_nonzeros(m, rtol: float = 1e-12) -> int:
 
 def gamma_weak_direct(chain: ObservableChain, context: RetrodictionContext) -> float:
     """Weak value of Gamma via the explicit matrix (Method 1)."""
-    f = context.f_prime
-    num = f.conj() @ gamma_matrix(chain) @ context.rho_prime @ f
-    return float(np.real(num) / context.conditioning_probability)
+    return weak_value(gamma_matrix(chain), context)
 
 
 def _tuple_walk(chain: ObservableChain, context: RetrodictionContext,
-                skip_zero: bool = False):
-    """Yield (eigenvalue tuple, forward numerator, backward numerator).
+                meter: MemoryMeter):
+    """Yield (eigenvalue tuple, <f'|P_k...P_a rho'|f'>, <f'|P_a...P_k rho'|f'>)
+    for every tuple, in itertools.product order, by one depth-first walk.
 
-    For each tuple (a, ..., k) of chain eigenvalues the numerators are
-    <f'|P_k...P_a rho'|f'> (order K...A) and <f'|P_a...P_k rho'|f'> (order
-    A...K), built by passing the post-selection bra through the
-    projectors. skip_zero passes over tuples with a zero eigenvalue factor,
-    which carry no weight in Gamma, without projecting.
+    Level l holds the bra pair [f'dag P_a...P_l, (rho'f')dag P_a...P_l], one
+    (2, d) by (d, d) product past its parent's. At a leaf the backward
+    numerator is bras[0] @ rho'f' and, as rho' and every P are Hermitian,
+    the forward one is conj(bras[1] @ f'). The meter is charged each pair
+    as it is pushed and popped; the root pair is conditioning data.
     """
-    bra = context.f_prime.conj()
-    rho_f = context.rho_prime @ context.f_prime
-    scales = [max(max(abs(ev) for ev, _ in pairs), 1.0) for pairs in chain.spectra]
-    for picks in itertools.product(*chain.spectra):
-        evs = tuple(ev for ev, _ in picks)
-        if skip_zero and any(abs(ev) <= _ZERO_EIGENVALUE_RTOL * scale
-                             for ev, scale in zip(evs, scales)):
-            continue
-        projs = [proj for _, proj in picks]
-        yield (evs, functools.reduce(np.matmul, reversed(projs), bra) @ rho_f,
-               functools.reduce(np.matmul, projs, bra) @ rho_f)
+    f = context.f_prime
+    rho_f = context.rho_prime @ f
+
+    def descend(level, bras, evs):
+        if level == len(chain):
+            yield evs, np.conj(bras[1] @ f), bras[0] @ rho_f
+            return
+        for ev, proj in chain.spectra[level]:
+            child = bras @ proj
+            meter.allocate(child.size)
+            yield from descend(level + 1, child, evs + (ev,))
+            meter.release(child.size)
+
+    yield from descend(0, np.stack([f, rho_f]).conj(), ())
+
+
+def _weighted_sums(chain: ObservableChain, context: RetrodictionContext,
+                   meter: MemoryMeter | None = None) -> tuple[complex, complex]:
+    """S_f, S_b: each numerator summed with weight prod(evs), 0 at a zero."""
+    s_f = s_b = 0j
+    for evs, num_f, num_b in _tuple_walk(chain, context, meter or MemoryMeter()):
+        weight = math.prod(evs)
+        s_f += weight * num_f
+        s_b += weight * num_b
+    return s_f, s_b
 
 
 def gamma_weak_factored(chain: ObservableChain, context: RetrodictionContext,
                         meter: MemoryMeter | None = None) -> float:
     """Weak value of Gamma by eigenvalue-tuple accumulation (Method 2).
 
-    Never materializes Gamma: per tuple (a, ..., k) the two conditional
-    quasiprobability numerators are built by projecting the post-selection
-    bra through the eigenspace projectors, and tuples with a zero
-    eigenvalue factor are skipped. The meter counts the stack of partial
-    bras, the tuple counters, and the two accumulators; the chain's cached
-    projectors are measurement data, not algorithm state, and are not
-    charged.
+    Never materializes Gamma: Re(S_f + S_b) / p from the depth-first tuple
+    walk, whose stack of bra pairs the meter sees peak at 2kd entries; the
+    chain's cached projectors are measurement data and are not charged.
     """
-    meter = MemoryMeter() if meter is None else meter
-    k, dim = len(chain), chain.dim
-    meter.allocate(k * dim)   # partial-bra stack
-    meter.allocate(k)         # tuple counters
-    meter.allocate(2)         # numerator accumulator and denominator
-    acc = 0.0
-    for evs, num_fwd, num_bwd in _tuple_walk(chain, context, skip_zero=True):
-        acc += float(np.prod(evs)) * float(np.real(num_fwd + num_bwd))
-    meter.release(k * dim + k + 2)
-    return acc / context.conditioning_probability
+    s_f, s_b = _weighted_sums(chain, context, meter)
+    return float((s_f + s_b).real) / context.conditioning_probability
 
 
 @dataclass
@@ -245,31 +246,27 @@ def conditional_quasiprobs(chain: ObservableChain,
                            context: RetrodictionContext) -> ConditionalQuasiprobs:
     """All p~(a,...,k | f) values, complex extensions included.
 
-    No tuples are skipped here: zero eigenvalues carry no weight in the
-    Gamma sum but their quasiprobabilities are still defined, and the
-    forward map sums to 1 over the full grid.
+    Zero eigenvalues carry no weight in the Gamma sum but their
+    quasiprobabilities are still defined, and the forward map sums to 1
+    over the full grid.
     """
     den = context.conditioning_probability
     out = ConditionalQuasiprobs(
         eigenvalue_lists=[np.array([ev for ev, _ in pairs]) for pairs in chain.spectra],
         conditioning_probability=den,
     )
-    for key, num_fwd, num_bwd in _tuple_walk(chain, context):
-        fwd = complex(num_fwd) / den
-        bwd = complex(num_bwd) / den
-        out.forward_complex[key] = fwd
-        out.backward_complex[key] = bwd
-        out.forward[key] = fwd.real
-        out.backward[key] = bwd.real
+    for key, num_fwd, num_bwd in _tuple_walk(chain, context, MemoryMeter()):
+        out.forward_complex[key] = fwd = complex(num_fwd) / den
+        out.backward_complex[key] = bwd = complex(num_bwd) / den
+        out.forward[key], out.backward[key] = fwd.real, bwd.real
     return out
 
 
 def tilde_gamma_weak(chain: ObservableChain, context: RetrodictionContext) -> float:
-    """Weak value of Gamma~ = i(K...A - A...K) from the same quasiprobabilities."""
-    acc = 0.0
-    for evs, num_fwd, num_bwd in _tuple_walk(chain, context, skip_zero=True):
-        acc += float(np.prod(evs)) * (-num_fwd.imag + num_bwd.imag)
-    return acc / context.conditioning_probability
+    """Weak value of Gamma~ = i(K...A - A...K) from the same quasiprobabilities:
+    Im(S_b - S_f) / p."""
+    s_f, s_b = _weighted_sums(chain, context)
+    return float((s_b - s_f).imag) / context.conditioning_probability
 
 
 def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float) -> float:

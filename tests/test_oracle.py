@@ -16,10 +16,12 @@ series as matrices or as spin.PauliString tables, and the tables are
 checked against their matrices and the same lab-frame routes. The
 Brownian Monte-Carlo ensemble is checked at t > 0 against the exact noise
 average, the Markov chain its increments drive on the squared Pauli
-coefficients of W(t).
+coefficients of W(t). The retrodiction walk over eigenvalue tuples is
+checked against projector chains rebuilt from scratch for every tuple.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab import brownian, cli, qla, quasiprob, spin, weakmeas
+from otoclab import brownian, cli, qla, quasiprob, retrodict, spin, weakmeas
 
 TOL = 1e-10
 
@@ -687,3 +689,102 @@ def test_series_chunks_match_the_lab_frame(monkeypatch, case, points):
             assert abs(toc.values[i, i1, i2, i3] - np.trace(pv[i3] @ pw[i2] @ pv[i1] @ rho)) < TOL
         assert abs(toc.correlator[i] - np.trace(rho @ vm @ wt @ wt @ vm)) < TOL
     assert_regulated_matches_explicit_u_reg(h, 0.8, wm, vm, times)
+
+
+def _rebuilt_numerators(chain, ctx):
+    """Every tuple's <f'|P_k...P_a rho'|f'> and <f'|P_a...P_k rho'|f'>,
+    each chain of projectors applied to the bra from scratch."""
+    bra, rho_f = ctx.f_prime.conj(), ctx.rho_prime @ ctx.f_prime
+    out = {}
+    for picks in itertools.product(*chain.spectra):
+        projs = [proj for _, proj in picks]
+        out[tuple(ev for ev, _ in picks)] = (
+            functools.reduce(np.matmul, reversed(projs), bra) @ rho_f,
+            functools.reduce(np.matmul, projs, bra) @ rho_f)
+    return out
+
+
+def _retrodiction_case(k, seed):
+    """A context at d = 4 and a chain of k observables cycling through a
+    rank-one projector (eigenvalues 0 and 1), a random Hermitian matrix and
+    a degenerate observable (eigenvalues -1, 2, 2, 3 in a random basis)."""
+    r = np.random.default_rng(seed)
+    a = r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4))
+    herm = (a + a.conj().T) / 2
+    vec = qla.haar_random_state(4, r)
+    basis = np.linalg.qr(r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4)))[0]
+    degenerate = (basis * np.array([-1.0, 2.0, 2.0, 3.0])) @ basis.conj().T
+    pool = [np.outer(vec, vec.conj()), herm, degenerate]
+    chain = retrodict.ObservableChain([pool[(i + seed) % 3] for i in range(k)])
+    b = r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4))
+    rho = b @ b.conj().T
+    ctx = retrodict.RetrodictionContext(rho / np.trace(rho).real, herm, 0.4, 1.1,
+                                        final_vector=qla.haar_random_state(4, r))
+    return chain, ctx
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_retrodiction_walk_matches_rebuilt_projector_chains(k, seed):
+    """The depth-first walk gives every tuple's conditional quasiprobabilities,
+    keys in itertools.product order, and the weak values of Gamma and
+    Gamma~ that the rebuilt chains and the explicit matrices give."""
+    chain, ctx = _retrodiction_case(k, seed)
+    if k >= 3:        # the projector's zero and the degenerate pair are both in the chain
+        assert any(abs(ev) < 1e-12 for pairs in chain.spectra for ev, _ in pairs)
+        assert any(len(pairs) == 3 for pairs in chain.spectra)
+    want = _rebuilt_numerators(chain, ctx)
+    p = ctx.conditioning_probability
+    got = retrodict.conditional_quasiprobs(chain, ctx)
+    assert list(got.forward_complex) == list(want) == list(got.backward)
+    for key, (num_f, num_b) in want.items():
+        assert abs(got.forward_complex[key] - num_f / p) < 1e-12
+        assert abs(got.backward_complex[key] - num_b / p) < 1e-12
+        assert got.forward[key] == got.forward_complex[key].real
+    weights = {key: float(np.prod(key)) for key in want}
+    gamma = sum(weights[key] * (f + b).real for key, (f, b) in want.items()) / p
+    tilde = sum(weights[key] * (b - f).imag for key, (f, b) in want.items()) / p
+    assert abs(retrodict.gamma_weak_factored(chain, ctx) - gamma) < 1e-12
+    assert abs(retrodict.tilde_gamma_weak(chain, ctx) - tilde) < 1e-12
+    assert abs(retrodict.gamma_weak_direct(chain, ctx) - gamma) < 1e-10
+    assert abs(retrodict.weak_value(retrodict.tilde_gamma_matrix(chain), ctx) - tilde) < 1e-10
+
+
+class _CountingProjector:
+    """Stands in for a projector in a chain's spectra and counts the
+    products bras @ P that the walk takes with it."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, proj, counts):
+        self.proj, self.counts = proj, counts
+
+    def __rmatmul__(self, other):
+        self.counts.append(np.shape(other))
+        return other @ self.proj
+
+
+@pytest.mark.parametrize("outcomes", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_retrodiction_walk_takes_one_product_per_prefix(k, outcomes):
+    """k observables with m outcomes each cost sum_{l=1..k} m^l products of
+    a (2, d) bra pair, one per tuple prefix, and the meter sees the stack
+    of k pairs, 2kd entries, at its peak and nothing live after."""
+    r = np.random.default_rng(10 * k + outcomes)
+    levels = np.array([-1.0, 1.0, -1.0, 1.0] if outcomes == 2 else [-1.0, 0.5, 0.5, 2.0])
+    obs = []
+    for _ in range(k):
+        basis = np.linalg.qr(r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4)))[0]
+        obs.append((basis * levels) @ basis.conj().T)
+    chain = retrodict.ObservableChain(obs)
+    assert all(len(pairs) == outcomes for pairs in chain.spectra)
+    _, ctx = _retrodiction_case(1, 0)
+    want = retrodict.gamma_weak_factored(chain, ctx)
+    counts = []
+    chain.spectra = [[(ev, _CountingProjector(proj, counts)) for ev, proj in pairs]
+                     for pairs in chain.spectra]
+    meter = retrodict.MemoryMeter()
+    assert retrodict.gamma_weak_factored(chain, ctx, meter) == want
+    assert len(counts) == sum(outcomes ** level for level in range(1, k + 1))
+    assert set(counts) == {(2, 4)}
+    assert (meter.peak, meter.live_complex_entries) == (2 * k * 4, 0)

@@ -46,6 +46,24 @@ class TestContext:
             retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
                                           final_vector=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_final_vector_rejected(self, bad):
+        rho = np.eye(2, dtype=complex) / 2
+        h = np.array([[0.0, -1j], [1j, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
+                                          final_vector=np.array([bad, 1.0]))
+
+    def test_nan_conditioning_probability_rejected(self):
+        # entries near the float maximum overflow in U rho U^dag, and
+        # inf - inf makes the conditioning probability NaN
+        rho = np.full((2, 2), 1.5e308, dtype=complex)
+        h = np.array([[0.0, -1j], [1j, 0.0]])
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="conditioning probability"):
+            retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
+                                          final_vector=np.array([1.0, 0.0]))
+
     def test_outcome_resolution(self):
         rho = np.eye(2, dtype=complex) / 2
         h = np.zeros((2, 2), dtype=complex)
@@ -167,7 +185,7 @@ class TestGammaEvaluation:
             g1 = retrodict.gamma_weak_direct(chain, ctx)
             g2 = retrodict.gamma_weak_factored(chain, ctx, meter)
             assert abs(g1 - g2) < 1e-10
-            assert meter.peak == k * d + k + 2
+            assert meter.peak == 2 * k * d
             assert meter.live_complex_entries == 0
 
     def test_identity_chain_gives_two(self):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from otoclab import brownian
 
 

@@ -72,12 +72,13 @@ def main() -> None:
     print()
 
     print("swap symmetry (w2 <-> w3 and v1 <-> v2) on a product state:")
-    rho_x = spin.product_plus_x_state(n)
-    for t_probe in (0.0, 2.0, 10.0):
-        qd = quasiprob.coarse_quasiprob(rho_x, w, v, h_sys, t_probe)
+    probes = [0.0, 2.0, 10.0]
+    psi_x = spin.product_plus_x_vector(n)
+    series_x = quasiprob.coarse_quasiprob_series(psi_x, w, v, h_sys, probes)
+    for t_probe, vals in zip(probes, series_x.values):
         asym = max(
-            np.max(np.abs(qd.values - qd.values.transpose(0, 3, 2, 1))),
-            np.max(np.abs(qd.values - qd.values.transpose(2, 1, 0, 3))),
+            np.max(np.abs(vals - vals.transpose(0, 3, 2, 1))),
+            np.max(np.abs(vals - vals.transpose(2, 1, 0, 3))),
         )
         print(f"  t = {t_probe:5.1f}   max swap asymmetry = {asym:.2e}")
     print("the symmetry that protects classical behavior breaks after onset")

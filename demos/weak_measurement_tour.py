@@ -28,7 +28,7 @@ def main() -> None:
     rho = np.eye(4, dtype=complex) / 4
     t = args.time
 
-    direct = quasiprob.coarse_quasiprob(rho, w, v, ham, t)
+    direct = quasiprob.coarse_quasiprob_series(rho, w, v, ham, [t]).at(0)
     print(f"two-site chain at t = {t}, maximally mixed state")
     print("the direct distribution is real at infinite temperature but not")
     print(f"a probability: most negative entry = "

@@ -81,16 +81,10 @@ class EnsembleSeries:
             raise ValueError("standard_error must be nonnegative")
 
 
-def pair_paulis(n: int) -> np.ndarray:
-    """Dense expansion of spin.pair_pauli_strings(n), the strings the
-    stacked increment uses; sample_increment sums it as a reference."""
-    return np.array([spin.pauli_matrix(mask, phase)
-                     for mask, phase in zip(*spin.pair_pauli_strings(n))])
-
-
 def _stacked_increment(n: int):
     """Map a (T, terms) array of Gaussian draws to the (T, d, d) stack of
-    increments dB that sample_increment would build from each row.
+    increments dB = increment_scale(n) sum_k g_k P_k, one per row g, over
+    the pair strings P_k of spin.pair_pauli_strings(n).
 
     Strings that flip the same bits fill the same d entries of dB, so each
     flip mask needs one small product of draws and phases. Masks flipping
@@ -119,23 +113,6 @@ def _stacked_increment(n: int):
 
 def increment_scale(n: int) -> float:
     return math.sqrt(1.0 / (8.0 * (n - 1)))
-
-
-def sample_increment(config: BrownianConfig, rng: np.random.Generator,
-                     pair_ops: np.ndarray | None = None) -> np.ndarray:
-    """One Hermitian Brownian increment dB.
-
-    pair_ops may be passed to reuse the precomputed operator stack across
-    steps; it must come from pair_paulis(config.n).
-    """
-    ops = pair_paulis(config.n) if pair_ops is None else pair_ops
-    g = rng.normal(0.0, math.sqrt(config.dt), size=len(ops))
-    return increment_scale(config.n) * np.tensordot(g, ops, axes=(0, 0))
-
-
-def step_unitary(u: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """exp(-i db) u; exactly unitary for Hermitian db."""
-    return qla.expm_scaled(db, -1j) @ u
 
 
 _CORRELATOR_NAMES = ("F", "G", "q_1", "q_2", "q_11", "q_12", "q_21", "f_12", "f_21")

@@ -457,14 +457,13 @@ def _run_brownian_ensemble(cfg):
 def _run_weakmeas_inference(cfg):
     """weak-coupling tomography of the entries"""
     h_sys, w, v, state = _chain_pieces(cfg)
-    w, v = w.matrix(), v.matrix()
-    rho = quasiprob.density_matrix(state, h_sys)
     records = weakmeas.standard_protocol_records(
-        rho, w, v, h_sys, cfg["t"], phis=_parse_phis(cfg["phis"]), shots=cfg["shots"],
-        seed=cfg["seed"], protocol=cfg["protocol"],
+        quasiprob.density_matrix(state, h_sys), w.matrix(), v.matrix(), h_sys, cfg["t"],
+        phis=_parse_phis(cfg["phis"]), shots=cfg["shots"], seed=cfg["seed"],
+        protocol=cfg["protocol"],
     )
     inferred, report = weakmeas.infer_coarse_quasiprob(records)
-    direct = quasiprob.coarse_quasiprob(rho, w, v, h_sys, cfg["t"])
+    direct = quasiprob.coarse_quasiprob_series(state, w, v, h_sys, [cfg["t"]]).at(0)
     labels, est = _by_label(inferred.values)
     ref = _by_label(direct.values)[1]
     se = np.zeros((16, 2)) if report.std_errors is None else _by_label(report.std_errors)[1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qla, quasiprob
+from . import quasiprob
 
 VANISHING_OVERLAP_TOL = 1e-10
 

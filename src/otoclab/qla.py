@@ -2,8 +2,8 @@
 
 Everything downstream (spin chains, quasiprobabilities, measurement
 protocols) runs on plain numpy arrays. This module pins down the few
-conventions the rest of the package relies on: Hermitian/unitary
-tolerance checks, eigendecompositions with a deterministic basis inside
+conventions the rest of the package relies on: the Hermiticity check
+and the unitarity defect, eigendecompositions with a deterministic basis inside
 degenerate eigenspaces, and matrix exponentials computed spectrally so
 that propagators are unitary by construction.
 """
@@ -18,7 +18,6 @@ import numpy as np
 MAX_DIM = 4096
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 # Distance below which a computed eigenvalue is read as a requested one.
 EIGENVALUE_MATCH_TOL = 1e-9
 
@@ -93,14 +92,6 @@ def unitarity_defect(u) -> float:
     """Largest entry of |u^dag u - 1|, over every member of a stack."""
     m = as_square_array(u, stack=True)
     return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1]))))
-
-
-def assert_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
-    m = as_square_array(u)
-    defect = unitarity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:.1e})")
-    return m
 
 
 @dataclass(frozen=True)
@@ -299,12 +290,3 @@ def haar_random_state(dim: int, seed) -> np.ndarray:
     v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
     return v / np.linalg.norm(v)
 
-
-def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    gen = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    # absorb the diagonal phases so the distribution is exactly Haar
-    d = np.diag(r)
-    return q * (d / np.abs(d))

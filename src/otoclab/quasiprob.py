@@ -10,18 +10,18 @@ distribution P(W, W'), and the regulated, time-ordered, and k-fold variants.
 F(t) is recoverable from every one of these as a moment; the moment helpers
 live here next to the distributions so the identities stay testable.
 
-Every coarse distribution comes from one of two independent routes, which
-the tests use as each other's oracle: the explicit projector trace
-(_four_projector_trace) of coarse_quasiprob and of the coarse series of a
+Every coarse distribution comes from one of two routes: the explicit
+projector trace (_four_projector_trace) of the coarse series of a
 non-involutory W or V, whose projectors come from the operators rotated
-into the energy frame, and, for involutory W and V, a signed expansion: with
-each projector written as (1 + s O)/2, every 2k-slot entry is the +-1
-Hadamard matrix (_hadamard) applied to traces of operator products. Every
-other series, coarse_quasiprob_via_correlators and the Brownian ensemble
-take the traces Tr(word rho) of _word_traces through _word_table(k);
-regulated_series, whose W projectors carry quarter powers of rho, takes
-sixteen of its own. Projectors of an involution are built as (1 -+ O)/2
-(_distinct_projectors), never by eigendecomposition.
+into the energy frame, and, for involutory W and V, a signed expansion:
+with each projector written as (1 + s O)/2, every 2k-slot entry is the
++-1 Hadamard matrix (_hadamard) applied to traces of operator products.
+Every other series and the Brownian ensemble take the traces
+Tr(word rho) of _word_traces through _word_table(k); regulated_series,
+whose W projectors carry quarter powers of rho, takes sixteen of its own.
+Projectors of an involution are built as (1 -+ O)/2
+(_distinct_projectors), never by eigendecomposition. The lab-frame
+versions of both routes, the tests' oracles, live in tests/oracles.py.
 
 Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
 is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
@@ -54,9 +54,9 @@ Each series returns one QuasiSeries whose correlator is what its moment
 reproduces (F, F_k, the TOC or F_reg; None on the projector route of the
 non-involutory coarse series); otoc_series returns F as a
 CorrelatorSeries. The time-ordered distribution is A~ summed over w3 (the
-W(t) projectors resolve the identity). otoc, coarse_quasiprob,
-correlators_for_expansion and fine_quasiprob stay in the lab frame as the
-series' oracles and take density matrices and matrix W and V.
+W(t) projectors resolve the identity). otoc and fine_quasiprob stay in
+the lab frame and take density matrices and matrix W and V: otoc as a
+single-point check of the series, fine_quasiprob for the fine grain.
 
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
@@ -651,16 +651,6 @@ def otoc(rho, w_op, v_op, hamiltonian, t: float) -> complex:
     return complex(np.trace(rho @ qla.dagger(wt) @ qla.dagger(v_op) @ wt @ v_op))
 
 
-def commutator_square(rho, w_op, v_op, hamiltonian, t: float) -> float:
-    """C(t) = <[W(t), V]dag [W(t), V]>; equals 2 - 2 Re F for unitary W, V."""
-    _check_dims(rho, w_op, v_op)
-    u = propagator(hamiltonian, t)
-    wt = heisenberg(w_op, u)
-    comm = wt @ v_op - v_op @ wt
-    val = complex(np.trace(rho @ qla.dagger(comm) @ comm))
-    return float(val.real)
-
-
 def _word_series(state, frame, sys: qla.HermitianEigensystem, times, k: int):
     """The word traces on a time grid, taken in the energy frame (frame, from
     _energy_frame), as the 2k-slot series (v1, w2, v2, w3, ...) of
@@ -715,21 +705,6 @@ def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
 # coarse-grained quasiprobability
 
 
-def coarse_quasiprob(rho, w_op, v_op, hamiltonian, t: float) -> QuasiDistribution:
-    """Four-projector trace A~(v1, w2, v2, w3) over every eigenvalue quadruple."""
-    _check_dims(rho, w_op, v_op)
-    wt = heisenberg(w_op, propagator(hamiltonian, t))
-    w_evs, w_projs = _distinct_projectors(wt)
-    v_evs, v_projs = _distinct_projectors(v_op)
-    vals = _four_projector_trace(v_projs, w_projs, np.asarray(rho, dtype=complex))
-    return QuasiDistribution(
-        values=vals,
-        axis_names=COARSE_AXES,
-        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs),
-        grain="coarse",
-    )
-
-
 def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     """Coarse quasiprobability along a time grid with one diagonalization.
 
@@ -761,34 +736,6 @@ def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
                        v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e))
     return QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
                        axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs)), w_e, v_e
-
-
-def correlators_for_expansion(rho, w_op, v_op, hamiltonian, t: float) -> dict[str, complex]:
-    """Tr(word rho) for the eight words of the four-slot expansion, keyed by
-    word ("1", "v", "w", "wv", "vw", "vwv", "wvw", "wvwv"). The words are
-    contracted as products of Hermitian letters (_word_traces), so a
-    non-Hermitian W or V raises ValueError, as in otoc_series."""
-    if max(qla.hermiticity_defect(w_op), qla.hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
-        raise ValueError("correlators_for_expansion needs Hermitian W and V")
-    wt = heisenberg(w_op, propagator(hamiltonian, t))
-    traces = _word_traces(np.asarray(rho, dtype=complex), np.asarray(v_op, dtype=complex), 2)
-    return {word: complex(x) for word, x in zip(_words(2), traces(wt))}
-
-
-def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian, t: float) -> QuasiDistribution:
-    """Coarse distribution assembled from eight correlators.
-
-    Only valid for involutory (Hermitian unitary) W and V, whose projectors
-    are (1 +- O)/2. This is the measurement-friendly route: the sixteen
-    quasiprobability values collapse onto eight expectation values.
-    """
-    _check_dims(rho, w_op, v_op)
-    if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
-        raise ValueError("projector expansion needs involutory W and V (eigenvalues +-1)")
-    corr = correlators_for_expansion(rho, w_op, v_op, hamiltonian, t)
-    return QuasiDistribution(values=_entries(np.array(list(corr.values())), 2),
-                             axis_names=COARSE_AXES,
-                             axis_eigenvalues=(np.array([-1.0, 1.0]),) * 4)
 
 
 def _moment(values, axis_weights):

@@ -97,6 +97,8 @@ class RetrodictionContext:
         self.t_prime = t_prime
         self.t_double_prime = t_double_prime
         prob = float(np.real(self.f_prime.conj() @ self.rho_prime @ self.f_prime))
+        if not math.isfinite(prob):
+            raise ValueError(f"conditioning probability is {prob}; weak values undefined")
         if not prob > _CONDITION_FLOOR:
             raise ValueError("conditioning probability vanishes; weak values undefined")
         self.conditioning_probability = prob
@@ -273,9 +275,10 @@ def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float)
     """Retrodicted value of V W(t) V given the final W(t) outcome w3.
 
     The weights are the real parts of the coarse quasiprobability entries
-    at that w3, normalized by the Born probability of w3.
+    at that w3, normalized by the Born probability of w3. rho may be any
+    state form that quasiprob.density_matrix accepts.
     """
-    qd = quasiprob.coarse_quasiprob(rho, w_op, v_op, hamiltonian, t)
+    qd = quasiprob.coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, [t]).at(0)
     w_evs = qd.axis_eigenvalues[3]
     hits = np.flatnonzero(np.abs(w_evs - w3_outcome) < qla.EIGENVALUE_MATCH_TOL)
     if hits.size == 0:

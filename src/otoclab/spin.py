@@ -1,6 +1,6 @@
 """Spin-chain building blocks: Pauli strings, the mixed-field Ising
-Hamiltonian, common initial states, and eigenprojectors with the
-degeneracy labeling used by the fine-grained distributions.
+Hamiltonian, its site reflection, thermal weights and the product
+initial state.
 
 Sites are 1-based. Basis ordering is the usual binary one: computational
 index i has site s in state (i >> (n - s)) & 1, with bit 0 meaning spin up,
@@ -181,20 +181,6 @@ def thermal_weights(eigenvalues, temperature: float) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_state(h, temperature: float) -> np.ndarray:
-    """Normalized e^{-H/T}; temperature = +inf returns the maximally mixed state.
-
-    h may be the qla.HermitianEigensystem of H, which is then not
-    diagonalized again.
-    """
-    given = isinstance(h, qla.HermitianEigensystem)
-    dim = h.dim if given else qla.assert_hermitian(h).shape[0]
-    if temperature == np.inf:
-        return np.eye(dim, dtype=complex) / dim
-    sys = h if given else qla.eigh(h)
-    return np.asarray(sys.spectral(thermal_weights(sys.eigenvalues, temperature)), dtype=complex)
-
-
 def product_plus_x_vector(n: int) -> np.ndarray:
     """State vector of the product state with every spin along +x."""
     if n < 1:
@@ -211,60 +197,3 @@ def product_plus_x_state(n: int) -> np.ndarray:
     vec = product_plus_x_vector(n)
     return np.outer(vec, vec.conj())
 
-
-def eigenprojector(o, eigenvalue: float) -> np.ndarray:
-    """Projector onto the full degenerate eigenspace of the given eigenvalue."""
-    sys = qla.eigh(o)
-    sel = np.abs(sys.eigenvalues - eigenvalue) < qla.EIGENVALUE_MATCH_TOL
-    if not np.any(sel):
-        raise ValueError(f"{eigenvalue} is not in the spectrum")
-    cols = sys.eigenvectors[:, sel]
-    return cols @ cols.conj().T
-
-
-def local_eigenbasis(n: int, site: int, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labeled eigenbasis of a single-site Pauli on an n-site chain.
-
-    Returns (eigenvalues, columns, config_labels). Column k is the product
-    state |axis eigenstate> on the given site tensored with a computational
-    configuration of the remaining n-1 sites; config_labels[k] is that
-    configuration read as an integer, bit order following site order. The
-    eigenvalue blocks come out ascending (-1 block first), configurations
-    ascending within each block, matching what qla.eigh produces for the
-    same operator.
-    """
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside chain of length {n}")
-    single = qla.eigh(PAULI[axis])
-    dim = 2**n
-    half = dim // 2
-    cols = np.zeros((dim, dim), dtype=complex)
-    evals = np.zeros(dim)
-    labels = np.zeros(dim, dtype=np.int64)
-    k = 0
-    for blk in range(2):  # ascending eigenvalue blocks
-        ev = single.eigenvalues[blk]
-        site_vec = single.eigenvectors[:, blk]
-        for config in range(half):
-            vec = np.array([1.0 + 0j])
-            for s in range(1, n + 1):
-                if s == site:
-                    vec = np.kron(vec, site_vec)
-                else:
-                    bit = (config >> (n - 2 - _other_pos(n, site, s))) & 1
-                    vec = np.kron(vec, np.array([1.0, 0.0]) if bit == 0 else np.array([0.0, 1.0]))
-            cols[:, k] = vec
-            evals[k] = ev
-            labels[k] = config
-            k += 1
-    return evals, cols, labels
-
-
-def _other_pos(n: int, site: int, s: int) -> int:
-    """Position of site s among the n-1 sites that are not `site` (0-based)."""
-    return s - 1 if s < site else s - 2
-
-
-def config_label_text(n: int, site: int, label: int) -> str:
-    """Readable bitstring for a degeneracy label, one bit per untouched site."""
-    return format(label, f"0{n - 1}b")

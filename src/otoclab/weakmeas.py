@@ -234,54 +234,33 @@ def _sample_counts(probabilities, shots, seed) -> np.ndarray:
     return rng.multinomial(shots, p / p.sum())
 
 
-def simulate_protocol(rho, w_op, v_op, hamiltonian, t: float,
-                      coupling: CouplingConfig, shots: int = 0,
-                      seed=None) -> MeasurementRecord:
-    """Joint distribution of the three-coupling protocol.
+def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
+    """The protocol's records at fixed rho, W, V and t, as a map (coupling,
+    shots=0, seed=None) -> MeasurementRecord; W(t), both projector pairs and
+    the prepared states are built once. shots = 0 gives exact
+    probabilities, shots >= 1 a multinomial histogram drawn from them
+    (statistically identical to per-shot conditional updates).
 
-    Sequence: weak V, evolve U, weak W, evolve U back, weak V, evolve U,
-    strong W. In the Heisenberg picture this collapses to
+    three-weak: weak V, evolve U, weak W, evolve U back, weak V, evolve U,
+    strong W, which in the Heisenberg picture is
+    P(s1, s2, s3, w3) = Tr(Pi^{W(t)}_{w3} M3 M2 M1 rho M1+ M2+ M3+), with
+    M1, M3 the V Kraus operators and M2 those of W(t).
 
-        P(s1, s2, s3, w3) = Tr( Pi^{W(t)}_{w3} M3 M2 M1 rho M1+ M2+ M3+ )
+    two-weak: prepare an eigenstate of W from rho's weights, evolve
+    backward, weak V, evolve forward, weak W, evolve backward, strong V.
+    It needs a rho that commutes with W(t), whose ensemble it then
+    reproduces; other states are rejected. Each W eigenvalue's prepared
+    sigma is rho dephased in the W(t) eigenbasis, sum_l p_l |c_l><c_l|
+    with c_l = U^dag e_l over its eigenvectors e_l and p_l = <c_l|rho|c_l>.
 
-    with M1, M3 the V Kraus operators and M2 built from the evolved W;
-    that form is evaluated here. shots = 0 returns exact probabilities,
-    shots >= 1 draws a multinomial histogram from them (statistically
-    identical to per-shot conditional updates).
+    Either way an outcome's probability is Re Tr(Pi_final K_s sigma K_s^dag),
+    with K_s the Kraus operators of the row's letters in time order and
+    sigma rho or a prepared state; the final strong measurement measures
+    the observable not coupled last.
     """
-    return _simulator("three-weak", rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
-
-
-def two_measurement_protocol(rho, w_op, v_op, hamiltonian, t: float,
-                             coupling: CouplingConfig, shots: int = 0,
-                             seed=None) -> MeasurementRecord:
-    """Joint distribution of the two-coupling protocol.
-
-    Sequence: prepare an eigenstate of W drawn from rho's eigenbasis
-    weights, evolve backward, weak V, evolve forward, weak W, evolve
-    backward, strong V. Valid only when rho commutes with the evolved W,
-    so that preparing W eigenstates with the weights <w,l| U rho U+ |w,l>
-    reproduces the ensemble; other states are rejected. The prepared
-    ensemble of each W eigenvalue is rho dephased in the W(t) eigenbasis,
-    sum_l p_l |c_l><c_l| with c_l = U+ |w,l> and p_l = <c_l| rho |c_l>.
-    """
-    return _simulator("two-weak", rho, w_op, v_op, hamiltonian, t)(coupling, shots, seed)
-
-
-def _simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
-    """The protocol's record at fixed rho, W, V and t, as a map (coupling,
-    shots, seed) -> record; W(t), both projector pairs and the prepared
-    states are built once.
-
-    Each outcome's probability is Re Tr(Pi_final K_s sigma K_s^dag), with
-    K_s the Kraus operators of the row's letters applied in time order.
-    The strong measurements alternate with the weak ones: the final one
-    measures the observable not coupled last, and a row whose records
-    start with a prepared eigenvalue (final position 0) prepares one
-    sigma per degenerate group of W, sum_l p_l |c_l><c_l| over its
-    eigenvectors e_l with c_l = U^dag e_l and p_l = <c_l|rho|c_l>;
-    otherwise sigma is rho.
-    """
+    if protocol not in _PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; "
+                         f"expected one of {', '.join(_PROTOCOLS)}")
     spec = _PROTOCOLS[protocol]
     quasiprob._check_dims(rho, w_op, v_op)
     rho = np.asarray(rho, dtype=complex)
@@ -303,7 +282,7 @@ def _simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
         states = [((float(w_sys.eigenvalues[a]),), (c[:, a:b] * p[a:b]) @ qla.dagger(c[:, a:b]))
                   for a, b in w_sys.degenerate_groups()]
 
-    def record(coupling: CouplingConfig, shots: int, seed) -> MeasurementRecord:
+    def record(coupling: CouplingConfig, shots: int = 0, seed=None) -> MeasurementRecord:
         if shots < 0:
             raise ValueError("shots must be >= 0")
         kraus = {k: dict(zip((1, -1), kraus_pair(proj, coupling))) for k, proj in plus.items()}
@@ -520,17 +499,11 @@ def infer_coarse_quasiprob(records):
 def standard_protocol_records(rho, w_op, v_op, hamiltonian, t: float,
                               phis=(0.05, 0.1, 0.15, 0.2), shots: int = 0,
                               seed=None, protocol: str = "three-weak"):
-    """Records at every (mode, strength) combination, ready for inference.
-
-    Equal, record for record, to calling simulate_protocol (three-weak) or
-    two_measurement_protocol (two-weak) once per coupling with seed
-    (seed, k) for the k-th record; the coupling-independent set-up is done
-    once.
+    """Records at every (mode, strength) combination, ready for inference:
+    the simulator's record at each coupling, with seed (seed, k) for the
+    k-th record.
     """
-    if protocol not in _PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; "
-                         f"expected one of {', '.join(_PROTOCOLS)}")
-    record = _simulator(protocol, rho, w_op, v_op, hamiltonian, t)
+    record = simulator(protocol, rho, w_op, v_op, hamiltonian, t)
     return [record(CouplingConfig(phi, mode), shots,
                    None if seed is None else (seed, k))
             for k, (mode, phi) in enumerate((m, p) for m in PHASE_MODES for p in phis)]

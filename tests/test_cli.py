@@ -11,6 +11,8 @@ import pytest
 
 from otoclab import brownian, cli, decomp, qla, quasiprob, retrodict, spin, weakmeas
 
+import oracles
+
 
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
@@ -61,7 +63,7 @@ class TestQuasiprobSeries:
         w = spin.site_pauli(3, 1, "z")
         v = spin.site_pauli(3, 3, "z")
         rho = quasiprob.density_matrix(cli._resolve_state(state, 3, None))
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.2)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.2)
         for label in (format(i, "04b") for i in range(16)):
             a, b, c, d = (int(ch) for ch in label)
             val = qd.entry((-1.0) ** d, (-1.0) ** c, (-1.0) ** b, (-1.0) ** a)
@@ -416,22 +418,23 @@ class TestOtherExperiments:
                                                                 abs=1e-12)
 
     @pytest.mark.parametrize("protocol, state", [("three-weak", "haar:2"),
+                                                 ("three-weak", "thermal:1"),
+                                                 ("three-weak", "plus-x"),
                                                  ("two-weak", "infinite-temp")])
     def test_weakmeas_direct_columns_follow_the_label_map(self, capsys, protocol, state):
         """Row abcd's direct entry is the lab-frame entry at w3 = (-1)^a,
         v2 = (-1)^b, w2 = (-1)^c, v1 = (-1)^d: abs_error compares two columns
         that one shared label permutation would leave equal. two-weak needs
         a state that commutes with W(t); at infinite temperature the entries
-        are blind to reversing the slot order, which the Haar state sees."""
+        are blind to reversing the slot order, which the other states see."""
         rc, out, _ = run_cli(capsys, "weakmeas-inference", "--protocol", protocol,
                              "--state", state, "--format", "json")
         assert rc == 0
         doc = json.loads(out)
-        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
-        rho = (quasiprob.density_matrix(qla.haar_random_state(4, 2)) if state == "haar:2"
-               else np.eye(4) / 4)
-        qd = quasiprob.coarse_quasiprob(rho, spin.site_pauli(2, 1, "z"),
-                                        spin.site_pauli(2, 2, "z"), h, 1.0)
+        h_sys = qla.eigh(spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05)))
+        rho = quasiprob.density_matrix(cli._resolve_state(state, 2, h_sys), h_sys)
+        qd = oracles.coarse_quasiprob(rho, spin.site_pauli(2, 1, "z"),
+                                      spin.site_pauli(2, 2, "z"), h_sys, 1.0)
         assert [row[0] for row in doc["rows"]] == [format(i, "04b") for i in range(16)]
         for row in doc["rows"]:
             cells = dict(zip(doc["columns"], row))
@@ -565,6 +568,16 @@ class TestOtherExperiments:
         assert calls["propagator"] == calls["heisenberg"] == 0
         assert calls["eigh"] == 1
         assert calls["_distinct_projectors"] <= 2
+
+    def test_weakmeas_job_propagates_once(self, capsys, monkeypatch):
+        # the simulator propagates once for all its records; the direct
+        # columns come from the energy-frame series, which never does
+        calls = []
+        real = quasiprob.propagator
+        monkeypatch.setattr(quasiprob, "propagator", lambda *a: calls.append(a) or real(*a))
+        rc, _, _ = run_cli(capsys, "weakmeas-inference", "--n", "3", "--state", "thermal:1")
+        assert rc == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [
         ["otoc-series", "--state", "thermal:1", *SMALL_SERIES],

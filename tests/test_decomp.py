@@ -8,6 +8,8 @@ import pytest
 
 from otoclab import decomp, qla, quasiprob, spin
 
+import oracles
+
 
 def rand_rho(d, r):
     a = r.normal(size=(d, d)) + 1j * r.normal(size=(d, d))
@@ -110,7 +112,7 @@ class TestCoefficients:
     def test_requires_fine_grain(self, two_site):
         w, v, h = two_site
         rho = np.eye(4, dtype=complex) / 4
-        coarse = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        coarse = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         with pytest.raises(ValueError, match="fine-grained"):
             decomp.decomposition_coefficients(coarse)
 
@@ -158,7 +160,7 @@ class TestOverlapStatistics:
     def test_haar_overlap_magnitudes_average_to_unbiased_value(self):
         # column normalization makes the mean of |overlap|^2 exactly 1/d
         d = 16
-        u = qla.haar_unitary(d, np.random.default_rng(9))
+        u = oracles.haar_unitary(d, np.random.default_rng(9))
         mags = decomp.overlap_magnitudes(np.diag(np.arange(d, dtype=float)),
                                          np.diag(np.arange(d, dtype=float)),
                                          u)

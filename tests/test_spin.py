@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otoclab import brownian, qla, spin
+from otoclab import qla, spin
+
+import oracles
 
 
 class TestPauliAlgebra:
@@ -103,7 +105,7 @@ def test_pauli_table_matches_kronecker_products():
         pairs = [{i: a, j: b} for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  for a in "1xyz" for b in "1xyz"]
         masks, phases = spin.pair_pauli_strings(n)
-        dense = brownian.pair_paulis(n)
+        dense = oracles.pair_paulis(n)
         assert len(masks) == len(phases) == len(dense) == len(pairs)
         for mask, phase, op, factors in zip(masks, phases, dense, pairs):
             want = _kron_string(n, factors)
@@ -193,36 +195,6 @@ def test_ising_hamiltonian_is_hermitian_and_open():
 
 
 class TestStates:
-    def test_thermal_infinite_temperature(self):
-        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
-        rho = spin.thermal_state(h, np.inf)
-        assert np.max(np.abs(rho - np.eye(4) / 4)) == 0.0
-
-    def test_thermal_finite_temperature(self):
-        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
-        rho = spin.thermal_state(h, 1.0)
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert qla.hermiticity_defect(rho) < 1e-12
-        evs = np.linalg.eigvalsh(rho)
-        assert np.all(evs > 0)
-        # colder state has more weight on the ground state
-        cold = spin.thermal_state(h, 0.1)
-        sys = qla.eigh(h)
-        g = sys.eigenvectors[:, 0]
-        assert np.real(g.conj() @ cold @ g) > np.real(g.conj() @ rho @ g)
-
-    def test_thermal_from_eigensystem_is_bitwise_the_same(self):
-        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=1.0, h=0.5, g=1.05))
-        sys = qla.eigh(h)
-        for temperature in (0.5, 2.0, np.inf):
-            got = spin.thermal_state(sys, temperature)
-            assert got.tobytes() == spin.thermal_state(h, temperature).tobytes()
-
-    def test_thermal_rejects_nonpositive(self):
-        h = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(ValueError):
-            spin.thermal_state(h, -1.0)
-
     def test_plus_x_product_state(self):
         rho = spin.product_plus_x_state(3)
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -231,36 +203,3 @@ class TestStates:
             sx = spin.site_pauli(3, site, "x")
             assert np.real(np.trace(rho @ sx)) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_eigenprojector_completeness():
-    w = spin.site_pauli(3, 2, "z")
-    p_plus = spin.eigenprojector(w, 1.0)
-    p_minus = spin.eigenprojector(w, -1.0)
-    assert np.max(np.abs(p_plus + p_minus - np.eye(8))) < 1e-12
-    assert np.max(np.abs(p_plus @ p_minus)) < 1e-12
-    assert np.max(np.abs(w - p_plus + p_minus)) < 1e-12
-    with pytest.raises(ValueError):
-        spin.eigenprojector(w, 0.5)
-
-
-class TestLocalEigenbasis:
-    def test_matches_operator(self):
-        n, site = 3, 2
-        evals, cols, labels = spin.local_eigenbasis(n, site, "z")
-        w = spin.site_pauli(n, site, "z")
-        assert np.max(np.abs(w @ cols - cols * evals)) < 1e-12
-        # orthonormal and complete
-        assert np.max(np.abs(cols.conj().T @ cols - np.eye(8))) < 1e-12
-        # ascending blocks, configurations ascending inside each block
-        assert np.array_equal(evals, np.array([-1.0] * 4 + [1.0] * 4))
-        assert np.array_equal(labels, np.array([0, 1, 2, 3, 0, 1, 2, 3]))
-
-    def test_agrees_with_fixed_eigh_basis(self):
-        n, site = 2, 1
-        _, cols, _ = spin.local_eigenbasis(n, site, "z")
-        sys = qla.eigh(spin.site_pauli(n, site, "z"))
-        assert np.max(np.abs(cols - sys.eigenvectors)) < 1e-12
-
-    def test_label_text(self):
-        assert spin.config_label_text(3, 1, 2) == "10"
-        assert spin.config_label_text(4, 2, 5) == "101"

@@ -7,6 +7,8 @@ import pytest
 
 from otoclab import qla, quasiprob, spin, weakmeas
 
+import oracles
+
 
 @pytest.fixture
 def two_site():
@@ -46,7 +48,7 @@ class TestCouplings:
         assert a_plus + b_plus == pytest.approx(r * np.exp(-1j * phi), abs=1e-15)
 
     def test_kraus_completeness_both_modes(self):
-        proj = spin.eigenprojector(spin.site_pauli(2, 1, "z"), 1.0)
+        proj = oracles.eigenprojector(spin.site_pauli(2, 1, "z"), 1.0)
         for mode in weakmeas.PHASE_MODES:
             mp, mm = weakmeas.kraus_pair(proj, weakmeas.CouplingConfig(0.12, mode))
             total = qla.dagger(mp) @ mp + qla.dagger(mm) @ mm
@@ -54,7 +56,7 @@ class TestCouplings:
 
     def test_strong_limit_is_projective(self):
         # phi = pi/2 in real mode drives p -> 1: plain projectors
-        proj = spin.eigenprojector(spin.PAULI_Z, 1.0)
+        proj = oracles.eigenprojector(spin.PAULI_Z, 1.0)
         mp, mm = weakmeas.kraus_pair(proj, weakmeas.CouplingConfig(math.pi / 2, "real"))
         assert np.max(np.abs(mp - proj)) < 1e-12
         assert np.max(np.abs(mm - (np.eye(2) - proj))) < 1e-12
@@ -68,8 +70,8 @@ def test_ancilla_subcircuit_matches_kraus_pair():
     """Contracting the two-qubit ancilla circuit reproduces the symmetric
     partial projection at base angle pi/2, for a nontrivial projector."""
     w = spin.site_pauli(2, 1, "z")
-    proj_plus = spin.eigenprojector(w, 1.0)
-    proj_minus = spin.eigenprojector(w, -1.0)
+    proj_plus = oracles.eigenprojector(w, 1.0)
+    proj_minus = oracles.eigenprojector(w, -1.0)
     phi = 0.13
     mp_circ, mm_circ = weakmeas.ancilla_subcircuit_kraus((proj_plus, proj_minus), phi)
     mp, mm = weakmeas.kraus_pair(proj_plus, weakmeas.CouplingConfig(phi, "real"))
@@ -78,7 +80,7 @@ def test_ancilla_subcircuit_matches_kraus_pair():
 
 
 def test_ancilla_subcircuit_guards():
-    proj = spin.eigenprojector(spin.PAULI_Z, 1.0)
+    proj = oracles.eigenprojector(spin.PAULI_Z, 1.0)
     comp = np.eye(2) - proj
     with pytest.raises(ValueError):
         weakmeas.ancilla_subcircuit_kraus((proj, comp), 0.1, base_angle=4.0)
@@ -89,8 +91,8 @@ def test_ancilla_subcircuit_guards():
 class TestSimulateProtocol:
     def test_probabilities_form_distribution(self, two_site):
         rho, w, v, h = two_site
-        rec = weakmeas.simulate_protocol(rho, w, v, h, 1.0,
-                                         weakmeas.CouplingConfig(0.1, "real"))
+        coupling = weakmeas.CouplingConfig(0.1, "real")
+        rec = weakmeas.simulator("three-weak", rho, w, v, h, 1.0)(coupling)
         assert rec.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(rec.probabilities >= -1e-15)
         assert len(rec.outcomes) == 16  # 2^3 ancilla outcomes x 2 final bins
@@ -99,11 +101,11 @@ class TestSimulateProtocol:
         """Independent in-test evaluation of one joint probability."""
         rho, w, v, h = two_site
         coupling = weakmeas.CouplingConfig(0.1, "real")
-        rec = weakmeas.simulate_protocol(rho, w, v, h, 1.0, coupling)
+        rec = weakmeas.simulator("three-weak", rho, w, v, h, 1.0)(coupling)
         u = quasiprob.propagator(h, 1.0)
         wt = u.conj().T @ w @ u
-        pv = spin.eigenprojector(v, 1.0)
-        pw = spin.eigenprojector(wt, 1.0)
+        pv = oracles.eigenprojector(v, 1.0)
+        pw = oracles.eigenprojector(wt, 1.0)
         mv = weakmeas.kraus_pair(pv, coupling)
         mw = weakmeas.kraus_pair(pw, coupling)
         m_map = {+1: 0, -1: 1}
@@ -129,15 +131,15 @@ class TestSimulateProtocol:
             eye = np.eye(4)
             rho = 0.3 * (0.5 * (eye + wt)) / 2 + 0.7 * (0.5 * (eye - wt)) / 2
         coupling = weakmeas.CouplingConfig(0.13, mode)
-        rec = weakmeas.two_measurement_protocol(rho, w, v, h, t, coupling)
+        rec = weakmeas.simulator("two-weak", rho, w, v, h, t)(coupling)
         evals, vecs = np.linalg.eigh(w)
         weights = np.einsum("il,ij,jl->l", vecs.conj(), u @ rho @ u_dag, vecs).real
-        mv = weakmeas.kraus_pair(spin.eigenprojector(v, 1.0), coupling)
-        mw = weakmeas.kraus_pair(spin.eigenprojector(w, 1.0), coupling)
+        mv = weakmeas.kraus_pair(oracles.eigenprojector(v, 1.0), coupling)
+        mw = weakmeas.kraus_pair(oracles.eigenprojector(w, 1.0), coupling)
         m_map = {+1: 0, -1: 1}
         assert len(rec.outcomes) == 16  # 2 prepared x 2^2 ancilla x 2 final
         for k, (wb, s1, s2, v3) in enumerate(rec.outcomes):
-            chain = (spin.eigenprojector(v, v3) @ u_dag @ mw[m_map[s2]] @ u
+            chain = (oracles.eigenprojector(v, v3) @ u_dag @ mw[m_map[s2]] @ u
                      @ mv[m_map[s1]] @ u_dag)
             want = sum(p * np.linalg.norm(chain @ e) ** 2
                        for p, e, ev in zip(weights, vecs.T, evals) if abs(ev - wb) < 1e-9)
@@ -146,25 +148,23 @@ class TestSimulateProtocol:
     def test_sampled_counts_reproducible(self, two_site):
         rho, w, v, h = two_site
         kw = dict(shots=5000, seed=21)
-        a = weakmeas.simulate_protocol(rho, w, v, h, 1.0,
-                                       weakmeas.CouplingConfig(0.1), **kw)
-        b = weakmeas.simulate_protocol(rho, w, v, h, 1.0,
-                                       weakmeas.CouplingConfig(0.1), **kw)
+        a = weakmeas.simulator("three-weak", rho, w, v, h, 1.0)(weakmeas.CouplingConfig(0.1), **kw)
+        b = weakmeas.simulator("three-weak", rho, w, v, h, 1.0)(weakmeas.CouplingConfig(0.1), **kw)
         assert np.array_equal(a.counts, b.counts)
         assert a.counts.sum() == 5000
         assert np.max(np.abs(a.frequencies() - a.probabilities)) < 0.05
 
     def test_exact_mode_has_no_counts(self, two_site):
         rho, w, v, h = two_site
-        rec = weakmeas.simulate_protocol(rho, w, v, h, 0.5, weakmeas.CouplingConfig(0.1))
+        rec = weakmeas.simulator("three-weak", rho, w, v, h, 0.5)(weakmeas.CouplingConfig(0.1))
         assert rec.counts is None
         assert np.array_equal(rec.frequencies(), rec.probabilities)
 
     def test_shot_guard(self, two_site):
         rho, w, v, h = two_site
+        record = weakmeas.simulator("three-weak", rho, w, v, h, 0.5)
         with pytest.raises(ValueError):
-            weakmeas.simulate_protocol(rho, w, v, h, 0.5,
-                                       weakmeas.CouplingConfig(0.1), shots=-1)
+            record(weakmeas.CouplingConfig(0.1), shots=-1)
 
 
 class TestSampleCounts:
@@ -181,17 +181,15 @@ class TestSampleCounts:
 
 
 class TestStandardRecords:
-    @pytest.mark.parametrize("protocol,runner", [
-        ("three-weak", weakmeas.simulate_protocol),
-        ("two-weak", weakmeas.two_measurement_protocol),
-    ])
+    @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
     @pytest.mark.parametrize("shots,seed", [(0, None), (5000, 11)])
     def test_records_equal_per_coupling_calls(self, two_site, monkeypatch,
-                                              protocol, runner, shots, seed):
+                                              protocol, shots, seed):
         rho, w, v, h = two_site
         phis = (0.05, 0.12, 0.2)
-        expected = [runner(rho, w, v, h, 0.8, weakmeas.CouplingConfig(phi, mode),
-                           shots=shots, seed=None if seed is None else (seed, k))
+        expected = [weakmeas.simulator(protocol, rho, w, v, h, 0.8)(
+                        weakmeas.CouplingConfig(phi, mode),
+                        shots=shots, seed=None if seed is None else (seed, k))
                     for k, (mode, phi) in enumerate(
                         (m, p) for m in weakmeas.PHASE_MODES for p in phis)]
         calls = []
@@ -220,7 +218,7 @@ class TestInferenceExact:
         rho, w, v, h = two_site
         records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0)
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
-        direct = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
         assert not report.sampled
         assert report.std_errors is None
@@ -234,7 +232,7 @@ class TestInferenceExact:
         rho = np.diag(weights / weights.sum()).astype(complex)
         records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0)
         inferred, _ = weakmeas.infer_coarse_quasiprob(records)
-        direct = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
 
     def test_two_weak_recovers_distribution(self, two_site):
@@ -242,7 +240,7 @@ class TestInferenceExact:
         records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0,
                                                      protocol="two-weak")
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
-        direct = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
         assert report.protocol == "two-weak"
 
@@ -259,15 +257,14 @@ class TestInferenceExact:
         records = weakmeas.standard_protocol_records(rho, w, v, h, t,
                                                      protocol="two-weak")
         inferred, _ = weakmeas.infer_coarse_quasiprob(records)
-        direct = quasiprob.coarse_quasiprob(rho, w, v, h, t)
+        direct = oracles.coarse_quasiprob(rho, w, v, h, t)
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
 
     def test_two_weak_rejects_noncommuting_state(self, two_site):
         _, w, v, h = two_site
         rho = spin.product_plus_x_state(2)
         with pytest.raises(ValueError, match="commuting"):
-            weakmeas.two_measurement_protocol(rho, w, v, h, 1.0,
-                                              weakmeas.CouplingConfig(0.1))
+            weakmeas.simulator("two-weak", rho, w, v, h, 1.0)(weakmeas.CouplingConfig(0.1))
 
     @pytest.mark.parametrize("protocol,rank", [("three-weak", 27), ("two-weak", 13)])
     def test_every_block_reaches_the_identifiable_rank(self, two_site, protocol, rank):
@@ -282,6 +279,8 @@ class TestInferenceExact:
         rho, w, v, h = two_site
         with pytest.raises(ValueError, match="unknown protocol 'three_weak'"):
             weakmeas.standard_protocol_records(rho, w, v, h, 1.0, protocol="three_weak")
+        with pytest.raises(ValueError, match="unknown protocol 'three_weak'"):
+            weakmeas.simulator("three_weak", rho, w, v, h, 1.0)
 
     def test_clustered_strengths_rejected(self, two_site):
         rho, w, v, h = two_site
@@ -311,7 +310,7 @@ class TestInferenceSampled:
         records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0,
                                                      shots=200_000, seed=7)
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
-        direct = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert report.sampled
         se = report.std_errors
         assert se is not None and np.all(se > 0)
@@ -325,7 +324,7 @@ class TestInferenceSampled:
                                                      shots=200_000, seed=7,
                                                      protocol="two-weak")
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
-        direct = quasiprob.coarse_quasiprob(rho, w, v, h, 1.0)
+        direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert report.sampled
         se = report.std_errors
         assert se.shape == (2, 2, 2, 2, 2) and np.all(se > 0)

@@ -190,7 +190,7 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
     w = spin.site_pauli(n, 1, "z") if w_op is None else np.asarray(w_op, dtype=complex)
     v = spin.site_pauli(n, 2, "z") if v_op is None else np.asarray(v_op, dtype=complex)
     rho = np.eye(dim, dtype=complex) / dim if rho is None else np.asarray(rho, dtype=complex)
-    quasiprob._check_dims(rho, w, v)
+    quasiprob.check_state(rho, w, v)
     if not quasiprob._is_hermitian_involution(w) or not quasiprob._is_hermitian_involution(v):
         raise ValueError("ensemble reduction needs involutory W and V")
 
@@ -284,7 +284,8 @@ def general_state_avg(config: BrownianConfig, rho, outcome: tuple, t: float,
     """
     w = spin.site_pauli(config.n, 1, "z")
     v = spin.site_pauli(config.n, 2, "z")
-    traces = quasiprob._word_traces(np.asarray(rho, dtype=complex), v, 2)(w)
+    rho = np.asarray(quasiprob.check_state(rho, w, v), dtype=complex)
+    traces = quasiprob._word_traces(rho, v, 2)(w)
     traces[2:6] *= math.exp(-2.0 * t)
     traces[6:] = f12_value, otoc_value
     return _closed_form_entry(traces, outcome)

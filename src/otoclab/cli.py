@@ -320,7 +320,8 @@ def _chain_pieces(cfg: dict):
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
-    steps = int(round(cfg["t_max"] / cfg["t_step"]))
+    # no point past t_max; the 1e-9 absorbs the rounding of a whole multiple
+    steps = math.floor(cfg["t_max"] / cfg["t_step"] + 1e-9)
     return np.arange(steps + 1) * cfg["t_step"]
 
 
@@ -435,7 +436,7 @@ def _run_work_distribution(cfg):
 def _run_brownian_ensemble(cfg):
     """stochastic-circuit ensemble averages"""
     stride = int(round(cfg["t_step"] / cfg["dt"]))
-    steps = int(round(cfg["t_max"] / cfg["dt"]))
+    steps = math.floor(cfg["t_max"] / cfg["dt"] + 1e-9)
     config = brownian.BrownianConfig(
         n=cfg["n"], dt=cfg["dt"], steps=steps,
         trajectories=cfg["trajectories"], seed=cfg["seed"], stride=stride,
@@ -458,7 +459,7 @@ def _run_weakmeas_inference(cfg):
     """weak-coupling tomography of the entries"""
     h_sys, w, v, state = _chain_pieces(cfg)
     records = weakmeas.standard_protocol_records(
-        quasiprob.density_matrix(state, h_sys), w.matrix(), v.matrix(), h_sys, cfg["t"],
+        state, w.matrix(), v.matrix(), h_sys, cfg["t"],
         phis=_parse_phis(cfg["phis"]), shots=cfg["shots"], seed=cfg["seed"],
         protocol=cfg["protocol"],
     )

@@ -69,9 +69,9 @@ def asym_decohere(rho, w_op, v_op, hamiltonian, t: float) -> np.ndarray:
            <v,nu|rho U'|w,lambda> |v,nu><w,lambda|U.
     The subtraction preserves the trace and can break Hermiticity.
     """
+    rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), hamiltonian)
     w_sys, v_sys = _bases(w_op, v_op)
     u = quasiprob.propagator(hamiltonian, t)
-    rho = np.asarray(rho, dtype=complex)
     return _decohere(rho, u, w_sys.eigenvectors, v_sys.eigenvectors)[0]
 
 

@@ -18,6 +18,8 @@ import numpy as np
 MAX_DIM = 4096
 
 HERMITIAN_TOL = 1e-12
+# Largest defect of an exact identity: O O = 1, P P = P, unit trace, sum to 1.
+EXACT_TOL = 1e-10
 # Distance below which a computed eigenvalue is read as a requested one.
 EIGENVALUE_MATCH_TOL = 1e-9
 

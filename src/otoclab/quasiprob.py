@@ -55,12 +55,20 @@ reproduces (F, F_k, the TOC or F_reg; None on the projector route of the
 non-involutory coarse series); otoc_series returns F as a
 CorrelatorSeries. The time-ordered distribution is A~ summed over w3 (the
 W(t) projectors resolve the identity). otoc and fine_quasiprob stay in
-the lab frame and take density matrices and matrix W and V: otoc as a
-single-point check of the series, fine_quasiprob for the fine grain.
+the lab frame, on density_matrix of the state and matrix W and V: otoc as
+a single-point check of the series, fine_quasiprob for the fine grain.
 
 Hamiltonians are accepted either as matrices or as precomputed
 qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
 many times without rediagonalizing.
+
+A state is a (d, d) density matrix rho, a (d,) vector psi (|psi><psi|)
+or DiagonalState weights. Each entry that takes one calls check_state,
+which asks for the operators' dimension, finite entries and one rule per
+form, to qla.EXACT_TOL: weights >= 0 summing to 1, psi of unit norm, rho
+of unit trace and Hermitian to qla.HERMITIAN_TOL. Positivity of a dense
+rho costs an eigendecomposition; the health invariants watch it. An
+entry that works on a dense rho forms it with density_matrix.
 """
 from __future__ import annotations
 
@@ -75,7 +83,6 @@ from . import qla, spin
 _KEY_DECIMALS = 9          # bucket size for collecting eigenvalue products
 _FINE_MAX_DIM = 64         # 6 qubits; the fine tensor holds dim**4 entries
 _KFOLD_MAX = 5
-_INVOLUTION_TOL = 1e-10    # max |O O - 1| for (1 +- O)/2 projectors
 
 COARSE_AXES = ("v1", "w2", "v2", "w3")
 
@@ -241,12 +248,11 @@ class DiagonalState:
 
 
 def density_matrix(state, hamiltonian=None) -> np.ndarray:
-    """The density matrix of a state given in any of its forms.
+    """The density matrix of a state in any of its forms (module docstring).
 
-    A state is a (d, d) density matrix, a (d,) vector psi (rho = |psi><psi|)
-    or a DiagonalState. Its weights are placed in the Hamiltonian's
-    eigenbasis, the lab frame, when one is given; without one, and for
-    equal weights, which are the same in every frame, rho is diag(weights).
+    Weights are placed in the Hamiltonian's eigenbasis, the lab frame,
+    when one is given; without one, and for equal weights, which are the
+    same in every frame, rho is diag(weights).
     """
     if isinstance(state, DiagonalState):
         p = state.weights
@@ -255,6 +261,24 @@ def density_matrix(state, hamiltonian=None) -> np.ndarray:
         return np.asarray(_eigensystem(hamiltonian).spectral(p), dtype=complex)
     s = np.asarray(state, dtype=complex)
     return np.outer(s, s.conj()) if s.ndim == 1 else s
+
+
+def check_state(state, *ops):
+    """state, unchanged, if it is a state of the operators ops by the rules
+    of the module docstring; else ValueError."""
+    _check_dims(state, *ops)
+    if isinstance(state, DiagonalState):
+        p = state.weights
+        ok = np.min(p) >= -qla.EXACT_TOL and abs(np.sum(p) - 1) <= qla.EXACT_TOL
+    elif np.ndim(state) == 1:
+        ok = np.all(np.isfinite(state)) and abs(np.linalg.norm(state) - 1) <= qla.EXACT_TOL
+    else:
+        ok = (qla.hermiticity_defect(state) <= qla.HERMITIAN_TOL
+              and abs(np.trace(state) - 1) <= qla.EXACT_TOL)
+    if not ok:
+        raise ValueError("not a state: weights must be >= 0 summing to 1, psi of unit "
+                         "norm, rho Hermitian with unit trace")
+    return state
 
 
 def _frame_state(state, sys: qla.HermitianEigensystem):
@@ -373,12 +397,6 @@ def _check_dims(*ops):
         raise ValueError(f"dimension mismatch among operands: {sorted(dims)}")
 
 
-def _check_state(rho):
-    """The series and word routes take a density matrix, so a Hermitian rho."""
-    if qla.hermiticity_defect(rho) > qla.HERMITIAN_TOL:
-        raise ValueError("rho must be Hermitian")
-
-
 def _hermiticity_defect(op) -> float:
     """qla.hermiticity_defect of op, in O(d) on a spin.PauliString's table."""
     if isinstance(op, spin.PauliString):
@@ -397,11 +415,11 @@ def _is_hermitian_involution(op) -> bool:
     if _hermiticity_defect(op) > qla.HERMITIAN_TOL:
         return False
     if isinstance(op, spin.PauliString):
-        return op.involution_defect() <= _INVOLUTION_TOL
+        return op.involution_defect() <= qla.EXACT_TOL
     m = np.asarray(op)
     if not np.any(m.imag):
         m = m.real
-    return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= _INVOLUTION_TOL)
+    return bool(np.max(np.abs(m @ m - np.eye(m.shape[0]))) <= qla.EXACT_TOL)
 
 
 def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -520,9 +538,9 @@ def _word_traces(state, v, k: int, parities=None, words=None):
     call; a vector psi or a density matrix take _block_kernel on
     rho = B diag(lam) B^dag, 2k - 1 products of a matrix by the (d, r)
     block B. For Hermitian rho, W and V a word's trace is the conjugate of
-    its reverse's, which gives the even W-first words; a dense rho is
-    checked. The block kernel also takes a (..., d, d) stack of W(t), with
-    phase None, for traces of shape (..., 4k)."""
+    its reverse's, which gives the even W-first words. The block kernel
+    also takes a (..., d, d) stack of W(t), with phase None, for traces of
+    shape (..., 4k)."""
     words = _words(k) if words is None else words
     if isinstance(state, DiagonalState):
         kernel = _diagonal_kernel(state.weights, v, k, parities, words)
@@ -601,8 +619,8 @@ def _diagonal_kernel(p, v, k: int, parities, words):
 
 def _block_kernel(state, v, k: int):
     """Word traces Tr(word rho) for rho = B diag(lam) B^dag, B of shape (d, r):
-    psi is one column of weight 1, and a density matrix is checked and split
-    by np.linalg.eigh, keeping the columns of signed weight above rounding.
+    psi is one column of weight 1, and a density matrix is split by
+    np.linalg.eigh, keeping the columns of signed weight above rounding.
 
     A word O_L ... O_1 splits as sum_j lam_j <A^dag b_j|C b_j> with
     C = O_h ... O_1, h = ceil(L/2), and A^dag = O_(h+1) ... O_L for
@@ -615,7 +633,6 @@ def _block_kernel(state, v, k: int):
     if np.ndim(state) == 1:
         b, lam = np.asarray(state)[:, None], np.ones(1)
     else:
-        _check_state(state)
         lam, b = np.linalg.eigh(state)
         keep = np.abs(lam) > np.finfo(float).eps * len(lam) * np.max(np.abs(lam))
         b, lam = b[:, keep], lam[keep]
@@ -644,9 +661,9 @@ def _block_kernel(state, v, k: int):
 
 def otoc(rho, w_op, v_op, hamiltonian, t: float) -> complex:
     """F(t) = Tr(rho W(t)dag Vdag W(t) V)."""
-    _check_dims(rho, w_op, v_op)
+    rho = density_matrix(check_state(rho, w_op, v_op), hamiltonian)
     u = propagator(hamiltonian, t)
-    _check_dims(rho, u)
+    _check_dims(w_op, u)
     wt = heisenberg(w_op, u)
     return complex(np.trace(rho @ qla.dagger(wt) @ qla.dagger(v_op) @ wt @ v_op))
 
@@ -669,11 +686,10 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
 
     F is the trace of the word W(t) V W(t) V, the one energy-frame word
     trace (_word_traces) it takes, so W and V must be Hermitian;
-    the lab-frame otoc takes any W and V. rho may be any state form that
-    density_matrix accepts, and W and V matrices or spin.PauliString
-    tables.
+    the lab-frame otoc takes any W and V. rho may be a state in any form
+    (module docstring), and W and V matrices or spin.PauliString tables.
     """
-    _check_dims(rho, w_op, v_op)
+    check_state(rho, w_op, v_op)
     if max(_hermiticity_defect(w_op), _hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
@@ -721,7 +737,7 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
 def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
     """coarse_quasiprob_series, and W and V as it rotated them into the
     energy frame."""
-    _check_dims(rho, w_op, v_op)
+    check_state(rho, w_op, v_op)
     times = np.asarray(times, dtype=float)
     frame = _energy_frame(sys, w_op, v_op)
     w_e, v_e, _ = frame
@@ -730,7 +746,6 @@ def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
     w_evs, w_projs_e = _distinct_projectors(w_e)
     v_evs, v_projs_e = _distinct_projectors(v_e)
     rho_e = density_matrix(_frame_state(rho, sys))
-    _check_state(rho_e)
     out = _on_grid(sys, times, (len(v_evs), len(w_evs), len(v_evs), len(w_evs)),
                    lambda phase: _four_projector_trace(
                        v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e))
@@ -792,14 +807,13 @@ def fine_quasiprob(
     (eigenvalue-per-column, columns) pairs may be supplied instead, e.g.
     to check basis covariance.
     """
-    _check_dims(rho, w_op, v_op)
-    dim = np.asarray(rho).shape[0]
-    if dim > _FINE_MAX_DIM:
+    if _dim(check_state(rho, w_op, v_op)) > _FINE_MAX_DIM:
         raise ValueError(
             f"fine grain is capped at dimension {_FINE_MAX_DIM} "
             "(the tensor has dim**4 entries); use the coarse grain instead"
         )
     u = propagator(hamiltonian, t)
+    rho = density_matrix(rho, hamiltonian)
 
     def resolve(op, basis):
         if basis is not None:
@@ -812,7 +826,7 @@ def fine_quasiprob(
     v_evs, v_cols = resolve(v_op, v_basis)
 
     p = w_cols.conj().T @ u @ v_cols             # <w|U|v>
-    r = v_cols.conj().T @ np.asarray(rho, dtype=complex) @ u.conj().T @ w_cols
+    r = v_cols.conj().T @ rho @ u.conj().T @ w_cols
     # axis order (v1, w2, v2, w3) = (k, m, n, l)
     vals = np.einsum("ln,mn,mk,kl->kmnl", p, np.conj(p), p, r)
 
@@ -826,7 +840,7 @@ def fine_quasiprob(
         grain="fine",
         axis_labels=(labels_for(v_evs), labels_for(w_evs), labels_for(v_evs), labels_for(w_evs)),
         meta={"u": u, "w_cols": w_cols, "v_cols": v_cols,
-              "rho": np.asarray(rho, dtype=complex)},
+              "rho": rho},
     )
 
 
@@ -984,7 +998,7 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
     """
     if not isinstance(khat, int) or khat < 2 or khat > _KFOLD_MAX:
         raise ValueError(f"khat must be an integer in [2, {_KFOLD_MAX}]")
-    _check_dims(rho, w_op, v_op)
+    check_state(rho, w_op, v_op)
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")
     times = np.asarray(times, dtype=float)

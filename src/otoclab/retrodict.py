@@ -74,7 +74,6 @@ class RetrodictionContext:
                  final_vector=None):
         if not 0.0 < t_prime < t_double_prime:
             raise ValueError("need 0 < t_prime < t_double_prime")
-        rho = qla.assert_hermitian(rho)
         h_sys = quasiprob._eigensystem(hamiltonian)
         if final_vector is not None:
             f = np.asarray(final_vector, dtype=complex).reshape(-1)
@@ -88,8 +87,7 @@ class RetrodictionContext:
             if final_observable is None or outcome is None:
                 raise ValueError("pass final_observable with outcome, or final_vector")
             f = _resolved_eigenvector(final_observable, outcome)
-        if f.shape[0] != rho.shape[0]:
-            raise ValueError("final vector dimension does not match the state")
+        rho = quasiprob.density_matrix(quasiprob.check_state(rho, f, h_sys.eigenvectors), h_sys)
         u_prep = h_sys.propagator(-1j * t_prime)
         self.rho_prime = u_prep @ rho @ u_prep.conj().T
         back = h_sys.propagator(1j * (t_double_prime - t_prime))
@@ -97,10 +95,9 @@ class RetrodictionContext:
         self.t_prime = t_prime
         self.t_double_prime = t_double_prime
         prob = float(np.real(self.f_prime.conj() @ self.rho_prime @ self.f_prime))
-        if not math.isfinite(prob):
+        # NaN and inf fail the range test too
+        if not _CONDITION_FLOOR < prob <= 1 + qla.EXACT_TOL:
             raise ValueError(f"conditioning probability is {prob}; weak values undefined")
-        if not prob > _CONDITION_FLOOR:
-            raise ValueError("conditioning probability vanishes; weak values undefined")
         self.conditioning_probability = prob
 
 

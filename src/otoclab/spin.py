@@ -191,9 +191,3 @@ def product_plus_x_vector(n: int) -> np.ndarray:
         vec = np.kron(vec, plus)
     return vec
 
-
-def product_plus_x_state(n: int) -> np.ndarray:
-    """Density operator of the pure product state with every spin along +x."""
-    vec = product_plus_x_vector(n)
-    return np.outer(vec, vec.conj())
-

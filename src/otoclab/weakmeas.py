@@ -42,10 +42,6 @@ from . import qla, quasiprob
 
 PHASE_MODES = ("real", "imaginary")
 _COMPLETENESS_TOL = 1e-12
-_PROJECTOR_TOL = 1e-10
-_COMMUTATION_TOL = 1e-10
-# joint outcome probabilities: sum-to-one and negativity tolerance
-_PROBABILITY_TOL = 1e-10
 # effective condition number above which the inversion is refused
 CONDITION_LIMIT = 1e8
 
@@ -87,9 +83,9 @@ def slot_coefficients(coupling: CouplingConfig) -> dict[int, tuple[complex, comp
 
 def _check_projector(proj) -> np.ndarray:
     p = np.asarray(proj, dtype=complex)
-    if np.max(np.abs(p - qla.dagger(p))) > _PROJECTOR_TOL:
+    if np.max(np.abs(p - qla.dagger(p))) > qla.EXACT_TOL:
         raise ValueError("projector must be Hermitian")
-    if np.max(np.abs(p @ p - p)) > _PROJECTOR_TOL:
+    if np.max(np.abs(p @ p - p)) > qla.EXACT_TOL:
         raise ValueError("projector must be idempotent")
     return p
 
@@ -122,9 +118,9 @@ def ancilla_subcircuit_kraus(axis_projectors, phi: float, base_angle: float = ma
     pi_plus = _check_projector(axis_projectors[0])
     pi_minus = _check_projector(axis_projectors[1])
     dim = pi_plus.shape[0]
-    if np.max(np.abs(pi_plus + pi_minus - np.eye(dim))) > _PROJECTOR_TOL:
+    if np.max(np.abs(pi_plus + pi_minus - np.eye(dim))) > qla.EXACT_TOL:
         raise ValueError("axis projectors must resolve the identity")
-    if np.max(np.abs(pi_plus @ pi_minus)) > _PROJECTOR_TOL:
+    if np.max(np.abs(pi_plus @ pi_minus)) > qla.EXACT_TOL:
         raise ValueError("axis projectors must be orthogonal")
 
     def r_y(theta):
@@ -227,7 +223,7 @@ class MeasurementRecord:
 def _sample_counts(probabilities, shots, seed) -> np.ndarray:
     """Multinomial histogram; only rounding residue below zero is clipped."""
     p = np.asarray(probabilities, dtype=float)
-    if np.min(p) < -_PROBABILITY_TOL:
+    if np.min(p) < -qla.EXACT_TOL:
         raise ValueError(f"outcome probability {np.min(p):.3e} is negative")
     p = np.clip(p, 0.0, None)
     rng = np.random.default_rng(seed)
@@ -262,12 +258,11 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
         raise ValueError(f"unknown protocol {protocol!r}; "
                          f"expected one of {', '.join(_PROTOCOLS)}")
     spec = _PROTOCOLS[protocol]
-    quasiprob._check_dims(rho, w_op, v_op)
-    rho = np.asarray(rho, dtype=complex)
+    rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), hamiltonian)
     u = quasiprob.propagator(hamiltonian, t)
     wt = quasiprob.heisenberg(w_op, u)
     prepared = 0 in spec.final
-    if prepared and np.max(np.abs(rho @ wt - wt @ rho)) > _COMMUTATION_TOL:
+    if prepared and np.max(np.abs(rho @ wt - wt @ rho)) > qla.EXACT_TOL:
         raise ValueError("two-coupling protocol needs a state commuting with the evolved W")
     pairs = {"w": quasiprob._distinct_projectors(wt), "v": quasiprob._distinct_projectors(v_op)}
     if len(pairs["v"][0]) != 2:
@@ -296,7 +291,7 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
                     outcomes.append((*label, *s, float(ev)))
                     probs.append(float(np.trace(proj @ evolved).real))
         probabilities = np.array(probs)
-        if abs(probabilities.sum() - 1.0) > _PROBABILITY_TOL:
+        if abs(probabilities.sum() - 1.0) > qla.EXACT_TOL:
             raise RuntimeError(f"joint probabilities sum to {probabilities.sum()}, not 1")
         counts = _sample_counts(probabilities, shots, seed) if shots else None
         return MeasurementRecord(protocol, coupling, outcomes, probabilities, counts, shots,

@@ -66,7 +66,7 @@ def step_unitary(u: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 def commutator_square(rho, w_op, v_op, hamiltonian, t: float) -> float:
     """C(t) = <[W(t), V]dag [W(t), V]>; equals 2 - 2 Re F for unitary W, V."""
-    quasiprob._check_dims(rho, w_op, v_op)
+    quasiprob.check_state(rho, w_op, v_op)
     u = quasiprob.propagator(hamiltonian, t)
     wt = quasiprob.heisenberg(w_op, u)
     comm = wt @ v_op - v_op @ wt
@@ -76,7 +76,7 @@ def commutator_square(rho, w_op, v_op, hamiltonian, t: float) -> float:
 
 def coarse_quasiprob(rho, w_op, v_op, hamiltonian, t: float) -> quasiprob.QuasiDistribution:
     """Four-projector trace A~(v1, w2, v2, w3) over every eigenvalue quadruple."""
-    quasiprob._check_dims(rho, w_op, v_op)
+    quasiprob.check_state(rho, w_op, v_op)
     wt = quasiprob.heisenberg(w_op, quasiprob.propagator(hamiltonian, t))
     w_evs, w_projs = quasiprob._distinct_projectors(wt)
     v_evs, v_projs = quasiprob._distinct_projectors(v_op)
@@ -106,7 +106,7 @@ def coarse_quasiprob_via_correlators(rho, w_op, v_op, hamiltonian,
     are (1 +- O)/2. This is the measurement-friendly route: the sixteen
     quasiprobability values collapse onto eight expectation values.
     """
-    quasiprob._check_dims(rho, w_op, v_op)
+    quasiprob.check_state(rho, w_op, v_op)
     if (not quasiprob._is_hermitian_involution(w_op)
             or not quasiprob._is_hermitian_involution(v_op)):
         raise ValueError("projector expansion needs involutory W and V (eigenvalues +-1)")

@@ -170,7 +170,7 @@ def test_criterion_05_pitchfork_symmetry_holds_then_breaks(chain10):
     assert np.max(np.abs(v0 - v0.transpose(2, 1, 0, 3))) <= 1e-12
     # the maximally mixed state keeps both swaps exact at every t, so the
     # post-onset breaking is shown on a product state instead
-    rho_x = spin.product_plus_x_state(10)
+    rho_x = quasiprob.density_matrix(spin.product_plus_x_vector(10))
     qd = oracles.coarse_quasiprob(rho_x, chain10["w"], chain10["v"],
                                   chain10["h_sys"], 10.0)
     broken = max(

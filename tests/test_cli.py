@@ -339,6 +339,20 @@ class TestOtherExperiments:
         assert first["re_f"] == pytest.approx(1.0, abs=1e-12)
         assert first["se_re_0000"] == pytest.approx(0.0, abs=1e-12)
 
+    # grids that are no whole multiple; the whole multiples of the tests
+    # above keep their last point
+    @pytest.mark.parametrize("argv, t_max, points", [
+        (["otoc-series", "--n", "3", "--t-max", "1", "--t-step", "0.6"], 1.0, 2),
+        (["brownian-ensemble", "--n", "2", "--t-max", "0.0126", "--t-step", "0.005",
+          "--dt", "0.005", "--trajectories", "2"], 0.0126, 3),
+    ], ids=["otoc-series", "brownian-ensemble"])
+    def test_time_grid_stops_at_t_max(self, capsys, argv, t_max, points):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        times = [float(row[0]) for row in parse_csv(out)[2]]
+        assert len(times) == points
+        assert times[-1] <= t_max
+
     def test_brownian_health_round_trips_in_csv_and_json(self, capsys):
         argv = ["brownian-ensemble", "--n", "3", "--t-max", "0.1",
                 "--t-step", "0.05", "--trajectories", "3", "--seed", "4"]

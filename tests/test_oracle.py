@@ -571,15 +571,18 @@ def test_strings_off_the_involutions_behave_as_their_matrices(scale, operand):
     assert outcomes[2] and outcomes[0] == (scale == 1j)
 
 
-def test_dense_rho_with_a_zero_diagonal_is_not_read_as_equal_weights():
-    """rho = X_1 has a constant (zero) diagonal and d nonzeros, all off the
-    diagonal; it is not c 1 and must take the dense contraction."""
+def test_dense_rho_with_a_constant_diagonal_is_not_read_as_equal_weights():
+    """rho = (1 + X_1)/4 has a constant diagonal and nonzeros off it; it is
+    not c 1 and must take the dense contraction."""
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.3, g=0.7))
     w, v = spin.site_pauli(2, 1, "z"), spin.site_pauli(2, 2, "z")
-    rho = spin.site_pauli(2, 1, "x")
+    rho = (np.eye(4) + spin.site_pauli(2, 1, "x")) / 4
     want_f = quasiprob.otoc(rho, w, v, h, 0.7)
     want = oracles.coarse_quasiprob(rho, w, v, h, 0.7).values
-    assert abs(want_f) > 1e-4 and np.max(np.abs(want)) > 0.5
+    # equal weights, the misreading, would give other values
+    equal = np.eye(4) / 4
+    assert abs(want_f - quasiprob.otoc(equal, w, v, h, 0.7)) > 1e-5
+    assert max_dev(want, oracles.coarse_quasiprob(equal, w, v, h, 0.7).values) > 0.1
     assert abs(quasiprob.otoc_series(rho, w, v, h, [0.7]).values[0] - want_f) < TOL
     assert max_dev(quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).values[0], want) < TOL
 

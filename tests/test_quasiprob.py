@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otoclab import qla, quasiprob, spin
+from otoclab import brownian, decomp, qla, quasiprob, retrodict, spin, weakmeas
 
 import oracles
 
@@ -96,7 +96,74 @@ class TestOtocSeries:
             quasiprob.CorrelatorSeries(times=np.arange(3.0), values=np.zeros(2, dtype=complex))
 
 
+# every entry that takes a state, called at n = 2 with W = Z_1 and V = Z_2
+_STATE_ENTRIES = {
+    "otoc_series": lambda s, w, v, h: quasiprob.otoc_series(s, w, v, h, [0.5]),
+    "coarse_quasiprob_series":
+        lambda s, w, v, h: quasiprob.coarse_quasiprob_series(s, w, v, h, [0.5]),
+    "toc_series": lambda s, w, v, h: quasiprob.toc_series(s, w, v, h, [0.5]),
+    "kfold_series": lambda s, w, v, h: quasiprob.kfold_series(s, w, v, h, [0.5], 3),
+    "otoc_retrodiction": lambda s, w, v, h: retrodict.otoc_retrodiction(s, w, v, h, 0.5, 1.0),
+    "otoc": lambda s, w, v, h: quasiprob.otoc(s, w, v, h, 0.5),
+    "fine_quasiprob": lambda s, w, v, h: quasiprob.fine_quasiprob(s, w, v, h, 0.5),
+    "weakmeas.simulator": lambda s, w, v, h: weakmeas.simulator("three-weak", s, w, v, h, 0.5),
+    "brownian.ensemble_averages": lambda s, w, v, h: brownian.ensemble_averages(
+        brownian.BrownianConfig(n=2, dt=0.01, steps=1, trajectories=1, stride=1),
+        rho=s, w_op=w, v_op=v),
+    "brownian.general_state_avg": lambda s, w, v, h: brownian.general_state_avg(
+        brownian.BrownianConfig(n=2), s, (1, 1, 1, 1), 0.5, 0.0, 0.0),
+    "decomp.asym_decohere": lambda s, w, v, h: decomp.asym_decohere(s, w, v, h, 0.5),
+    "RetrodictionContext": lambda s, w, v, h: retrodict.RetrodictionContext(
+        s, np.zeros((quasiprob._dim(s),) * 2), 0.5, 1.0, final_vector=np.ones(quasiprob._dim(s))),
+}
+# what is no state, and the entries it goes to: the Brownian ensemble has no
+# Hamiltonian, so no energy-frame weights, and diag(2, 0.5) is 2 x 2
+_EVERY = tuple(_STATE_ENTRIES)
+_BAD_STATES = {
+    "rho = 2/d": (2 * np.eye(4) / 4, _EVERY),
+    "NaN rho": (np.full((4, 4), np.nan), _EVERY),
+    "weights (1.5, -0.5, 0, 0)": (quasiprob.DiagonalState(np.array([1.5, -0.5, 0.0, 0.0])),
+                                  tuple(e for e in _EVERY if not e.startswith("brownian"))),
+    "psi = 3 (1, ..., 1)": (3 * np.ones(4), _EVERY),
+    "rho = diag(2, 0.5)": (np.diag([2.0, 0.5]), ("RetrodictionContext",)),
+}
+
+
 class TestStateForms:
+    @pytest.mark.parametrize("entry, state", [
+        (entry, state) for state, (_, entries) in _BAD_STATES.items() for entry in entries])
+    def test_every_entry_rejects_what_is_no_state(self, entry, state):
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+        w, v = spin.site_pauli(2, 1, "z"), spin.site_pauli(2, 2, "z")
+        with pytest.raises(ValueError, match="not a state|NaN"):
+            _STATE_ENTRIES[entry](_BAD_STATES[state][0], w, v, h)
+
+    def test_dense_entries_take_every_form(self):
+        """The entries that work on a dense rho take psi and weights as the
+        rho density_matrix makes of them."""
+        sys = qla.eigh(spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05)))
+        w, v = spin.site_pauli(2, 1, "z"), spin.site_pauli(2, 2, "z")
+        weights = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 1.0))
+        for state in (qla.haar_random_state(4, 3), weights):
+            rho = quasiprob.density_matrix(state, sys)
+            for entry in (
+                    lambda s: quasiprob.otoc(s, w, v, sys, 0.5),
+                    lambda s: quasiprob.fine_quasiprob(s, w, v, sys, 0.5).values,
+                    lambda s: weakmeas.simulator("three-weak", s, w, v, sys, 0.5)(
+                        weakmeas.CouplingConfig(0.1)).probabilities,
+                    lambda s: decomp.asym_decohere(s, w, v, sys, 0.5),
+                    lambda s: retrodict.RetrodictionContext(
+                        s, sys, 0.5, 1.0, final_vector=np.ones(4)).rho_prime):
+                assert np.array_equal(entry(state), entry(rho))
+
+    def test_check_state_returns_the_state_itself(self):
+        rho, psi = np.eye(4) / 4, qla.haar_random_state(4, 1)
+        weights = quasiprob.DiagonalState(np.full(4, 0.25))
+        for state in (rho, psi, weights):
+            assert quasiprob.check_state(state, spin.site_pauli(2, 1, "z")) is state
+        with pytest.raises(ValueError, match="dimension"):
+            quasiprob.check_state(rho, spin.site_pauli(3, 1, "z"))
+
     def test_density_matrix_of_each_form(self, small_chain):
         _, _, _, h = small_chain
         sys = qla.eigh(h)
@@ -611,10 +678,10 @@ class TestWordExpansion:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_entries_sum_to_trace_and_moment_is_fk(self, small_chain, make_density, k):
         _, w, v, h = small_chain
-        rho = 2.0 * make_density(8)       # unnormalized, so the empty word is Tr rho
+        rho = make_density(8)
         series = quasiprob.kfold_series(rho, w, v, h, [0.9], k)
         f_k, dist = series.correlator[0], series.at(0)
-        assert abs(dist.total() - 2.0) < 1e-12
+        assert abs(dist.total() - 1.0) < 1e-12
         assert abs(quasiprob.kfold_moment(dist) - f_k) < 1e-12
 
 

@@ -57,24 +57,34 @@ class TestContext:
                                           final_vector=np.array([bad, 1.0]))
 
     def test_nan_conditioning_probability_rejected(self):
-        # entries near the float maximum overflow in U rho U^dag, and
-        # inf - inf makes the conditioning probability NaN
+        # entries near the float maximum would overflow in U rho U^dag, and
+        # inf - inf would make the conditioning probability NaN; their trace
+        # is not 1, so the state check stops them first
         rho = np.full((2, 2), 1.5e308, dtype=complex)
         h = np.array([[0.0, -1j], [1j, 0.0]])
         with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="conditioning probability"):
+                pytest.raises(ValueError, match="unit trace"):
             retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
                                           final_vector=np.array([1.0, 0.0]))
 
     def test_infinite_conditioning_probability_rejected(self):
-        # U rho U^dag overflows to inf without an inf - inf, so the
-        # conditioning probability is inf rather than NaN
+        # U rho U^dag would overflow to inf without an inf - inf, making the
+        # conditioning probability inf; the state check stops it first
         rho = np.full((2, 2), 1.5e308, dtype=complex)
         h = np.diag([1.0, -1.0])
         with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="conditioning probability is inf"):
+                pytest.raises(ValueError, match="unit trace"):
             retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
                                           final_vector=np.array([1.0, -1.0]))
+
+    def test_conditioning_probability_above_one_rejected(self):
+        # Hermitian with unit trace, so a state by check_state, but not
+        # positive: <f|rho|f> = 1.5 is no probability
+        rho = np.diag([1.5, -0.5]).astype(complex)
+        h = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(ValueError, match=r"conditioning probability is 1\.5;"):
+            retrodict.RetrodictionContext(rho, h, 0.5, 1.0,
+                                          final_vector=np.array([1.0, 0.0]))
 
     def test_outcome_resolution(self):
         rho = np.eye(2, dtype=complex) / 2

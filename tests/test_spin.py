@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otoclab import qla, spin
+from otoclab import qla, quasiprob, spin
 
 import oracles
 
@@ -196,7 +196,7 @@ def test_ising_hamiltonian_is_hermitian_and_open():
 
 class TestStates:
     def test_plus_x_product_state(self):
-        rho = spin.product_plus_x_state(3)
+        rho = quasiprob.density_matrix(spin.product_plus_x_vector(3))
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.max(np.abs(rho @ rho - rho)) < 1e-12  # pure
         for site in (1, 2, 3):

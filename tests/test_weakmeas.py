@@ -262,7 +262,7 @@ class TestInferenceExact:
 
     def test_two_weak_rejects_noncommuting_state(self, two_site):
         _, w, v, h = two_site
-        rho = spin.product_plus_x_state(2)
+        rho = quasiprob.density_matrix(spin.product_plus_x_vector(2))
         with pytest.raises(ValueError, match="commuting"):
             weakmeas.simulator("two-weak", rho, w, v, h, 1.0)(weakmeas.CouplingConfig(0.1))
 

@@ -235,8 +235,9 @@ def _validate(experiment: str, cfg: dict):
     for key in ("h_field", "g_field"):
         if key in cfg and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")
-    if experiment == "decomp-report" and cfg["n"] > 6:
-        raise ConfigError("decomp-report needs n <= 6 (full-basis overlaps)")
+    fine_n = quasiprob._FINE_MAX_DIM.bit_length() - 1
+    if experiment == "decomp-report" and cfg["n"] > fine_n:
+        raise ConfigError(f"decomp-report needs n <= {fine_n} (full-basis overlaps)")
     if experiment == "brownian-ensemble":
         stride = cfg["t_step"] / cfg["dt"]
         if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:

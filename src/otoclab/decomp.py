@@ -8,7 +8,8 @@ impossible, and dropping those dyads yields an asymmetrically decohered
 operator rho' that keeps unit trace (each dropped dyad is traceless) yet
 is generally non-Hermitian. Scrambling drives the two bases toward
 mutual unbiasedness, where all overlaps approach 1/sqrt(d) and nothing
-vanishes; the overlap statistics here track that approach.
+vanishes; the overlap statistics here track that approach. Both bases
+are the fine grain's, from quasiprob._fine_basis, under its dimension cap.
 """
 from __future__ import annotations
 
@@ -41,25 +42,10 @@ class DecompositionReport:
         return complex(sum(self.coefficients.values()))
 
 
-def _bases(w_op, v_op):
-    """The eigensystems of W and V, within the fine-grained guard."""
-    w_sys = quasiprob._eigensystem(w_op)
-    v_sys = quasiprob._eigensystem(v_op)
-    dim = w_sys.dim
-    if dim > quasiprob._FINE_MAX_DIM:
-        raise ValueError(
-            f"dimension {dim} exceeds the fine-grained guard "
-            f"{quasiprob._FINE_MAX_DIM}"
-        )
-    return w_sys, v_sys
-
-
 def overlap_magnitudes(w_op, v_op, unitary) -> np.ndarray:
     """|<w,lambda|U|v,nu>| over both full eigenbases, shape (d_w, d_v)."""
-    w_sys = quasiprob._eigensystem(w_op)
-    v_sys = quasiprob._eigensystem(v_op)
-    u = np.asarray(unitary, dtype=complex)
-    return np.abs(w_sys.eigenvectors.conj().T @ u @ v_sys.eigenvectors)
+    w_cols, v_cols = quasiprob._fine_basis(w_op)[1], quasiprob._fine_basis(v_op)[1]
+    return np.abs(w_cols.conj().T @ np.asarray(unitary, dtype=complex) @ v_cols)
 
 
 def asym_decohere(rho, w_op, v_op, hamiltonian, t: float) -> np.ndarray:
@@ -70,9 +56,8 @@ def asym_decohere(rho, w_op, v_op, hamiltonian, t: float) -> np.ndarray:
     The subtraction preserves the trace and can break Hermiticity.
     """
     rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), hamiltonian)
-    w_sys, v_sys = _bases(w_op, v_op)
-    u = quasiprob.propagator(hamiltonian, t)
-    return _decohere(rho, u, w_sys.eigenvectors, v_sys.eigenvectors)[0]
+    w_cols, v_cols = quasiprob._fine_basis(w_op)[1], quasiprob._fine_basis(v_op)[1]
+    return _decohere(rho, quasiprob.propagator(hamiltonian, t), w_cols, v_cols)[0]
 
 
 def _decohere(rho, u, w_cols, v_cols):
@@ -96,7 +81,7 @@ def decomposition_coefficients(fine_quasi: quasiprob.QuasiDistribution) -> Decom
     reconstruction error column-checks that rebuild against rho' computed
     straight from the state stored with the distribution.
     """
-    if fine_quasi.grain != "fine":
+    if fine_quasi.axis_labels is None:
         raise ValueError("decomposition needs the fine-grained distribution")
     meta = fine_quasi.meta
     for key in ("u", "w_cols", "v_cols", "rho"):
@@ -160,13 +145,13 @@ class OverlapStatistics:
 def mub_overlap_statistics(w_op, v_op, hamiltonian, times) -> OverlapStatistics:
     """Track |<w,lambda|U_t|v,nu>| toward the unbiased plateau 1/sqrt(d);
     U_t is diagonal in the energy frame, so a time costs one product."""
-    w_sys, v_sys = _bases(w_op, v_op)
+    w_cols, v_cols = quasiprob._fine_basis(w_op)[1], quasiprob._fine_basis(v_op)[1]
     h_sys = quasiprob._eigensystem(hamiltonian)
     times = np.asarray(times, dtype=float)
-    dim = w_sys.dim
+    dim = len(w_cols)
     mub = 1.0 / np.sqrt(dim)
-    w_e = w_sys.eigenvectors.conj().T @ h_sys.eigenvectors   # <w,lambda|E>
-    e_v = h_sys.eigenvectors.conj().T @ v_sys.eigenvectors   # <E|v,nu>
+    w_e = w_cols.conj().T @ h_sys.eigenvectors   # <w,lambda|E>
+    e_v = h_sys.eigenvectors.conj().T @ v_cols   # <E|v,nu>
     overlaps = quasiprob._on_grid(h_sys, times, (dim, dim),
                                   lambda phase: (w_e * phase[:, None, :]) @ e_v)
     mags = np.abs(overlaps).reshape(len(times), dim * dim)

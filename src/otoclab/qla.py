@@ -6,6 +6,10 @@ conventions the rest of the package relies on: the Hermiticity check
 and the unitarity defect, eigendecompositions with a deterministic basis inside
 degenerate eigenspaces, and matrix exponentials computed spectrally so
 that propagators are unitary by construction.
+
+Degeneracy has one rule, _group_degenerate (a relative spacing on
+ascending eigenvalues): eigh rebuilds its bases by it, and quasiprob's
+projectors, fine-grained labels and coarse grain group by it.
 """
 from __future__ import annotations
 

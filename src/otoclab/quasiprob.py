@@ -22,6 +22,8 @@ whose W projectors carry quarter powers of rho, takes sixteen of its own.
 Projectors of an involution are built as (1 -+ O)/2
 (_distinct_projectors), never by eigendecomposition. The lab-frame
 versions of both routes, the tests' oracles, live in tests/oracles.py.
+The projectors of other operators, the fine labels and coarse_grain
+group outcomes by the one degeneracy rule, qla._group_degenerate.
 
 Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
 is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
@@ -96,15 +98,14 @@ class QuasiDistribution:
     """Dense quasiprobability tensor with one axis per outcome slot.
 
     axis_eigenvalues[i] gives the eigenvalue attached to each index along
-    axis i. For fine-grained distributions the axes run over full bases and
-    axis_labels[i] carries the degeneracy label of each index (for a local
-    Pauli this is the computational configuration of the untouched sites).
+    axis i. A fine-grained distribution has axes over full bases and
+    axis_labels[i], the degeneracy label of each index (for a local Pauli
+    the computational configuration of the untouched sites).
     """
 
     values: np.ndarray
     axis_names: tuple[str, ...]
     axis_eigenvalues: tuple[np.ndarray, ...]
-    grain: str = "coarse"
     axis_labels: tuple[np.ndarray, ...] | None = None
     meta: dict = field(default_factory=dict)
 
@@ -221,7 +222,6 @@ class QuasiSeries:
             values=self.values[index],
             axis_names=self.axis_names,
             axis_eigenvalues=self.axis_eigenvalues,
-            grain="coarse",
         )
 
 
@@ -775,14 +775,23 @@ def otoc_moment(quasi) -> complex:
 # fine-grained quasiprobability
 
 
-def _eigenvalue_runs(evs) -> list[slice]:
-    """Runs of equal (to qla.EIGENVALUE_MATCH_TOL) consecutive eigenvalues on one axis."""
-    runs, start = [], 0
-    for k in range(1, evs.shape[0] + 1):
-        if k == evs.shape[0] or abs(evs[k] - evs[start]) > qla.EIGENVALUE_MATCH_TOL:
-            runs.append(slice(start, k))
-            start = k
-    return runs
+def _fine_basis(op, basis=None) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvector columns) of W or V over a full basis: basis
+    when given, else qla.eigh(op). The cap _FINE_MAX_DIM is checked first,
+    before any eigendecomposition. Degeneracy labels are runs of
+    qla._group_degenerate, which reads ascending eigenvalues, so a given
+    basis must list them in ascending order."""
+    dim = _dim(op)
+    if dim > _FINE_MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the fine-grained guard: full bases "
+                         f"are capped at dimension {_FINE_MAX_DIM}")
+    if basis is None:
+        sys = qla.eigh(op)
+        return sys.eigenvalues, sys.eigenvectors
+    evs, cols = np.asarray(basis[0], dtype=float), np.asarray(basis[1], dtype=complex)
+    if np.any(np.diff(evs) < 0):
+        raise ValueError("a given basis must list its eigenvalues in ascending order")
+    return evs, cols
 
 
 def fine_quasiprob(
@@ -804,26 +813,14 @@ def fine_quasiprob(
     Bases default to qla.eigh of the operators (deterministic inside
     degenerate blocks, so for a single-site Pauli the labels enumerate the
     computational configurations of the untouched sites). Explicit
-    (eigenvalue-per-column, columns) pairs may be supplied instead, e.g.
-    to check basis covariance.
+    (eigenvalue-per-column, columns) pairs, eigenvalues ascending, may be
+    supplied instead, e.g. to check basis covariance (_fine_basis).
     """
-    if _dim(check_state(rho, w_op, v_op)) > _FINE_MAX_DIM:
-        raise ValueError(
-            f"fine grain is capped at dimension {_FINE_MAX_DIM} "
-            "(the tensor has dim**4 entries); use the coarse grain instead"
-        )
+    check_state(rho, w_op, v_op)
+    w_evs, w_cols = _fine_basis(w_op, w_basis)
+    v_evs, v_cols = _fine_basis(v_op, v_basis)
     u = propagator(hamiltonian, t)
     rho = density_matrix(rho, hamiltonian)
-
-    def resolve(op, basis):
-        if basis is not None:
-            evs, cols = basis
-            return np.asarray(evs, dtype=float), np.asarray(cols, dtype=complex)
-        sys = qla.eigh(op)
-        return sys.eigenvalues.copy(), sys.eigenvectors
-
-    w_evs, w_cols = resolve(w_op, w_basis)
-    v_evs, v_cols = resolve(v_op, v_basis)
 
     p = w_cols.conj().T @ u @ v_cols             # <w|U|v>
     r = v_cols.conj().T @ rho @ u.conj().T @ w_cols
@@ -831,13 +828,12 @@ def fine_quasiprob(
     vals = np.einsum("ln,mn,mk,kl->kmnl", p, np.conj(p), p, r)
 
     def labels_for(evs):
-        return np.concatenate([np.arange(r.stop - r.start) for r in _eigenvalue_runs(evs)])
+        return np.concatenate([np.arange(b - a) for a, b in qla._group_degenerate(evs)])
 
     return QuasiDistribution(
         values=vals,
         axis_names=COARSE_AXES,
         axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs),
-        grain="fine",
         axis_labels=(labels_for(v_evs), labels_for(w_evs), labels_for(v_evs), labels_for(w_evs)),
         meta={"u": u, "w_cols": w_cols, "v_cols": v_cols,
               "rho": rho},
@@ -845,20 +841,20 @@ def fine_quasiprob(
 
 
 def coarse_grain(fine: QuasiDistribution) -> QuasiDistribution:
-    """Sum a fine-grained distribution over its degeneracy labels."""
-    if fine.grain != "fine":
+    """Sum a fine-grained distribution over its degeneracy labels, the
+    groups of qla._group_degenerate on each axis."""
+    if fine.axis_labels is None:
         raise ValueError("input is already coarse")
-    runs = [_eigenvalue_runs(evs) for evs in fine.axis_eigenvalues]
-    shape = tuple(len(r) for r in runs)
+    groups = [qla._group_degenerate(evs) for evs in fine.axis_eigenvalues]
+    shape = tuple(len(g) for g in groups)
     vals = np.zeros(shape, dtype=complex)
     for idx in np.ndindex(shape):
-        vals[idx] = fine.values[tuple(runs[a][i] for a, i in enumerate(idx))].sum()
+        vals[idx] = fine.values[tuple(slice(*groups[a][i]) for a, i in enumerate(idx))].sum()
     return QuasiDistribution(
         values=vals,
         axis_names=fine.axis_names,
-        axis_eigenvalues=tuple(np.array([evs[r.start] for r in rs])
-                               for evs, rs in zip(fine.axis_eigenvalues, runs)),
-        grain="coarse",
+        axis_eigenvalues=tuple(np.array([evs[a] for a, _ in gs])
+                               for evs, gs in zip(fine.axis_eigenvalues, groups)),
     )
 
 

@@ -292,10 +292,11 @@ def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float)
 
 
 def weighted_trace_distance(gamma, gamma_estimate, rho_prime) -> float:
-    """Tr(rho' [Gamma - Gamma_est]^2) for Hermitian Gamma and estimate."""
+    """Tr(rho' [Gamma - Gamma_est]^2) for Hermitian Gamma and estimate; rho'
+    is a state in any form quasiprob.check_state accepts."""
     g = qla.assert_hermitian(gamma)
     g_est = qla.assert_hermitian(gamma_estimate)
-    rho_prime = np.asarray(rho_prime, dtype=complex)
+    rho_prime = quasiprob.density_matrix(quasiprob.check_state(rho_prime, g))
     diff = g - g_est
     return float(np.real(np.sum((rho_prime @ diff) * diff.T)))
 
@@ -316,10 +317,11 @@ def optimal_estimator(gamma, rho_prime, final_observable) -> EstimatorResult:
     For each distinct outcome f the minimizing coefficient of
     Tr(rho'[Gamma - sum_f gamma_f P_f]^2) is Re Tr(rho' Gamma P_f) / p(f);
     outcomes with vanishing probability contribute nothing and are
-    reported separately.
+    reported separately. rho' is a state in any form quasiprob.check_state
+    accepts.
     """
     g = qla.assert_hermitian(gamma)
-    rho_prime = np.asarray(rho_prime, dtype=complex)
+    rho_prime = quasiprob.density_matrix(quasiprob.check_state(rho_prime, g))
     evs, projs = quasiprob._distinct_projectors(final_observable)
     values = np.zeros(len(evs))
     zero_prob = []

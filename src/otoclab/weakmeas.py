@@ -103,18 +103,16 @@ def kraus_pair(proj, coupling: CouplingConfig) -> tuple[np.ndarray, np.ndarray]:
     return m_plus, m_minus
 
 
-def ancilla_subcircuit_kraus(axis_projectors, phi: float, base_angle: float = math.pi / 2):
+def ancilla_subcircuit_kraus(axis_projectors, phi: float):
     """Kraus pair from the explicit two-qubit ancilla subcircuit.
 
     The ancilla starts in |0>, a controlled y-rotation applies angle
-    base_angle - phi on the complement of the target eigenspace and
-    base_angle + phi on the eigenspace, and the ancilla is measured in the
-    computational basis (outcome +1 for |1>). The operators are obtained by
-    contracting the ancilla out of the joint unitary. At base_angle = pi/2
-    the pair is the symmetric partial projection with p = (1 + sin phi)/2.
+    pi/2 - phi on the complement of the target eigenspace and pi/2 + phi on
+    the eigenspace, and the ancilla is measured in the computational basis
+    (outcome +1 for |1>). The operators are obtained by contracting the
+    ancilla out of the joint unitary; the pair is the symmetric partial
+    projection with p = (1 + sin phi)/2.
     """
-    if not 0.0 <= base_angle <= math.pi:
-        raise ValueError("base_angle must lie in [0, pi]")
     pi_plus = _check_projector(axis_projectors[0])
     pi_minus = _check_projector(axis_projectors[1])
     dim = pi_plus.shape[0]
@@ -128,7 +126,7 @@ def ancilla_subcircuit_kraus(axis_projectors, phi: float, base_angle: float = ma
         return np.array([[c, -s], [s, c]], dtype=complex)
 
     # system tensor ancilla; controlled rotation conditioned on the eigenspace
-    joint = np.kron(pi_minus, r_y(base_angle - phi)) + np.kron(pi_plus, r_y(base_angle + phi))
+    joint = np.kron(pi_minus, r_y(math.pi / 2 - phi)) + np.kron(pi_plus, r_y(math.pi / 2 + phi))
     anc0 = np.array([1.0, 0.0], dtype=complex)
     anc1 = np.array([0.0, 1.0], dtype=complex)
     inject = np.kron(np.eye(dim, dtype=complex), anc0.reshape(2, 1))
@@ -245,9 +243,9 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
     two-weak: prepare an eigenstate of W from rho's weights, evolve
     backward, weak V, evolve forward, weak W, evolve backward, strong V.
     It needs a rho that commutes with W(t), whose ensemble it then
-    reproduces; other states are rejected. Each W eigenvalue's prepared
-    sigma is rho dephased in the W(t) eigenbasis, sum_l p_l |c_l><c_l|
-    with c_l = U^dag e_l over its eigenvectors e_l and p_l = <c_l|rho|c_l>.
+    reproduces; other states are rejected. Each W(t) eigenvalue w's
+    prepared sigma is Pi_w rho Pi_w, with Pi_w the W(t) projector the weak
+    W coupling uses; these blocks sum to rho.
 
     Either way an outcome's probability is Re Tr(Pi_final K_s sigma K_s^dag),
     with K_s the Kraus operators of the row's letters in time order and
@@ -269,13 +267,8 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
         raise ValueError("weak V coupling needs a two-outcome observable")
     plus = {k: projs[int(np.argmax(evs))] for k, (evs, projs) in pairs.items()}
     final_evs, final_projs = pairs["w" if spec.letters[-1] == "v" else "v"]
-    states = [((), rho)]
-    if prepared:
-        w_sys = qla.eigh(w_op)
-        c = qla.dagger(u) @ w_sys.eigenvectors
-        p = np.sum(c.conj() * (rho @ c), axis=0).real
-        states = [((float(w_sys.eigenvalues[a]),), (c[:, a:b] * p[a:b]) @ qla.dagger(c[:, a:b]))
-                  for a, b in w_sys.degenerate_groups()]
+    states = ([((float(ev),), proj @ rho @ proj) for ev, proj in zip(*pairs["w"])]
+              if prepared else [((), rho)])
 
     def record(coupling: CouplingConfig, shots: int = 0, seed=None) -> MeasurementRecord:
         if shots < 0:
@@ -425,11 +418,11 @@ def infer_coarse_quasiprob(records):
     cubic channel as the target at every strength, so the solve returns
     the minimum-norm solution. That is exact for the states the protocol
     is built around: the maximally mixed state, any state diagonal in the
-    V eigenbasis (three-weak), and any state weighting the evolved-W
-    eigenspaces evenly inside each one (two-weak). For other states the
-    entries can carry an O(1e-2) bias that no strength schedule removes;
-    check residuals and compare against a direct computation when in
-    doubt.
+    V eigenbasis (three-weak), and every state that commutes with W(t)
+    (two-weak, which prepares Pi_w rho Pi_w). For other three-weak states
+    the entries can carry an O(1e-2) bias that no strength schedule
+    removes; check residuals and compare against a direct computation when
+    in doubt.
 
     Every final-outcome block is solved in one least-squares call. The
     design matrix depends only on the couplings, so it, its conditioning
@@ -479,8 +472,6 @@ def infer_coarse_quasiprob(records):
         values=(ell @ sols).reshape(shape),
         axis_names=quasiprob.COARSE_AXES,
         axis_eigenvalues=(pm,) * slots + tuple(finals),
-        grain="coarse",
-        meta={"inferred_from": protocol},
     )
     report = InferenceReport(
         protocol=protocol, rank=rank, effective_condition=cond,

@@ -62,12 +62,17 @@ class TestAsymDecohere:
         assert qla.hermiticity_defect(rp) == pytest.approx(
             0.05774765753475648, abs=1e-12)
 
-    def test_dimension_guard(self):
+    def test_dimension_guard(self, monkeypatch):
+        # the cap is checked before any eigendecomposition
         big = np.diag(np.arange(128, dtype=float))
         h = np.zeros((128, 128), dtype=complex)
         rho = np.eye(128, dtype=complex) / 128
+        calls = []
+        eigh = qla.eigh
+        monkeypatch.setattr(qla, "eigh", lambda m, *a, **k: calls.append(1) or eigh(m, *a, **k))
         with pytest.raises(ValueError, match="fine-grained guard"):
             decomp.asym_decohere(rho, big, big, h, 0.0)
+        assert calls == []
 
 
 class TestCoefficients:

@@ -115,6 +115,9 @@ _STATE_ENTRIES = {
     "decomp.asym_decohere": lambda s, w, v, h: decomp.asym_decohere(s, w, v, h, 0.5),
     "RetrodictionContext": lambda s, w, v, h: retrodict.RetrodictionContext(
         s, np.zeros((quasiprob._dim(s),) * 2), 0.5, 1.0, final_vector=np.ones(quasiprob._dim(s))),
+    "retrodict.weighted_trace_distance":
+        lambda s, w, v, h: retrodict.weighted_trace_distance(w, v, s),
+    "retrodict.optimal_estimator": lambda s, w, v, h: retrodict.optimal_estimator(w, s, v),
 }
 # what is no state, and the entries it goes to: the Brownian ensemble has no
 # Hamiltonian, so no energy-frame weights, and diag(2, 0.5) is 2 x 2
@@ -362,6 +365,29 @@ class TestFineGrain:
             v_basis=(vs.eigenvalues, vs.eigenvectors),
         )
         assert np.max(np.abs(a.values - b.values)) == 0.0
+
+    def test_descending_basis_rejected(self, small_chain):
+        rho, w, v, h = small_chain
+        ws = qla.eigh(w)
+        with pytest.raises(ValueError, match="ascending"):
+            quasiprob.fine_quasiprob(rho, w, v, h, 0.8, w_basis=(ws.eigenvalues[::-1],
+                                                                  ws.eigenvectors[:, ::-1]))
+
+    def test_near_degenerate_w_groups_as_the_coarse_series(self, make_density):
+        # 1 and 1 + 5e-10 are two outcomes by the relative rule qla.eigh and
+        # the coarse projectors use, so the fine labels must split them too.
+        # H is diagonal (g = 0), so no route rotates the split pair: in a
+        # frame that mixes it, its eigenvectors hold only to eps / 5e-10
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5))
+        w = np.diag([-1.0, -1.0, 1.0, 1.0 + 5e-10])
+        v = spin.site_pauli(2, 2, "x")
+        rho = make_density(4)
+        regrained = quasiprob.coarse_grain(quasiprob.fine_quasiprob(rho, w, v, h, 0.7))
+        coarse = quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).at(0)
+        for a, b in zip(regrained.axis_eigenvalues, coarse.axis_eigenvalues):
+            assert a.shape == b.shape and np.max(np.abs(a - b)) < 1e-10
+        assert len(coarse.axis_eigenvalues[1]) == 3
+        assert np.max(np.abs(regrained.values - coarse.values)) < 1e-10
 
     def test_coarse_grain_rejects_coarse(self, small_chain):
         rho, w, v, h = small_chain

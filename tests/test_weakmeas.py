@@ -82,8 +82,6 @@ def test_ancilla_subcircuit_matches_kraus_pair():
 def test_ancilla_subcircuit_guards():
     proj = oracles.eigenprojector(spin.PAULI_Z, 1.0)
     comp = np.eye(2) - proj
-    with pytest.raises(ValueError):
-        weakmeas.ancilla_subcircuit_kraus((proj, comp), 0.1, base_angle=4.0)
     with pytest.raises(ValueError, match="resolve the identity"):
         weakmeas.ancilla_subcircuit_kraus((proj, proj), 0.1)
 
@@ -116,33 +114,37 @@ class TestSimulateProtocol:
             assert rec.probabilities[k] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("mode", weakmeas.PHASE_MODES)
-    @pytest.mark.parametrize("state", ["mixed", "commuting"])
+    @pytest.mark.parametrize("state", ["mixed", "commuting", "coherent"])
     def test_two_weak_against_explicit_kraus_chain(self, two_site, state, mode):
-        """The two-coupling circuit in the Schroedinger picture: prepare the
-        W eigenvector e_l with weight p_l = <e_l| U rho U+ |e_l>, evolve back,
-        weak V, evolve forward, weak W, evolve back, strong V."""
+        """The two-coupling circuit in the Schroedinger picture: prepare
+        Pi_w U rho U+ Pi_w for each W eigenvalue w, evolve back, weak V,
+        evolve forward, weak W, evolve back, strong V."""
         rho, w, v, h = two_site
         t = 1.0
         u = quasiprob.propagator(h, t)
         u_dag = u.conj().T
+        eye = np.eye(4)
         if state == "commuting":
             # the block-nonuniform state of test_two_weak_commuting_nonuniform_state
             wt = u_dag @ w @ u
-            eye = np.eye(4)
             rho = 0.3 * (0.5 * (eye + wt)) / 2 + 0.7 * (0.5 * (eye - wt)) / 2
+        elif state == "coherent":
+            # coherent inside the W = +1 eigenspace, where preparing
+            # Pi_w rho Pi_w and dephasing in an eigenbasis of W differ
+            psi = np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
+            rho = u_dag @ (0.6 * np.outer(psi, psi.conj()) + 0.2 * (eye - w) / 2) @ u
         coupling = weakmeas.CouplingConfig(0.13, mode)
         rec = weakmeas.simulator("two-weak", rho, w, v, h, t)(coupling)
-        evals, vecs = np.linalg.eigh(w)
-        weights = np.einsum("il,ij,jl->l", vecs.conj(), u @ rho @ u_dag, vecs).real
         mv = weakmeas.kraus_pair(oracles.eigenprojector(v, 1.0), coupling)
         mw = weakmeas.kraus_pair(oracles.eigenprojector(w, 1.0), coupling)
         m_map = {+1: 0, -1: 1}
         assert len(rec.outcomes) == 16  # 2 prepared x 2^2 ancilla x 2 final
         for k, (wb, s1, s2, v3) in enumerate(rec.outcomes):
+            prepared = oracles.eigenprojector(w, wb)
+            sigma = prepared @ u @ rho @ u_dag @ prepared
             chain = (oracles.eigenprojector(v, v3) @ u_dag @ mw[m_map[s2]] @ u
                      @ mv[m_map[s1]] @ u_dag)
-            want = sum(p * np.linalg.norm(chain @ e) ** 2
-                       for p, e, ev in zip(weights, vecs.T, evals) if abs(ev - wb) < 1e-9)
+            want = np.trace(chain @ sigma @ chain.conj().T).real
             assert rec.probabilities[k] == pytest.approx(want, abs=1e-12)
 
     def test_sampled_counts_reproducible(self, two_site):
@@ -244,21 +246,32 @@ class TestInferenceExact:
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
         assert report.protocol == "two-weak"
 
-    def test_two_weak_commuting_nonuniform_state(self, two_site):
-        # uneven weight between the two W(t) eigenspaces, uniform inside
-        # each one: the records resolve the eigenvalue but not the
-        # degeneracy label, so this is the nonuniform class they identify
-        _, w, v, h = two_site
-        t = 1.0
-        u = quasiprob.propagator(h, t)
-        wt = u.conj().T @ w @ u
-        eye = np.eye(4)
-        rho = 0.3 * (0.5 * (eye + wt)) / 2 + 0.7 * (0.5 * (eye - wt)) / 2
-        records = weakmeas.standard_protocol_records(rho, w, v, h, t,
-                                                     protocol="two-weak")
-        inferred, _ = weakmeas.infer_coarse_quasiprob(records)
-        direct = oracles.coarse_quasiprob(rho, w, v, h, t)
-        assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
+    def test_two_weak_commuting_nonuniform_state(self):
+        # every state that commutes with W(t): uneven weight between the
+        # two W(t) eigenspaces, uniform inside each one, or one random
+        # positive block per eigenspace, coherent inside it
+        for n, state in [(2, "block-uniform"), (2, "random"), (3, "random")]:
+            h = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+            w, v = spin.site_pauli(n, 1, "z"), spin.site_pauli(n, n, "z")
+            t = 1.0
+            u = quasiprob.propagator(h, t)
+            d = 2 ** n
+            eye = np.eye(d)
+            if state == "block-uniform":
+                blocks = [0.7 * (eye - w) / d, 0.3 * (eye + w) / d]
+            else:
+                rng = np.random.default_rng(40 + n)
+                blocks = []
+                for sign in (-1.0, 1.0):
+                    proj = (eye + sign * w) / 2
+                    a = proj @ (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                    blocks.append(a @ a.conj().T)
+            lab = sum(blocks)
+            rho = u.conj().T @ (lab / np.trace(lab)) @ u
+            records = weakmeas.standard_protocol_records(rho, w, v, h, t, protocol="two-weak")
+            inferred, _ = weakmeas.infer_coarse_quasiprob(records)
+            direct = oracles.coarse_quasiprob(rho, w, v, h, t)
+            assert np.max(np.abs(inferred.values - direct.values)) < 1e-10, (n, state)
 
     def test_two_weak_rejects_noncommuting_state(self, two_site):
         _, w, v, h = two_site

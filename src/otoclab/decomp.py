@@ -9,7 +9,8 @@ operator rho' that keeps unit trace (each dropped dyad is traceless) yet
 is generally non-Hermitian. Scrambling drives the two bases toward
 mutual unbiasedness, where all overlaps approach 1/sqrt(d) and nothing
 vanishes; the overlap statistics here track that approach. Both bases
-are the fine grain's, from quasiprob._fine_basis, under its dimension cap.
+are the fine grain's, from quasiprob._fine_basis, under its dimension
+cap; overlap_magnitudes, a d x d array, is not capped.
 """
 from __future__ import annotations
 
@@ -43,8 +44,10 @@ class DecompositionReport:
 
 
 def overlap_magnitudes(w_op, v_op, unitary) -> np.ndarray:
-    """|<w,lambda|U|v,nu>| over both full eigenbases, shape (d_w, d_v)."""
-    w_cols, v_cols = quasiprob._fine_basis(w_op)[1], quasiprob._fine_basis(v_op)[1]
+    """|<w,lambda|U|v,nu>| over both full eigenbases, shape (d_w, d_v); a
+    d x d array, so it needs no fine-grained cap."""
+    w_cols = quasiprob._eigensystem(w_op).eigenvectors
+    v_cols = quasiprob._eigensystem(v_op).eigenvectors
     return np.abs(w_cols.conj().T @ np.asarray(unitary, dtype=complex) @ v_cols)
 
 

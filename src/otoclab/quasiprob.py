@@ -113,24 +113,26 @@ class QuasiDistribution:
         return complex(self.values.sum())
 
     def _axis_index(self, axis: int, eigenvalue: float, label=None) -> int:
+        """The nearest outcome picks its group of qla._group_degenerate, the
+        rule the fine labels follow; a label picks within the group."""
         evs = self.axis_eigenvalues[axis]
-        hits = np.nonzero(np.abs(evs - eigenvalue) < qla.EIGENVALUE_MATCH_TOL)[0]
-        if hits.size == 0:
+        nearest = int(np.argmin(np.abs(evs - eigenvalue)))
+        if abs(evs[nearest] - eigenvalue) >= qla.EIGENVALUE_MATCH_TOL:
             raise KeyError(f"{eigenvalue} not an outcome on axis {self.axis_names[axis]}")
+        start, stop = next(g for g in qla._group_degenerate(evs) if g[0] <= nearest < g[1])
         if label is None:
-            if hits.size > 1:
+            if stop - start > 1:
                 raise KeyError(
                     f"axis {self.axis_names[axis]} needs a degeneracy label "
                     f"for eigenvalue {eigenvalue}"
                 )
-            return int(hits[0])
+            return start
         if self.axis_labels is None:
             raise KeyError(f"axis {self.axis_names[axis]} carries no degeneracy labels")
-        labs = self.axis_labels[axis][hits]
-        sub = np.nonzero(labs == label)[0]
+        sub = np.nonzero(self.axis_labels[axis][start:stop] == label)[0]
         if sub.size != 1:
             raise KeyError(f"label {label} not found for eigenvalue {eigenvalue}")
-        return int(hits[sub[0]])
+        return start + int(sub[0])
 
     def entry(self, *outcome) -> complex:
         """Look up one value by eigenvalue (coarse) or (eigenvalue, label) pairs."""
@@ -775,23 +777,15 @@ def otoc_moment(quasi) -> complex:
 # fine-grained quasiprobability
 
 
-def _fine_basis(op, basis=None) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvector columns) of W or V over a full basis: basis
-    when given, else qla.eigh(op). The cap _FINE_MAX_DIM is checked first,
-    before any eigendecomposition. Degeneracy labels are runs of
-    qla._group_degenerate, which reads ascending eigenvalues, so a given
-    basis must list them in ascending order."""
+def _fine_basis(op) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvector columns) of W or V over a full basis, from
+    qla.eigh; the cap _FINE_MAX_DIM is checked first."""
     dim = _dim(op)
     if dim > _FINE_MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the fine-grained guard: full bases "
                          f"are capped at dimension {_FINE_MAX_DIM}")
-    if basis is None:
-        sys = qla.eigh(op)
-        return sys.eigenvalues, sys.eigenvectors
-    evs, cols = np.asarray(basis[0], dtype=float), np.asarray(basis[1], dtype=complex)
-    if np.any(np.diff(evs) < 0):
-        raise ValueError("a given basis must list its eigenvalues in ascending order")
-    return evs, cols
+    sys = qla.eigh(op)
+    return sys.eigenvalues, sys.eigenvectors
 
 
 def fine_quasiprob(
@@ -800,8 +794,6 @@ def fine_quasiprob(
     v_op,
     hamiltonian,
     t: float,
-    w_basis: tuple[np.ndarray, np.ndarray] | None = None,
-    v_basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QuasiDistribution:
     """Fine-grained distribution over labeled eigenvectors.
 
@@ -810,15 +802,13 @@ def fine_quasiprob(
         <w3,l|U|v2,n> <v2,n|Udag|w2,l'> <w2,l'|U|v1,n'> <v1,n'|rho Udag|w3,l>
 
     with both W slots sharing one labeled eigenbasis and likewise for V.
-    Bases default to qla.eigh of the operators (deterministic inside
+    The bases are qla.eigh of the operators (deterministic inside
     degenerate blocks, so for a single-site Pauli the labels enumerate the
-    computational configurations of the untouched sites). Explicit
-    (eigenvalue-per-column, columns) pairs, eigenvalues ascending, may be
-    supplied instead, e.g. to check basis covariance (_fine_basis).
+    computational configurations of the untouched sites).
     """
     check_state(rho, w_op, v_op)
-    w_evs, w_cols = _fine_basis(w_op, w_basis)
-    v_evs, v_cols = _fine_basis(v_op, v_basis)
+    w_evs, w_cols = _fine_basis(w_op)
+    v_evs, v_cols = _fine_basis(v_op)
     u = propagator(hamiltonian, t)
     rho = density_matrix(rho, hamiltonian)
 

@@ -240,7 +240,7 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
     P(s1, s2, s3, w3) = Tr(Pi^{W(t)}_{w3} M3 M2 M1 rho M1+ M2+ M3+), with
     M1, M3 the V Kraus operators and M2 those of W(t).
 
-    two-weak: prepare an eigenstate of W from rho's weights, evolve
+    two-weak: prepare Pi_w rho Pi_w for each W(t) eigenvalue w, evolve
     backward, weak V, evolve forward, weak W, evolve backward, strong V.
     It needs a rho that commutes with W(t), whose ensemble it then
     reproduces; other states are rejected. Each W(t) eigenvalue w's

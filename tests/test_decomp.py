@@ -73,6 +73,8 @@ class TestAsymDecohere:
         with pytest.raises(ValueError, match="fine-grained guard"):
             decomp.asym_decohere(rho, big, big, h, 0.0)
         assert calls == []
+        # overlap_magnitudes returns a d x d array, so it takes no cap
+        assert decomp.overlap_magnitudes(big, big, np.eye(128)).shape == (128, 128)
 
 
 class TestCoefficients:

@@ -352,27 +352,6 @@ class TestFineGrain:
         with pytest.raises(ValueError, match="capped"):
             quasiprob.fine_quasiprob(rho, w, v, np.zeros((dim, dim)), 0.0)
 
-    def test_explicit_basis_covariance(self, small_chain, make_density):
-        # supplying the default bases explicitly must not change anything
-        rho = make_density(8)
-        _, w, v, h = small_chain
-        ws = qla.eigh(w)
-        vs = qla.eigh(v)
-        a = quasiprob.fine_quasiprob(rho, w, v, h, 0.8)
-        b = quasiprob.fine_quasiprob(
-            rho, w, v, h, 0.8,
-            w_basis=(ws.eigenvalues, ws.eigenvectors),
-            v_basis=(vs.eigenvalues, vs.eigenvectors),
-        )
-        assert np.max(np.abs(a.values - b.values)) == 0.0
-
-    def test_descending_basis_rejected(self, small_chain):
-        rho, w, v, h = small_chain
-        ws = qla.eigh(w)
-        with pytest.raises(ValueError, match="ascending"):
-            quasiprob.fine_quasiprob(rho, w, v, h, 0.8, w_basis=(ws.eigenvalues[::-1],
-                                                                  ws.eigenvectors[:, ::-1]))
-
     def test_near_degenerate_w_groups_as_the_coarse_series(self, make_density):
         # 1 and 1 + 5e-10 are two outcomes by the relative rule qla.eigh and
         # the coarse projectors use, so the fine labels must split them too.
@@ -382,12 +361,16 @@ class TestFineGrain:
         w = np.diag([-1.0, -1.0, 1.0, 1.0 + 5e-10])
         v = spin.site_pauli(2, 2, "x")
         rho = make_density(4)
-        regrained = quasiprob.coarse_grain(quasiprob.fine_quasiprob(rho, w, v, h, 0.7))
+        fine = quasiprob.fine_quasiprob(rho, w, v, h, 0.7)
+        regrained = quasiprob.coarse_grain(fine)
         coarse = quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).at(0)
         for a, b in zip(regrained.axis_eigenvalues, coarse.axis_eigenvalues):
             assert a.shape == b.shape and np.max(np.abs(a - b)) < 1e-10
         assert len(coarse.axis_eigenvalues[1]) == 3
         assert np.max(np.abs(regrained.values - coarse.values)) < 1e-10
+        # lookup follows the same rule: each split outcome is its own group
+        for w3, col in ((1.0, 2), (1.0 + 5e-10, 3)):
+            assert fine.entry((-1.0, 0), (-1.0, 1), (1.0, 0), (w3, 0)) == fine.values[0, 1, 2, col]
 
     def test_coarse_grain_rejects_coarse(self, small_chain):
         rho, w, v, h = small_chain

@@ -431,14 +431,13 @@ def _distinct_projectors(op) -> tuple[np.ndarray, list[np.ndarray]]:
     Heisenberg evolution) has eigenvalues -1, +1 and projectors (1 -+ O)/2,
     which are built directly; only other operators go through qla.eigh.
     """
-    if not isinstance(op, qla.HermitianEigensystem):
-        m = qla.as_square_array(op)
-        dim = m.shape[0]
-        # the trace of a Hermitian involution is an integer, +-dim only for +-1
-        if abs(np.trace(m)) < dim - 0.5 and _is_hermitian_involution(m):
-            eye = np.eye(dim)
-            return np.array([-1.0, 1.0]), [(eye - m) / 2, (eye + m) / 2]
-    sys = _eigensystem(op)
+    m = qla.as_square_array(op)
+    dim = m.shape[0]
+    # the trace of a Hermitian involution is an integer, +-dim only for +-1
+    if abs(np.trace(m)) < dim - 0.5 and _is_hermitian_involution(m):
+        eye = np.eye(dim)
+        return np.array([-1.0, 1.0]), [(eye - m) / 2, (eye + m) / 2]
+    sys = qla.eigh(m)
     evs, projs = [], []
     for start, stop in sys.degenerate_groups():
         cols = sys.eigenvectors[:, start:stop]

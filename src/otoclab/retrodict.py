@@ -103,11 +103,11 @@ class RetrodictionContext:
 
 def _resolved_eigenvector(observable, outcome: float) -> np.ndarray:
     sys = qla.eigh(observable)
-    hits = [(start, stop) for start, stop in sys.degenerate_groups()
-            if abs(sys.eigenvalues[start] - outcome) < qla.EIGENVALUE_MATCH_TOL]
-    if not hits:
+    # the nearest eigenvalue picks its group, as in QuasiDistribution._axis_index
+    nearest = int(np.argmin(np.abs(sys.eigenvalues - outcome)))
+    if abs(sys.eigenvalues[nearest] - outcome) >= qla.EIGENVALUE_MATCH_TOL:
         raise ValueError(f"outcome {outcome} is not an eigenvalue of the final observable")
-    start, stop = hits[0]
+    start, stop = next(g for g in sys.degenerate_groups() if g[0] <= nearest < g[1])
     if stop - start != 1:
         raise ValueError("final outcome is degenerate; pass final_vector to resolve it")
     return sys.eigenvectors[:, start]
@@ -277,10 +277,9 @@ def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float)
     """
     qd = quasiprob.coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, [t]).at(0)
     w_evs = qd.axis_eigenvalues[3]
-    hits = np.flatnonzero(np.abs(w_evs - w3_outcome) < qla.EIGENVALUE_MATCH_TOL)
-    if hits.size == 0:
+    i3 = int(np.argmin(np.abs(w_evs - w3_outcome)))
+    if abs(w_evs[i3] - w3_outcome) >= qla.EIGENVALUE_MATCH_TOL:
         raise ValueError(f"{w3_outcome} is not an eigenvalue of W")
-    i3 = int(hits[0])
     slab = np.real(qd.values[:, :, :, i3])
     prob = float(np.sum(slab))
     if prob <= _CONDITION_FLOOR:

@@ -13,21 +13,21 @@ measurement.
 Inference exploits that structure directly, with one linear map for both
 families: the probabilities of each final-outcome block are linear in a
 fixed family of sandwich traces T[i, j] = Tr(Pi_final S_i rho S_j^dag)
-with S drawn from products of the two projectors. An outcome's
-coefficients on the slot patterns are the Kronecker product over slots
-of [[a+, b+], [a-, b-]]; the index tuples x and y send each pattern to
-the sandwich left and right of rho; and one complex array P writes T as
-P . sol over the real unknowns sol. Collecting runs at several coupling
-strengths in both phase modes (real and imaginary coupling coefficient)
-gives one overdetermined real design that every block shares; the
-quasiprobability is the identity-column traces T[x, 0] = P[x, 0] . sol
-summed by inclusion-exclusion over projector complements, and the
-remaining traces are the independently measurable background terms.
-What differs between the families (the weak couplings in time order, the
-sandwich list and the x, y tuples that index it, its dagger permutation,
-the identifiable rank, and where the final outcomes sit in a record) is
-one row of the _PROTOCOLS table, which describes each circuit for its
-simulation as well as its inversion.
+with S drawn from products of the two projectors, so T is Hermitian. An
+outcome's coefficients on the slot patterns are the Kronecker product
+over slots of [[a+, b+], [a-, b-]]; the index tuple x sends each pattern
+to its sandwich, which sits left of rho with its adjoint right of it; and
+one complex array P writes T as P . sol over the real unknowns sol.
+Collecting runs at several coupling strengths in both phase modes (real
+and imaginary coupling coefficient) gives one overdetermined real design
+that every block shares; the quasiprobability is the identity-column
+traces T[x, 0] = P[x, 0] . sol summed by inclusion-exclusion over
+projector complements, and the remaining traces are the independently
+measurable background terms. What differs between the families (the
+weak couplings in time order, the x tuple that indexes the sandwich
+list, the identifiable rank, and where the final outcomes sit in a
+record) is one row of the _PROTOCOLS table, which describes each circuit
+for its simulation as well as its inversion.
 """
 from __future__ import annotations
 
@@ -147,20 +147,16 @@ class _Protocol:
     pattern takes, per weak coupling, a_s 1 (bit 0) or b_s Pi (bit 1);
     patterns run in binary order, the first coupling the most significant
     bit. Pattern p picks the sandwich operator S_{x[p]} left of rho and
-    S_{y[p]}^dag right of it. sigma is the dagger permutation of the
-    sandwich list, T[i,j]* = T[sigma(j), sigma(i)], and rank counts the
-    real degrees of freedom the records identify. final gives the
-    positions of the final-outcome eigenvalues in each record outcome
+    S_{x[p]}^dag right of it; the sandwich count is max(x) + 1. rank
+    counts the real degrees of freedom the records identify. final gives
+    the positions of the final-outcome eigenvalues in each record outcome
     tuple, in tensor axis order; the ancilla outcomes fill the leading
     axes. per_slot builds a Kronecker product of 2x2 per-slot factors and
-    onehot the pattern-to-sandwich matrix of x or y; _columns(sigma) is
-    the parameterization P of the traces.
+    onehot the pattern-to-sandwich matrix of x.
     """
 
     letters: str
     x: tuple
-    y: tuple
-    sigma: tuple
     rank: int
     final: tuple
 
@@ -173,20 +169,17 @@ class _Protocol:
         """The Kronecker product of one 2x2 factor over the weak slots."""
         return functools.reduce(np.kron, [np.asarray(factor)] * len(self.letters))
 
-    def onehot(self, index: tuple) -> np.ndarray:
-        """(patterns, sandwiches) matrix with a 1 at (p, index[p])."""
-        return np.eye(len(self.sigma))[list(index)]
+    def onehot(self) -> np.ndarray:
+        """(patterns, sandwiches) matrix with a 1 at (p, x[p])."""
+        return np.eye(max(self.x) + 1)[list(self.x)]
 
 
 _PROTOCOLS = {
     # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x indexes the
-    # product X3 X2 X1, y the product Y1 Y2 Y3; 27 of 36 real traces
-    "three-weak": _Protocol(letters="vwv", x=(0, 1, 2, 4, 1, 1, 3, 5), y=(0, 1, 2, 3, 1, 1, 4, 5),
-                            sigma=(0, 1, 2, 4, 3, 5), rank=27, final=(3,)),
-    # sandwich list [1, Pv, Pw Pv, Pw]; both sides carry the same product,
-    # so T is Hermitian; 13 of 16 real traces
-    "two-weak": _Protocol(letters="vw", x=(0, 3, 1, 2), y=(0, 3, 1, 2),
-                          sigma=(0, 1, 2, 3), rank=13, final=(3, 0)),
+    # product X3 X2 X1; 27 of 36 real traces
+    "three-weak": _Protocol(letters="vwv", x=(0, 1, 2, 4, 1, 1, 3, 5), rank=27, final=(3,)),
+    # sandwich list [1, Pv, Pw Pv, Pw]; 13 of 16 real traces
+    "two-weak": _Protocol(letters="vw", x=(0, 3, 1, 2), rank=13, final=(3, 0)),
 }
 
 
@@ -297,53 +290,50 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
 
 
 @functools.cache
-def _columns(sigma: tuple) -> np.ndarray:
-    """Real parameterization T = P . sol of the sandwich-trace array.
+def _columns(n: int) -> np.ndarray:
+    """Real parameterization T = P . sol of a Hermitian n x n trace array.
 
-    The dagger permutation sigma gives T[i,j]* = T[sigma(j), sigma(i)].
-    Fixed points are real entries, one column each with a 1 at (i, j);
-    the rest come in conjugate pairs, whose first entry in row-major order
-    gets a re column (1 there and at its mirror) and an im column (1j
-    there, -1j at its mirror). Real entries come first, then the pairs.
+    Each diagonal entry is real and gets one column with a 1 there; each
+    entry above the diagonal, in row-major order, gets a re column (1 there
+    and at its transpose) and an im column (1j there, -1j at its
+    transpose). The diagonal columns come first, then the pairs.
     """
-    n = len(sigma)
-    flat = np.arange(n * n)
-    mirror = flat.reshape(n, n)[np.ix_(sigma, sigma)].T.ravel()
-    real, rep = flat[mirror == flat], flat[flat < mirror]
-    re_col = len(real) + 2 * np.arange(len(rep))
-    p = np.zeros((n * n, len(real) + 2 * len(rep)), dtype=complex)
-    p[real, np.arange(len(real))] = 1.0
-    p[rep, re_col] = p[mirror[rep], re_col] = 1.0
-    p[rep, re_col + 1], p[mirror[rep], re_col + 1] = 1j, -1j
+    i, j = np.triu_indices(n, 1)
+    re_col = n + 2 * np.arange(len(i))
+    p = np.zeros((n, n, n + 2 * len(i)), dtype=complex)
+    p[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    p[i, j, re_col] = p[j, i, re_col] = 1.0
+    p[i, j, re_col + 1], p[j, i, re_col + 1] = 1j, -1j
     p.setflags(write=False)
-    return p.reshape(n, n, -1)
+    return p
 
 
 def _design_rows(spec: _Protocol, coupling: CouplingConfig) -> np.ndarray:
     """Design rows (one per ancilla outcome tuple) for one coupling.
 
     K = kron over slots of [[a+, b+], [a-, b-]] holds each outcome's
-    coefficient on each slot pattern; cx = K onehot(x) and cy = K onehot(y)
-    are its coefficients on the sandwiches left and right of rho, so its
-    probability is Re sum_ij cx_i cy_j* T_ij.
+    coefficient on each slot pattern, and c = K onehot() its coefficient on
+    each sandwich, so the outcome probabilities are the diagonal of
+    Re c T c^dag.
     """
     ab = slot_coefficients(coupling)
-    k = spec.per_slot([ab[+1], ab[-1]])
-    cx, cy = k @ spec.onehot(spec.x), k @ spec.onehot(spec.y)
-    return np.einsum("ri,rj,ijk->rk", cx, cy.conj(), _columns(spec.sigma)).real
+    c = spec.per_slot([ab[+1], ab[-1]]) @ spec.onehot()
+    return np.einsum("ri,rj,ijk->rk", c, c.conj(), _columns(c.shape[1])).real
 
 
 @dataclass
 class InferenceReport:
     """Diagnostics of one inversion: conditioning, residuals, background traces.
 
-    Every final-outcome block shares one design, so rank and
-    effective_condition are single numbers. residuals and background are
-    keyed by the final-outcome tuple of each solved block, in tensor axis
-    order: (w3,) for three-weak, (v3, w) for two-weak. background holds
-    each block's full solved sandwich-trace set; the quasiprobability uses
-    only the identity-column traces, the rest are the independently
-    measured background terms.
+    Every final-outcome block shares one design, so rank (the count of
+    singular values above 1e-10 of the largest) and effective_condition
+    (the largest over the protocol's rank-th) are single numbers.
+    residuals and background are keyed by the final-outcome tuple of each
+    solved block, in tensor axis order: (w3,) for three-weak, (v3, w) for
+    two-weak. background holds each block's full solved sandwich-trace set;
+    the quasiprobability uses only the identity-column traces, the rest are
+    the independently measured background terms. std_errors is None for
+    exact records.
     """
 
     protocol: str
@@ -351,21 +341,15 @@ class InferenceReport:
     effective_condition: float
     residuals: dict
     background: dict
-    phi_values: tuple[float, ...]
-    modes: tuple[str, ...]
-    sampled: bool
     std_errors: np.ndarray | None = None
 
 
-def _validate_records(records) -> tuple[str, tuple[float, ...], tuple[str, ...]]:
+def _validate_records(records) -> str:
     if not records:
         raise ValueError("no measurement records supplied")
     protocols = {r.protocol for r in records}
     if len(protocols) != 1:
         raise ValueError("records mix different protocols")
-    protocol = protocols.pop()
-    phis = tuple(sorted({r.coupling.strength for r in records}))
-    modes = tuple(sorted({r.coupling.phase_mode for r in records}))
     for mode in PHASE_MODES:
         strengths = {r.coupling.strength for r in records
                      if r.coupling.phase_mode == mode and r.coupling.strength > 0}
@@ -374,20 +358,7 @@ def _validate_records(records) -> tuple[str, tuple[float, ...], tuple[str, ...]]
                 "inference needs at least 3 distinct nonzero strengths "
                 f"in phase mode {mode!r}"
             )
-    return protocol, phis, modes
-
-
-def _conditioning(design, required_rank: int) -> tuple[int, float]:
-    """Rank and effective condition number of the design; refuse a weak one."""
-    sing = np.linalg.svd(design, compute_uv=False)
-    rank = int(np.sum(sing > sing[0] * 1e-10))
-    if rank < required_rank or sing[0] / sing[required_rank - 1] > CONDITION_LIMIT:
-        cond = sing[0] / sing[required_rank - 1] if rank >= required_rank else np.inf
-        raise ValueError(
-            f"inference design is ill conditioned (rank {rank}, effective "
-            f"condition {cond:.3e}); widen the coupling-strength spread"
-        )
-    return rank, float(sing[0] / sing[required_rank - 1])
+    return protocols.pop()
 
 
 def _block_covariance(records, bin_lists):
@@ -424,18 +395,19 @@ def infer_coarse_quasiprob(records):
     removes; check residuals and compare against a direct computation when
     in doubt.
 
-    Every final-outcome block is solved in one least-squares call. The
-    design matrix depends only on the couplings, so it, its conditioning
-    and (for sampled records) its pseudo-inverse are shared by the blocks;
-    each block's column of the right-hand side is its own frequency
-    vector. The entries are T[x, 0] = P[x, 0] . sol summed with the
+    The design matrix depends only on the couplings, so every final-outcome
+    block shares it and its one SVD, truncated at the protocol's rank r.
+    That SVD gives the counted rank and the effective condition number (a
+    weak design is refused), the pseudo-inverse V_r S_r^-1 U_r^T, which
+    solves all blocks at once (each block's column of the right-hand side
+    is its own frequency vector), and for sampled records the standard
+    errors. The entries are T[x, 0] = P[x, 0] . sol summed with the
     inclusion-exclusion weights kron over slots of [[1, -1], [0, 1]]
-    (outcome -1 is 1 - Pi, outcome +1 is Pi) on the left sandwiches x.
+    (outcome -1 is 1 - Pi, outcome +1 is Pi) on the sandwiches x.
     """
-    protocol, phis, modes = _validate_records(records)
+    protocol = _validate_records(records)
     spec = _PROTOCOLS[protocol]
     slots = len(spec.letters)
-    sampled = any(r.counts is not None for r in records)
     pm = np.array([-1.0, 1.0])
     finals = [np.array(sorted({out[p] for out in records[0].outcomes}))
               for p in spec.final]
@@ -451,13 +423,20 @@ def infer_coarse_quasiprob(records):
     freqs = np.array([np.concatenate([rec.frequencies()[b] for rec, b in zip(records, per_rec)])
                       for per_rec in bins]).T
     design = np.vstack([_design_rows(spec, rec.coupling) for rec in records])
-    rank, cond = _conditioning(design, spec.rank)
-    sols, *_ = np.linalg.lstsq(design, freqs, rcond=None)
-    identity_col = _columns(spec.sigma)[:, 0]
-    ell = spec.per_slot([[1.0, -1.0], [0.0, 1.0]]) @ spec.onehot(spec.x) @ identity_col
+    u, sing, vt = np.linalg.svd(design, full_matrices=False)
+    rank, r = int(np.sum(sing > sing[0] * 1e-10)), spec.rank
+    cond = float(sing[0] / sing[r - 1]) if rank >= r else np.inf
+    if cond > CONDITION_LIMIT:
+        raise ValueError(
+            f"inference design is ill conditioned (rank {rank}, effective "
+            f"condition {cond:.3e}); widen the coupling-strength spread"
+        )
+    pinv = (vt[:r].T / sing[:r]) @ u[:, :r].T
+    sols = pinv @ freqs
+    identity_col = _columns(max(spec.x) + 1)[:, 0]
+    ell = spec.per_slot([[1.0, -1.0], [0.0, 1.0]]) @ spec.onehot() @ identity_col
     errors = None
-    if sampled:
-        pinv = np.linalg.pinv(design, rcond=1e-10)
+    if any(rec.counts is not None for rec in records):
         covs = np.array([_block_covariance(records, per_rec) for per_rec in bins])
         var = [np.einsum("wn,bnm,wm->wb", g, covs, g) for g in (ell.real @ pinv, ell.imag @ pinv)]
         errors = np.sqrt(np.maximum(0.0, np.stack(var, axis=-1))).reshape(shape + (2,))
@@ -475,9 +454,8 @@ def infer_coarse_quasiprob(records):
     )
     report = InferenceReport(
         protocol=protocol, rank=rank, effective_condition=cond,
-        residuals={key: float(r) for key, r in zip(keys, resids)},
-        background=background, phi_values=phis,
-        modes=modes, sampled=sampled, std_errors=errors,
+        residuals={key: float(res) for key, res in zip(keys, resids)},
+        background=background, std_errors=errors,
     )
     return dist, report
 

@@ -22,8 +22,10 @@ checked against projector chains rebuilt from scratch for every tuple.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,3 +807,21 @@ def test_retrodiction_walk_takes_one_product_per_prefix(k, outcomes):
     assert len(counts) == sum(outcomes ** level for level in range(1, k + 1))
     assert set(counts) == {(2, 4)}
     assert (meter.peak, meter.live_complex_entries) == (2 * k * 4, 0)
+
+
+def test_oracles_stay_test_only():
+    """No package module or demo imports tests/oracles.py, so the oracles
+    stay independent of the code they check."""
+    root = Path(__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted([*(root / "src" / "otoclab").glob("*.py"), *(root / "demos").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any("oracles" in name.split(".") for name in names):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []

@@ -102,6 +102,18 @@ class TestContext:
                                           final_observable=np.eye(2),
                                           outcome=1.0)
 
+    def test_split_outcomes_resolve_to_their_own_eigenvector(self):
+        # 1 and 1 + 5e-10 are separate outcomes under the relative
+        # degeneracy rule; each conditions on its own basis vector
+        w = np.diag([-1.0, -1.0, 1.0, 1.0 + 5e-10])
+        rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        h = np.zeros((4, 4), dtype=complex)
+        for outcome, k in [(1.0, 2), (1.0 + 5e-10, 3)]:
+            ctx = retrodict.RetrodictionContext(rho, h, 0.5, 1.0, final_observable=w,
+                                                outcome=outcome)
+            assert abs(ctx.f_prime[k]) == pytest.approx(1.0, abs=1e-12)
+            assert ctx.conditioning_probability == pytest.approx(rho[k, k].real, abs=1e-12)
+
     def test_vanishing_conditioning_rejected(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         h = np.zeros((2, 2), dtype=complex)
@@ -319,6 +331,23 @@ class TestOtocRetrodiction:
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValueError, match="not an eigenvalue"):
             retrodict.otoc_retrodiction(rho, w, v, h, 0.0, 0.2)
+
+    def test_split_outcomes_weigh_their_own_slab(self):
+        # W = diag(-1, -1, 1, 1 + 5e-10) has three outcomes under the
+        # relative degeneracy rule; each w3 reads its own lab-frame slab.
+        # Eigenspaces 5e-10 apart are resolved to about eps / 5e-10, and the
+        # two slabs differ by 0.016
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+        w, v, t = np.diag([-1.0, -1.0, 1.0, 1.0 + 5e-10]), spin.site_pauli(2, 2, "x"), 0.7
+        rho = np.eye(4, dtype=complex) / 4
+        qd = oracles.coarse_quasiprob(rho, w, v, h, t)
+        w_evs = qd.axis_eigenvalues[3]
+        assert len(w_evs) == 3
+        for i3, w3 in enumerate(w_evs):
+            slab = qd.values[..., i3].real
+            want = np.einsum("i,j,k,ijk->", *qd.axis_eigenvalues[:3], slab) / slab.sum()
+            got = retrodict.otoc_retrodiction(rho, w, v, h, t, float(w3))
+            assert got == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("form", ["dense", "psi", "weights"])
     def test_every_state_form_matches_the_lab_frame(self, monkeypatch, form):

@@ -222,7 +222,6 @@ class TestInferenceExact:
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
         direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
-        assert not report.sampled
         assert report.std_errors is None
         assert max(report.residuals.values()) < 1e-10
 
@@ -288,6 +287,30 @@ class TestInferenceExact:
         assert report.rank == rank
         assert len(report.residuals) == (2 if protocol == "three-weak" else 4)
 
+    @pytest.mark.parametrize("shots", [0, 20_000])
+    @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
+    def test_one_svd_per_inversion(self, two_site, monkeypatch, protocol, shots):
+        # the counted rank, the conditioning, the solve and the standard
+        # errors all come from one decomposition at one truncation
+        rho, w, v, h = two_site
+        records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0, shots=shots,
+                                                     seed=5, protocol=protocol)
+        calls = {"svd": 0, "lstsq": 0, "pinv": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        _, report = weakmeas.infer_coarse_quasiprob(records)
+        assert calls == {"svd": 1, "lstsq": 0, "pinv": 0}
+        assert (report.std_errors is None) == (shots == 0)
+
     def test_unknown_protocol_rejected(self, two_site):
         rho, w, v, h = two_site
         with pytest.raises(ValueError, match="unknown protocol 'three_weak'"):
@@ -324,7 +347,6 @@ class TestInferenceSampled:
                                                      shots=200_000, seed=7)
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
         direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
-        assert report.sampled
         se = report.std_errors
         assert se is not None and np.all(se > 0)
         z_re = np.abs(inferred.values.real - direct.values.real) / se[..., 0]
@@ -338,9 +360,8 @@ class TestInferenceSampled:
                                                      protocol="two-weak")
         inferred, report = weakmeas.infer_coarse_quasiprob(records)
         direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
-        assert report.sampled
         se = report.std_errors
-        assert se.shape == (2, 2, 2, 2, 2) and np.all(se > 0)
+        assert se is not None and se.shape == (2, 2, 2, 2, 2) and np.all(se > 0)
         z_re = np.abs(inferred.values.real - direct.values.real) / se[..., 0]
         z_im = np.abs(inferred.values.imag - direct.values.imag) / se[..., 1]
         assert float(max(z_re.max(), z_im.max())) < 4.0

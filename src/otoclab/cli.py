@@ -475,7 +475,7 @@ def _run_weakmeas_inference(cfg):
     columns = ["label", "re_inferred", "im_inferred", "re_direct",
                "im_direct", "abs_error", "se_re", "se_im"]
     health = {"max_effective_condition": report.effective_condition,
-              "max_residual": max(report.residuals.values())}
+              "max_residual": float(report.residuals.max())}
     return columns, rows, health
 
 

@@ -11,23 +11,25 @@ Kraus operators of its weak couplings in time order and ends in a strong
 measurement.
 
 Inference exploits that structure directly, with one linear map for both
-families: the probabilities of each final-outcome block are linear in a
-fixed family of sandwich traces T[i, j] = Tr(Pi_final S_i rho S_j^dag)
-with S drawn from products of the two projectors, so T is Hermitian. An
-outcome's coefficients on the slot patterns are the Kronecker product
-over slots of [[a+, b+], [a-, b-]]; the index tuple x sends each pattern
-to its sandwich, which sits left of rho with its adjoint right of it; and
-one complex array P writes T as P . sol over the real unknowns sol.
-Collecting runs at several coupling strengths in both phase modes (real
-and imaginary coupling coefficient) gives one overdetermined real design
-that every block shares; the quasiprobability is the identity-column
-traces T[x, 0] = P[x, 0] . sol summed by inclusion-exclusion over
-projector complements, and the remaining traces are the independently
-measurable background terms. What differs between the families (the
-weak couplings in time order, the x tuple that indexes the sandwich
-list, the identifiable rank, and where the final outcomes sit in a
-record) is one row of the _PROTOCOLS table, which describes each circuit
-for its simulation as well as its inversion.
+families. A record is one tensor: the ancilla outcomes of the weak
+couplings lead, the outcomes the circuit ends on trail, and each record
+carries the eigenvalues of V and W(t) that label the coarse axes. The
+probabilities of each final-outcome block are linear in a fixed family of
+sandwich traces T[i, j] = Tr(Pi_final S_i rho S_j^dag) with S drawn from
+products of the two projectors, so T is Hermitian. An outcome's
+coefficients on the slot patterns are the Kronecker product over slots of
+[[a+, b+], [a-, b-]]; the index tuple x sends each pattern to its
+sandwich, which sits left of rho with its adjoint right of it; and each
+design row is linear in the real unknowns of T. Collecting runs at
+several coupling strengths in both phase modes (real and imaginary
+coupling coefficient) gives one overdetermined real design that every
+block shares; the quasiprobability is the identity-column traces T[x, 0]
+summed by inclusion-exclusion over projector complements, and the
+remaining traces are the independently measurable background terms. What
+differs between the families (the weak couplings in time order, whether
+the circuit prepares W, the x tuple that indexes the sandwich list and
+the identifiable rank) is one row of the _PROTOCOLS table, which
+describes each circuit for its simulation as well as its inversion.
 """
 from __future__ import annotations
 
@@ -143,27 +145,21 @@ def ancilla_subcircuit_kraus(axis_projectors, phi: float):
 class _Protocol:
     """One circuit family, as its simulation and its inversion see it.
 
-    letters names the weak couplings in time order ("v" or "w"). A slot
-    pattern takes, per weak coupling, a_s 1 (bit 0) or b_s Pi (bit 1);
-    patterns run in binary order, the first coupling the most significant
-    bit. Pattern p picks the sandwich operator S_{x[p]} left of rho and
-    S_{x[p]}^dag right of it; the sandwich count is max(x) + 1. rank
-    counts the real degrees of freedom the records identify. final gives
-    the positions of the final-outcome eigenvalues in each record outcome
-    tuple, in tensor axis order; the ancilla outcomes fill the leading
-    axes. per_slot builds a Kronecker product of 2x2 per-slot factors and
-    onehot the pattern-to-sandwich matrix of x.
+    letters names the weak couplings in time order ("v" or "w"). A circuit
+    whose last weak coupling is to W prepares Pi_w rho Pi_w for each W(t)
+    eigenvalue w and ends on a strong V measurement; otherwise it starts
+    from rho and ends on a strong W(t) measurement. A slot pattern takes,
+    per weak coupling, a_s 1 (bit 0) or b_s Pi (bit 1); patterns run in
+    binary order, the first coupling the most significant bit. Pattern p
+    picks the sandwich operator S_{x[p]} left of rho and S_{x[p]}^dag right
+    of it; the sandwich count is max(x) + 1. rank counts the real degrees
+    of freedom the records identify. per_slot builds a Kronecker product of
+    2x2 per-slot factors and onehot the pattern-to-sandwich matrix of x.
     """
 
     letters: str
     x: tuple
     rank: int
-    final: tuple
-
-    @property
-    def outcomes(self) -> list[tuple]:
-        """Ancilla outcome tuples, in the order records store them."""
-        return list(itertools.product((1, -1), repeat=len(self.letters)))
 
     def per_slot(self, factor) -> np.ndarray:
         """The Kronecker product of one 2x2 factor over the weak slots."""
@@ -177,9 +173,9 @@ class _Protocol:
 _PROTOCOLS = {
     # sandwich list [1, Pv, Pw, Pw Pv, Pv Pw, Pv Pw Pv]; x indexes the
     # product X3 X2 X1; 27 of 36 real traces
-    "three-weak": _Protocol(letters="vwv", x=(0, 1, 2, 4, 1, 1, 3, 5), rank=27, final=(3,)),
+    "three-weak": _Protocol(letters="vwv", x=(0, 1, 2, 4, 1, 1, 3, 5), rank=27),
     # sandwich list [1, Pv, Pw Pv, Pw]; 13 of 16 real traces
-    "two-weak": _Protocol(letters="vw", x=(0, 3, 1, 2), rank=13, final=(3, 0)),
+    "two-weak": _Protocol(letters="vw", x=(0, 3, 1, 2), rank=13),
 }
 
 
@@ -191,19 +187,24 @@ _PROTOCOLS = {
 class MeasurementRecord:
     """Joint outcome statistics of one protocol run at one coupling setting.
 
-    outcomes lists the bins in storage order; probabilities holds the exact
-    joint distribution and counts the sampled histogram (None in exact
-    mode). The record carries everything inference needs, so histograms
-    from different strengths and modes can be pooled downstream.
+    probabilities holds the exact joint distribution and counts the sampled
+    histogram (None in exact mode), as one tensor. Its leading axes are the
+    ancilla outcomes of the weak couplings in time order, index 0 for +1
+    and 1 for -1; its trailing axes are the outcomes the circuit ends on,
+    in coarse-axis order: w3 for three-weak, v2 and then the prepared w3
+    for two-weak. axis_eigenvalues holds the ascending eigenvalues of V,
+    W(t), V and W(t) that label the coarse axes (v1, w2, v2, w3) of the
+    inferred distribution. The record carries everything inference needs,
+    so histograms from different strengths and modes can be pooled
+    downstream.
     """
 
     protocol: str
     coupling: CouplingConfig
-    outcomes: list[tuple]
     probabilities: np.ndarray
     counts: np.ndarray | None
     shots: int
-    final_eigenvalues: np.ndarray
+    axis_eigenvalues: tuple[np.ndarray, ...]
 
     def frequencies(self) -> np.ndarray:
         if self.counts is None:
@@ -212,13 +213,14 @@ class MeasurementRecord:
 
 
 def _sample_counts(probabilities, shots, seed) -> np.ndarray:
-    """Multinomial histogram; only rounding residue below zero is clipped."""
-    p = np.asarray(probabilities, dtype=float)
+    """Multinomial histogram over the C-order ravel, in the input's shape;
+    only rounding residue below zero is clipped."""
+    p = np.asarray(probabilities, dtype=float).ravel()
     if np.min(p) < -qla.EXACT_TOL:
         raise ValueError(f"outcome probability {np.min(p):.3e} is negative")
     p = np.clip(p, 0.0, None)
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p / p.sum())
+    return rng.multinomial(shots, p / p.sum()).reshape(np.shape(probabilities))
 
 
 def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
@@ -226,7 +228,8 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
     shots=0, seed=None) -> MeasurementRecord; W(t), both projector pairs and
     the prepared states are built once. shots = 0 gives exact
     probabilities, shots >= 1 a multinomial histogram drawn from them
-    (statistically identical to per-shot conditional updates).
+    (statistically identical to per-shot conditional updates). W(t) and V
+    must each have two outcomes.
 
     three-weak: weak V, evolve U, weak W, evolve U back, weak V, evolve U,
     strong W, which in the Heisenberg picture is
@@ -252,60 +255,41 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
     rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), hamiltonian)
     u = quasiprob.propagator(hamiltonian, t)
     wt = quasiprob.heisenberg(w_op, u)
-    prepared = 0 in spec.final
-    if prepared and np.max(np.abs(rho @ wt - wt @ rho)) > qla.EXACT_TOL:
+    prepares_w = spec.letters[-1] == "w"
+    if prepares_w and np.max(np.abs(rho @ wt - wt @ rho)) > qla.EXACT_TOL:
         raise ValueError("two-coupling protocol needs a state commuting with the evolved W")
-    pairs = {"w": quasiprob._distinct_projectors(wt), "v": quasiprob._distinct_projectors(v_op)}
-    if len(pairs["v"][0]) != 2:
-        raise ValueError("weak V coupling needs a two-outcome observable")
-    plus = {k: projs[int(np.argmax(evs))] for k, (evs, projs) in pairs.items()}
-    final_evs, final_projs = pairs["w" if spec.letters[-1] == "v" else "v"]
-    states = ([((float(ev),), proj @ rho @ proj) for ev, proj in zip(*pairs["w"])]
-              if prepared else [((), rho)])
+    pairs = {"v": quasiprob._distinct_projectors(v_op), "w": quasiprob._distinct_projectors(wt)}
+    for k, (evs, _) in pairs.items():
+        if len(evs) != 2:
+            raise ValueError(f"weak {k.upper()} coupling needs a two-outcome observable")
+    axis_eigenvalues = (pairs["v"][0], pairs["w"][0]) * 2
+    # each weak coupling is to the projector on the larger eigenvalue
+    plus = {k: projs[1] for k, (_, projs) in pairs.items()}
+    final_projs = pairs["v" if prepares_w else "w"][1]
+    states = [proj @ rho @ proj for proj in pairs["w"][1]] if prepares_w else [rho]
+    shape = (2,) * len(spec.letters) + (len(final_projs),) + ((len(states),) if prepares_w else ())
 
     def record(coupling: CouplingConfig, shots: int = 0, seed=None) -> MeasurementRecord:
         if shots < 0:
             raise ValueError("shots must be >= 0")
-        kraus = {k: dict(zip((1, -1), kraus_pair(proj, coupling))) for k, proj in plus.items()}
-        outcomes, probs = [], []
-        for label, sigma in states:
-            for s in spec.outcomes:
-                op = functools.reduce(np.matmul, [kraus[k][b] for k, b in
-                                                  zip(spec.letters[::-1], s[::-1])])
-                evolved = op @ sigma @ qla.dagger(op)
-                for ev, proj in zip(final_evs, final_projs):
-                    outcomes.append((*label, *s, float(ev)))
-                    probs.append(float(np.trace(proj @ evolved).real))
-        probabilities = np.array(probs)
+        kraus = {k: kraus_pair(proj, coupling) for k, proj in plus.items()}
+        probs = []
+        for s in itertools.product((0, 1), repeat=len(spec.letters)):
+            op = functools.reduce(np.matmul, [kraus[k][b] for k, b in
+                                              zip(spec.letters[::-1], s[::-1])])
+            evolved = [op @ sigma @ qla.dagger(op) for sigma in states]
+            probs += [np.trace(proj @ e).real for proj in final_projs for e in evolved]
+        probabilities = np.array(probs).reshape(shape)
         if abs(probabilities.sum() - 1.0) > qla.EXACT_TOL:
             raise RuntimeError(f"joint probabilities sum to {probabilities.sum()}, not 1")
         counts = _sample_counts(probabilities, shots, seed) if shots else None
-        return MeasurementRecord(protocol, coupling, outcomes, probabilities, counts, shots,
-                                 final_evs)
+        return MeasurementRecord(protocol, coupling, probabilities, counts, shots,
+                                 axis_eigenvalues)
     return record
 
 
 # ---------------------------------------------------------------------------
 # inference
-
-
-@functools.cache
-def _columns(n: int) -> np.ndarray:
-    """Real parameterization T = P . sol of a Hermitian n x n trace array.
-
-    Each diagonal entry is real and gets one column with a 1 there; each
-    entry above the diagonal, in row-major order, gets a re column (1 there
-    and at its transpose) and an im column (1j there, -1j at its
-    transpose). The diagonal columns come first, then the pairs.
-    """
-    i, j = np.triu_indices(n, 1)
-    re_col = n + 2 * np.arange(len(i))
-    p = np.zeros((n, n, n + 2 * len(i)), dtype=complex)
-    p[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    p[i, j, re_col] = p[j, i, re_col] = 1.0
-    p[i, j, re_col + 1], p[j, i, re_col + 1] = 1j, -1j
-    p.setflags(write=False)
-    return p
 
 
 def _design_rows(spec: _Protocol, coupling: CouplingConfig) -> np.ndarray:
@@ -314,11 +298,30 @@ def _design_rows(spec: _Protocol, coupling: CouplingConfig) -> np.ndarray:
     K = kron over slots of [[a+, b+], [a-, b-]] holds each outcome's
     coefficient on each slot pattern, and c = K onehot() its coefficient on
     each sandwich, so the outcome probabilities are the diagonal of
-    Re c T c^dag.
+    Re c T c^dag. Over the real unknowns of the Hermitian T (each diagonal
+    entry, then the re and im parts of each entry above the diagonal in
+    row-major order) a row reads |c_i|^2, then 2 Re z and -2 Im z with
+    z = c_i conj(c_j).
     """
     ab = slot_coefficients(coupling)
     c = spec.per_slot([ab[+1], ab[-1]]) @ spec.onehot()
-    return np.einsum("ri,rj,ijk->rk", c, c.conj(), _columns(c.shape[1])).real
+    i, j = np.triu_indices(c.shape[1], 1)
+    z = c[:, i] * c[:, j].conj()
+    pairs = np.stack([2 * z.real, -2 * z.imag], axis=-1).reshape(len(c), -1)
+    return np.hstack([(c * c.conj()).real, pairs])
+
+
+def _hermitian(sol) -> np.ndarray:
+    """The Hermitian n x n arrays T whose n^2 real unknowns (the column
+    order of _design_rows) are the columns of sol, stacked along a leading
+    axis."""
+    n = math.isqrt(len(sol))
+    i, j = np.triu_indices(n, 1)
+    t = np.zeros(sol.shape[1:] + (n, n), dtype=complex)
+    t[..., np.arange(n), np.arange(n)] = sol[:n].T
+    t[..., i, j] = (sol[n::2] + 1j * sol[n + 1::2]).T
+    t[..., j, i] = t[..., i, j].conj()
+    return t
 
 
 @dataclass
@@ -328,19 +331,19 @@ class InferenceReport:
     Every final-outcome block shares one design, so rank (the count of
     singular values above 1e-10 of the largest) and effective_condition
     (the largest over the protocol's rank-th) are single numbers.
-    residuals and background are keyed by the final-outcome tuple of each
-    solved block, in tensor axis order: (w3,) for three-weak, (v3, w) for
-    two-weak. background holds each block's full solved sandwich-trace set;
-    the quasiprobability uses only the identity-column traces, the rest are
-    the independently measured background terms. std_errors is None for
-    exact records.
+    residuals (each block's largest design residual) and background are
+    arrays over the final axes of the records: (w3,) for three-weak,
+    (v2, w3) for two-weak. background holds each block's full solved
+    sandwich-trace array T[i, j] on two more axes; the quasiprobability
+    uses only the identity column T[:, 0], the rest are the independently
+    measured background terms. std_errors is None for exact records.
     """
 
     protocol: str
     rank: int
     effective_condition: float
-    residuals: dict
-    background: dict
+    residuals: np.ndarray
+    background: np.ndarray
     std_errors: np.ndarray | None = None
 
 
@@ -350,6 +353,11 @@ def _validate_records(records) -> str:
     protocols = {r.protocol for r in records}
     if len(protocols) != 1:
         raise ValueError("records mix different protocols")
+    first = records[0]
+    if any(r.probabilities.shape != first.probabilities.shape
+           or not all(map(np.array_equal, r.axis_eigenvalues, first.axis_eigenvalues))
+           for r in records):
+        raise ValueError("records disagree on their outcome axes")
     for mode in PHASE_MODES:
         strengths = {r.coupling.strength for r in records
                      if r.coupling.phase_mode == mode and r.coupling.strength > 0}
@@ -361,28 +369,16 @@ def _validate_records(records) -> str:
     return protocols.pop()
 
 
-def _block_covariance(records, bin_lists):
-    """Multinomial covariance of the stacked frequency vector, block per record."""
-    total = sum(len(b) for b in bin_lists)
-    cov = np.zeros((total, total))
-    off = 0
-    for rec, bins in zip(records, bin_lists):
-        if rec.counts is not None:
-            p = rec.frequencies()[bins]
-            cov[off:off + len(bins), off:off + len(bins)] = \
-                (np.diag(p) - np.outer(p, p)) / rec.shots
-        off += len(bins)
-    return cov
-
-
 def infer_coarse_quasiprob(records):
     """Invert pooled outcome histograms into the coarse quasiprobability.
 
     records: MeasurementRecord values from one instance at several coupling
-    strengths, both phase modes. Returns (QuasiDistribution, InferenceReport).
-    Sampled records propagate their multinomial counting noise into
-    per-entry standard errors (std_errors aligned with the tensor, last
-    axis 0 = real, 1 = imaginary part).
+    strengths, both phase modes, with one shape and one set of axis
+    eigenvalues. Returns (QuasiDistribution, InferenceReport), the
+    distribution labelled by the records' axis_eigenvalues. Sampled records
+    propagate their multinomial counting noise into per-entry standard
+    errors (std_errors aligned with the tensor, last axis 0 = real,
+    1 = imaginary part).
 
     Records whose three couplings share one strength leave a few sandwich
     cross terms (for example Tr of Pi_w3 Pw Pv rho Pv) riding the same
@@ -395,33 +391,23 @@ def infer_coarse_quasiprob(records):
     removes; check residuals and compare against a direct computation when
     in doubt.
 
-    The design matrix depends only on the couplings, so every final-outcome
-    block shares it and its one SVD, truncated at the protocol's rank r.
-    That SVD gives the counted rank and the effective condition number (a
-    weak design is refused), the pseudo-inverse V_r S_r^-1 U_r^T, which
-    solves all blocks at once (each block's column of the right-hand side
-    is its own frequency vector), and for sampled records the standard
-    errors. The entries are T[x, 0] = P[x, 0] . sol summed with the
-    inclusion-exclusion weights kron over slots of [[1, -1], [0, 1]]
-    (outcome -1 is 1 - Pi, outcome +1 is Pi) on the sandwiches x.
+    Each record's frequencies, reshaped to (ancilla outcomes, final
+    outcomes), give one column per final-outcome block. The design matrix
+    depends only on the couplings, so every block shares it and its one
+    SVD, truncated at the protocol's rank r. That SVD gives the counted
+    rank and the effective condition number (a weak design is refused),
+    the pseudo-inverse V_r S_r^-1 U_r^T, which solves all blocks at once,
+    and for sampled records the standard errors. The entries are the
+    identity-column traces T[x, 0] summed with the inclusion-exclusion
+    weights kron over slots of [[1, -1], [0, 1]] (index 0, the lower
+    eigenvalue, is 1 - Pi; index 1 is Pi) on the sandwiches x.
     """
     protocol = _validate_records(records)
     spec = _PROTOCOLS[protocol]
-    slots = len(spec.letters)
-    pm = np.array([-1.0, 1.0])
-    finals = [np.array(sorted({out[p] for out in records[0].outcomes}))
-              for p in spec.final]
-    shape = (2,) * slots + tuple(len(evs) for evs in finals)
-    keys = [tuple(float(evs[i]) for evs, i in zip(finals, f_idx))
-            for f_idx in np.ndindex(*shape[slots:])]
-    bins = [[[k for k, out in enumerate(rec.outcomes)
-              if all(abs(out[p] - ev) < qla.EIGENVALUE_MATCH_TOL
-                     for p, ev in zip(spec.final, key))]
-             for rec in records] for key in keys]
-    if any(len(b) != len(spec.outcomes) for per_rec in bins for b in per_rec):
-        raise ValueError("record bins do not cover all ancilla outcomes")
-    freqs = np.array([np.concatenate([rec.frequencies()[b] for rec, b in zip(records, per_rec)])
-                      for per_rec in bins]).T
+    shape = records[0].probabilities.shape
+    finals = shape[len(spec.letters):]
+    blocks = [rec.frequencies().reshape(2 ** len(spec.letters), -1) for rec in records]
+    freqs = np.vstack(blocks)
     design = np.vstack([_design_rows(spec, rec.coupling) for rec in records])
     u, sing, vt = np.linalg.svd(design, full_matrices=False)
     rank, r = int(np.sum(sing > sing[0] * 1e-10)), spec.rank
@@ -433,29 +419,26 @@ def infer_coarse_quasiprob(records):
         )
     pinv = (vt[:r].T / sing[:r]) @ u[:, :r].T
     sols = pinv @ freqs
-    identity_col = _columns(max(spec.x) + 1)[:, 0]
-    ell = spec.per_slot([[1.0, -1.0], [0.0, 1.0]]) @ spec.onehot() @ identity_col
+    ell = spec.per_slot([[1.0, -1.0], [0.0, 1.0]]) @ spec.onehot()
+    background = _hermitian(sols)
     errors = None
     if any(rec.counts is not None for rec in records):
-        covs = np.array([_block_covariance(records, per_rec) for per_rec in bins])
-        var = [np.einsum("wn,bnm,wm->wb", g, covs, g) for g in (ell.real @ pinv, ell.imag @ pinv)]
-        errors = np.sqrt(np.maximum(0.0, np.stack(var, axis=-1))).reshape(shape + (2,))
-    t_col = identity_col @ sols
-    resids = np.max(np.abs(design @ sols - freqs), axis=0)
-    background = {key: {"identity_column": [complex(c) for c in t_col[:, b]],
-                        "solution": sols[:, b]} for b, key in enumerate(keys)}
-
-    # the two-weak tensor puts its weak V and W on axes v1, w2 and its
-    # final V outcome and prepared W eigenvalue on v2, w3
+        # per record, the multinomial variance of g . f is g^2 . p - (g . p)^2
+        gain = ell @ _hermitian(pinv)[..., 0].T
+        gains = np.split(np.stack([gain.real, gain.imag]), len(records), axis=-1)
+        var = sum((g ** 2 @ p - (g @ p) ** 2) / rec.shots
+                  for rec, p, g in zip(records, blocks, gains) if rec.counts is not None)
+        errors = np.moveaxis(np.sqrt(np.maximum(0.0, var)), 0, -1).reshape(shape + (2,))
     dist = quasiprob.QuasiDistribution(
-        values=(ell @ sols).reshape(shape),
+        values=(ell @ background[..., 0].T).reshape(shape),
         axis_names=quasiprob.COARSE_AXES,
-        axis_eigenvalues=(pm,) * slots + tuple(finals),
+        axis_eigenvalues=records[0].axis_eigenvalues,
     )
     report = InferenceReport(
         protocol=protocol, rank=rank, effective_condition=cond,
-        residuals={key: float(res) for key, res in zip(keys, resids)},
-        background=background, std_errors=errors,
+        residuals=np.max(np.abs(design @ sols - freqs), axis=0).reshape(finals),
+        background=background.reshape(finals + background.shape[1:]),
+        std_errors=errors,
     )
     return dist, report
 

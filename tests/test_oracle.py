@@ -345,9 +345,9 @@ def test_weak_inversion_recovers_the_sandwich_traces(n, state):
     pv, pw = (eye + v) / 2, (eye + wt) / 2
     sandwiches = [eye, pv, pw, pw @ pv, pv @ pw, pv @ pw @ pv]
     records = weakmeas.standard_protocol_records(rho, w, v, h, t)
-    _, report = weakmeas.infer_coarse_quasiprob(records)
-    for w3 in (-1.0, 1.0):
-        traces = report.background[(w3,)]["identity_column"]
+    inferred, report = weakmeas.infer_coarse_quasiprob(records)
+    for k, w3 in enumerate(inferred.axis_eigenvalues[3]):
+        traces = report.background[k, :, 0]
         final = (eye + w3 * wt) / 2
         want = [np.trace(final @ s @ rho) for s in sandwiches]
         assert max_dev(traces, want) < TOL

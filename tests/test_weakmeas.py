@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otoclab import qla, quasiprob, spin, weakmeas
 
@@ -93,7 +97,7 @@ class TestSimulateProtocol:
         rec = weakmeas.simulator("three-weak", rho, w, v, h, 1.0)(coupling)
         assert rec.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(rec.probabilities >= -1e-15)
-        assert len(rec.outcomes) == 16  # 2^3 ancilla outcomes x 2 final bins
+        assert rec.probabilities.shape == (2, 2, 2, 2)  # 2^3 ancilla outcomes x 2 final bins
 
     def test_against_explicit_kraus_chain(self, two_site):
         """Independent in-test evaluation of one joint probability."""
@@ -107,11 +111,14 @@ class TestSimulateProtocol:
         mv = weakmeas.kraus_pair(pv, coupling)
         mw = weakmeas.kraus_pair(pw, coupling)
         m_map = {+1: 0, -1: 1}
-        for k, (s1, s2, s3, w3) in enumerate(rec.outcomes):
+        for (i1, i2, i3, k3), prob in np.ndenumerate(rec.probabilities):
+            # ancilla index 0 is outcome +1, 1 is -1; the final axis is W(t)'s
+            s1, s2, s3 = ((1, -1)[i] for i in (i1, i2, i3))
+            w3 = rec.axis_eigenvalues[3][k3]
             op = mv[m_map[s3]] @ mw[m_map[s2]] @ mv[m_map[s1]]
             proj3 = pw if w3 > 0 else np.eye(4) - pw
             want = np.trace(proj3 @ op @ rho @ qla.dagger(op)).real
-            assert rec.probabilities[k] == pytest.approx(want, abs=1e-12)
+            assert prob == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("mode", weakmeas.PHASE_MODES)
     @pytest.mark.parametrize("state", ["mixed", "commuting", "coherent"])
@@ -138,14 +145,17 @@ class TestSimulateProtocol:
         mv = weakmeas.kraus_pair(oracles.eigenprojector(v, 1.0), coupling)
         mw = weakmeas.kraus_pair(oracles.eigenprojector(w, 1.0), coupling)
         m_map = {+1: 0, -1: 1}
-        assert len(rec.outcomes) == 16  # 2 prepared x 2^2 ancilla x 2 final
-        for k, (wb, s1, s2, v3) in enumerate(rec.outcomes):
+        assert rec.probabilities.shape == (2, 2, 2, 2)  # 2^2 ancilla x 2 final x 2 prepared
+        for (i1, i2, k3, kb), prob in np.ndenumerate(rec.probabilities):
+            # ancilla index 0 is outcome +1, 1 is -1; then final V, prepared W
+            s1, s2 = ((1, -1)[i] for i in (i1, i2))
+            v3, wb = rec.axis_eigenvalues[2][k3], rec.axis_eigenvalues[3][kb]
             prepared = oracles.eigenprojector(w, wb)
             sigma = prepared @ u @ rho @ u_dag @ prepared
             chain = (oracles.eigenprojector(v, v3) @ u_dag @ mw[m_map[s2]] @ u
                      @ mv[m_map[s1]] @ u_dag)
             want = np.trace(chain @ sigma @ chain.conj().T).real
-            assert rec.probabilities[k] == pytest.approx(want, abs=1e-12)
+            assert prob == pytest.approx(want, abs=1e-12)
 
     def test_sampled_counts_reproducible(self, two_site):
         rho, w, v, h = two_site
@@ -206,9 +216,8 @@ class TestStandardRecords:
         for a, b in zip(got, expected):
             assert a.protocol == b.protocol == protocol
             assert a.coupling == b.coupling
-            assert a.outcomes == b.outcomes
             assert np.array_equal(a.probabilities, b.probabilities)
-            assert np.array_equal(a.final_eigenvalues, b.final_eigenvalues)
+            assert all(map(np.array_equal, a.axis_eigenvalues, b.axis_eigenvalues))
             if shots:
                 assert np.array_equal(a.counts, b.counts)
             else:
@@ -223,7 +232,7 @@ class TestInferenceExact:
         direct = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         assert np.max(np.abs(inferred.values - direct.values)) < 1e-10
         assert report.std_errors is None
-        assert max(report.residuals.values()) < 1e-10
+        assert report.residuals.max() < 1e-10
 
     def test_three_weak_nonuniform_v_diagonal_state(self, two_site):
         # nonuniform weights in the V eigenbasis stay inside the class the
@@ -272,6 +281,14 @@ class TestInferenceExact:
             direct = oracles.coarse_quasiprob(rho, w, v, h, t)
             assert np.max(np.abs(inferred.values - direct.values)) < 1e-10, (n, state)
 
+    @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
+    @pytest.mark.parametrize("levels", [(-1.0, 0.0, 0.0, 1.0), (-1.0, -1.0, 1.0, 1.0 + 5e-10)])
+    def test_w_needs_two_outcomes(self, two_site, protocol, levels):
+        # three W outcomes; the second case by the relative degeneracy rule
+        rho, _, v, h = two_site
+        with pytest.raises(ValueError, match="weak W coupling needs a two-outcome observable"):
+            weakmeas.simulator(protocol, rho, np.diag(levels), v, h, 1.0)
+
     def test_two_weak_rejects_noncommuting_state(self, two_site):
         _, w, v, h = two_site
         rho = quasiprob.density_matrix(spin.product_plus_x_vector(2))
@@ -285,7 +302,7 @@ class TestInferenceExact:
                                                      protocol=protocol)
         _, report = weakmeas.infer_coarse_quasiprob(records)
         assert report.rank == rank
-        assert len(report.residuals) == (2 if protocol == "three-weak" else 4)
+        assert report.residuals.shape == ((2,) if protocol == "three-weak" else (2, 2))
 
     @pytest.mark.parametrize("shots", [0, 20_000])
     @pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
@@ -338,6 +355,64 @@ class TestInferenceExact:
         single = [r for r in three if r.coupling.phase_mode == "real"]
         with pytest.raises(ValueError, match="phase mode"):
             weakmeas.infer_coarse_quasiprob(single)
+
+    def test_records_must_share_their_axes(self, two_site):
+        rho, w, v, h = two_site
+        records = weakmeas.standard_protocol_records(rho, w, v, h, 1.0)
+        rescaled = weakmeas.standard_protocol_records(rho, w, 2 * v, h, 1.0)
+        with pytest.raises(ValueError, match="disagree on their outcome axes"):
+            weakmeas.infer_coarse_quasiprob(records[:4] + rescaled[4:])
+        flat = dataclasses.replace(records[0], probabilities=records[0].probabilities.ravel())
+        with pytest.raises(ValueError, match="disagree on their outcome axes"):
+            weakmeas.infer_coarse_quasiprob([flat] + records[1:])
+
+
+@pytest.mark.parametrize("protocol", ["three-weak", "two-weak"])
+@pytest.mark.parametrize("mode", weakmeas.PHASE_MODES)
+def test_design_rows_are_the_diagonal_of_c_t_cdag(protocol, mode):
+    """A design row times the real unknowns of T is Re (c T c^dag)[r, r],
+    with c[r, x] summed over the slot patterns that pick sandwich x."""
+    spec = weakmeas._PROTOCOLS[protocol]
+    slots, n = len(spec.letters), max(spec.x) + 1
+    coupling = weakmeas.CouplingConfig(0.13, mode)
+    ab = weakmeas.slot_coefficients(coupling)
+    c = np.zeros((2 ** slots, n), dtype=complex)
+    for r, signs in enumerate(itertools.product((1, -1), repeat=slots)):
+        for pattern, bits in enumerate(itertools.product((0, 1), repeat=slots)):
+            c[r, spec.x[pattern]] += np.prod([ab[s][b] for s, b in zip(signs, bits)])
+    sol = np.random.default_rng(3).normal(size=n * n)
+    t = weakmeas._hermitian(sol[:, None])[0]
+    assert np.array_equal(t, t.conj().T)
+    assert t[0, 0] == sol[0] and t[0, 1] == sol[n] + 1j * sol[n + 1]
+    want = np.einsum("ri,ij,rj->r", c, t, c.conj()).real
+    assert np.max(np.abs(weakmeas._design_rows(spec, coupling) @ sol - want)) < 1e-12
+
+
+_LEVEL = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+_GAP = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=_LEVEL, w_gap=_GAP, c=_LEVEL, v_gap=_GAP,
+       t=st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
+def test_inferred_axes_carry_the_eigenvalues(a, w_gap, c, v_gap, t):
+    """Two-outcome W = a (1 - P) + b P and V = c (1 - Q) + d Q on the two
+    site chain at infinite temperature: both protocols' inferred entries,
+    looked up by eigenvalue, and their moment match the direct series."""
+    h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+    eye = np.eye(4)
+    p, q = (eye + spin.site_pauli(2, 1, "z")) / 2, (eye + spin.site_pauli(2, 2, "z")) / 2
+    w = a * (eye - p) + (a + w_gap) * p
+    v = c * (eye - q) + (c + v_gap) * q
+    rho = eye / 4
+    direct = quasiprob.coarse_quasiprob_series(rho, w, v, h, [t]).at(0)
+    for protocol in ("three-weak", "two-weak"):
+        records = weakmeas.standard_protocol_records(rho, w, v, h, t, protocol=protocol)
+        inferred, _ = weakmeas.infer_coarse_quasiprob(records)
+        for outcome, value in direct.outcome_grid():
+            assert abs(inferred.entry(*outcome) - value) < 1e-9, (protocol, outcome)
+        moment = quasiprob.otoc_moment(inferred)
+        assert abs(moment - quasiprob.otoc_moment(direct)) < 1e-9, protocol
 
 
 class TestInferenceSampled:

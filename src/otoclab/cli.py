@@ -426,10 +426,8 @@ def _run_work_distribution(cfg):
     h_sys, w, v, state = _chain_pieces(cfg)
     qd = quasiprob.coarse_quasiprob_series(state, w, v, h_sys, [cfg["t"]]).at(0)
     wd = quasiprob.work_distribution(qd)
-    keys = sorted(wd.entries,
-                  key=lambda k: (k[0].real, k[0].imag, k[1].real, k[1].imag))
-    rows = [[k[0].real, k[0].imag, k[1].real, k[1].imag,
-             wd.entries[k].real, wd.entries[k].imag] for k in keys]
+    rows = [[w, 0.0, wprime, 0.0, p.real, p.imag]
+            for (w, wprime), p in wd.outcome_grid()]
     columns = ["re_w", "im_w", "re_wprime", "im_wprime", "re_p", "im_p"]
     return columns, rows, {"max_total_defect": abs(qd.total() - 1.0)}
 

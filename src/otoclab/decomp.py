@@ -27,20 +27,18 @@ VANISHING_OVERLAP_TOL = 1e-10
 class DecompositionReport:
     """Coefficients, omitted dyads, and the reconstruction check.
 
-    coefficients maps ((v2, nu), (w3, lambda)) to the complex weight
-    attached to the dyad |v2,nu><w3,lambda|U / <w3,lambda|U|v2,nu>;
-    omitted_pairs lists the keys whose overlap magnitude fell below
-    VANISHING_OVERLAP_TOL and were never divided.
+    coefficients is the fine QuasiDistribution over (v2, w3) of the
+    complex weight attached to each dyad
+    |v2,nu><w3,lambda|U / <w3,lambda|U|v2,nu>; omitted, a boolean array over
+    the same (v2, w3) grid, marks the dyads whose overlap magnitude fell
+    below VANISHING_OVERLAP_TOL, never divided, whose coefficients are 0.
     """
 
     rho_prime: np.ndarray
-    coefficients: dict
-    omitted_pairs: list
+    coefficients: quasiprob.QuasiDistribution
+    omitted: np.ndarray
     reconstruction_error: float
     overlap_magnitudes: np.ndarray
-
-    def coefficient_total(self) -> complex:
-        return complex(sum(self.coefficients.values()))
 
 
 def overlap_magnitudes(w_op, v_op, unitary) -> np.ndarray:
@@ -80,8 +78,9 @@ def decomposition_coefficients(fine_quasi: quasiprob.QuasiDistribution) -> Decom
 
     The coefficient for each ((v2, nu), (w3, lambda)) is the sum of fine
     entries over the first two axes; dividing by the overlap and summing
-    dyads reconstructs the asymmetrically decohered rho'. The
-    reconstruction error column-checks that rebuild against rho' computed
+    the dyads, one product v_cols @ (c / overlap^T) @ rows <w|U taken over
+    the dyads not omitted, reconstructs the asymmetrically decohered rho'.
+    The reconstruction error checks that rebuild against rho' computed
     straight from the state stored with the distribution.
     """
     if fine_quasi.axis_labels is None:
@@ -92,32 +91,21 @@ def decomposition_coefficients(fine_quasi: quasiprob.QuasiDistribution) -> Decom
             raise ValueError("distribution lacks basis metadata; use fine_quasiprob")
     u, w_cols, v_cols = meta["u"], meta["w_cols"], meta["v_cols"]
     rho = meta["rho"]
-    v_evs = np.asarray(fine_quasi.axis_eigenvalues[2], dtype=float)
-    w_evs = np.asarray(fine_quasi.axis_eigenvalues[3], dtype=float)
-    v_labels = fine_quasi.axis_labels[2]
-    w_labels = fine_quasi.axis_labels[3]
-
-    coeffs = np.sum(fine_quasi.values, axis=(0, 1))   # (n, l) = (v2, w3)
     target, overlap, vanish, w_rows = _decohere(rho, u, w_cols, v_cols)
-
-    coefficients = {}
-    omitted = []
-    rebuild = np.zeros_like(rho)
-    for n in range(v_cols.shape[1]):
-        v_key = (float(v_evs[n]), int(v_labels[n]))
-        for l in range(w_cols.shape[1]):
-            key = (v_key, (float(w_evs[l]), int(w_labels[l])))
-            if vanish[l, n]:
-                omitted.append(key)
-                continue
-            c = complex(coeffs[n, l])
-            coefficients[key] = c
-            rebuild += (c / overlap[l, n]) * np.outer(v_cols[:, n], w_rows[l])
+    omitted = vanish.T                                 # (n, l) = (v2, w3)
+    coeffs = np.where(omitted, 0, np.sum(fine_quasi.values, axis=(0, 1)))
+    ratio = np.divide(coeffs, overlap.T, out=np.zeros_like(coeffs), where=~omitted)
+    rebuild = v_cols @ ratio @ w_rows
 
     return DecompositionReport(
         rho_prime=target,
-        coefficients=coefficients,
-        omitted_pairs=omitted,
+        coefficients=quasiprob.QuasiDistribution(
+            values=coeffs,
+            axis_names=fine_quasi.axis_names[2:],
+            axis_eigenvalues=fine_quasi.axis_eigenvalues[2:],
+            axis_labels=fine_quasi.axis_labels[2:],
+        ),
+        omitted=omitted,
         reconstruction_error=float(np.max(np.abs(rebuild - target))),
         overlap_magnitudes=np.abs(overlap),
     )

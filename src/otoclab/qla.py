@@ -9,7 +9,8 @@ that propagators are unitary by construction.
 
 Degeneracy has one rule, _group_degenerate (a relative spacing on
 ascending eigenvalues): eigh rebuilds its bases by it, and quasiprob's
-projectors, fine-grained labels and coarse grain group by it.
+projectors, fine-grained labels, coarse grain and work-distribution axes
+group by it. A requested outcome finds its group by _outcome_group.
 """
 from __future__ import annotations
 
@@ -146,6 +147,15 @@ def _group_degenerate(eigenvalues: np.ndarray) -> list[tuple[int, int]]:
             groups.append((start, k))
             start = k
     return groups
+
+
+def _outcome_group(eigenvalues: np.ndarray, outcome: float) -> tuple[int, int] | None:
+    """The group of _group_degenerate that the eigenvalue nearest outcome
+    belongs to, or None when none lies within EIGENVALUE_MATCH_TOL."""
+    nearest = int(np.argmin(np.abs(eigenvalues - outcome)))
+    if abs(eigenvalues[nearest] - outcome) >= EIGENVALUE_MATCH_TOL:
+        return None
+    return next(g for g in _group_degenerate(eigenvalues) if g[0] <= nearest < g[1])
 
 
 def _fix_degenerate_basis(block: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ its fine-grained refinement over degeneracy labels, the derived work-like
 distribution P(W, W'), and the regulated, time-ordered, and k-fold variants.
 F(t) is recoverable from every one of these as a moment; the moment helpers
 live here next to the distributions so the identities stay testable.
+Every distribution, the derived P(W, W') and the marginals included, is a
+QuasiDistribution: a dense tensor with ascending outcomes on each axis,
+whose entry finds an outcome by the one degeneracy rule.
 
 Every coarse distribution comes from one of two routes: the explicit
 projector trace (_four_projector_trace) of the coarse series of a
@@ -22,8 +25,9 @@ whose W projectors carry quarter powers of rho, takes sixteen of its own.
 Projectors of an involution are built as (1 -+ O)/2
 (_distinct_projectors), never by eigendecomposition. The lab-frame
 versions of both routes, the tests' oracles, live in tests/oracles.py.
-The projectors of other operators, the fine labels and coarse_grain
-group outcomes by the one degeneracy rule, qla._group_degenerate.
+The projectors of other operators, the fine labels, coarse_grain and the
+axes of work_distribution group outcomes by the one degeneracy rule,
+qla._group_degenerate.
 
 Series work in the eigenbasis of H, found once (_energy_frame), where W(t)
 is W dressed elementwise by the phases e^{-iEt} (_dress). For a real H,
@@ -82,7 +86,6 @@ import numpy as np
 
 from . import qla, spin
 
-_KEY_DECIMALS = 9          # bucket size for collecting eigenvalue products
 _FINE_MAX_DIM = 64         # 6 qubits; the fine tensor holds dim**4 entries
 _KFOLD_MAX = 5
 
@@ -98,9 +101,10 @@ class QuasiDistribution:
     """Dense quasiprobability tensor with one axis per outcome slot.
 
     axis_eigenvalues[i] gives the eigenvalue attached to each index along
-    axis i. A fine-grained distribution has axes over full bases and
-    axis_labels[i], the degeneracy label of each index (for a local Pauli
-    the computational configuration of the untouched sites).
+    axis i, ascending (on P(W, W') the eigenvalue product). A
+    fine-grained distribution has axes over full bases and axis_labels[i],
+    the degeneracy label of each index (for a local Pauli the
+    computational configuration of the untouched sites).
     """
 
     values: np.ndarray
@@ -113,13 +117,12 @@ class QuasiDistribution:
         return complex(self.values.sum())
 
     def _axis_index(self, axis: int, eigenvalue: float, label=None) -> int:
-        """The nearest outcome picks its group of qla._group_degenerate, the
-        rule the fine labels follow; a label picks within the group."""
-        evs = self.axis_eigenvalues[axis]
-        nearest = int(np.argmin(np.abs(evs - eigenvalue)))
-        if abs(evs[nearest] - eigenvalue) >= qla.EIGENVALUE_MATCH_TOL:
+        """The outcome's group of qla._outcome_group, the rule the fine
+        labels follow; a label picks within the group."""
+        group = qla._outcome_group(self.axis_eigenvalues[axis], eigenvalue)
+        if group is None:
             raise KeyError(f"{eigenvalue} not an outcome on axis {self.axis_names[axis]}")
-        start, stop = next(g for g in qla._group_degenerate(evs) if g[0] <= nearest < g[1])
+        start, stop = group
         if label is None:
             if stop - start > 1:
                 raise KeyError(
@@ -155,43 +158,6 @@ class QuasiDistribution:
                 for a, i in enumerate(it.multi_index)
             )
             yield key, complex(val)
-
-
-@dataclass
-class WorkDistribution:
-    """Complex distribution over eigenvalue products (W, W')."""
-
-    entries: dict[tuple[complex, complex], complex]
-
-    @staticmethod
-    def _bucket(x) -> complex:
-        z = complex(x)
-        return complex(round(z.real, _KEY_DECIMALS), round(z.imag, _KEY_DECIMALS))
-
-    def entry(self, w, wprime) -> complex:
-        return self.entries[(self._bucket(w), self._bucket(wprime))]
-
-    def total(self) -> complex:
-        return sum(self.entries.values())
-
-    def moment(self) -> complex:
-        return sum(w * wp * p for (w, wp), p in self.entries.items())
-
-    def marginal(self, which: int) -> dict[complex, complex]:
-        out: dict[complex, complex] = {}
-        for key, p in self.entries.items():
-            out[key[which]] = out.get(key[which], 0.0) + p
-        return out
-
-
-@dataclass
-class MarginalDistribution:
-    """Real distribution from summing a quasiprobability over all but one slot."""
-
-    axis_name: str
-    eigenvalues: np.ndarray
-    probabilities: np.ndarray
-    labels: np.ndarray | None = None
 
 
 @dataclass
@@ -847,25 +813,24 @@ def coarse_grain(fine: QuasiDistribution) -> QuasiDistribution:
     )
 
 
-def marginalize(quasi: QuasiDistribution, keep) -> MarginalDistribution:
-    """Sum over all slots but one; the result is a Born-rule probability."""
-    if isinstance(keep, str):
-        try:
-            axis = quasi.axis_names.index(keep)
-        except ValueError:
-            raise KeyError(f"no axis named {keep!r}") from None
-    else:
-        axis = int(keep)
-    other = tuple(a for a in range(quasi.values.ndim) if a != axis)
-    marg = quasi.values.sum(axis=other)
+def marginalize(quasi: QuasiDistribution, keep) -> QuasiDistribution:
+    """Sum over all slots but one, kept by name or by index (negative ones
+    count from the end); the result is a Born-rule probability."""
+    ndim = quasi.values.ndim
+    if keep in quasi.axis_names:
+        keep = quasi.axis_names.index(keep)
+    if isinstance(keep, str) or not -ndim <= keep < ndim:
+        raise KeyError(f"no axis {keep!r}")
+    axis = int(keep) % ndim
+    marg = quasi.values.sum(axis=tuple(a for a in range(ndim) if a != axis))
     worst_imag = float(np.max(np.abs(marg.imag))) if marg.size else 0.0
     if worst_imag > 1e-8:
         raise RuntimeError(f"marginal has imaginary residue {worst_imag:.3e}; input invalid")
-    return MarginalDistribution(
-        axis_name=quasi.axis_names[axis],
-        eigenvalues=quasi.axis_eigenvalues[axis].copy(),
-        probabilities=marg.real,
-        labels=None if quasi.axis_labels is None else quasi.axis_labels[axis].copy(),
+    return QuasiDistribution(
+        values=marg.real,
+        axis_names=(quasi.axis_names[axis],),
+        axis_eigenvalues=(quasi.axis_eigenvalues[axis].copy(),),
+        axis_labels=None if quasi.axis_labels is None else (quasi.axis_labels[axis].copy(),),
     )
 
 
@@ -873,20 +838,36 @@ def marginalize(quasi: QuasiDistribution, keep) -> MarginalDistribution:
 # derived distributions
 
 
-def work_distribution(quasi: QuasiDistribution) -> WorkDistribution:
+def work_distribution(quasi: QuasiDistribution) -> QuasiDistribution:
     """Collect A~ onto (W, W') = (conj(w3) conj(v2), w2 v1), or the
     time-ordered A~_TOC onto (W, W') = (w1 v2, w1 v1): P_TOC, whose moment
-    recovers the TOC for Hermitian W and V."""
-    key = {4: lambda v1, w2, v2, w3: (np.conj(w3) * np.conj(v2), w2 * v1),
-           3: lambda v1, w1, v2: (w1 * v2, w1 * v1)}.get(quasi.values.ndim)
-    if key is None:
+    recovers the TOC for Hermitian W and V.
+
+    Each axis holds the distinct products, ascending, in the groups of
+    qla._group_degenerate, each labelled by its lowest member as in
+    coarse_grain; a cell sums its entries in C order. The moment
+    Sum W W' P is kfold_moment, and a marginal is values.sum(axis=...),
+    complex in general.
+    """
+    if quasi.values.ndim == 4:
+        v1, w2, v2, w3 = np.ix_(*quasi.axis_eigenvalues)
+        products = (np.conj(w3) * np.conj(v2), w2 * v1)
+    elif quasi.values.ndim == 3:
+        v1, w1, v2 = np.ix_(*quasi.axis_eigenvalues)
+        products = (w1 * v2, w1 * v1)
+    else:
         raise ValueError("expected the three- or four-slot distribution")
-    entries: dict[tuple[complex, complex], complex] = {}
-    for idx, val in np.ndenumerate(quasi.values):
-        w, wprime = key(*(evs[i] for evs, i in zip(quasi.axis_eigenvalues, idx)))
-        pair = (WorkDistribution._bucket(w), WorkDistribution._bucket(wprime))
-        entries[pair] = entries.get(pair, 0.0 + 0j) + val
-    return WorkDistribution(entries=entries)
+    axes, cells = [], []
+    for prod in products:
+        distinct, inverse = np.unique(np.broadcast_to(prod, quasi.values.shape).ravel(),
+                                      return_inverse=True)
+        starts = [a for a, _ in qla._group_degenerate(distinct)]
+        axes.append(distinct[starts])
+        cells.append(np.searchsorted(starts, inverse, side="right") - 1)
+    values = np.zeros(tuple(map(len, axes)), dtype=complex)
+    np.add.at(values, tuple(cells), quasi.values.ravel())
+    return QuasiDistribution(values=values, axis_names=("W", "W'"),
+                             axis_eigenvalues=tuple(axes))
 
 
 # for each slot subset of _hadamard(4), the column of regulated_series'
@@ -992,5 +973,7 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:
-    """Sum (prod w)(prod v) over a 2k-slot distribution."""
+    """Sum of each entry times the product of its outcomes, one per axis:
+    (prod w)(prod v) over a 2k-slot distribution, and Sum W W' P over the
+    work distribution P(W, W') of either work_distribution form."""
     return _moment(quasi.values, quasi.axis_eigenvalues)

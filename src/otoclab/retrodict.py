@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,11 +103,10 @@ class RetrodictionContext:
 
 def _resolved_eigenvector(observable, outcome: float) -> np.ndarray:
     sys = qla.eigh(observable)
-    # the nearest eigenvalue picks its group, as in QuasiDistribution._axis_index
-    nearest = int(np.argmin(np.abs(sys.eigenvalues - outcome)))
-    if abs(sys.eigenvalues[nearest] - outcome) >= qla.EIGENVALUE_MATCH_TOL:
+    group = qla._outcome_group(sys.eigenvalues, outcome)
+    if group is None:
         raise ValueError(f"outcome {outcome} is not an eigenvalue of the final observable")
-    start, stop = next(g for g in sys.degenerate_groups() if g[0] <= nearest < g[1])
+    start, stop = group
     if stop - start != 1:
         raise ValueError("final outcome is degenerate; pass final_vector to resolve it")
     return sys.eigenvectors[:, start]
@@ -222,43 +221,24 @@ def gamma_weak_factored(chain: ObservableChain, context: RetrodictionContext,
     return float((s_f + s_b).real) / context.conditioning_probability
 
 
-@dataclass
-class ConditionalQuasiprobs:
-    """Joint conditional quasiprobabilities for every eigenvalue tuple.
+def conditional_quasiprobs(chain: ObservableChain, context: RetrodictionContext
+                           ) -> tuple[quasiprob.QuasiDistribution, quasiprob.QuasiDistribution]:
+    """All p~(a,...,k | f) values as (forward, backward) distributions.
 
-    forward holds the real Bayes-analog values for the descending operator
-    order K...A, backward for A...K; the _complex maps keep the full
-    extended Kirkwood-Dirac values whose real parts they are. Keys are
-    tuples of distinct eigenvalues, one per chain observable, drawn from
-    eigenvalue_lists.
+    forward holds the extended Kirkwood-Dirac values for the descending
+    operator order K...A, backward for A...K; their real parts are the
+    Bayes-analog values. Each has one axis per chain observable, named by
+    its position and carrying its distinct eigenvalues, filled in the C
+    order of the tuple walk. Zero eigenvalues carry no weight in the Gamma
+    sum but their quasiprobabilities are still defined, and each
+    distribution sums to 1 over the full grid.
     """
-
-    eigenvalue_lists: list[np.ndarray]
-    forward: dict = field(default_factory=dict)
-    backward: dict = field(default_factory=dict)
-    forward_complex: dict = field(default_factory=dict)
-    backward_complex: dict = field(default_factory=dict)
-    conditioning_probability: float = 0.0
-
-
-def conditional_quasiprobs(chain: ObservableChain,
-                           context: RetrodictionContext) -> ConditionalQuasiprobs:
-    """All p~(a,...,k | f) values, complex extensions included.
-
-    Zero eigenvalues carry no weight in the Gamma sum but their
-    quasiprobabilities are still defined, and the forward map sums to 1
-    over the full grid.
-    """
-    den = context.conditioning_probability
-    out = ConditionalQuasiprobs(
-        eigenvalue_lists=[np.array([ev for ev, _ in pairs]) for pairs in chain.spectra],
-        conditioning_probability=den,
-    )
-    for key, num_fwd, num_bwd in _tuple_walk(chain, context, MemoryMeter()):
-        out.forward_complex[key] = fwd = complex(num_fwd) / den
-        out.backward_complex[key] = bwd = complex(num_bwd) / den
-        out.forward[key], out.backward[key] = fwd.real, bwd.real
-    return out
+    names = tuple(str(i) for i in range(len(chain)))
+    evs = tuple(np.array([ev for ev, _ in pairs]) for pairs in chain.spectra)
+    _, num_f, num_b = zip(*_tuple_walk(chain, context, MemoryMeter()))
+    return tuple(quasiprob.QuasiDistribution(
+        np.reshape(num, tuple(map(len, evs))) / context.conditioning_probability, names, evs)
+        for num in (num_f, num_b))
 
 
 def tilde_gamma_weak(chain: ObservableChain, context: RetrodictionContext) -> float:
@@ -276,10 +256,10 @@ def otoc_retrodiction(rho, w_op, v_op, hamiltonian, t: float, w3_outcome: float)
     state form that quasiprob.density_matrix accepts.
     """
     qd = quasiprob.coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, [t]).at(0)
-    w_evs = qd.axis_eigenvalues[3]
-    i3 = int(np.argmin(np.abs(w_evs - w3_outcome)))
-    if abs(w_evs[i3] - w3_outcome) >= qla.EIGENVALUE_MATCH_TOL:
+    group = qla._outcome_group(qd.axis_eigenvalues[3], w3_outcome)
+    if group is None:
         raise ValueError(f"{w3_outcome} is not an eigenvalue of W")
+    i3 = group[0]
     slab = np.real(qd.values[:, :, :, i3])
     prob = float(np.sum(slab))
     if prob <= _CONDITION_FLOOR:

@@ -754,12 +754,13 @@ def test_retrodiction_walk_matches_rebuilt_projector_chains(k, seed):
         assert any(len(pairs) == 3 for pairs in chain.spectra)
     want = _rebuilt_numerators(chain, ctx)
     p = ctx.conditioning_probability
-    got = retrodict.conditional_quasiprobs(chain, ctx)
-    assert list(got.forward_complex) == list(want) == list(got.backward)
-    for key, (num_f, num_b) in want.items():
-        assert abs(got.forward_complex[key] - num_f / p) < 1e-12
-        assert abs(got.backward_complex[key] - num_b / p) < 1e-12
-        assert got.forward[key] == got.forward_complex[key].real
+    forward, backward = retrodict.conditional_quasiprobs(chain, ctx)
+    keys = [key for key, _ in forward.outcome_grid()]
+    assert keys == list(want) == [key for key, _ in backward.outcome_grid()]
+    for index, (key, (num_f, num_b)) in zip(np.ndindex(forward.values.shape), want.items()):
+        assert abs(forward.entry(*key) - num_f / p) < 1e-12
+        assert abs(backward.entry(*key) - num_b / p) < 1e-12
+        assert forward.values.real[index] == forward.entry(*key).real
     weights = {key: float(np.prod(key)) for key in want}
     gamma = sum(weights[key] * (f + b).real for key, (f, b) in want.items()) / p
     tilde = sum(weights[key] * (b - f).imag for key, (f, b) in want.items()) / p

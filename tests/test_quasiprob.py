@@ -388,19 +388,30 @@ class TestMarginals:
         marg = quasiprob.marginalize(qd, "w3")
         u = qla.eigh(h).propagator(-1j * t)
         wt = u.conj().T @ w @ u
-        for ev, p in zip(marg.eigenvalues, marg.probabilities):
+        for ev, p in zip(marg.axis_eigenvalues[0], marg.values):
             proj = oracles.eigenprojector(wt, float(ev))
             assert p == pytest.approx(np.trace(proj @ rho).real, abs=1e-10)
-        assert np.sum(marg.probabilities) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(marg.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_marginal_axis_by_index(self, small_chain):
         rho, w, v, h = small_chain
         qd = oracles.coarse_quasiprob(rho, w, v, h, 0.8)
         a = quasiprob.marginalize(qd, 0)
         b = quasiprob.marginalize(qd, "v1")
-        assert np.array_equal(a.probabilities, b.probabilities)
+        assert np.array_equal(a.values, b.values)
         with pytest.raises(KeyError):
             quasiprob.marginalize(qd, "nope")
+
+    def test_negative_axis_counts_from_the_end(self, small_chain):
+        rho, w, v, h = small_chain
+        qd = oracles.coarse_quasiprob(rho, w, v, h, 0.8)
+        a = quasiprob.marginalize(qd, -1)
+        b = quasiprob.marginalize(qd, "w3")
+        assert a.axis_names == ("w3",)
+        assert np.array_equal(a.values, b.values)
+        for bad in (4, -5):
+            with pytest.raises(KeyError):
+                quasiprob.marginalize(qd, bad)
 
 
 class TestWorkDistribution:
@@ -409,10 +420,10 @@ class TestWorkDistribution:
         qd = oracles.coarse_quasiprob(rho, w, v, h, 1.0)
         pw = quasiprob.work_distribution(qd)
         assert pw.entry(1.0, 1.0).real == pytest.approx(P3_11_AT_T1, abs=1e-12)
-        assert len(pw.entries) == 4
+        assert pw.values.size == 4
         assert abs(pw.total() - 1.0) < 1e-12
         f = quasiprob.otoc(rho, w, v, h, 1.0)
-        assert abs(pw.moment() - f) < 1e-10
+        assert abs(quasiprob.kfold_moment(pw) - f) < 1e-10
 
     def test_pair_symmetry_at_infinite_temperature(self, small_chain):
         rho, w, v, h = small_chain
@@ -428,13 +439,31 @@ class TestWorkDistribution:
         assert np.max(np.abs(rho_v @ v - v @ rho_v)) == 0.0
         qd = oracles.coarse_quasiprob(rho_v, w, v, h, 1.4)
         pw = quasiprob.work_distribution(qd)
-        marg = pw.marginal(0)
+        marg = pw.values.sum(axis=1)
         total = 0.0
-        for _, p in marg.items():
+        for p in marg:
             assert abs(p.imag) < 1e-10
             assert p.real > -1e-10
             total += p.real
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_near_degenerate_products_keep_their_values(self, make_density):
+        # 1 and 1 + 5e-10 are distinct outcomes of W by the relative
+        # degeneracy rule, so the products they make stay apart too
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
+        w = np.diag([-1.0, -1.0, 1.0, 1.0 + 5e-10]).astype(complex)
+        v = spin.site_pauli(2, 2, "z")
+        rho = make_density(4)
+        qd = quasiprob.coarse_quasiprob_series(rho, w, v, h, [0.7]).at(0)
+        wd = quasiprob.work_distribution(qd)
+        assert wd.axis_names == ("W", "W'")
+        assert np.min(np.abs(wd.axis_eigenvalues[0] - (1.0 + 5e-10))) < 1e-15
+        assert len(wd.axis_eigenvalues[0]) == 4
+        assert abs(wd.total() - qd.total()) < 1e-12
+        assert abs(quasiprob.kfold_moment(wd) - quasiprob.otoc_moment(qd)) < 1e-12
+        toc = quasiprob.toc_series(rho, w, v, h, [0.7]).at(0)
+        pw = quasiprob.work_distribution(toc)
+        assert abs(quasiprob.kfold_moment(pw) - quasiprob.toc_moment(toc)) < 1e-12
 
 
 class TestRegulated:
@@ -494,7 +523,7 @@ class TestTimeOrdered:
         _, w, v, h = small_chain
         series = quasiprob.toc_series(rho, w, v, h, [0.9])
         pw = quasiprob.work_distribution(series.at(0))
-        assert abs(pw.moment() - series.correlator[0]) < 1e-10
+        assert abs(quasiprob.kfold_moment(pw) - series.correlator[0]) < 1e-10
 
     def test_three_slot_names(self, small_chain):
         rho, w, v, h = small_chain
@@ -708,4 +737,4 @@ def test_moment_identity_random_states(small_chain):
         pw = quasiprob.work_distribution(qd)
         f = quasiprob.otoc(rho, w, v, h, t)
         assert abs(quasiprob.otoc_moment(qd) - f) < 1e-10
-        assert abs(pw.moment() - f) < 1e-10
+        assert abs(quasiprob.kfold_moment(pw) - f) < 1e-10

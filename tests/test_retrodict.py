@@ -176,9 +176,9 @@ class TestWeakValues:
             wv = retrodict.weak_value(a, ctx)
             amax = np.max(np.abs(np.linalg.eigvalsh(a)))
             if abs(wv) > amax + 0.3:
-                cq = retrodict.conditional_quasiprobs(
+                forward, _ = retrodict.conditional_quasiprobs(
                     retrodict.ObservableChain([a]), ctx)
-                found = min(cq.forward.values())
+                found = forward.values.real.min()
                 break
         assert found is not None
         assert found < 0
@@ -197,9 +197,9 @@ class TestWeakValues:
                                                     final_vector=f)
             except ValueError:
                 continue
-            cq = retrodict.conditional_quasiprobs(
+            forward, _ = retrodict.conditional_quasiprobs(
                 retrodict.ObservableChain([a]), ctx)
-            if min(cq.forward.values()) >= 0:
+            if forward.values.real.min() >= 0:
                 wv = retrodict.weak_value(a, ctx)
                 amax = np.max(np.abs(np.linalg.eigvalsh(a)))
                 assert abs(wv) <= amax + 1e-10
@@ -273,18 +273,18 @@ class TestConditionalQuasiprobs:
         r = np.random.default_rng(9)
         chain = retrodict.ObservableChain([rand_herm(3, r) for _ in range(3)])
         ctx = rand_context(3, r)
-        cq = retrodict.conditional_quasiprobs(chain, ctx)
-        assert abs(sum(cq.forward_complex.values()) - 1.0) < 1e-10
-        assert abs(sum(cq.backward_complex.values()) - 1.0) < 1e-10
-        assert len(cq.forward) == np.prod([len(e) for e in cq.eigenvalue_lists])
+        forward, backward = retrodict.conditional_quasiprobs(chain, ctx)
+        assert abs(forward.total() - 1.0) < 1e-10
+        assert abs(backward.total() - 1.0) < 1e-10
+        assert forward.values.size == np.prod([len(pairs) for pairs in chain.spectra])
 
     def test_single_observable_reduces_to_kd_form(self):
         r = np.random.default_rng(4)
         a = rand_herm(4, r)
         ctx = rand_context(4, r)
-        cq = retrodict.conditional_quasiprobs(retrodict.ObservableChain([a]), ctx)
+        forward, _ = retrodict.conditional_quasiprobs(retrodict.ObservableChain([a]), ctx)
         sys = qla.eigh(a)
-        for (ev,), val in cq.forward_complex.items():
+        for (ev,), val in forward.outcome_grid():
             i = int(np.argmin(np.abs(sys.eigenvalues - ev)))
             col = sys.eigenvectors[:, i]
             kd = (ctx.f_prime.conj() @ np.outer(col, col.conj())

@@ -58,6 +58,13 @@ HEALTH_LIMITS = dict.fromkeys(["max_total_defect", "max_moment_defect", "unitari
 # points; a longer one is a configuration error
 MAX_TIME_POINTS = 100_000
 
+# the largest |E| t a chain run may reach, so that the phases E t (qla.eigh
+# eigenvalues times grid times) still resolve 1e-6 rad: the spacing of a
+# double near x is about eps x. ||H|| <= n (|j| + |h_field| + |g_field|)
+# bounds every |E|, so the check runs on the config, before H is built, and
+# also refuses couplings that would overflow H
+_MAX_PHASE = 1e-6 / np.finfo(float).eps
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
@@ -187,6 +194,11 @@ def _is_number(x) -> bool:
     return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
+def _magnitude(x) -> float:
+    """|x| as a float; inf for an integer beyond the float range."""
+    return math.inf if abs(x) > sys.float_info.max else float(abs(x))
+
+
 def _validate(experiment: str, cfg: dict):
     def positive(key):
         if not (_is_number(cfg[key]) and cfg[key] > 0):
@@ -235,6 +247,12 @@ def _validate(experiment: str, cfg: dict):
     for key in ("h_field", "g_field"):
         if key in cfg and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a number")
+    if "j" in cfg:
+        t_end = "t_max" if "t_max" in cfg else "t"
+        couplings = sum(_magnitude(cfg[key]) for key in ("j", "h_field", "g_field"))
+        if not cfg["n"] * couplings * _magnitude(cfg[t_end]) <= _MAX_PHASE:
+            raise ConfigError(f"n (|j| + |h_field| + |g_field|) {t_end} must not exceed "
+                              f"{_MAX_PHASE:.3g}, or the phases E t lose their 1e-6 rad digits")
     fine_n = quasiprob._FINE_MAX_DIM.bit_length() - 1
     if experiment == "decomp-report" and cfg["n"] > fine_n:
         raise ConfigError(f"decomp-report needs n <= {fine_n} (full-basis overlaps)")

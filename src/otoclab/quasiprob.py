@@ -47,8 +47,11 @@ stacked products of a matrix by the block that never form W(t); a dense
 rho equal to c 1 (a constant real diagonal, nothing off it) is read as
 equal weights. F is the one trace otoc_series asks for. When V is W's
 image under the site reflection R (W = Z_1, V = Z_n) and every
-eigenvector has an exact parity, e[R] == e s, then V~ = S W~ S and
-G^T = S G S (_energy_frame).
+eigenvector has an exact parity, e[R] == e s, then V~ = S W~ S
+(_energy_frame), and Y = G S = W~ (D S) W~ is complex symmetric: the
+four-slot words of energy-frame weights are then sums over the lower
+block triangle of Y, walked by column blocks that never form the (d, d)
+G (_partner_kernel), 9/16 of G's multiply-adds at n = 10.
 
 W and V reach the series as matrices or as spin.PauliString tables, the
 operator counterpart of DiagonalState. A string P is rotated with one
@@ -88,6 +91,13 @@ from . import qla, spin
 
 _FINE_MAX_DIM = 64         # 6 qubits; the fine tensor holds dim**4 entries
 _KFOLD_MAX = 5
+# columns per block of the partner kernel's walk over Y (_partner_kernel).
+# On a 2-core VM (OpenBLAS, 2 threads) the F word of one point of thermal
+# weights took, best of 5: at d = 1024, 23-26 ms at 128 and 256 columns,
+# 26-34 ms at 64 and 28 ms at 32, against 34-38 ms for the full G; at
+# d = 512, 5.0 ms at 128, 5.4 at 64. Each block reads W[J0:] once, so
+# narrower blocks read more of W for fewer multiply-adds.
+_PARTNER_WIDTH = 128
 
 COARSE_AXES = ("v1", "w2", "v2", "w3")
 
@@ -501,15 +511,19 @@ def _word_traces(state, v, k: int, parities=None, words=None):
     point, for traces of shape (..., words): a stack costs what one point
     costs in matrix products, each product stacked. The state, in the frame
     V and W share, picks the contraction: DiagonalState weights take
-    _diagonal_kernel (which takes the parities), k - 1 matrix products per
-    call; a vector psi or a density matrix take _block_kernel on
-    rho = B diag(lam) B^dag, 2k - 1 products of a matrix by the (d, r)
-    block B. For Hermitian rho, W and V a word's trace is the conjugate of
-    its reverse's, which gives the even W-first words. The block kernel
-    also takes a (..., d, d) stack of W(t), with phase None, for traces of
-    shape (..., 4k)."""
+    _diagonal_kernel, k - 1 (d, d) matrix products per call, or at k = 2,
+    given the parities of a reflection partner, _partner_kernel, column
+    blocks of the lower block triangle of one product (9/16 of its
+    multiply-adds at d = 1024); a vector psi or a density matrix take
+    _block_kernel on rho = B diag(lam) B^dag, 2k - 1 products of a matrix
+    by the (d, r) block B. For Hermitian rho, W and V a word's trace is the
+    conjugate of its reverse's, which gives the even W-first words. The
+    block kernel also takes a (..., d, d) stack of W(t), with phase None,
+    for traces of shape (..., 4k)."""
     words = _words(k) if words is None else words
-    if isinstance(state, DiagonalState):
+    if isinstance(state, DiagonalState) and parities is not None and k == 2:
+        kernel = _partner_kernel(state.weights, v, parities, words)
+    elif isinstance(state, DiagonalState):
         kernel = _diagonal_kernel(state.weights, v, k, parities, words)
     else:
         kernel = _block_kernel(state, v, k)
@@ -540,7 +554,8 @@ def _diagonal_kernel(p, v, k: int, parities, words):
     each stacked over a (chunk, d) stack of phases, whose sums run over
     the leading axis. The parities s of a reflection partner (V = S W S,
     W^T = +-W) give G^T = S G S: the last sum reads G by rows,
-    sum p_i c_i s_i (G_m)_ij G_ij c_j s_j. D V, G and the G_m are written
+    sum p_i c_i s_i (G_m)_ij G_ij c_j s_j; at k = 2 a partner takes
+    _partner_kernel, which never forms G. D V, G and the G_m are written
     into (chunk, d, d) buffers, allocated on the first call and again only
     for a longer chunk, and the weights p_i conj(W_ij) are formed once per W.
     """
@@ -551,12 +566,7 @@ def _diagonal_kernel(p, v, k: int, parities, words):
     buffers, weights = {}, {}
 
     def buffer(name, lead, dtype):
-        size = math.prod(lead)
-        buf = buffers.get(name)
-        if buf is None or buf.dtype != dtype or len(buf) < size:
-            buffers.pop(name, None)
-            buf = buffers[name] = np.empty((size,) + v.shape, dtype)
-        return buf[:size].reshape(lead + v.shape)
+        return _buffer(buffers, name, lead + v.shape, dtype)
 
     def kernel(w, phase):
         phase = np.ones(len(p)) if phase is None else phase
@@ -581,6 +591,79 @@ def _diagonal_kernel(p, v, k: int, parities, words):
                 gc = np.multiply(gm, c[..., None, :], out=buffer("gc", lead, g.dtype))
                 gm = np.matmul(gc, g, out=buffer("gm", lead, g.dtype))
         return vals
+    return kernel
+
+
+def _buffer(buffers: dict, name, shape, dtype) -> np.ndarray:
+    """An uninitialized array of the shape on the storage buffers[name],
+    which is allocated again only when it is too short or of another dtype."""
+    size = math.prod(shape)
+    buf = buffers.get(name)
+    if buf is None or buf.dtype != dtype or len(buf) < size:
+        buffers.pop(name, None)
+        buf = buffers[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _both_orders(x, xt, f, g, j0: int, width: int):
+    """The part of sum_ij f_i M_ij g_j over the whole square that one column
+    block of the lower block triangle stands for, from x = M[j0:, J] and
+    xt = M^T[j0:, J], J = j0:j0 + width: the diagonal block counts once, and
+    the rows below it count also in their mirror place, as
+    sum_ij g_i xt_ij f_j."""
+    j = slice(j0, j0 + width)
+    return (_rowdot(f[..., j0:], np.matmul(x, g[..., j, None])[..., 0])
+            + _rowdot(g[..., j0 + width:], np.matmul(xt[..., width:, :], f[..., j, None])[..., 0]))
+
+
+def _partner_kernel(p, v, parities, words):
+    """The k = 2 word traces of _diagonal_kernel for a reflection partner,
+    V = S W S with S = diag(parities), from the lower block triangle of
+    Y = G S = W (D S) W, which is complex symmetric (W^T = +-W).
+
+    With c = conj(phase) and u = p c s: Tr(X rho) = sum_i u_i Y_ii,
+    Tr(X^2 rho) = sum_ij u_i Y_ij^2 (c s)_j,
+    Tr(X W(t) rho) = sum_ij p_i Y_ij conj(W_ij) (c s)_j and
+    Tr(V X rho) = sum_ij (c s)_i Y_ij conj(W_ij) p_j, the same sum for a
+    real W. Y is walked by column blocks J of _PARTNER_WIDTH columns: a
+    block is R_J = (phase s) W[:, J] and Y[J0:, J] = W[J0:] R_J, one real
+    product over R_J's interleaved parts for a real W; its diagonal block
+    counts once and the rows below it with both orders of their weights
+    (_both_orders). At d = 1024 (eight blocks) that is 9/16 of the
+    multiply-adds of G. R_J and the block of Y are written into two
+    buffers of (chunk, d, width) at most, allocated on the first call and
+    again only for a longer chunk; no (d, d) matrix is formed.
+    """
+    d = len(p)
+    static = {"1": np.sum(p), "v": p @ np.diagonal(v)}
+    odd = ("wvw", "vwv") if {"wvw", "vwv"} & set(words) else ()
+    buffers = {}
+
+    def kernel(w, phase):
+        phase = np.ones(d) if phase is None else phase
+        lead = phase.shape[:-1]
+        ps, cs = phase * parities, phase.conj() * parities
+        u = p * cs
+        sums = dict.fromkeys(("wv", "wvwv") + odd, 0)
+        for j0 in range(0, d, _PARTNER_WIDTH):
+            j = slice(j0, min(j0 + _PARTNER_WIDTH, d))
+            width = j.stop - j0
+            r = np.multiply(ps[..., :, None], w[:, j],
+                            out=_buffer(buffers, "r", lead + (d, width), np.result_type(ps, w)))
+            y = _matmul(w[j0:], r, _buffer(buffers, "y", lead + (d - j0, width), r.dtype))
+            sums["wv"] += _rowdot(u[..., j], np.diagonal(y[..., :width, :], axis1=-2, axis2=-1))
+            if odd:
+                w_j = w[j0:, j]
+                x = np.multiply(y, w_j.conj(), out=r[..., :d - j0, :])     # R_J is spent
+                xt = x if np.isrealobj(w) else y * w_j
+                sums["wvw"] += _both_orders(x, xt, p, cs, j0, width)
+                if xt is not x:
+                    sums["vwv"] += _both_orders(x, xt, cs, p, j0, width)
+            q = np.multiply(y, y, out=y)
+            sums["wvwv"] += _both_orders(q, q, u, cs, j0, width)
+        if odd and np.isrealobj(w):
+            sums["vwv"] = sums["wvw"]
+        return dict(static, w=p @ np.diagonal(w), **sums)
     return kernel
 
 

@@ -231,6 +231,28 @@ class TestConfigHandling:
         assert message in err
         assert built == []
 
+    @pytest.mark.parametrize("argv", [
+        ["otoc-series", "--n", "3", "--j", "1e308", "--t-max", "0.2", "--t-step", "0.1"],
+        ["work-distribution", "--n", "3", "--t", "1e300"],
+    ], ids=["coupling that overflows H", "phases that hold no digit"])
+    def test_phase_budget_is_refused_before_any_eigh(self, tmp_path, capsys, monkeypatch, argv):
+        """n (|j| + |h| + |g|) t_end bounds every phase |E t|; above
+        cli._MAX_PHASE the run is a configuration error, before H is
+        diagonalized and with nothing written."""
+        entered = []
+        monkeypatch.setattr(qla, "eigh", lambda *a, **k: entered.append(a))
+        rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+        assert rc == 2 and out == ""
+        assert "config error" in err and "phases" in err
+        assert entered == [] and list(tmp_path.iterdir()) == []
+
+    def test_default_configs_pass_the_phase_budget(self):
+        for experiment in cli.DEFAULTS:
+            cli.resolve_config(cli.build_parser().parse_args([experiment]))
+        for huge in ({"h_field": 10**400}, {"t_max": 2.0**1000, "t_step": 2.0**990}):
+            with pytest.raises(cli.ConfigError, match="phases"):
+                cli._validate("otoc-series", {**cli.DEFAULTS["otoc-series"], **huge})
+
     @pytest.mark.parametrize("experiment, values", [
         ("retrodict-benchmark", {"instances": True, "seed": False}),
         ("weakmeas-inference", {"shots": False}),

@@ -625,6 +625,73 @@ def test_reflection_partner_route_matches_the_product_route(n, pair, state):
             assert max_dev(partner(w_e, phase), product(w_full, phase)) < 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _partner_chain(n, pair):
+    """The n-site chain on its sector eigensystem, W and V of PARTNERS[pair]
+    as tables, and both frames: the partner's (W~ and the parities) and the
+    full product route's (both operators rotated as matrices)."""
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    w_factors, v_factors = PARTNERS[pair]
+    w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors(n))
+    return sys, w, v, quasiprob._energy_frame(sys, w, v), quasiprob._energy_frame(
+        sys, w.matrix(), v.matrix())
+
+
+def _weights(sys, state):
+    d = len(sys.eigenvalues)
+    weights = np.random.default_rng(d).random(d)
+    return quasiprob.DiagonalState({
+        "infinite-temp": np.full(d, 1.0 / d),
+        "thermal": spin.thermal_weights(sys.eigenvalues, 0.8),
+        "random weights": weights / weights.sum()}[state])
+
+
+@pytest.mark.parametrize("n, pair", [(7, "z-z"), (8, "z-z"), (9, "z-z"), (8, "y-y")],
+                         ids=["n7-one-block", "n8-two-blocks", "n9-four-blocks", "n8-imaginary-w"])
+@pytest.mark.parametrize("state", ["infinite-temp", "thermal", "random weights"])
+def test_partner_block_walk_matches_the_product_route_and_the_lab_frame(n, pair, state):
+    """The k = 2 words of the walk over the lower block triangle of
+    Y = W~ (D S) W~ (_PARTNER_WIDTH columns a block) are those of the full
+    product on the rotated pair, for one point and for a stack of points,
+    and F is the lab-frame otoc."""
+    assert -(-2**n // quasiprob._PARTNER_WIDTH) == {7: 1, 8: 2, 9: 4}[n]
+    sys, w, v, (w_e, v_e, parities), (w_full, v_full, _) = _partner_chain(n, pair)
+    assert parities is not None
+    rho = _weights(sys, state)
+    walk = quasiprob._word_traces(rho, v_e, 2, parities)
+    product = quasiprob._word_traces(rho, v_full, 2)
+    times = np.array([0.0, 0.7, 3.1])
+    phases = quasiprob._phases(sys, times)
+    assert max_dev(walk(w_e, phases), product(w_full, phases)) < 1e-12
+    for phase in phases:
+        assert max_dev(walk(w_e, phase), product(w_full, phase)) < 1e-12
+    f = quasiprob.otoc_series(rho, w, v, sys, times).values
+    dense = quasiprob.density_matrix(rho, sys)
+    for i, t in enumerate(times):
+        assert abs(f[i] - quasiprob.otoc(dense, w.matrix(), v.matrix(), sys, t)) < TOL
+
+
+@pytest.mark.parametrize("state", ["infinite-temp", "thermal", "random weights"])
+def test_partner_block_walk_on_a_chunked_grid(state):
+    """On an n = 4 grid of 300 points, three chunks with a short last one,
+    the partner series give the full product route's F and coarse entries
+    and the lab-frame otoc."""
+    n = 4
+    sys, w, v, _, (w_full, v_full, _) = _partner_chain(n, "z-z")
+    assert qla.chunk_length(2**n) == 128
+    rho = _weights(sys, state)
+    times = np.linspace(0.0, 30.0, 300)
+    f = quasiprob.otoc_series(rho, w, v, sys, times).values
+    coarse = quasiprob.coarse_quasiprob_series(rho, w, v, sys, times)
+    product = quasiprob._word_traces(rho, v_full, 2)(w_full, quasiprob._phases(sys, times))
+    assert max_dev(f, product[:, quasiprob._words(2).index("wvwv")]) < 1e-12
+    assert max_dev(coarse.values, quasiprob._entries(product, 2)) < 1e-12
+    dense = quasiprob.density_matrix(rho, sys)
+    for i in (0, 127, 128, 299):
+        assert abs(f[i] - quasiprob.otoc(dense, w.matrix(), v.matrix(), sys, times[i])) < TOL
+
+
 def test_rebuilt_degenerate_groups_across_the_sectors_take_the_product_route():
     """At g = h = 0, H is diagonal and its degenerate groups are rebuilt from
     computational basis vectors that straddle the sectors: no parities, so V

@@ -679,10 +679,10 @@ class TestWordExpansion:
 
     def test_partner_otoc_points_allocate_no_square_temporary(self):
         """Per point, the F word of a reflection partner on energy-frame
-        weights holds two (d, d) buffers, D V and G (one fewer than with the
-        p conj(W) weights of every word), and the contiguous sum allocates
-        no (d, d) temporary; what a point allocates is numpy's fixed-size
-        casting buffer of about 256 kB."""
+        weights holds no (d, d) buffer: only the two (d, _PARTNER_WIDTH)
+        column blocks of its walk over Y, R_J and Y[J0:, J], half a square at
+        d = 512, and allocates no (d, d) temporary; what a point allocates
+        is numpy's fixed-size casting buffer of about 256 kB."""
         n, d = 9, 512
         ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
         sys = qla.eigh(ham, symmetry=spin.reflection(n))
@@ -701,7 +701,9 @@ class TestWordExpansion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 2 * square <= held < 2 * square + square // 8
+        blocks = 2 * 16 * d * quasiprob._PARTNER_WIDTH      # R_J and Y[J0:, J]
+        assert blocks == square // 2
+        assert held < blocks + square // 64
         assert peak - held < square // 8
 
     def test_matmul_takes_blocks_and_stacks(self, rng):

@@ -28,7 +28,11 @@ factored| / max(1, |direct|) weak value; decomp-report: the largest
 HEALTH_LIMITS above its limit is a numeric failure; the weak-measurement
 keys are estimates, not invariants, and are reported only.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure. A
+weakmeas-inference --protocol two-weak run whose state does not commute
+with W(t) is a configuration error: a thermal state is refused before H
+is built unless W is a z Pauli at g_field = 0, and psi states (haar,
+plus-x) when the simulator's commutation test fails.
 """
 from __future__ import annotations
 
@@ -253,6 +257,12 @@ def _validate(experiment: str, cfg: dict):
         if not cfg["n"] * couplings * _magnitude(cfg[t_end]) <= _MAX_PHASE:
             raise ConfigError(f"n (|j| + |h_field| + |g_field|) {t_end} must not exceed "
                               f"{_MAX_PHASE:.3g}, or the phases E t lose their 1e-6 rad digits")
+    # a Gibbs state commutes with W(t) at every t exactly when [H, W] = 0,
+    # which on this chain (j > 0) needs a z Pauli W and no transverse field
+    if (cfg.get("protocol") == "two-weak" and _parse_state(cfg["state"])[0] == "thermal"
+            and not (str(cfg["w"]).endswith(":z") and cfg["g_field"] == 0)):
+        raise ConfigError("two-weak needs a state commuting with W(t); a thermal state "
+                          "does only for a z Pauli W at g_field = 0")
     fine_n = quasiprob._FINE_MAX_DIM.bit_length() - 1
     if experiment == "decomp-report" and cfg["n"] > fine_n:
         raise ConfigError(f"decomp-report needs n <= {fine_n} (full-basis overlaps)")
@@ -623,7 +633,7 @@ def main(argv=None) -> int:
         else:
             text = render_json(columns, rows, metadata)
         write_output(text, cfg["out"])
-    except ConfigError as exc:
+    except (ConfigError, weakmeas.NoncommutingState) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -254,7 +254,9 @@ def _sector_eigh(m: np.ndarray, sym: np.ndarray):
     fixed, lo = r[r == sym], r[r < sym]
     even = np.r_[fixed, lo]
     rows = m[even]                        # the fixed-point rows, then the rows r < sym[r]
-    if np.max(np.abs(m[np.ix_(sym[even], sym)] - rows)) > HERMITIAN_TOL:
+    # (R m R)[even] - m[even] with both sides' columns permuted by the
+    # involution R: the same differences, with no (d/2, d) gather of R m R
+    if np.max(np.abs(m[sym[even]] - rows.take(sym, axis=1))) > HERMITIAN_TOL:
         return None
     c = np.r_[np.full(len(fixed), np.sqrt(0.5)), np.ones(len(lo))]    # fixed points read twice
     (e_vals, e_vecs), (o_vals, o_vecs) = map(np.linalg.eigh, [

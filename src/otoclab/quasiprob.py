@@ -53,11 +53,23 @@ four-slot words of energy-frame weights are then sums over the lower
 block triangle of Y, walked by column blocks that never form the (d, d)
 G (_partner_kernel), 9/16 of G's multiply-adds at n = 10.
 
+One case needs no frame. For a state c 1 (infinite temperature: equal
+weights, or a dense c 1) and W and V diagonal strings (_plus_rows: the z
+site Paulis and their products) in a real eigenbasis, otoc_series and the
+four-slot coarse and two-fold series take all eight words from the block
+C = e_W diag(e^{-iEt}) e_V^T of U(t) on the rows where W and V are +1
+(_plus_block_words): one real product and one symmetric rank-k update a
+point, 3/4 d^3 multiply-adds, with neither operator rotated. Every other
+state, operator form or series (toc_series, regulated_series, any
+k-fold series beyond two) builds the frame.
+
 W and V reach the series as matrices or as spin.PauliString tables, the
 operator counterpart of DiagonalState. A string P is rotated with one
 product, e^dag (P e), where P e permutes and scales the rows of the
-eigenvectors e, and is checked for Hermiticity and P^2 = 1 on its table
-in O(d); no series expands it to its matrix.
+eigenvectors e; when W and V are both diagonal strings each is the Gram
+product 2 e_+^dag e_+ - 1 over the rows of e where it is +1 (_rotated),
+a quarter of those multiply-adds. A string is checked for Hermiticity
+and P^2 = 1 on its table in O(d); no series expands it to its matrix.
 
 Each series returns one QuasiSeries whose correlator is what its moment
 reproduces (F, F_k, the TOC or F_reg; None on the projector route of the
@@ -259,20 +271,32 @@ def check_state(state, *ops):
     return state
 
 
+def _equal_weight(state):
+    """c when the state is c 1: equal weights, or a dense rho with a
+    constant real diagonal and no nonzero entry off it; else None."""
+    if isinstance(state, DiagonalState):
+        p = state.weights
+        return p[0] if np.all(p == p[0]) else None
+    s = np.asarray(state)
+    if s.ndim != 2:
+        return None
+    diag = np.diagonal(s)
+    if np.all(diag == diag[0].real) and np.count_nonzero(s) == np.count_nonzero(diag):
+        return diag[0].real
+    return None
+
+
 def _frame_state(state, sys: qla.HermitianEigensystem):
     """The state in the energy frame, in the form it came in: weights as
     they are, psi and a dense rho rotated. A dense rho that is exactly c 1
-    becomes equal weights, with no rotation."""
+    (_equal_weight) becomes equal weights, with no rotation."""
     if isinstance(state, DiagonalState):
         return state
     s = np.asarray(state, dtype=complex)
     if s.ndim == 1:
         return _matmul(sys.eigenvectors.conj().T, s[:, None])[:, 0]
-    diag = np.diagonal(s)
-    # c 1 has a constant real diagonal and no nonzero entry off it
-    if np.all(diag == diag[0].real) and np.count_nonzero(s) == np.count_nonzero(diag):
-        return DiagonalState(np.full(s.shape[0], diag[0].real))
-    return _rotated(sys.eigenvectors, s)
+    c = _equal_weight(s)
+    return _rotated(sys.eigenvectors, s) if c is None else DiagonalState(np.full(len(s), c))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +336,10 @@ def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
     are spin.PauliStrings with V = R W R for the site reflection R; when
     every column of a real e has an exact parity, e[R] == e s (qla.eigh's
     sector solve gives one unless a degenerate group was rebuilt across the
-    sectors), V~ = S W~ S and W alone is rotated; else both are."""
+    sectors), V~ = S W~ S and W alone is rotated; else both are. A pair of
+    diagonal strings (_plus_rows) takes their Gram rotation; a pair with
+    any other operator rotates both by the product, so a diagonal V beside
+    a non-diagonal W does not change that series' bits."""
     e, s = sys.eigenvectors, None
     if (isinstance(w_op, spin.PauliString) and isinstance(v_op, spin.PauliString)
             and np.isrealobj(e) and len(e) == w_op.dim):
@@ -320,17 +347,42 @@ def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
         if v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r]):
             s = np.where(np.einsum("ij,ij->j", e[r], e) < 0, -1.0, 1.0)
             s = s if np.array_equal(e[r] * s, e) else None
-    w_e = _rotated(e, w_op)
+    gram = _plus_rows(w_op) is not None and _plus_rows(v_op) is not None
+    w_e = _rotated(e, w_op, gram)
     if s is None:
-        return w_e, _rotated(e, v_op), None
+        return w_e, _rotated(e, v_op, gram), None
     v_e = w_e * s
     return w_e, np.multiply(v_e, s[:, None], out=v_e), s
 
 
-def _rotated(e: np.ndarray, op) -> np.ndarray:
+def _plus_rows(op):
+    """The basis indices where op is +1 if op is a diagonal string, a
+    spin.PauliString with mask 0 and phases +-1 (the z site Paulis and
+    their products); else None."""
+    if (isinstance(op, spin.PauliString) and op.mask == 0 and np.isrealobj(op.phase)
+            and np.all(np.abs(op.phase) == 1)):
+        return np.flatnonzero(op.phase > 0)
+    return None
+
+
+def _rotated(e: np.ndarray, op, gram: bool = True) -> np.ndarray:
     """e^dag op e. In a real frame an operator with no imaginary part stays
-    real. A spin.PauliString P takes one product, e^dag (P e): P e is e
-    with its rows permuted by r ^ mask and scaled by the phases."""
+    real. With gram, a diagonal string P = 2 Pi_+ - 1 = 1 - 2 Pi_-
+    (_plus_rows) is 2 e_+^dag e_+ - 1 or 1 - 2 e_-^dag e_-, one Gram
+    product over the rows e_+ or e_- of e where P is +1 or -1, whichever
+    are fewer (half of them for a z string); it leans on e^dag e = 1, to
+    rounding. Any other spin.PauliString, and a diagonal one without gram,
+    takes one product, e^dag (P e): P e is e with its rows permuted by
+    r ^ mask and scaled by the phases."""
+    plus = _plus_rows(op) if gram else None
+    if plus is not None:
+        sign = 1.0 if 2 * len(plus) <= len(e) else -1.0
+        x = e[plus] if sign > 0 else e[op.phase < 0]
+        # x^T x of a real x is one symmetric rank-k update
+        out = (x.T if np.isrealobj(x) else x.conj().T) @ x
+        out *= 2 * sign
+        out[np.diag_indices_from(out)] -= sign
+        return out
     if isinstance(op, spin.PauliString):
         flipped = op.flipped()
         return _matmul(e.conj().T, op.phase[flipped, None] * e[flipped])
@@ -338,6 +390,66 @@ def _rotated(e: np.ndarray, op) -> np.ndarray:
     if np.isrealobj(e) and not np.any(m.imag):
         m = m.real
     return _matmul(e.conj().T, m) @ e
+
+
+def _plus_block_words(state, w_op, v_op, sys: qla.HermitianEigensystem):
+    """The map phase -> the eight k = 2 word traces (_words(2)) of a state
+    c 1 (_equal_weight) and diagonal strings W and V (_plus_rows) in a real
+    frame, or None for any other state, operator or frame. No operator is
+    rotated into the energy frame.
+
+    With e_W and e_V the p and q rows of the eigenvectors e where W and V
+    are +1, C = e_W diag(phase) e_V^T is the (W = +1, V = +1) block of
+    U(t) = e^{-iHt}. For P and Q the +1 projectors, W = 2P - 1 and
+    V = 2Q - 1 give Tr(P(t) Q) = ||C||^2 and Tr(P(t) Q P(t) Q) =
+    ||C C^dag||^2, so every word is a count or a norm:
+    Tr(rho) = c d; V and W V W: c (2q - d); W and V W V: c (2p - d);
+    W V and V W: c (4 ||C||^2 - 2p - 2q + d); and F, W V W V:
+    c (16 (||C C^dag||^2 - ||C||^2) + d).
+
+    A chunk of phases (_on_grid) makes one real product,
+    X = e_a [e_b^T cos | e_b^T sin] = [Re C' | -Im C'] for C' = C or C^T,
+    the fewer rows as e_a; then ||C||^2 = ||X||^2 and
+    ||C C^dag||^2 = ||X X^T||^2 + ||L - L^T||^2 with L the product of the
+    two halves of X, X X^T being one symmetric rank-k update. At d = 1024
+    that is 3/4 d^3 multiply-adds a point. X and the stack of
+    [e_b^T cos | e_b^T sin] are written into buffers allocated on the
+    first call and again only for a longer chunk.
+    """
+    c, w_plus, v_plus = _equal_weight(state), _plus_rows(w_op), _plus_rows(v_op)
+    e = sys.eigenvectors
+    if (c is None or w_plus is None or v_plus is None or not np.isrealobj(e)
+            or len(e) != w_op.dim):
+        return None
+    d, p, q = len(e), len(w_plus), len(v_plus)
+    rows_a, rows_b = (v_plus, w_plus) if q <= p else (w_plus, v_plus)
+    e_a, e_bt = e[rows_a], np.ascontiguousarray(e[rows_b].T)
+    r, s = e_a.shape[0], e_bt.shape[1]
+    static = {"1": c * d, "v": c * (2 * q - d), "w": c * (2 * p - d)}
+    static.update(vwv=static["w"], wvw=static["v"])
+    buffers = {}
+
+    def words(phase):
+        lead = phase.shape[:-1]
+        z = _buffer(buffers, "z", lead + (d, 2 * s), float)
+        np.multiply(e_bt, phase.real[..., :, None], out=z[..., :s])
+        np.multiply(e_bt, phase.imag[..., :, None], out=z[..., s:])
+        x = np.matmul(e_a, z, out=_buffer(buffers, "x", lead + (r, 2 * s), float))
+        xt = np.swapaxes(x, -1, -2)
+        flat = x.reshape(lead + (r * 2 * s,))
+        norm = _rowdot(flat, flat)
+        gram = np.matmul(x, xt)
+        skew = np.matmul(x[..., :s], xt[..., s:, :])
+        skew -= np.swapaxes(skew, -1, -2)
+        square = (np.einsum("...ij,...ij->...", gram, gram)
+                  + np.einsum("...ij,...ij->...", skew, skew))
+        wv = c * (4 * norm - 2 * p - 2 * q + d)
+        vals = dict(static, wv=wv, vw=wv, wvwv=c * (16 * (square - norm) + d))
+        out = np.empty(lead + (8,), dtype=complex)
+        for j, word in enumerate(_words(2)):
+            out[..., j] = vals[word]
+        return out
+    return words
 
 
 def _phases(sys: qla.HermitianEigensystem, times) -> np.ndarray:
@@ -718,13 +830,20 @@ def otoc(rho, w_op, v_op, hamiltonian, t: float) -> complex:
     return complex(np.trace(rho @ qla.dagger(wt) @ qla.dagger(v_op) @ wt @ v_op))
 
 
-def _word_series(state, frame, sys: qla.HermitianEigensystem, times, k: int):
-    """The word traces on a time grid, taken in the energy frame (frame, from
-    _energy_frame), as the 2k-slot series (v1, w2, v2, w3, ...) of
-    involutions W and V; its correlator F_k holds for any Hermitian W and V."""
-    w_e, v_e, parities = frame
-    word_traces = _word_traces(_frame_state(state, sys), v_e, k, parities)
-    traces = _on_grid(sys, times, (4 * k,), lambda phase: word_traces(w_e, phase))
+def _word_series(state, w_op, v_op, sys: qla.HermitianEigensystem, times, k: int,
+                 frame=None):
+    """The word traces on a time grid as the 2k-slot series (v1, w2, v2,
+    w3, ...) of involutions W and V; its correlator F_k holds for any
+    Hermitian W and V. Without a frame (from _energy_frame), a k = 2 series
+    of a state c 1 and diagonal strings takes _plus_block_words and builds
+    none; every other series builds one, and takes _word_traces there."""
+    block = _plus_block_words(state, w_op, v_op, sys) if k == 2 and frame is None else None
+    if block is not None:
+        traces = _on_grid(sys, times, (8,), block)
+    else:
+        w_e, v_e, parities = frame or _energy_frame(sys, w_op, v_op)
+        word_traces = _word_traces(_frame_state(state, sys), v_e, k, parities)
+        traces = _on_grid(sys, times, (4 * k,), lambda phase: word_traces(w_e, phase))
     names = tuple(x for ell in range(1, k + 1) for x in (f"v{ell}", f"w{ell + 1}"))
     return QuasiSeries(times=times, values=_entries(traces, k), axis_names=names,
                        axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * k),
@@ -734,16 +853,24 @@ def _word_series(state, frame, sys: qla.HermitianEigensystem, times, k: int):
 def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
     """F(t) on a time grid, diagonalizing the Hamiltonian once.
 
-    F is the trace of the word W(t) V W(t) V, the one energy-frame word
-    trace (_word_traces) it takes, so W and V must be Hermitian;
+    F is the trace of the word W(t) V W(t) V, so W and V must be Hermitian;
     the lab-frame otoc takes any W and V. rho may be a state in any form
     (module docstring), and W and V matrices or spin.PauliString tables.
+    A state c 1 with diagonal strings W and V, the chain's infinite
+    temperature with z Paulis, takes F from one block of U(t)
+    (_plus_block_words) and rotates nothing; every other case takes the one
+    energy-frame word trace of _word_traces.
     """
     check_state(rho, w_op, v_op)
     if max(_hermiticity_defect(w_op), _hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
     sys = _eigensystem(hamiltonian)
+    block = _plus_block_words(rho, w_op, v_op, sys)
+    if block is not None:
+        f = _words(2).index("wvwv")
+        values = _on_grid(sys, times, (), lambda phase: block(phase)[..., f])
+        return CorrelatorSeries(times=times, values=values)
     w_e, v_e, parities = _energy_frame(sys, w_op, v_op)
     word_traces = _word_traces(_frame_state(rho, sys), v_e, 2, parities, ("wvwv",))
     values = _on_grid(sys, times, (), lambda phase: word_traces(w_e, phase)[..., 0])
@@ -774,25 +901,26 @@ def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
 def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     """Coarse quasiprobability along a time grid with one diagonalization.
 
-    Works in the energy eigenbasis. Involutory W and V take the word
-    expansion, whose cost per point depends on the form of rho (see
-    _word_traces) and whose series carries F as correlator; other
-    observables take the four-projector trace of the dressed W(t)
-    projectors, taken from the rotated W and V, and a density matrix, with
-    no correlator. W and V may be matrices or spin.PauliString tables.
+    Involutory W and V take the word expansion, whose cost per point
+    depends on the form of rho (see _word_traces) and whose series carries
+    F as correlator; a state c 1 with diagonal strings W and V takes its
+    words from one block of U(t) (_plus_block_words) and rotates nothing.
+    Other observables take the four-projector trace of the dressed W(t)
+    projectors in the energy frame, taken from the rotated W and V, and a
+    density matrix, with no correlator. W and V may be matrices or
+    spin.PauliString tables.
     """
-    return _coarse_series(rho, w_op, v_op, _eigensystem(hamiltonian), times)[0]
-
-
-def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
-    """coarse_quasiprob_series, and W and V as it rotated them into the
-    energy frame."""
     check_state(rho, w_op, v_op)
-    times = np.asarray(times, dtype=float)
-    frame = _energy_frame(sys, w_op, v_op)
-    w_e, v_e, _ = frame
+    return _coarse_series(rho, w_op, v_op, _eigensystem(hamiltonian),
+                          np.asarray(times, dtype=float))
+
+
+def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times, frame=None):
+    """coarse_quasiprob_series of a checked state, on the energy frame
+    (from _energy_frame) when one is given."""
     if _is_hermitian_involution(w_op) and _is_hermitian_involution(v_op):
-        return _word_series(rho, frame, sys, times, 2), w_e, v_e
+        return _word_series(rho, w_op, v_op, sys, times, 2, frame)
+    w_e, v_e, _ = frame or _energy_frame(sys, w_op, v_op)
     w_evs, w_projs_e = _distinct_projectors(w_e)
     v_evs, v_projs_e = _distinct_projectors(v_e)
     rho_e = density_matrix(_frame_state(rho, sys))
@@ -800,7 +928,7 @@ def _coarse_series(rho, w_op, v_op, sys: qla.HermitianEigensystem, times):
                    lambda phase: _four_projector_trace(
                        v_projs_e, [_dress(p, phase) for p in w_projs_e], rho_e))
     return QuasiSeries(times=times, values=out, axis_names=COARSE_AXES,
-                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs)), w_e, v_e
+                       axis_eigenvalues=(v_evs, w_evs, v_evs, w_evs))
 
 
 def _moment(values, axis_weights):
@@ -1017,8 +1145,11 @@ def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     for its (chunk, d) stack of phases. Energy-frame weights p give
     M = (V p) V^dag, one product.
     """
+    check_state(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
-    coarse, w_e, v_e = _coarse_series(rho, w_op, v_op, sys, times)
+    frame = _energy_frame(sys, w_op, v_op)
+    coarse = _coarse_series(rho, w_op, v_op, sys, np.asarray(times, dtype=float), frame)
+    w_e, v_e, _ = frame
     state = _frame_state(rho, sys)
     v_rho = v_e * state.weights if isinstance(state, DiagonalState) else v_e @ density_matrix(state)
     kernel = (v_rho @ qla.dagger(v_e)).T * (qla.dagger(w_e) @ w_e)
@@ -1052,7 +1183,7 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
         raise ValueError("k-fold enumeration needs involutory W and V")
     times = np.asarray(times, dtype=float)
     sys = _eigensystem(hamiltonian)
-    return _word_series(rho, _energy_frame(sys, w_op, v_op), sys, times, khat)
+    return _word_series(rho, w_op, v_op, sys, times, khat)
 
 
 def kfold_moment(quasi: QuasiDistribution) -> complex:

@@ -52,6 +52,11 @@ CONDITION_LIMIT = 1e8
 # couplings and Kraus operators
 
 
+class NoncommutingState(ValueError):
+    """The two-weak protocol's state does not commute with W(t): a choice
+    of inputs the protocol does not cover, not a numeric failure."""
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     """One weak-coupling setting: strength angle and coefficient phase mode."""
@@ -239,7 +244,7 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
     two-weak: prepare Pi_w rho Pi_w for each W(t) eigenvalue w, evolve
     backward, weak V, evolve forward, weak W, evolve backward, strong V.
     It needs a rho that commutes with W(t), whose ensemble it then
-    reproduces; other states are rejected. Each W(t) eigenvalue w's
+    reproduces; other states raise NoncommutingState. Each W(t) eigenvalue w's
     prepared sigma is Pi_w rho Pi_w, with Pi_w the W(t) projector the weak
     W coupling uses; these blocks sum to rho.
 
@@ -257,7 +262,8 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
     wt = quasiprob.heisenberg(w_op, u)
     prepares_w = spec.letters[-1] == "w"
     if prepares_w and np.max(np.abs(rho @ wt - wt @ rho)) > qla.EXACT_TOL:
-        raise ValueError("two-coupling protocol needs a state commuting with the evolved W")
+        raise NoncommutingState("two-coupling protocol needs a state commuting with the "
+                                "evolved W")
     pairs = {"v": quasiprob._distinct_projectors(v_op), "w": quasiprob._distinct_projectors(wt)}
     for k, (evs, _) in pairs.items():
         if len(evs) != 2:

@@ -231,6 +231,41 @@ class TestConfigHandling:
         assert message in err
         assert built == []
 
+    @pytest.mark.parametrize("extra", [[], ["--g-field", "0", "--w", "2:x"],
+                                       ["--g-field", "0.1"]],
+                             ids=["default chain", "x Pauli W", "transverse field"])
+    def test_two_weak_thermal_state_is_refused_before_any_eigh(self, capsys, monkeypatch,
+                                                               extra):
+        """A Gibbs state commutes with W(t) only when [H, W] = 0, which on
+        the chain needs a z Pauli W at g_field = 0."""
+        entered = []
+        monkeypatch.setattr(qla, "eigh", lambda *a, **k: entered.append(a))
+        rc, out, err = run_cli(capsys, "weakmeas-inference", "--protocol", "two-weak",
+                               "--state", "thermal:1", *extra)
+        assert rc == 2 and out == ""
+        assert "config error" in err and "commuting" in err
+        assert entered == []
+
+    def test_two_weak_thermal_state_at_zero_transverse_field_runs(self, capsys):
+        rc, out, _ = run_cli(capsys, "weakmeas-inference", "--protocol", "two-weak",
+                             "--state", "thermal:1", "--g-field", "0")
+        assert rc == 0
+        _, columns, rows = parse_csv(out)
+        assert len(rows) == 16
+        assert max(float(row[columns.index("abs_error")]) for row in rows) < 1e-6
+
+    @pytest.mark.parametrize("state", ["haar:3", "plus-x"])
+    def test_two_weak_psi_state_that_does_not_commute_exits_two(self, tmp_path, capsys,
+                                                                state):
+        rc, out, err = run_cli(capsys, "weakmeas-inference", "--protocol", "two-weak",
+                               "--state", state)
+        assert rc == 2 and out == ""
+        assert "config error" in err and "commuting" in err
+        rc, out, _ = run_cli(capsys, "weakmeas-inference", "--protocol", "two-weak",
+                             "--state", state, "--out", str(tmp_path / "out.csv"))
+        assert rc == 2 and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["otoc-series", "--n", "3", "--j", "1e308", "--t-max", "0.2", "--t-step", "0.1"],
         ["work-distribution", "--n", "3", "--t", "1e300"],
@@ -643,27 +678,34 @@ class TestOtherExperiments:
                              ids=["reflection partner", "5:z"])
     def test_partner_v_takes_no_rotation_of_its_own(self, capsys, monkeypatch, experiment,
                                                     extra, rotations):
-        # the default V = n:z is the reflection partner of W = 1:z, so the
-        # energy frame rotates W alone; any other V is rotated itself
-        real_frame, real_matmul = quasiprob._energy_frame, quasiprob._matmul
-        inside, products = [], []
+        # at a thermal state the energy frame rotates W alone when V = n:z,
+        # the default, is W = 1:z's reflection partner; any other V is
+        # rotated itself. At infinite temperature the z strings take one
+        # block of U(t) and no frame is built.
+        real_frame, real_rotated = quasiprob._energy_frame, quasiprob._rotated
+        inside, frames, rotated = [], [], []
 
         def frame(*args):
             inside.append(True)
+            frames.append(True)
             try:
                 return real_frame(*args)
             finally:
                 inside.pop()
 
-        def matmul(a, b, out=None):
-            if inside and np.shape(a) == np.shape(b) == (64, 64):
-                products.append(True)
-            return real_matmul(a, b, out)
+        def rotation(e, op, *args):
+            if inside:
+                rotated.append(op)
+            return real_rotated(e, op, *args)
         monkeypatch.setattr(quasiprob, "_energy_frame", frame)
-        monkeypatch.setattr(quasiprob, "_matmul", matmul)
+        monkeypatch.setattr(quasiprob, "_rotated", rotation)
+        rc, _, _ = run_cli(capsys, experiment, "--n", "6", "--state", "thermal:1", *extra)
+        assert rc == 0
+        assert len(frames) == 1 and len(rotated) == rotations
+        frames.clear()
         rc, _, _ = run_cli(capsys, experiment, "--n", "6", *extra)
         assert rc == 0
-        assert len(products) == rotations
+        assert frames == []
 
     def test_weakmeas_inference_exact_mode(self, capsys):
         rc, out, _ = run_cli(capsys, "weakmeas-inference")

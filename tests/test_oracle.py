@@ -723,6 +723,132 @@ def test_non_partner_pairs_rotate_both_operators(w_factors, v_factors):
     assert max_dev(v_e, quasiprob._rotated(sys.eigenvectors, v)) == 0.0
 
 
+# W and V of the block route at infinite temperature: 1:z and its
+# reflection partner n:z, 1:z and (n-1):z, which is no partner, the
+# two-site strings Z_1 Z_2 and Z_n Z_(n-1), and a diagonal +-1 table that
+# is +1 on three rows only, so that W and V have unequal +1 row counts
+PLUS_PAIRS = {
+    "partner": lambda n: (spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])),
+    "non-partner": lambda n: (spin.pauli_string(n, [(1, "z")]),
+                              spin.pauli_string(n, [(n - 1, "z")])),
+    "zz": lambda n: (spin.pauli_string(n, [(1, "z"), (2, "z")]),
+                     spin.pauli_string(n, [(n, "z"), (n - 1, "z")])),
+    "three rows": lambda n: (spin.PauliString(0, np.where(np.arange(2**n) < 3, 1.0, -1.0)),
+                             spin.pauli_string(n, [(n, "z")])),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _plus_chain(n):
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    return ham, qla.eigh(ham, symmetry=spin.reflection(n))
+
+
+def _counted_frames(monkeypatch):
+    """A list that grows by one each time quasiprob._energy_frame is entered."""
+    real, frames = quasiprob._energy_frame, []
+
+    def frame(*args):
+        frames.append(True)
+        return real(*args)
+    monkeypatch.setattr(quasiprob, "_energy_frame", frame)
+    return frames
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+@pytest.mark.parametrize("pair", sorted(PLUS_PAIRS))
+@pytest.mark.parametrize("form", ["equal weights", "dense c 1"])
+@pytest.mark.parametrize("points", [1, 7], ids=["one point", "three chunks"])
+def test_z_strings_at_infinite_temperature_take_one_block_of_u(monkeypatch, n, pair, form,
+                                                               points):
+    """For a state c 1 and diagonal strings W and V, F, the coarse entries
+    and the two-fold series come from the (W = +1, V = +1) block of U(t)
+    with no energy frame: every word is the frame route's (_word_traces on
+    both operators rotated as matrices) to 1e-12 and the lab-frame otoc and
+    coarse_quasiprob to 1e-10, on one point and on a grid of three points
+    a chunk that ends past a boundary."""
+    ham, sys = _plus_chain(n)
+    d = 2**n
+    monkeypatch.setattr(qla, "STACK_BYTES", 3 * 16 * d * d)
+    assert qla.chunk_length(d) == 3
+    w, v = PLUS_PAIRS[pair](n)
+    state = {"equal weights": quasiprob.DiagonalState(np.full(d, 1.0 / d)),
+             "dense c 1": np.eye(d) / d}[form]
+    times = np.array([0.2 + 1.3 * i for i in range(points)])
+    w_full, v_full, _ = quasiprob._energy_frame(sys, w.matrix(), v.matrix())
+    frame = quasiprob._word_traces(quasiprob.DiagonalState(np.full(d, 1.0 / d)), v_full, 2)(
+        w_full, quasiprob._phases(sys, times))
+    frames = _counted_frames(monkeypatch)
+    block = quasiprob._on_grid(sys, times, (8,), quasiprob._plus_block_words(state, w, v, sys))
+    f = quasiprob.otoc_series(state, w, v, sys, times).values
+    coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, times)
+    two = quasiprob.kfold_series(state, w, v, sys, times, 2)
+    assert frames == []
+    assert max_dev(block, frame) < 1e-12
+    assert max_dev(f, frame[:, quasiprob._words(2).index("wvwv")]) < 1e-12
+    assert max_dev(coarse.values, quasiprob._entries(frame, 2)) < 1e-12
+    assert max_dev(coarse.correlator, f) == 0.0
+    assert max_dev(two.values, coarse.values) == 0.0
+    rho = np.eye(d) / d
+    for i in sorted({0, points // 2, points - 1}):
+        t = times[i]
+        assert abs(f[i] - quasiprob.otoc(rho, w.matrix(), v.matrix(), ham, t)) < TOL
+        want = oracles.coarse_quasiprob(rho, w.matrix(), v.matrix(), ham, t).values
+        assert max_dev(coarse.values[i], want) < TOL
+
+
+@pytest.mark.parametrize("case", ["thermal weights", "psi", "x W", "y W", "complex frame"])
+def test_other_states_and_operators_enter_the_energy_frame(monkeypatch, case):
+    """Only a state c 1 with two diagonal strings in a real frame skips
+    the frame: thermal weights, psi, an x or y W and a complex eigenbasis
+    each build it once per series, and still give the lab-frame F."""
+    n, d = 4, 16
+    ham, sys = _plus_chain(n)
+    w_axis = {"x W": "x", "y W": "y"}.get(case, "z")
+    w, v = spin.pauli_string(n, [(1, w_axis)]), spin.pauli_string(n, [(n, "z")])
+    state = {"thermal weights": quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues,
+                                                                             0.8)),
+             "psi": qla.haar_random_state(d, 4)}.get(case, np.eye(d) / d)
+    if case == "complex frame":
+        ham = ham + 0.3 * spin.pauli_string(n, [(2, "y")]).matrix()
+        sys = qla.eigh(ham)
+        assert np.iscomplexobj(sys.eigenvectors)
+    assert quasiprob._plus_block_words(state, w, v, sys) is None
+    frames = _counted_frames(monkeypatch)
+    f = quasiprob.otoc_series(state, w, v, sys, [0.9]).values
+    coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, [0.9])
+    assert len(frames) == 2
+    rho = quasiprob.density_matrix(state, sys)
+    assert abs(f[0] - quasiprob.otoc(rho, w.matrix(), v.matrix(), ham, 0.9)) < TOL
+    want = oracles.coarse_quasiprob(rho, w.matrix(), v.matrix(), ham, 0.9).values
+    assert max_dev(coarse.values[0], want) < TOL
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_gram_rotation_of_diagonal_strings_is_the_product(n):
+    """2 e_+^T e_+ - 1 (or 1 - 2 e_-^T e_- when -1 rows are fewer) is
+    e^T P e for z strings, the identity and -1; a complex eigenbasis takes
+    e^dag P e the same way."""
+    d = 2**n
+    _, sys = _plus_chain(n)
+    strings = [spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")]),
+               spin.pauli_string(n, [(1, "z"), (2, "z")]), spin.pauli_string(n, []),
+               spin.PauliString(0, -np.ones(d)),
+               spin.PauliString(0, np.where(np.arange(d) < 3, 1.0, -1.0))]
+    bases = [sys.eigenvectors]
+    if n == 3:
+        ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+        bases.append(qla.eigh(ham + 0.3 * spin.pauli_string(n, [(2, "y")]).matrix())
+                     .eigenvectors)
+    for e in bases:
+        for p in strings:
+            assert quasiprob._plus_rows(p) is not None
+            got = quasiprob._rotated(e, p)
+            assert max_dev(got, e.conj().T @ p.matrix() @ e) < 1e-12
+            if np.isrealobj(e):           # a symmetric rank-k update
+                assert np.array_equal(got, got.T)
+
+
 # W, V, the state form and whether V is W's reflection partner
 CHUNK_STATES = {
     "partner weights": ([(1, "z")], [(3, "z")], "thermal weights", True),

@@ -291,6 +291,30 @@ class TestSectorRoute:
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
+    @pytest.mark.parametrize("shift, sector", [(2 * qla.HERMITIAN_TOL, False),
+                                               (qla.HERMITIAN_TOL / 2, True)],
+                             ids=["twice the tolerance", "half the tolerance"])
+    def test_one_moved_pair_decides_the_route_by_the_tolerance(self, shift, sector):
+        """H[i, j] and H[j, i] moved together, with their mirror (Ri, Rj)
+        left as it is: past HERMITIAN_TOL the full route, bitwise, within
+        it the sector route, whose columns have exact parities."""
+        n = 4
+        sym = spin.reflection(n)
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+        i, j = 1, 3
+        assert {sym[i], sym[j]} != {i, j} and h[i, j] != 0
+        h[i, j] += shift
+        h[j, i] += shift
+        got = qla.eigh(h, symmetry=sym)
+        even, odd = _sector_columns(got, sym)
+        if sector:
+            assert len(even) + len(odd) == 2**n
+            assert np.max(np.abs(got.reconstruct() - h)) <= 1e-12
+        else:
+            want = qla.eigh(h)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
     @pytest.mark.parametrize("sym", [[1, 2, 0, 3], [0, 1, 2], [1, 0, 3, 2, 4], [5, 0, 1, 2],
                                      [1.0, 0.0, 3.0, 2.0], [[1, 0, 3, 2]]])
     def test_rejects_a_symmetry_that_is_no_involution_of_the_basis(self, sym):

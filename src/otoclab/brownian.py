@@ -19,7 +19,9 @@ index), so runs are reproducible under any execution order. They advance
 together in chunks, each a (chunk, d, d) stack of unitaries that one
 stacked spectral exponential moves forward per time step. The increments
 come from the (mask, phase) table of the pair strings in spin, with no
-dense operator stack.
+dense operator stack. A chunk allocates its stacks once: the dB stack,
+into whose fixed entries every step's increment is written, and two
+stacks of U that the steps advance into by turns.
 """
 from __future__ import annotations
 
@@ -84,7 +86,9 @@ class EnsembleSeries:
 def _stacked_increment(n: int):
     """Map a (T, terms) array of Gaussian draws to the (T, d, d) stack of
     increments dB = increment_scale(n) sum_k g_k P_k, one per row g, over
-    the pair strings P_k of spin.pair_pauli_strings(n).
+    the pair strings P_k of spin.pair_pauli_strings(n), written into out:
+    a C-contiguous (T, d, d) complex stack that is zero off those strings'
+    entries, as it is after a previous call.
 
     Strings that flip the same bits fill the same d entries of dB, so each
     flip mask needs one small product of draws and phases. Masks flipping
@@ -102,12 +106,12 @@ def _stacked_increment(n: int):
         terms = np.array([np.flatnonzero(masks == m) for m in flip_masks])
         classes.append((terms, table[terms], (r ^ flip_masks[:, None]) * dim + r))
 
-    def increment(g: np.ndarray) -> np.ndarray:
-        db = np.zeros((len(g), dim * dim), dtype=complex)
+    def increment(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        db = out.reshape(len(g), dim * dim)
         for terms, tab, flat in classes:
             coef = np.matmul(g[:, terms].transpose(1, 0, 2), tab)
             db[:, flat] = coef.view(complex).transpose(1, 0, 2)
-        return db.reshape(-1, dim, dim)
+        return out
     return increment
 
 
@@ -180,11 +184,14 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
 
     Defaults: rho = 1/d, W = sigma^z on site 1, V = sigma^z on site 2.
     Trajectories advance in chunks sized by the stack budget
-    (qla.chunk_length): each time step draws every trajectory's increment
-    from its own stream, builds the (chunk, d, d) stack of dB and applies
-    one stacked qla.expm_scaled. Each chunk's statistics are merged into
-    the running ones, so memory stays bounded for any number of
-    trajectories. With a single trajectory the standard errors are None.
+    (qla.chunk_length), each with its (chunk, d, d) dB stack, zeroed once,
+    and two U stacks: each time step draws every trajectory's increment
+    from its own stream, writes dB into the same entries and multiplies
+    one stacked qla.expm_scaled into the other U stack, so a step
+    allocates only the exponential and its eigendecomposition. Each
+    chunk's statistics are merged into the running ones, so memory stays
+    bounded for any number of trajectories. With a single trajectory the
+    standard errors are None.
     """
     n, dim = config.n, config.dim
     w = spin.site_pauli(n, 1, "z") if w_op is None else np.asarray(w_op, dtype=complex)
@@ -208,6 +215,8 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
         rngs = [np.random.default_rng((config.seed, traj))
                 for traj in range(first, min(first + chunk, config.trajectories))]
         u = np.tile(np.eye(dim, dtype=complex), (len(rngs), 1, 1))
+        u_next = np.empty_like(u)
+        db = np.zeros_like(u)
         g = np.empty((len(rngs), n_terms))
         vals = np.empty((len(rngs), len(_CORRELATOR_NAMES)), dtype=complex)
         for step in range(config.steps + 1):
@@ -225,7 +234,8 @@ def ensemble_averages(config: BrownianConfig, rho=None, w_op=None, v_op=None) ->
             if step < config.steps:
                 for row, rng in zip(g, rngs):
                     row[:] = rng.normal(0.0, sd, size=n_terms)
-                u = qla.expm_scaled(increment(g), -1j) @ u
+                np.matmul(qla.expm_scaled(increment(g, db), -1j), u, out=u_next)
+                u, u_next = u_next, u
         unitarity_defect = max(unitarity_defect, qla.unitarity_defect(u))
         corr_acc.close_batch(len(rngs))
         quasi_acc.close_batch(len(rngs))

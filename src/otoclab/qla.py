@@ -7,6 +7,10 @@ and the unitarity defect, eigendecompositions with a deterministic basis inside
 degenerate eigenspaces, and matrix exponentials computed spectrally so
 that propagators are unitary by construction.
 
+A (..., d, d) stack is checked member by member like a single matrix, but
+decomposed only for its exponentials (the Brownian step), in LAPACK's bases
+as they come; the basis conventions are for single matrices.
+
 Degeneracy has one rule, _group_degenerate (a relative spacing on
 ascending eigenvalues): eigh rebuilds its bases by it, and quasiprob's
 projectors, fine-grained labels, coarse grain and work-distribution axes
@@ -42,12 +46,16 @@ _SPAN_TOL = 1e-8
 STACK_BYTES = 2 ** 19
 
 
-def _checked_square(m: np.ndarray, stack: bool) -> np.ndarray:
+def _square(m: np.ndarray, stack: bool) -> np.ndarray:
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(m)):
+    return m
+
+
+def _checked_square(m: np.ndarray, stack: bool) -> np.ndarray:
+    if not np.all(np.isfinite(_square(m, stack))):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -73,15 +81,23 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a) -> float:
-    """Largest entry of |a - a^dag|, over every member of a stack. A float
-    array is checked as it is, in real arithmetic (a single matrix by row
-    blocks of its upper triangle); anything else as a complex array."""
+    """Largest entry of |a - a^dag|, over every member of a stack; NaN or
+    Inf entries raise. A single float matrix is checked in real arithmetic,
+    by row blocks of its upper triangle; anything else as a complex array,
+    in one pass with one temporary (a non-finite entry makes the defect
+    non-finite)."""
     m = np.asarray(a)
-    m = _checked_square(m, True) if m.dtype == float else as_square_array(m, stack=True)
     if m.ndim == 2 and m.dtype == float:
+        m = _checked_square(m, False)
         return max(float(np.max(np.abs(m[i:i + 128, i:] - m[i:, i:i + 128].T)))
                    for i in range(0, len(m), 128))
-    return float(np.max(np.abs(m - dagger(m))))
+    m = _square(np.asarray(m, dtype=complex), True)
+    diff = np.conjugate(np.swapaxes(m, -1, -2))
+    np.subtract(m, diff, out=diff)
+    defect = float(np.max(np.abs(diff, out=diff).real))
+    if not np.isfinite(defect):
+        _checked_square(m, True)
+    return defect
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -106,9 +122,10 @@ class HermitianEigensystem:
     """Ascending eigenvalues and a deterministically fixed eigenbasis.
 
     eigenvectors holds the basis as columns, aligned with eigenvalues; it
-    is real for a real H (see eigh). For a (..., d, d) stack the arrays are
-    (..., d) and (..., d, d), and propagator and reconstruct act member by
-    member.
+    is real for a real H (see eigh). For a (..., d, d) stack, every member
+    checked, the arrays are (..., d) and (..., d, d) in LAPACK's bases, with
+    no convention, for functions of each member such as its exponential:
+    propagator and reconstruct act member by member.
     """
 
     eigenvalues: np.ndarray
@@ -194,9 +211,9 @@ def _fix_degenerate_basis(block: np.ndarray) -> np.ndarray:
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Rotate the largest-magnitude entry of every column to the positive
-    real axis; vecs is (..., d, k) with nonzero columns."""
-    k = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    c = np.take_along_axis(vecs, k, axis=-2)
+    real axis; vecs is (d, k) with nonzero columns."""
+    k = np.argmax(np.abs(vecs), axis=0)
+    c = vecs[k, np.arange(vecs.shape[1])]
     # np.hypot rounds like the scalar abs() this convention was defined
     # with; numpy's vectorised complex abs can differ in the last bit
     return vecs * (c.conj() / np.hypot(c.real, c.imag))
@@ -223,18 +240,21 @@ def eigh(h, symmetry=None) -> HermitianEigensystem:
     every reported quantity is blind to column signs. Its parity is exact,
     v[R] == +-v bitwise, unless its degenerate group was rebuilt.
 
-    h may also be a (..., d, d) stack: every member is checked, all are
-    decomposed by one stacked complex np.linalg.eigh call and each is
-    fixed exactly as it would be on its own; only members with a
-    degenerate group take the per-matrix rebuild.
+    h may also be a (..., d, d) stack, for its exponentials (expm_scaled):
+    every member is checked, finite and Hermitian, as a complex array, and
+    one stacked np.linalg.eigh call returns the eigenpairs as LAPACK gives
+    them, with no phase fixed and no degenerate group rebuilt.
     """
     m = np.asarray(h)
-    if m.ndim != 2 or m.dtype != float:
-        m = as_square_array(m, stack=True)
-        if m.ndim == 2 and not np.any(m.imag):
+    if m.ndim > 2:
+        m = _require_hermitian(np.asarray(m, dtype=complex))
+        return HermitianEigensystem(*np.linalg.eigh(m))
+    if m.dtype != float:
+        m = as_square_array(m)
+        if not np.any(m.imag):
             m = m.real
     _require_hermitian(m)                 # which also checks a float m
-    if symmetry is not None and m.ndim == 2:
+    if symmetry is not None:
         sym, r = np.asarray(symmetry), np.arange(len(m))
         # shape, dtype and range are checked before sym indexes anything
         if (sym.shape != r.shape or not np.issubdtype(sym.dtype, np.integer)
@@ -275,14 +295,9 @@ def _sector_eigh(m: np.ndarray, sym: np.ndarray):
 
 def _conventions(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray) -> HermitianEigensystem:
     """out, evecs with fixed phases, with each degenerate group rebuilt."""
-    # a degenerate group exists iff some adjacent spacing is within the
-    # tolerance _group_degenerate applies
-    scale = np.maximum(np.max(np.abs(evals), axis=-1), 1.0)
-    repeated = np.any(np.diff(evals, axis=-1) <= _DEGENERACY_RTOL * scale[..., None], axis=-1)
-    for idx in map(tuple, np.argwhere(repeated)):
-        for start, stop in _group_degenerate(evals[idx]):
-            if stop - start > 1:
-                out[idx][:, start:stop] = _fix_degenerate_basis(evecs[idx][:, start:stop])
+    for start, stop in _group_degenerate(evals):
+        if stop - start > 1:
+            out[:, start:stop] = _fix_degenerate_basis(evecs[:, start:stop])
     return HermitianEigensystem(eigenvalues=evals, eigenvectors=out)
 
 
@@ -291,10 +306,16 @@ def expm_scaled(h, z: complex) -> np.ndarray:
 
     Never a power series: every exponentiated operator in this package is
     Hermitian, and the spectral route keeps exp(-i t h) unitary to
-    rounding regardless of norm or time. A (..., d, d) stack of h gives
-    the stack of exponentials from one stacked eigh.
+    rounding regardless of norm or time. A (..., d, d) stack of h, every
+    member checked, gives the stack of exponentials from one stacked eigh,
+    in LAPACK's bases, which the exponential does not depend on.
+    V e^{z Lambda} V^dag takes V^dag from the eigenvectors this call owns,
+    conjugated in place.
     """
-    return eigh(h).propagator(z)
+    sys = eigh(h)
+    vecs = sys.eigenvectors
+    scaled = vecs * np.exp(z * sys.eigenvalues)[..., None, :]
+    return scaled @ np.swapaxes(np.conjugate(vecs, out=vecs), -1, -2)
 
 
 def haar_random_state(dim: int, seed) -> np.ndarray:

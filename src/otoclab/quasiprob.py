@@ -345,14 +345,28 @@ def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
             and np.isrealobj(e) and len(e) == w_op.dim):
         r = spin.reflection(w_op.dim.bit_length() - 1)
         if v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r]):
-            s = np.where(np.einsum("ij,ij->j", e[r], e) < 0, -1.0, 1.0)
-            s = s if np.array_equal(e[r] * s, e) else None
+            s = _reflection_parities(e, r)
     gram = _plus_rows(w_op) is not None and _plus_rows(v_op) is not None
     w_e = _rotated(e, w_op, gram)
     if s is None:
         return w_e, _rotated(e, v_op, gram), None
     v_e = w_e * s
     return w_e, np.multiply(v_e, s[:, None], out=v_e), s
+
+
+def _reflection_parities(e: np.ndarray, r: np.ndarray):
+    """The column parities s of e, e[r] == e s bitwise with s = +-1, or
+    None unless every column has one. The rows i <= r[i] decide it, a block
+    of them at a time: the other rows are their mirrors, and a row pair
+    that matches up to a sign s matches the other way round too."""
+    rows = np.flatnonzero(np.arange(len(r)) <= r)
+    even = odd = np.ones(e.shape[1], dtype=bool)
+    for block in np.split(rows, range(128, len(rows), 128)):
+        mirrored, own = e[r[block]], e[block]
+        even = even & np.all(mirrored == own, axis=0)
+        odd = odd & np.all(mirrored == -own, axis=0)
+    # a unit column is never zero on all the deciding rows, so never both
+    return np.where(even, 1.0, -1.0) if np.all(even | odd) else None
 
 
 def _plus_rows(op):

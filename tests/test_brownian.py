@@ -48,7 +48,11 @@ class TestIncrements:
         ops = oracles.pair_paulis(n)
         draws = np.array([np.random.default_rng((9, k)).normal(
             0.0, np.sqrt(cfg.dt), size=len(ops)) for k in range(4)])
-        stacked = brownian._stacked_increment(n)(draws)
+        # the buffer a previous step wrote into is rewritten in place
+        increment, buffer = brownian._stacked_increment(n), np.zeros((4, 2**n, 2**n), dtype=complex)
+        increment(np.ones_like(draws), buffer)
+        stacked = increment(draws, buffer)
+        assert stacked is buffer
         for k in range(4):
             want = oracles.sample_increment(cfg, np.random.default_rng((9, k)), ops)
             assert np.max(np.abs(stacked[k] - want)) <= 1e-15
@@ -255,6 +259,27 @@ class TestBatchedEnsemble:
             assert np.max(np.abs(a.mean - b.mean)) <= 1e-12
             assert np.max(np.abs(a.standard_error - b.standard_error)) <= 1e-12
         _assert_matches_reference(chunked, cfg, rho, w, v)
+
+    def test_a_chunk_builds_its_increment_stack_once(self, monkeypatch):
+        """Every step of a chunk hands qla.expm_scaled the same dB buffer,
+        rewritten in place; the next chunk has a buffer of its own."""
+        cfg = brownian.BrownianConfig(n=3, dt=0.005, steps=4, trajectories=3,
+                                      seed=2, stride=2)
+        whole = brownian.ensemble_averages(cfg)
+        real, handed = qla.expm_scaled, []
+
+        def expm_scaled(h, z):
+            handed.append(h)
+            return real(h, z)
+        monkeypatch.setattr(qla, "expm_scaled", expm_scaled)
+        # two trajectories of 8x8 complex matrices per chunk: chunks 2, 1
+        monkeypatch.setattr(qla, "STACK_BYTES", 2 * 16 * 64)
+        chunked = brownian.ensemble_averages(cfg)
+        assert [len(h) for h in handed] == [2] * 4 + [1] * 4
+        first, second = handed[0], handed[4]
+        assert all(h is first for h in handed[:4]) and all(h is second for h in handed[4:])
+        assert not np.shares_memory(first, second)
+        assert np.max(np.abs(chunked.quasi_mean - whole.quasi_mean)) <= 1e-12
 
 
 class TestClosedForms:

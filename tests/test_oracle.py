@@ -326,6 +326,28 @@ def test_markov_generator_is_the_two_copy_generator():
         assert max_dev(l2(pp), np.tensordot(gen[:, p], pairs, axes=1)) < 1e-12
 
 
+def test_stacked_step_matches_the_dense_step_member_by_member():
+    """One stacked qla.expm_scaled, in LAPACK's bases as they come, moves
+    each U of a stack as oracles.step_unitary moves it alone: sampled
+    increments, a degenerate one (a single pair string, eigenvalues +-theta,
+    each d/2 times) and a real one given as complex with zero imaginary
+    part, which alone takes the real, phase-fixed route."""
+    cfg = brownian.BrownianConfig(n=3)
+    rng = np.random.default_rng(17)
+    ops = oracles.pair_paulis(3)
+    real_ops = [op for op in ops if not np.any(op.imag) and np.any(op != np.diag(np.diag(op)))]
+    stack = np.array([oracles.sample_increment(cfg, rng, ops) for _ in range(3)]
+                     + [0.07 * ops[5], 0.05 * real_ops[0] + 0.03 * real_ops[-1]], dtype=complex)
+    assert qla.eigh(stack[3]).degenerate_groups() == [(0, 4), (4, 8)]
+    assert np.iscomplexobj(stack[4]) and not np.any(stack[4].imag)
+    assert np.isrealobj(qla.eigh(stack[4]).eigenvectors)
+    u = np.array([oracles.haar_unitary(8, seed) for seed in range(len(stack))])
+    stepped = qla.expm_scaled(stack, -1j) @ u
+    for member, db in enumerate(stack):
+        assert max_dev(stepped[member], oracles.step_unitary(u[member], db)) < 1e-12
+    assert qla.unitarity_defect(stepped) < 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("state", ["mixed", "v-diagonal"])
 def test_weak_inversion_recovers_the_sandwich_traces(n, state):

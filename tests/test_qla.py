@@ -105,7 +105,7 @@ class TestStackedEigh:
             want = (evecs * np.exp(-0.4j * evals)) @ evecs.conj().T
             assert np.array_equal(qla.expm_scaled(h, -0.4j), want)
 
-    def test_stack_equals_per_matrix_calls(self, make_hermitian):
+    def test_stack_matches_per_matrix_calls_up_to_the_basis(self, make_hermitian):
         stack = np.array([[make_hermitian(6) for _ in range(3)] for _ in range(2)])
         sys = qla.eigh(stack)
         assert sys.eigenvalues.shape == (2, 3, 6)
@@ -114,29 +114,38 @@ class TestStackedEigh:
         props = qla.expm_scaled(stack, -0.7j)
         for i in range(2):
             for j in range(3):
-                one = qla.eigh(stack[i, j])
+                one, vecs = qla.eigh(stack[i, j]), sys.eigenvectors[i, j]
                 assert np.array_equal(sys.eigenvalues[i, j], one.eigenvalues)
-                assert np.array_equal(sys.eigenvectors[i, j], one.eigenvectors)
-                assert np.array_equal(props[i, j], qla.expm_scaled(stack[i, j], -0.7j))
+                assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) < 1e-12
+                # a nondegenerate column is the per-matrix one times a unit phase
+                phases = np.sum(one.eigenvectors.conj() * vecs, axis=0)
+                assert np.max(np.abs(np.abs(phases) - 1)) < 1e-12
+                assert np.max(np.abs(vecs - one.eigenvectors * phases)) < 1e-12
+                assert np.max(np.abs(props[i, j] - qla.expm_scaled(stack[i, j], -0.7j))) < 1e-14
         assert np.max(np.abs(sys.reconstruct() - stack)) < 1e-12
         assert qla.unitarity_defect(props) < 1e-12
 
-    def test_degenerate_member_gets_the_deterministic_basis(self, make_hermitian):
+    def test_degenerate_member_spans_the_per_matrix_eigenspaces(self, make_hermitian):
         degenerate = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
         rotated = oracles.haar_unitary(4, 5)
         degenerate = rotated @ degenerate @ rotated.conj().T
         stack = np.array([make_hermitian(4), degenerate, make_hermitian(4)])
         sys = qla.eigh(stack)
-        for k in range(3):
-            assert np.array_equal(sys.eigenvectors[k], qla.eigh(stack[k]).eigenvectors)
-        # each block is Gram-Schmidt over the projected basis vectors e_0, e_1
+        one = qla.eigh(degenerate)
+        assert one.degenerate_groups() == [(0, 2), (2, 4)]
+        for a, b in one.degenerate_groups():
+            got = sys.eigenvectors[1][:, a:b]
+            want = one.eigenvectors[:, a:b]
+            assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T)) < 1e-12
+        assert np.max(np.abs(qla.expm_scaled(stack, -1j)[1]
+                             - qla.expm_scaled(degenerate, -1j))) < 1e-14
+        # a single matrix's block is Gram-Schmidt over the projected basis vectors e_0, e_1
         for block, sign in ((slice(0, 2), -1.0), (slice(2, 4), 1.0)):
             proj = (np.eye(4) + sign * degenerate) / 2
             first = proj[:, 0] / np.linalg.norm(proj[:, 0])
             second = proj[:, 1] - (first.conj() @ proj[:, 1]) * first
             want = np.column_stack([first, second / np.linalg.norm(second)])
-            assert np.max(np.abs(sys.eigenvectors[1][:, block] - want)) < 1e-12
-        assert qla.eigh(degenerate).degenerate_groups() == [(0, 2), (2, 4)]
+            assert np.max(np.abs(one.eigenvectors[:, block] - want)) < 1e-12
         with pytest.raises(ValueError, match="stack"):
             sys.degenerate_groups()
 
@@ -198,16 +207,16 @@ class TestRealFrame:
         assert np.isrealobj(sys.eigenvectors)
         assert np.array_equal(sys.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
 
-    def test_stacks_keep_the_complex_route_bitwise(self, rng):
+    def test_stacks_keep_complex_eigenvectors_as_lapack_gives_them(self, rng):
         members = [rng.normal(size=(6, 6)) for _ in range(3)]
         stack = np.array([m + m.T for m in members], dtype=complex)
         sys = qla.eigh(stack)
         assert np.iscomplexobj(sys.eigenvectors)
         for k in range(3):
-            evals, evecs = _scalar_phase_fixed_eigh(stack[k])
+            evals, evecs = np.linalg.eigh(stack[k])
             assert np.array_equal(sys.eigenvalues[k], evals)
+            assert np.array_equal(sys.eigenvalues[k], _scalar_phase_fixed_eigh(stack[k])[0])
             assert np.array_equal(sys.eigenvectors[k], evecs)
-
 
     def test_real_valued_matrices_are_checked_in_real_arithmetic(self, rng, monkeypatch):
         a = rng.normal(size=(6, 6))

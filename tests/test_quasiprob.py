@@ -740,3 +740,27 @@ def test_moment_identity_random_states(small_chain):
         f = quasiprob.otoc(rho, w, v, h, t)
         assert abs(quasiprob.otoc_moment(qd) - f) < 1e-10
         assert abs(quasiprob.kfold_moment(pw) - f) < 1e-10
+
+
+def _full_row_parities(e, r):
+    """The parity test over every row: s from the sign of sum_i e[r[i]] e[i],
+    kept only if e[r] == e s bitwise."""
+    s = np.where(np.einsum("ij,ij->j", e[r], e) < 0, -1.0, 1.0)
+    return s if np.array_equal(e[r] * s, e) else None
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_reflection_parities_from_the_deciding_rows_match_the_full_row_test(n):
+    r = spin.reflection(n)
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    e = qla.eigh(ham, symmetry=r).eigenvectors
+    s = quasiprob._reflection_parities(e, r)
+    assert s is not None and np.array_equal(s, _full_row_parities(e, r))
+    assert set(s) == {-1.0, 1.0}
+    # one entry of the last mirror row (a row j > r[j]) moved by one ulp
+    mirror = np.flatnonzero(np.arange(2**n) > r)[-1]
+    for col in (0, 2**n - 1):
+        broken = e.copy()
+        broken[mirror, col] = np.nextafter(broken[mirror, col], np.inf)
+        assert quasiprob._reflection_parities(broken, r) is None
+        assert _full_row_parities(broken, r) is None

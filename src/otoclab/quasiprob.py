@@ -60,16 +60,16 @@ four-slot coarse and two-fold series take all eight words from the block
 C = e_W diag(e^{-iEt}) e_V^T of U(t) on the rows where W and V are +1
 (_plus_block_words): one real product and one symmetric rank-k update a
 point, 3/4 d^3 multiply-adds, with neither operator rotated. Every other
-state, operator form or series (toc_series, regulated_series, any
-k-fold series beyond two) builds the frame.
+state, operator or series (toc_series, regulated_series, any k-fold
+series beyond two) builds the frame.
 
-W and V reach the series as matrices or as spin.PauliString tables, the
-operator counterpart of DiagonalState. A string P is rotated with one
-product, e^dag (P e), where P e permutes and scales the rows of the
-eigenvectors e; when W and V are both diagonal strings each is the Gram
-product 2 e_+^dag e_+ - 1 over the rows of e where it is +1 (_rotated),
-a quarter of those multiply-adds. A string is checked for Hermiticity
-and P^2 = 1 on its table in O(d); no series expands it to its matrix.
+Each series entry reads a W or V that is exactly one Pauli string as its
+spin.PauliString table (spin.as_pauli_string), the operator counterpart
+of DiagonalState, so a route and its bits do not depend on how W and V
+are written. A string P is rotated by one product, e^dag (P e), P e the
+eigenvectors e with rows permuted and scaled; a diagonal string by the
+Gram product 2 e_+^dag e_+ - 1 over the rows where it is +1 (_rotated),
+a quarter of those multiply-adds; it is checked on its table in O(d).
 
 Each series returns one QuasiSeries whose correlator is what its moment
 reproduces (F, F_k, the TOC or F_reg; None on the projector route of the
@@ -336,20 +336,17 @@ def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
     are spin.PauliStrings with V = R W R for the site reflection R; when
     every column of a real e has an exact parity, e[R] == e s (qla.eigh's
     sector solve gives one unless a degenerate group was rebuilt across the
-    sectors), V~ = S W~ S and W alone is rotated; else both are. A pair of
-    diagonal strings (_plus_rows) takes their Gram rotation; a pair with
-    any other operator rotates both by the product, so a diagonal V beside
-    a non-diagonal W does not change that series' bits."""
+    sectors), V~ = S W~ S and W alone is rotated; else both are. A matrix is
+    rotated as a matrix, a Pauli one too, and has no parities."""
     e, s = sys.eigenvectors, None
     if (isinstance(w_op, spin.PauliString) and isinstance(v_op, spin.PauliString)
             and np.isrealobj(e) and len(e) == w_op.dim):
         r = spin.reflection(w_op.dim.bit_length() - 1)
         if v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r]):
             s = _reflection_parities(e, r)
-    gram = _plus_rows(w_op) is not None and _plus_rows(v_op) is not None
-    w_e = _rotated(e, w_op, gram)
+    w_e = _rotated(e, w_op)
     if s is None:
-        return w_e, _rotated(e, v_op, gram), None
+        return w_e, _rotated(e, v_op), None
     v_e = w_e * s
     return w_e, np.multiply(v_e, s[:, None], out=v_e), s
 
@@ -379,16 +376,15 @@ def _plus_rows(op):
     return None
 
 
-def _rotated(e: np.ndarray, op, gram: bool = True) -> np.ndarray:
+def _rotated(e: np.ndarray, op) -> np.ndarray:
     """e^dag op e. In a real frame an operator with no imaginary part stays
-    real. With gram, a diagonal string P = 2 Pi_+ - 1 = 1 - 2 Pi_-
-    (_plus_rows) is 2 e_+^dag e_+ - 1 or 1 - 2 e_-^dag e_-, one Gram
-    product over the rows e_+ or e_- of e where P is +1 or -1, whichever
-    are fewer (half of them for a z string); it leans on e^dag e = 1, to
-    rounding. Any other spin.PauliString, and a diagonal one without gram,
-    takes one product, e^dag (P e): P e is e with its rows permuted by
-    r ^ mask and scaled by the phases."""
-    plus = _plus_rows(op) if gram else None
+    real. A diagonal string P = 2 Pi_+ - 1 = 1 - 2 Pi_- (_plus_rows) is
+    2 e_+^dag e_+ - 1 or 1 - 2 e_-^dag e_-, one Gram product over the rows
+    e_+ or e_- of e where P is +1 or -1, whichever are fewer (half of them
+    for a z string); it leans on e^dag e = 1, to rounding. Any other
+    spin.PauliString takes one product, e^dag (P e): P e is e with its rows
+    permuted by r ^ mask and scaled by the phases; a matrix takes two."""
+    plus = _plus_rows(op)
     if plus is not None:
         sign = 1.0 if 2 * len(plus) <= len(e) else -1.0
         x = e[plus] if sign > 0 else e[op.phase < 0]
@@ -406,11 +402,11 @@ def _rotated(e: np.ndarray, op, gram: bool = True) -> np.ndarray:
     return _matmul(e.conj().T, m) @ e
 
 
-def _plus_block_words(state, w_op, v_op, sys: qla.HermitianEigensystem):
-    """The map phase -> the eight k = 2 word traces (_words(2)) of a state
-    c 1 (_equal_weight) and diagonal strings W and V (_plus_rows) in a real
-    frame, or None for any other state, operator or frame. No operator is
-    rotated into the energy frame.
+def _plus_block_words(state, w_op, v_op, sys: qla.HermitianEigensystem, words):
+    """The map phase -> the k = 2 traces over words (of _words(2)) of a
+    state c 1 (_equal_weight) and diagonal strings W and V (_plus_rows) in
+    a real frame, or None for any other state, operator or frame. No
+    operator is rotated into the energy frame.
 
     With e_W and e_V the p and q rows of the eigenvectors e where W and V
     are +1, C = e_W diag(phase) e_V^T is the (W = +1, V = +1) block of
@@ -443,7 +439,7 @@ def _plus_block_words(state, w_op, v_op, sys: qla.HermitianEigensystem):
     static.update(vwv=static["w"], wvw=static["v"])
     buffers = {}
 
-    def words(phase):
+    def traces(phase):
         lead = phase.shape[:-1]
         z = _buffer(buffers, "z", lead + (d, 2 * s), float)
         np.multiply(e_bt, phase.real[..., :, None], out=z[..., :s])
@@ -459,11 +455,11 @@ def _plus_block_words(state, w_op, v_op, sys: qla.HermitianEigensystem):
                   + np.einsum("...ij,...ij->...", skew, skew))
         wv = c * (4 * norm - 2 * p - 2 * q + d)
         vals = dict(static, wv=wv, vw=wv, wvwv=c * (16 * (square - norm) + d))
-        out = np.empty(lead + (8,), dtype=complex)
-        for j, word in enumerate(_words(2)):
+        out = np.empty(lead + (len(words),), dtype=complex)
+        for j, word in enumerate(words):
             out[..., j] = vals[word]
         return out
-    return words
+    return traces
 
 
 def _phases(sys: qla.HermitianEigensystem, times) -> np.ndarray:
@@ -844,20 +840,25 @@ def otoc(rho, w_op, v_op, hamiltonian, t: float) -> complex:
     return complex(np.trace(rho @ qla.dagger(wt) @ qla.dagger(v_op) @ wt @ v_op))
 
 
+def _grid_traces(state, w_op, v_op, sys: qla.HermitianEigensystem, times, k: int,
+                 frame=None, words=None) -> np.ndarray:
+    """The (T, words) traces over words (or _words(k)) on a time grid: with no
+    frame given, k = 2 traces of a state c 1 and diagonal strings take
+    _plus_block_words, and the rest _word_traces in the energy frame."""
+    words = _words(k) if words is None else words
+    traces = _plus_block_words(state, w_op, v_op, sys, words) if k == 2 and not frame else None
+    if traces is None:
+        w_e, v_e, parities = frame or _energy_frame(sys, w_op, v_op)
+        traces = functools.partial(
+            _word_traces(_frame_state(state, sys), v_e, k, parities, words), w_e)
+    return _on_grid(sys, times, (len(words),), traces)
+
+
 def _word_series(state, w_op, v_op, sys: qla.HermitianEigensystem, times, k: int,
                  frame=None):
-    """The word traces on a time grid as the 2k-slot series (v1, w2, v2,
-    w3, ...) of involutions W and V; its correlator F_k holds for any
-    Hermitian W and V. Without a frame (from _energy_frame), a k = 2 series
-    of a state c 1 and diagonal strings takes _plus_block_words and builds
-    none; every other series builds one, and takes _word_traces there."""
-    block = _plus_block_words(state, w_op, v_op, sys) if k == 2 and frame is None else None
-    if block is not None:
-        traces = _on_grid(sys, times, (8,), block)
-    else:
-        w_e, v_e, parities = frame or _energy_frame(sys, w_op, v_op)
-        word_traces = _word_traces(_frame_state(state, sys), v_e, k, parities)
-        traces = _on_grid(sys, times, (4 * k,), lambda phase: word_traces(w_e, phase))
+    """The traces of _grid_traces as the 2k-slot series (v1, w2, v2, w3, ...)
+    of involutions W and V; its correlator F_k holds for any Hermitian W, V."""
+    traces = _grid_traces(state, w_op, v_op, sys, times, k, frame)
     names = tuple(x for ell in range(1, k + 1) for x in (f"v{ell}", f"w{ell + 1}"))
     return QuasiSeries(times=times, values=_entries(traces, k), axis_names=names,
                        axis_eigenvalues=(np.array([-1.0, 1.0]),) * (2 * k),
@@ -869,26 +870,20 @@ def otoc_series(rho, w_op, v_op, hamiltonian, times) -> CorrelatorSeries:
 
     F is the trace of the word W(t) V W(t) V, so W and V must be Hermitian;
     the lab-frame otoc takes any W and V. rho may be a state in any form
-    (module docstring), and W and V matrices or spin.PauliString tables.
-    A state c 1 with diagonal strings W and V, the chain's infinite
-    temperature with z Paulis, takes F from one block of U(t)
-    (_plus_block_words) and rotates nothing; every other case takes the one
-    energy-frame word trace of _word_traces.
+    and W and V operators in any form (module docstring). F is the one
+    word "wvwv" of _grid_traces, on the route the coarse series takes: a
+    state c 1 with diagonal strings W and V, the chain's infinite
+    temperature with z Paulis, takes it from one block of U(t)
+    (_plus_block_words) and rotates nothing; every other case takes it
+    in the energy frame.
     """
+    w_op, v_op = spin.as_pauli_string(w_op), spin.as_pauli_string(v_op)
     check_state(rho, w_op, v_op)
     if max(_hermiticity_defect(w_op), _hermiticity_defect(v_op)) > qla.HERMITIAN_TOL:
         raise ValueError("otoc_series needs Hermitian W and V")
     times = np.asarray(times, dtype=float)
-    sys = _eigensystem(hamiltonian)
-    block = _plus_block_words(rho, w_op, v_op, sys)
-    if block is not None:
-        f = _words(2).index("wvwv")
-        values = _on_grid(sys, times, (), lambda phase: block(phase)[..., f])
-        return CorrelatorSeries(times=times, values=values)
-    w_e, v_e, parities = _energy_frame(sys, w_op, v_op)
-    word_traces = _word_traces(_frame_state(rho, sys), v_e, 2, parities, ("wvwv",))
-    values = _on_grid(sys, times, (), lambda phase: word_traces(w_e, phase)[..., 0])
-    return CorrelatorSeries(times=times, values=values)
+    f = _grid_traces(rho, w_op, v_op, _eigensystem(hamiltonian), times, 2, words=("wvwv",))
+    return CorrelatorSeries(times=times, values=f[:, 0])
 
 
 def scrambling_onset(series: CorrelatorSeries, threshold: float = 0.9):
@@ -921,9 +916,9 @@ def coarse_quasiprob_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     words from one block of U(t) (_plus_block_words) and rotates nothing.
     Other observables take the four-projector trace of the dressed W(t)
     projectors in the energy frame, taken from the rotated W and V, and a
-    density matrix, with no correlator. W and V may be matrices or
-    spin.PauliString tables.
+    density matrix, with no correlator.
     """
+    w_op, v_op = spin.as_pauli_string(w_op), spin.as_pauli_string(v_op)
     check_state(rho, w_op, v_op)
     return _coarse_series(rho, w_op, v_op, _eigensystem(hamiltonian),
                           np.asarray(times, dtype=float))
@@ -1118,6 +1113,7 @@ def regulated_series(hamiltonian, temperature: float, w_op, v_op, times) -> Quas
     is F_reg = Tr(W' V W' V) = Tr(G G), which the usual moment reproduces.
     """
     sys = _eigensystem(hamiltonian)
+    w_op, v_op = spin.as_pauli_string(w_op), spin.as_pauli_string(v_op)
     _check_dims(w_op, v_op, sys.eigenvectors)
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("regulated_series needs involutory W and V")
@@ -1159,6 +1155,7 @@ def toc_series(rho, w_op, v_op, hamiltonian, times) -> QuasiSeries:
     for its (chunk, d) stack of phases. Energy-frame weights p give
     M = (V p) V^dag, one product.
     """
+    w_op, v_op = spin.as_pauli_string(w_op), spin.as_pauli_string(v_op)
     check_state(rho, w_op, v_op)
     sys = _eigensystem(hamiltonian)
     frame = _energy_frame(sys, w_op, v_op)
@@ -1192,6 +1189,7 @@ def kfold_series(rho, w_op, v_op, hamiltonian, times, khat: int) -> QuasiSeries:
     """
     if not isinstance(khat, int) or khat < 2 or khat > _KFOLD_MAX:
         raise ValueError(f"khat must be an integer in [2, {_KFOLD_MAX}]")
+    w_op, v_op = spin.as_pauli_string(w_op), spin.as_pauli_string(v_op)
     check_state(rho, w_op, v_op)
     if not _is_hermitian_involution(w_op) or not _is_hermitian_involution(v_op):
         raise ValueError("k-fold enumeration needs involutory W and V")

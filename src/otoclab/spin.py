@@ -7,9 +7,9 @@ index i has site s in state (i >> (n - s)) & 1, with bit 0 meaning spin up,
 so site 1 is the most significant bit. A Pauli string is a flip mask and a
 phase vector, P|r> = phase[r] |r ^ mask>, held as a PauliString, and the
 site Paulis, the Hamiltonian and the Brownian pair strings all come from
-this one form. W and V reach the quasiprob series as PauliString tables,
-which rotate into the energy frame by one product and are checked in
-O(d); pauli_matrix expands a string to its dense matrix.
+this one form. W and V reach the quasiprob series as PauliString tables
+(as_pauli_string reads a matrix that is one), rotated into the energy
+frame by one product and checked in O(d); pauli_matrix makes one dense.
 """
 from __future__ import annotations
 
@@ -56,14 +56,15 @@ class PauliString:
     The operator counterpart of quasiprob.DiagonalState: the series rotate
     it into the energy frame with one product and test it in O(d) on the
     table; matrix() makes it dense once, for the routes that need a matrix.
-    phase is real when every factor's phase is, complex otherwise.
+    phase is real when no entry has an imaginary part, complex otherwise.
     """
 
     mask: int
     phase: np.ndarray
 
     def __post_init__(self):
-        phase = np.array(self.phase, dtype=complex if np.iscomplexobj(self.phase) else float)
+        phase = np.array(self.phase, dtype=complex)
+        phase = phase if np.any(phase.imag) else phase.real.copy()
         dim = phase.shape[0] if phase.ndim == 1 else 0
         if dim == 0 or dim & (dim - 1) or not np.all(np.isfinite(phase)):
             raise ValueError("phase must be a finite vector of power-of-two length")
@@ -124,6 +125,24 @@ def pauli_matrix(mask: int, phase: np.ndarray) -> np.ndarray:
     out = np.zeros((len(phase), len(phase)), dtype=complex)
     out[r ^ mask, r] = phase
     return out
+
+
+def as_pauli_string(op):
+    """The PauliString table of a matrix that is exactly one string, else
+    op unchanged: one nonzero per column, at row r ^ mask for a single
+    mask, each of unit modulus. The test reads the O(d^2) entries with no
+    tolerance, so a matrix one ulp off a string stays a matrix; a string's
+    matrix() comes back as its table bit for bit."""
+    m = np.asarray(op)
+    d = m.shape[0] if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
+    if d == 0 or d & (d - 1):
+        return op
+    r = np.arange(d)
+    mask = int(np.argmax(m[:, 0] != 0))
+    phase = m[r ^ mask, r]
+    if not np.all(np.abs(phase) == 1) or np.count_nonzero(m) != d:
+        return op
+    return PauliString(mask, phase)
 
 
 def pair_pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,10 @@ products of 2k projectors recovered by eigendecomposition, as are the
 time-ordered and regulated series. The series contract a state by its form
 (energy-frame weights, a vector psi, or a density matrix), and each form is
 checked against the lab-frame routes on its dense rho. W and V enter the
-series as matrices or as spin.PauliString tables, and the tables are
-checked against their matrices and the same lab-frame routes. The
+series as spin.PauliString tables or as matrices, and the entries read a
+matrix that is exactly a string as its table: the tables are checked
+against the product route of their matrices, taken below the entries,
+and against the same lab-frame routes. The
 Brownian Monte-Carlo ensemble is checked at t > 0 against the exact noise
 average, the Markov chain its increments drive on the squared Pauli
 coefficients of W(t). The retrodiction walk over eigenvalue tuples is
@@ -403,6 +405,15 @@ def _word_series(state, w, v, sys, times):
             quasiprob.kfold_series(state, w, v, sys, times, 3))
 
 
+def _matrix_route_series(state, w, v, sys, times):
+    """What _word_series gives, from quasiprob._word_series on W and V as
+    they come: matrices stay matrices there and take the product route."""
+    times = np.asarray(times, dtype=float)
+    coarse = quasiprob._word_series(state, w, v, sys, times, 2)
+    three = quasiprob._word_series(state, w, v, sys, times, 3)
+    return quasiprob.CorrelatorSeries(coarse.times, coarse.correlator), coarse, coarse, three
+
+
 def _assert_lab_frame(series, rho, w, v, h, times):
     """The series of _word_series against the lab-frame F, entries and F_3
     for the matrices W and V."""
@@ -438,17 +449,79 @@ def test_every_state_form_matches_the_lab_frame(form, instance, seed):
 @pytest.mark.parametrize("form", STATE_FORMS)
 def test_pauli_strings_match_the_matrix_route_and_the_lab_frame(form, chain, times, seed):
     """W and V as spin.PauliString tables, rotated by one product and
-    checked on the table, give what their matrices give."""
+    checked on the table, give what their matrices give on the product
+    route, taken below the entries, which read a Pauli matrix as its table
+    (_matrix_route_series)."""
     w, v, h = chain
     sys = qla.eigh(h)
     state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(seed))[form]
     from_strings = _word_series(state, w, v, sys, times)
-    from_matrices = _word_series(state, w.matrix(), v.matrix(), sys, times)
+    from_matrices = _matrix_route_series(state, w.matrix(), v.matrix(), sys, times)
     for a, b in zip(from_strings, from_matrices):
         assert max_dev(a.values, b.values) < TOL
     for a, b in zip(from_strings[1:], from_matrices[1:]):
         assert max_dev(a.correlator, b.correlator) < TOL
     _assert_lab_frame(from_strings, rho, w.matrix(), v.matrix(), h, times)
+
+
+BYTE_PAIRS = {
+    "1z-nz": lambda n: ([(1, "z")], [(n, "z")]),
+    "1x-nx": lambda n: ([(1, "x")], [(n, "x")]),
+    "1y-ny": lambda n: ([(1, "y")], [(n, "y")]),
+    "2x-nz": lambda n: ([(2, "x")], [(n, "z")]),
+    "zz": lambda n: ([(1, "z"), (2, "z")], [(n - 1, "z"), (n, "z")]),
+}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("frame", ["sector", "full"])
+@pytest.mark.parametrize("pair", sorted(BYTE_PAIRS))
+def test_every_entry_gives_a_pauli_matrix_the_bits_of_its_table(n, frame, pair):
+    """The series entries read a matrix that is exactly a Pauli string as
+    its table, so each gives the same bits for pauli_string tables and for
+    their .matrix() forms: values and correlators, on both eigensystems,
+    for every state form and all five entries."""
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    sys = qla.eigh(ham, symmetry=spin.reflection(n)) if frame == "sector" else qla.eigh(ham)
+    w_factors, v_factors = BYTE_PAIRS[pair](n)
+    w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors)
+    d, times = 2**n, [0.0, 0.7, 2.3]
+    states = [quasiprob.DiagonalState(np.full(d, 1.0 / d)),
+              quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 0.8)),
+              qla.haar_random_state(d, 7), np.eye(d) / d]
+    entries = [
+        lambda state, w, v: quasiprob.otoc_series(state, w, v, sys, times),
+        lambda state, w, v: quasiprob.coarse_quasiprob_series(state, w, v, sys, times),
+        lambda state, w, v: quasiprob.toc_series(state, w, v, sys, times),
+        lambda state, w, v: quasiprob.kfold_series(state, w, v, sys, times, 2),
+        lambda state, w, v: quasiprob.kfold_series(state, w, v, sys, times, 3),
+        lambda state, w, v: quasiprob.regulated_series(sys, 0.8, w, v, times),
+    ]
+    for state in states:
+        for entry in entries:
+            table, matrix = entry(state, w, v), entry(state, w.matrix(), v.matrix())
+            assert np.array_equal(table.values, matrix.values)
+            if isinstance(table, quasiprob.QuasiSeries):
+                assert table.correlator is not None
+                assert np.array_equal(table.correlator, matrix.correlator)
+
+
+def test_a_partner_pair_of_matrices_reaches_the_partner_kernel(monkeypatch):
+    """Z_1 and Z_n given as matrices on a sector eigensystem are read as
+    tables by the entry, so their thermal F takes the partner walk; below
+    the entry, _energy_frame on the matrices finds no parities."""
+    n = 5
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
+    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
+    assert quasiprob._energy_frame(sys, w.matrix(), v.matrix())[2] is None
+    real, calls = quasiprob._partner_kernel, []
+    monkeypatch.setattr(quasiprob, "_partner_kernel",
+                        lambda *args: calls.append(True) or real(*args))
+    state = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 0.8))
+    f = quasiprob.otoc_series(state, w.matrix(), v.matrix(), sys, [0.0, 1.3]).values
+    assert calls == [True]
+    assert abs(f[1] - quasiprob.otoc(state, w.matrix(), v.matrix(), sys, 1.3)) < TOL
 
 
 @pytest.mark.parametrize("n, j, h, g", [
@@ -561,10 +634,13 @@ def test_eigenprojector_completeness():
 
 @pytest.mark.parametrize("operand", ["w", "v"])
 @pytest.mark.parametrize("scale", [1j, 2.0], ids=["not Hermitian", "no involution"])
-def test_strings_off_the_involutions_behave_as_their_matrices(scale, operand):
+def test_strings_off_the_involutions_behave_as_their_matrices(monkeypatch, scale, operand):
     """phase x 1j is not Hermitian, phase x 2 squares to 4: each series
     rejects the scaled string exactly where it rejects its matrix, with
-    the same message, and otherwise returns the same values."""
+    the same message, and otherwise returns the same values. The entries
+    read a matrix that is exactly a string (phase x 1j, or the unscaled
+    operand) as its table, so the matrices are passed with that reading
+    off, and every check they meet is the dense one."""
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=2, j=1.0, h=0.5, g=1.05))
     ops = {"w": spin.pauli_string(2, [(1, "x")]), "v": spin.pauli_string(2, [(2, "y")])}
     ops[operand] = spin.PauliString(ops[operand].mask, scale * ops[operand].phase)
@@ -582,10 +658,15 @@ def test_strings_off_the_involutions_behave_as_their_matrices(scale, operand):
         except ValueError as exc:
             return str(exc)
 
+    def as_matrices(call, w, v):
+        with monkeypatch.context() as m:
+            m.setattr(spin, "as_pauli_string", lambda op: op)
+            return outcome(call, w, v)
+
     outcomes = []
     for name, call in calls.items():
         string = outcome(call, ops["w"], ops["v"])
-        matrix = outcome(call, ops["w"].matrix(), ops["v"].matrix())
+        matrix = as_matrices(call, ops["w"].matrix(), ops["v"].matrix())
         outcomes.append(isinstance(matrix, str))
         if isinstance(matrix, str):
             assert string == matrix, name
@@ -801,7 +882,8 @@ def test_z_strings_at_infinite_temperature_take_one_block_of_u(monkeypatch, n, p
     frame = quasiprob._word_traces(quasiprob.DiagonalState(np.full(d, 1.0 / d)), v_full, 2)(
         w_full, quasiprob._phases(sys, times))
     frames = _counted_frames(monkeypatch)
-    block = quasiprob._on_grid(sys, times, (8,), quasiprob._plus_block_words(state, w, v, sys))
+    block = quasiprob._on_grid(sys, times, (8,), quasiprob._plus_block_words(
+        state, w, v, sys, quasiprob._words(2)))
     f = quasiprob.otoc_series(state, w, v, sys, times).values
     coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, times)
     two = quasiprob.kfold_series(state, w, v, sys, times, 2)
@@ -835,7 +917,7 @@ def test_other_states_and_operators_enter_the_energy_frame(monkeypatch, case):
         ham = ham + 0.3 * spin.pauli_string(n, [(2, "y")]).matrix()
         sys = qla.eigh(ham)
         assert np.iscomplexobj(sys.eigenvectors)
-    assert quasiprob._plus_block_words(state, w, v, sys) is None
+    assert quasiprob._plus_block_words(state, w, v, sys, quasiprob._words(2)) is None
     frames = _counted_frames(monkeypatch)
     f = quasiprob.otoc_series(state, w, v, sys, [0.9]).values
     coarse = quasiprob.coarse_quasiprob_series(state, w, v, sys, [0.9])

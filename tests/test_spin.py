@@ -142,6 +142,10 @@ class TestPauliString:
     def test_phase_keeps_its_dtype_and_is_read_only(self):
         z, y = spin.pauli_string(3, [(2, "z")]), spin.pauli_string(3, [(2, "y")])
         assert z.phase.dtype == float and y.phase.dtype == complex
+        # a phase with no imaginary part is real, however it was written
+        yy = spin.pauli_string(3, [(1, "y"), (2, "y")])
+        assert yy.phase.dtype == float
+        assert spin.PauliString(0, z.phase.astype(complex)).phase.dtype == float
         assert (z.dim, z.mask, y.mask) == (8, 0, 0b010)
         with pytest.raises(ValueError):
             z.phase[0] = 2.0
@@ -152,6 +156,52 @@ class TestPauliString:
     def test_rejects_malformed_tables(self, mask, phase):
         with pytest.raises(ValueError):
             spin.PauliString(mask, phase)
+
+
+class TestAsPauliString:
+    def test_a_string_matrix_gives_the_table_of_pauli_string(self):
+        """Every site Pauli at n <= 4 and every two-site product comes back
+        as pauli_string's table: its mask, its phases bit for bit and their
+        dtype."""
+        for n in range(1, 5):
+            factors = [[(s, a)] for s in range(1, n + 1) for a in "1xyz"]
+            factors += [[(s, a), (t, b)] for s in range(1, n + 1) for t in range(s + 1, n + 1)
+                        for a in "1xyz" for b in "1xyz"]
+            for f in factors:
+                want = spin.pauli_string(n, f)
+                got = spin.as_pauli_string(want.matrix())
+                assert isinstance(got, spin.PauliString)
+                assert got.mask == want.mask
+                assert got.phase.dtype == want.phase.dtype
+                assert np.array_equal(got.phase, want.phase)
+                assert np.array_equal(np.signbit(got.phase.view(float)),
+                                      np.signbit(want.phase.view(float)))
+
+    def test_anything_else_comes_back_as_it_is(self):
+        """No tolerance: every operator that is not exactly one string is
+        returned as the same object."""
+        n, d = 3, 8
+        w = spin.site_pauli(n, 1, "z")
+        x = spin.site_pauli(n, 2, "x")
+        u = oracles.haar_unitary(d, 3)
+        assert x[2, 0] == x[4, 6] == 1.0        # X_2 flips bit 0b010
+        one_ulp = x.copy()
+        one_ulp[2, 0] = np.nextafter(1.0, 2.0)
+        tiny = x.copy()
+        tiny[0, 0] = 5e-324                     # a second nonzero in column 0
+        two = x.copy()
+        two[1, 0] = 1.0
+        modulus = x.copy()
+        modulus[4, 6] = 1.5 * np.exp(0.3j)
+        zero_column = x.copy()
+        zero_column[:, 5] = 0.0
+        swap = np.eye(4)[[0, 2, 1, 3]]          # a permutation with no single mask
+        for op in (w + 2 * np.eye(d), u.conj().T @ w @ u, one_ulp, tiny, two, modulus,
+                   zero_column, swap, 2 * x, x[:, :4], np.ones(d), np.eye(3),
+                   np.zeros((0, 0)), np.full((d, d), np.nan)):
+            assert spin.as_pauli_string(op) is op
+        table = spin.pauli_string(n, [(1, "x")])
+        assert spin.as_pauli_string(table) is table
 
 
 def test_dense_cap_refuses_13_sites_before_allocating():

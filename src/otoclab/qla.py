@@ -279,8 +279,10 @@ def _sector_eigh(m: np.ndarray, sym: np.ndarray):
     if np.max(np.abs(m[sym[even]] - rows.take(sym, axis=1))) > HERMITIAN_TOL:
         return None
     c = np.r_[np.full(len(fixed), np.sqrt(0.5)), np.ones(len(lo))]    # fixed points read twice
+    scale = np.outer(c, c)
+    scale[:len(fixed), :len(fixed)] = 0.5         # exactly: sqrt(0.5)**2 is one ulp above
     (e_vals, e_vecs), (o_vals, o_vecs) = map(np.linalg.eigh, [
-        (rows.take(even, axis=1) + rows.take(sym[even], axis=1)) * np.outer(c, c),
+        (rows.take(even, axis=1) + rows.take(sym[even], axis=1)) * scale,
         rows[len(fixed):].take(lo, axis=1) - rows[len(fixed):].take(sym[lo], axis=1)])
     e_vecs = _fix_phase((e_vecs * (np.sqrt(0.5) / c)[:, None])[np.argsort(even)])
     o_vecs = _fix_phase(o_vecs * np.sqrt(0.5))

@@ -324,6 +324,26 @@ class TestSectorRoute:
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
+    @pytest.mark.parametrize("h", [
+        -np.eye(4), np.eye(8), np.diag([1.0, 2.0, 2.0, 3.0]),
+        np.diag([2.0, -3.0, 5.0, 0.0, -3.0, 1.0, 0.0, 2.0]),
+    ], ids=["minus one", "one at n=3", "small integers", "mirrored integers at n=3"])
+    def test_dyadic_symmetric_matrices_get_exact_eigenvalues(self, h):
+        """The fixed points of R enter the even sector as 2 H[f, f'] times
+        exactly 1/2, so an exact reflection-symmetric diagonal comes back
+        exact, on the fixed points as well."""
+        sym = spin.reflection(len(h).bit_length() - 1)
+        assert np.array_equal(h[np.ix_(sym, sym)], h)
+        got = qla.eigh(h, symmetry=sym).eigenvalues
+        assert np.array_equal(got, np.sort(np.diag(h)))
+
+    def test_the_diagonal_chain_gets_its_diagonal_exactly(self):
+        """At g = 0 the n = 10 chain is diagonal with entries that are sums
+        of +-j and +-h, and its sector eigenvalues are those entries sorted."""
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=10, j=1.0, h=0.5, g=0.0))
+        got = qla.eigh(h, symmetry=spin.reflection(10)).eigenvalues
+        assert np.array_equal(got, np.sort(np.diag(h)))
+
     @pytest.mark.parametrize("sym", [[1, 2, 0, 3], [0, 1, 2], [1, 0, 3, 2, 4], [5, 0, 1, 2],
                                      [1.0, 0.0, 3.0, 2.0], [[1, 0, 3, 2]]])
     def test_rejects_a_symmetry_that_is_no_involution_of_the_basis(self, sym):

@@ -337,13 +337,15 @@ def _resolve_state(spec, n: int, h_sys):
 def _chain_pieces(cfg: dict):
     """H's eigensystem, W and V as spin.PauliString tables, and the state
     (None without a state key); one eigensystem serves the whole job,
-    thermal weights included. Runners that need dense W and V expand them
-    once with matrix()."""
+    thermal weights included. qla.eigh finds the uniform chain's
+    reflection sectors by itself, so the eigensystem carries the parities
+    that a reflection partner's series reads. Runners that need dense W
+    and V expand them once with matrix()."""
     w = _parse_site_axis(cfg["w"], cfg["n"], "w")
     v = _parse_site_axis(cfg["v"], cfg["n"], "v")
     spec = spin.SpinChainSpec(n=cfg["n"], j=cfg["j"], h=cfg["h_field"],
                               g=cfg["g_field"])
-    h_sys = qla.eigh(spin.ising_hamiltonian(spec), symmetry=spin.reflection(cfg["n"]))
+    h_sys = qla.eigh(spin.ising_hamiltonian(spec))
     state = _resolve_state(cfg["state"], cfg["n"], h_sys) if "state" in cfg else None
     return h_sys, w, v, state
 

@@ -56,9 +56,11 @@ def asym_decohere(rho, w_op, v_op, hamiltonian, t: float) -> np.ndarray:
            <v,nu|rho U'|w,lambda> |v,nu><w,lambda|U.
     The subtraction preserves the trace and can break Hermiticity.
     """
-    rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), hamiltonian)
+    quasiprob.check_state(rho, w_op, v_op)
     w_cols, v_cols = quasiprob._fine_basis(w_op)[1], quasiprob._fine_basis(v_op)[1]
-    return _decohere(rho, quasiprob.propagator(hamiltonian, t), w_cols, v_cols)[0]
+    h_sys = quasiprob._eigensystem(hamiltonian)
+    rho = quasiprob.density_matrix(rho, h_sys)
+    return _decohere(rho, quasiprob.propagator(h_sys, t), w_cols, v_cols)[0]
 
 
 def _decohere(rho, u, w_cols, v_cols):

@@ -4,8 +4,10 @@ Everything downstream (spin chains, quasiprobabilities, measurement
 protocols) runs on plain numpy arrays. This module pins down the few
 conventions the rest of the package relies on: the Hermiticity check
 and the unitarity defect, eigendecompositions with a deterministic basis inside
-degenerate eigenspaces, and matrix exponentials computed spectrally so
-that propagators are unitary by construction.
+degenerate eigenspaces (in the two reflection sectors, with each column's
+parity, whenever the bit reversal of the basis maps the matrix to itself),
+and matrix exponentials computed spectrally so that propagators are
+unitary by construction.
 
 A (..., d, d) stack is checked member by member like a single matrix, but
 decomposed only for its exponentials (the Brownian step), in LAPACK's bases
@@ -126,10 +128,15 @@ class HermitianEigensystem:
     checked, the arrays are (..., d) and (..., d, d) in LAPACK's bases, with
     no convention, for functions of each member such as its exponential:
     propagator and reconstruct act member by member.
+
+    parities, s = +-1 with eigenvectors[bit_reversal(d)] == eigenvectors * s
+    bitwise, come from eigh's sector solve; None after the full solve, for
+    a stack, and once a degenerate group was rebuilt.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    parities: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -219,7 +226,7 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return vecs * (c.conj() / np.hypot(c.real, c.imag))
 
 
-def eigh(h, symmetry=None) -> HermitianEigensystem:
+def eigh(h) -> HermitianEigensystem:
     """Eigendecomposition of a Hermitian matrix with a reproducible basis.
 
     Eigenvalues come back ascending. Within each degenerate group the
@@ -233,12 +240,13 @@ def eigh(h, symmetry=None) -> HermitianEigensystem:
     solver and keeps real eigenvectors under the same conventions; its
     largest entries come out positive.
 
-    symmetry, an involutive basis permutation R as an index array, splits a
-    single h with max |R h R - h| <= HERMITIAN_TOL into even and odd sectors
-    solved apart. A sector vector has |v[r]| = |v[Rr]|, so its largest entry
-    is at the lower index and its sign may differ from the full route's;
-    every reported quantity is blind to column signs. Its parity is exact,
-    v[R] == +-v bitwise, unless its degenerate group was rebuilt.
+    A single h of dimension 2^n, n >= 2, that the bit reversal R
+    (bit_reversal: the site reflection of an n-site chain) maps to itself,
+    max |R h R - h| <= HERMITIAN_TOL, is split into even and odd sectors
+    solved apart; any other h takes the full solve. A sector vector has
+    |v[r]| = |v[Rr]|, so its largest entry is at the lower index. Its
+    parity, v[R] == +-v bitwise, is exact, and the eigensystem carries
+    the parities unless a degenerate group was rebuilt.
 
     h may also be a (..., d, d) stack, for its exponentials (expm_scaled):
     every member is checked, finite and Hermitian, as a complex array, and
@@ -254,22 +262,25 @@ def eigh(h, symmetry=None) -> HermitianEigensystem:
         if not np.any(m.imag):
             m = m.real
     _require_hermitian(m)                 # which also checks a float m
-    if symmetry is not None:
-        sym, r = np.asarray(symmetry), np.arange(len(m))
-        # shape, dtype and range are checked before sym indexes anything
-        if (sym.shape != r.shape or not np.issubdtype(sym.dtype, np.integer)
-                or np.any((sym < 0) | (sym >= len(m))) or not np.array_equal(sym[sym], r)):
-            raise ValueError("symmetry must be an involutive permutation of the basis")
-        sectors = _sector_eigh(m, sym)
-        if sectors is not None:
-            return _conventions(*sectors, sectors[1])
+    d = len(m)
+    if d >= 4 and not d & (d - 1) and (sectors := _sector_eigh(m, bit_reversal(d))):
+        evals, evecs, parities = sectors
+        return _conventions(evals, evecs, evecs, parities)
     evals, evecs = np.linalg.eigh(m)
     return _conventions(evals, evecs, _fix_phase(evecs))
 
 
+def bit_reversal(dim: int) -> np.ndarray:
+    """The basis permutation r -> r with its n = log2(dim) bits reversed, an
+    involution: for an n-site chain (site 1 the most significant bit) the
+    site reflection s -> n + 1 - s, the uniform chain's symmetry."""
+    n, r = dim.bit_length() - 1, np.arange(dim)
+    return sum(((r >> b) & 1) << (n - 1 - b) for b in range(n))
+
+
 def _sector_eigh(m: np.ndarray, sym: np.ndarray):
-    """Ascending eigenpairs of m from its even (A + B) and odd (A - B) sectors,
-    phases fixed, or None unless R m R matches m (HERMITIAN_TOL) on rows r <= sym[r]."""
+    """Ascending eigenpairs of m from its even (A + B) and odd (A - B) sectors, phases
+    fixed, with parities +-1; None unless R m R = m (HERMITIAN_TOL) on rows r <= sym[r]."""
     r = np.arange(len(sym))
     fixed, lo = r[r == sym], r[r < sym]
     even = np.r_[fixed, lo]
@@ -292,15 +303,17 @@ def _sector_eigh(m: np.ndarray, sym: np.ndarray):
     vecs[lo, ne:], vecs[sym[lo], ne:] = o_vecs, -o_vecs
     evals = np.concatenate([e_vals, o_vals])
     order = np.argsort(evals, kind="stable")
-    return evals[order], vecs.take(order, axis=1)
+    return evals[order], vecs.take(order, axis=1), np.r_[np.ones(ne), -np.ones(len(lo))][order]
 
 
-def _conventions(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray) -> HermitianEigensystem:
-    """out, evecs with fixed phases, with each degenerate group rebuilt."""
+def _conventions(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray, parities=None):
+    """out, evecs with fixed phases, with each degenerate group rebuilt; a
+    rebuilt group may mix the sectors, so it drops the parities."""
     for start, stop in _group_degenerate(evals):
         if stop - start > 1:
             out[:, start:stop] = _fix_degenerate_basis(evecs[:, start:stop])
-    return HermitianEigensystem(eigenvalues=evals, eigenvectors=out)
+            parities = None
+    return HermitianEigensystem(evals, out, parities)
 
 
 def expm_scaled(h, z: complex) -> np.ndarray:

@@ -46,8 +46,9 @@ weighted vectors (psi, or the eigenvectors of a density matrix), three
 stacked products of a matrix by the block that never form W(t); a dense
 rho equal to c 1 (a constant real diagonal, nothing off it) is read as
 equal weights. F is the one trace otoc_series asks for. When V is W's
-image under the site reflection R (W = Z_1, V = Z_n) and every
-eigenvector has an exact parity, e[R] == e s, then V~ = S W~ S
+image under the site reflection R (W = Z_1, V = Z_n) and the
+eigensystem carries the exact parities of qla.eigh's reflection sector
+solve, e[R] == e s, then V~ = S W~ S
 (_energy_frame), and Y = G S = W~ (D S) W~ is complex symmetric: the
 four-slot words of energy-frame weights are then sums over the lower
 block triangle of Y, walked by column blocks that never form the (d, d)
@@ -79,9 +80,9 @@ W(t) projectors resolve the identity). otoc and fine_quasiprob stay in
 the lab frame, on density_matrix of the state and matrix W and V: otoc as
 a single-point check of the series, fine_quasiprob for the fine grain.
 
-Hamiltonians are accepted either as matrices or as precomputed
-qla.HermitianEigensystem values; passing the eigensystem lets callers sweep
-many times without rediagonalizing.
+Hamiltonians are accepted either as matrices, which an entry solves once
+by qla.eigh, to the bits of its eigensystem, or as precomputed
+qla.HermitianEigensystem values, which spare a sweep the solve.
 
 A state is a (d, d) density matrix rho, a (d,) vector psi (|psi><psi|)
 or DiagonalState weights. Each entry that takes one calls check_state,
@@ -333,37 +334,21 @@ def _matmul(a, b, out=None):
 def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
     """W and V rotated (_rotated) into the eigenbasis e of H, and the column
     parities s of e when V is W's reflection partner, else None. Partners
-    are spin.PauliStrings with V = R W R for the site reflection R; when
-    every column of a real e has an exact parity, e[R] == e s (qla.eigh's
-    sector solve gives one unless a degenerate group was rebuilt across the
-    sectors), V~ = S W~ S and W alone is rotated; else both are. A matrix is
-    rotated as a matrix, a Pauli one too, and has no parities."""
-    e, s = sys.eigenvectors, None
-    if (isinstance(w_op, spin.PauliString) and isinstance(v_op, spin.PauliString)
-            and np.isrealobj(e) and len(e) == w_op.dim):
-        r = spin.reflection(w_op.dim.bit_length() - 1)
-        if v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r]):
-            s = _reflection_parities(e, r)
+    are spin.PauliStrings with V = R W R for the site reflection R
+    (qla.bit_reversal); when a real e carries sys.parities, e[R] == e s,
+    V~ = S W~ S and W alone is rotated; else both are. A matrix is rotated
+    as a matrix, a Pauli one too, and has no parities."""
+    e, s = sys.eigenvectors, sys.parities
+    partners = (s is not None and np.isrealobj(e) and isinstance(w_op, spin.PauliString)
+                and isinstance(v_op, spin.PauliString))
+    if partners:
+        r = qla.bit_reversal(w_op.dim)
+        partners = v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r])
     w_e = _rotated(e, w_op)
-    if s is None:
+    if not partners:
         return w_e, _rotated(e, v_op), None
     v_e = w_e * s
     return w_e, np.multiply(v_e, s[:, None], out=v_e), s
-
-
-def _reflection_parities(e: np.ndarray, r: np.ndarray):
-    """The column parities s of e, e[r] == e s bitwise with s = +-1, or
-    None unless every column has one. The rows i <= r[i] decide it, a block
-    of them at a time: the other rows are their mirrors, and a row pair
-    that matches up to a sign s matches the other way round too."""
-    rows = np.flatnonzero(np.arange(len(r)) <= r)
-    even = odd = np.ones(e.shape[1], dtype=bool)
-    for block in np.split(rows, range(128, len(rows), 128)):
-        mirrored, own = e[r[block]], e[block]
-        even = even & np.all(mirrored == own, axis=0)
-        odd = odd & np.all(mirrored == -own, axis=0)
-    # a unit column is never zero on all the deciding rows, so never both
-    return np.where(even, 1.0, -1.0) if np.all(even | odd) else None
 
 
 def _plus_rows(op):
@@ -833,8 +818,8 @@ def _block_kernel(state, v, k: int):
 
 def otoc(rho, w_op, v_op, hamiltonian, t: float) -> complex:
     """F(t) = Tr(rho W(t)dag Vdag W(t) V)."""
-    rho = density_matrix(check_state(rho, w_op, v_op), hamiltonian)
-    u = propagator(hamiltonian, t)
+    sys = _eigensystem(hamiltonian)
+    rho, u = density_matrix(check_state(rho, w_op, v_op), sys), propagator(sys, t)
     _check_dims(w_op, u)
     wt = heisenberg(w_op, u)
     return complex(np.trace(rho @ qla.dagger(wt) @ qla.dagger(v_op) @ wt @ v_op))
@@ -994,8 +979,8 @@ def fine_quasiprob(
     check_state(rho, w_op, v_op)
     w_evs, w_cols = _fine_basis(w_op)
     v_evs, v_cols = _fine_basis(v_op)
-    u = propagator(hamiltonian, t)
-    rho = density_matrix(rho, hamiltonian)
+    sys = _eigensystem(hamiltonian)
+    u, rho = propagator(sys, t), density_matrix(rho, sys)
 
     p = w_cols.conj().T @ u @ v_cols             # <w|U|v>
     r = v_cols.conj().T @ rho @ u.conj().T @ w_cols

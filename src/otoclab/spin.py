@@ -1,6 +1,6 @@
 """Spin-chain building blocks: Pauli strings, the mixed-field Ising
-Hamiltonian, its site reflection, thermal weights and the product
-initial state.
+Hamiltonian (whose site reflection, qla.bit_reversal, qla.eigh finds by
+itself), thermal weights and the product initial state.
 
 Sites are 1-based. Basis ordering is the usual binary one: computational
 index i has site s in state (i >> (n - s)) & 1, with bit 0 meaning spin up,
@@ -179,12 +179,6 @@ def ising_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
         x = pauli_string(n, [(s, "x")])
         ham[x.flipped(), r] -= spec.g * x.phase
     return ham
-
-
-def reflection(n: int) -> np.ndarray:
-    """The site reflection s -> n + 1 - s as a basis permutation, r with its
-    n bits reversed (bits as in pauli_string); the uniform chain's symmetry."""
-    return sum(((np.arange(2**n) >> (n - s)) & 1) << (s - 1) for s in range(1, n + 1))
 
 
 def thermal_weights(eigenvalues, temperature: float) -> np.ndarray:

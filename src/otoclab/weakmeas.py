@@ -257,8 +257,9 @@ def simulator(protocol: str, rho, w_op, v_op, hamiltonian, t: float):
         raise ValueError(f"unknown protocol {protocol!r}; "
                          f"expected one of {', '.join(_PROTOCOLS)}")
     spec = _PROTOCOLS[protocol]
-    rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), hamiltonian)
-    u = quasiprob.propagator(hamiltonian, t)
+    h_sys = quasiprob._eigensystem(hamiltonian)
+    rho = quasiprob.density_matrix(quasiprob.check_state(rho, w_op, v_op), h_sys)
+    u = quasiprob.propagator(h_sys, t)
     wt = quasiprob.heisenberg(w_op, u)
     prepares_w = spec.letters[-1] == "w"
     if prepares_w and np.max(np.abs(rho @ wt - wt @ rho)) > qla.EXACT_TOL:

@@ -1,8 +1,9 @@
 """Reference routes that only the tests call, each the most literal
 construction of something the package computes another way: the coarse
 entries by the lab-frame four-projector trace and by the eight-correlator
-expansion, the commutator square, projectors by eigendecomposition, the
-dense Brownian increment and step, and Haar unitaries."""
+expansion, the commutator square, the full eigensolve, projectors by
+eigendecomposition, the dense Brownian increment and step, and Haar
+unitaries."""
 from __future__ import annotations
 
 import math
@@ -28,6 +29,16 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     # absorb the diagonal phases so the distribution is exactly Haar
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def full_eigh(h) -> qla.HermitianEigensystem:
+    """The whole matrix in one np.linalg.eigh, under qla.eigh's basis
+    conventions (phases fixed, degenerate groups rebuilt) and with no
+    parities: the solve qla.eigh makes of any matrix its sectors do not
+    split."""
+    m = np.asarray(h)
+    evals, evecs = np.linalg.eigh(m if np.any(m.imag) else m.real)
+    return qla._conventions(evals, evecs, qla._fix_phase(evecs))
 
 
 def eigenprojector(o, eigenvalue: float) -> np.ndarray:

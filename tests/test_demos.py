@@ -1,6 +1,6 @@
-"""The narrated demos run end to end. Each reads the public API, so an
-API change that breaks one fails here; the arguments keep every run
-under a second."""
+"""The narrated demos and the README quick start run end to end. Each
+reads the public API, so an API change that breaks one fails here; the
+arguments keep every run under a second."""
 from __future__ import annotations
 
 import os
@@ -29,3 +29,14 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_readme_quick_start_runs():
+    """The README's python block runs as written, and its last line, the
+    moment identity otoc_moment - F, prints below 1e-12."""
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(complex(proc.stdout.splitlines()[-1])) < 1e-12

@@ -482,7 +482,7 @@ def test_every_entry_gives_a_pauli_matrix_the_bits_of_its_table(n, frame, pair):
     their .matrix() forms: values and correlators, on both eigensystems,
     for every state form and all five entries."""
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    sys = qla.eigh(ham, symmetry=spin.reflection(n)) if frame == "sector" else qla.eigh(ham)
+    sys = qla.eigh(ham) if frame == "sector" else oracles.full_eigh(ham)
     w_factors, v_factors = BYTE_PAIRS[pair](n)
     w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors)
     d, times = 2**n, [0.0, 0.7, 2.3]
@@ -512,7 +512,7 @@ def test_a_partner_pair_of_matrices_reaches_the_partner_kernel(monkeypatch):
     the entry, _energy_frame on the matrices finds no parities."""
     n = 5
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    sys = qla.eigh(ham)
     w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
     assert quasiprob._energy_frame(sys, w.matrix(), v.matrix())[2] is None
     real, calls = quasiprob._partner_kernel, []
@@ -522,6 +522,41 @@ def test_a_partner_pair_of_matrices_reaches_the_partner_kernel(monkeypatch):
     f = quasiprob.otoc_series(state, w.matrix(), v.matrix(), sys, [0.0, 1.3]).values
     assert calls == [True]
     assert abs(f[1] - quasiprob.otoc(state, w.matrix(), v.matrix(), sys, 1.3)) < TOL
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_a_raw_chain_matrix_gives_the_bits_of_the_cli_eigensystem(monkeypatch, n):
+    """Every series entry given the raw ising_hamiltonian matrix solves it
+    as cli._chain_pieces does, in its reflection sectors, and gives the
+    bits of the call given the CLI's eigensystem, for every state form; a
+    thermal Z_1/Z_n series given the raw matrix takes the partner walk."""
+    rng = np.random.default_rng(n)
+    cfg = {"n": n, "j": rng.uniform(0.5, 1.5), "h_field": rng.uniform(-1.0, 1.0),
+           "g_field": rng.uniform(0.3, 1.5), "w": "1:z", "v": f"{n}:z", "state": "thermal:0.8"}
+    sys, w, v, thermal = cli._chain_pieces(cfg)
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=cfg["j"], h=cfg["h_field"],
+                                                    g=cfg["g_field"]))
+    psi, times = qla.haar_random_state(2**n, 3), [0.0, 0.7, 2.3]
+    states = [thermal, quasiprob.DiagonalState(np.full(2**n, 2.0**-n)), psi,
+              quasiprob.density_matrix(thermal, sys)]
+    entries = [
+        lambda state, h: quasiprob.otoc_series(state, w, v, h, times),
+        lambda state, h: quasiprob.coarse_quasiprob_series(state, w, v, h, times),
+        lambda state, h: quasiprob.toc_series(state, w, v, h, times),
+        lambda state, h: quasiprob.kfold_series(state, w, v, h, times, 3),
+        lambda state, h: quasiprob.regulated_series(h, 0.8, w, v, times),
+    ]
+    for state in states:
+        for entry in entries:
+            raw, chain = entry(state, ham), entry(state, sys)
+            assert np.array_equal(raw.values, chain.values)
+            if isinstance(raw, quasiprob.QuasiSeries):
+                assert np.array_equal(raw.correlator, chain.correlator)
+    real, calls = quasiprob._partner_kernel, []
+    monkeypatch.setattr(quasiprob, "_partner_kernel",
+                        lambda *args: calls.append(True) or real(*args))
+    quasiprob.otoc_series(thermal, w, v, ham, times)
+    assert calls == [True]
 
 
 @pytest.mark.parametrize("n, j, h, g", [
@@ -538,7 +573,7 @@ def test_sector_eigensystem_gives_the_full_series(n, j, h, g, state):
     w, v = spin.pauli_string(n, [(1, "x")]), spin.pauli_string(n, [(n, "z")])
     times = [0.0, 0.4, 1.3, 4.0]
     got = []
-    for sys in (qla.eigh(ham, symmetry=spin.reflection(n)), qla.eigh(ham)):
+    for sys in (qla.eigh(ham), oracles.full_eigh(ham)):
         rho = {"infinite-temp": quasiprob.DiagonalState(np.full(2**n, 2.0**-n)),
                "thermal": quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 0.8)),
                "haar": qla.haar_random_state(2**n, 11)}[state]
@@ -707,7 +742,7 @@ def test_reflection_partner_route_matches_the_product_route(n, pair, state):
     the contiguous (W(t) V)^k sum give every word trace of k = 2..5 that the
     rotation of both operators and the product route give."""
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    sys = qla.eigh(ham)
     w_factors, v_factors = PARTNERS[pair]
     w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors(n))
     w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
@@ -734,7 +769,7 @@ def _partner_chain(n, pair):
     as tables, and both frames: the partner's (W~ and the parities) and the
     full product route's (both operators rotated as matrices)."""
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    sys = qla.eigh(ham)
     w_factors, v_factors = PARTNERS[pair]
     w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors(n))
     return sys, w, v, quasiprob._energy_frame(sys, w, v), quasiprob._energy_frame(
@@ -801,7 +836,7 @@ def test_rebuilt_degenerate_groups_across_the_sectors_take_the_product_route():
     is rotated itself, and F still matches the lab-frame otoc."""
     n = 6
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.0, g=0.0))
-    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    sys = qla.eigh(ham)
     w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
     assert quasiprob._energy_frame(sys, w, v)[2] is None
     times = [0.0, 0.9, 2.3]
@@ -819,7 +854,7 @@ def test_rebuilt_degenerate_groups_across_the_sectors_take_the_product_route():
 def test_non_partner_pairs_rotate_both_operators(w_factors, v_factors):
     n = 6
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    sys = qla.eigh(ham, symmetry=spin.reflection(n))
+    sys = qla.eigh(ham)
     w, v = spin.pauli_string(n, w_factors), spin.pauli_string(n, v_factors)
     w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
     assert parities is None
@@ -844,7 +879,7 @@ PLUS_PAIRS = {
 @functools.lru_cache(maxsize=None)
 def _plus_chain(n):
     ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    return ham, qla.eigh(ham, symmetry=spin.reflection(n))
+    return ham, qla.eigh(ham)
 
 
 def _counted_frames(monkeypatch):
@@ -973,7 +1008,7 @@ def test_series_chunks_match_the_lab_frame(monkeypatch, case, points):
     assert qla.chunk_length(8) == 3
     w_factors, v_factors, form, partner = CHUNK_STATES[case]
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=3, j=0.9, h=0.4, g=1.1))
-    sys = qla.eigh(h, symmetry=spin.reflection(3))
+    sys = qla.eigh(h)
     w, v = spin.pauli_string(3, w_factors), spin.pauli_string(3, v_factors)
     assert (quasiprob._energy_frame(sys, w, v)[2] is not None) == partner
     state, rho = _lab_and_compact_states(h, sys, np.random.default_rng(points))[form]

@@ -255,15 +255,16 @@ class TestSectorRoute:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_uniform_chains_take_the_sector_route(self, n, rng):
         """Non-dyadic fields: R H R equals H to rounding, not bitwise."""
-        sym = spin.reflection(n)
+        sym = qla.bit_reversal(2**n)
         for _ in range(4):
             spec = spin.SpinChainSpec(n=n, j=rng.uniform(0.5, 1.5), h=rng.uniform(-1.0, 1.0),
                                       g=rng.uniform(0.3, 1.5))
             h = spin.ising_hamiltonian(spec)
-            full, sector = qla.eigh(h), qla.eigh(h, symmetry=sym)
+            full, sector = oracles.full_eigh(h), qla.eigh(h)
             even, odd = _sector_columns(sector, sym)
             assert len(odd) == (2**n - 2 ** ((n + 1) // 2)) // 2
             assert len(even) + len(odd) == 2**n
+            assert np.array_equal(np.flatnonzero(sector.parities < 0), odd)
             assert np.isrealobj(sector.eigenvectors)
             assert _largest_entries_are_positive(sector.eigenvectors)
             assert np.max(np.abs(sector.eigenvalues - full.eigenvalues)) <= 1e-12
@@ -274,19 +275,21 @@ class TestSectorRoute:
 
     def test_degenerate_groups_straddling_the_sectors_get_the_full_basis(self):
         """At g = 0 H is diagonal, and |r> and |Rr> share an energy, so each
-        such group holds one even and one odd sector vector."""
+        such group holds one even and one odd sector vector; rebuilt, the
+        group has no parities."""
         h = spin.ising_hamiltonian(spin.SpinChainSpec(n=4, j=0.7, h=0.3, g=0.0))
-        full, sector = qla.eigh(h), qla.eigh(h, symmetry=spin.reflection(4))
+        full, sector = oracles.full_eigh(h), qla.eigh(h)
         assert max(b - a for a, b in full.degenerate_groups()) > 1
+        assert sector.parities is None
         assert sector.degenerate_groups() == full.degenerate_groups()
         assert np.max(np.abs(sector.eigenvalues - full.eigenvalues)) <= 1e-12
         assert np.max(np.abs(sector.eigenvectors - full.eigenvectors)) <= 1e-10
 
     def test_complex_hermitian_matrices_split_too(self, make_hermitian):
         a = make_hermitian(8)
-        sym = spin.reflection(3)
+        sym = qla.bit_reversal(8)
         h = a + a[np.ix_(sym, sym)]
-        full, sector = qla.eigh(h), qla.eigh(h, symmetry=sym)
+        full, sector = oracles.full_eigh(h), qla.eigh(h)
         assert len(_sector_columns(sector, sym)[1]) == 2
         assert np.max(np.abs(sector.eigenvalues - full.eigenvalues)) <= 1e-12
         assert np.max(np.abs(sector.reconstruct() - h)) <= 1e-12
@@ -294,11 +297,13 @@ class TestSectorRoute:
     def test_asymmetric_matrices_and_stacks_take_the_full_route(self):
         spec = spin.SpinChainSpec(n=4, j=1.0, h=0.5, g=1.05)
         h = spin.ising_hamiltonian(spec) - 0.3 * spin.site_pauli(4, 1, "z").real
-        sym = spin.reflection(4)
-        for got, want in ((qla.eigh(h, symmetry=sym), qla.eigh(h)),
-                          (qla.eigh(np.array([h, h]), symmetry=sym), qla.eigh(np.array([h, h])))):
+        stack = np.array([h, h], dtype=complex)
+        for got, want in ((qla.eigh(h), oracles.full_eigh(h)),
+                          (qla.eigh(stack), qla.HermitianEigensystem(*np.linalg.eigh(stack)))):
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
+            assert got.parities is None
+        assert qla.eigh(np.array([spin.ising_hamiltonian(spec)] * 2)).parities is None
 
     @pytest.mark.parametrize("shift, sector", [(2 * qla.HERMITIAN_TOL, False),
                                                (qla.HERMITIAN_TOL / 2, True)],
@@ -308,21 +313,23 @@ class TestSectorRoute:
         left as it is: past HERMITIAN_TOL the full route, bitwise, within
         it the sector route, whose columns have exact parities."""
         n = 4
-        sym = spin.reflection(n)
+        sym = qla.bit_reversal(2**n)
         h = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
         i, j = 1, 3
         assert {sym[i], sym[j]} != {i, j} and h[i, j] != 0
         h[i, j] += shift
         h[j, i] += shift
-        got = qla.eigh(h, symmetry=sym)
+        got = qla.eigh(h)
         even, odd = _sector_columns(got, sym)
         if sector:
             assert len(even) + len(odd) == 2**n
+            assert np.array_equal(got.eigenvectors[sym], got.eigenvectors * got.parities)
             assert np.max(np.abs(got.reconstruct() - h)) <= 1e-12
         else:
-            want = qla.eigh(h)
+            want = oracles.full_eigh(h)
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
+            assert got.parities is None
 
     @pytest.mark.parametrize("h", [
         -np.eye(4), np.eye(8), np.diag([1.0, 2.0, 2.0, 3.0]),
@@ -332,23 +339,26 @@ class TestSectorRoute:
         """The fixed points of R enter the even sector as 2 H[f, f'] times
         exactly 1/2, so an exact reflection-symmetric diagonal comes back
         exact, on the fixed points as well."""
-        sym = spin.reflection(len(h).bit_length() - 1)
+        sym = qla.bit_reversal(len(h))
         assert np.array_equal(h[np.ix_(sym, sym)], h)
-        got = qla.eigh(h, symmetry=sym).eigenvalues
-        assert np.array_equal(got, np.sort(np.diag(h)))
+        assert np.array_equal(qla.eigh(h).eigenvalues, np.sort(np.diag(h)))
 
     def test_the_diagonal_chain_gets_its_diagonal_exactly(self):
-        """At g = 0 the n = 10 chain is diagonal with entries that are sums
-        of +-j and +-h, and its sector eigenvalues are those entries sorted."""
-        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=10, j=1.0, h=0.5, g=0.0))
-        got = qla.eigh(h, symmetry=spin.reflection(10)).eigenvalues
-        assert np.array_equal(got, np.sort(np.diag(h)))
+        """At g = 0 the chain is diagonal with entries that are sums of +-j
+        and +-h, and its sector eigenvalues are those entries sorted."""
+        h = spin.ising_hamiltonian(spin.SpinChainSpec(n=8, j=1.0, h=0.5, g=0.0))
+        assert np.array_equal(qla.eigh(h).eigenvalues, np.sort(np.diag(h)))
 
-    @pytest.mark.parametrize("sym", [[1, 2, 0, 3], [0, 1, 2], [1, 0, 3, 2, 4], [5, 0, 1, 2],
-                                     [1.0, 0.0, 3.0, 2.0], [[1, 0, 3, 2]]])
-    def test_rejects_a_symmetry_that_is_no_involution_of_the_basis(self, sym):
-        with pytest.raises(ValueError, match="involutive permutation"):
-            qla.eigh(np.eye(4), symmetry=np.array(sym))
+
+def test_bit_reversal_reverses_the_site_order():
+    for n in range(2, 7):
+        sym = qla.bit_reversal(2**n)
+        assert [format(k, f"0{n}b") for k in sym] == [format(k, f"0{n}b")[::-1]
+                                                    for k in range(2**n)]
+        assert np.array_equal(sym[sym], np.arange(2**n))
+        for s in range(1, n + 1):
+            z = spin.site_pauli(n, s, "z")
+            assert np.array_equal(z[np.ix_(sym, sym)], spin.site_pauli(n, n + 1 - s, "z"))
 
 
 def test_expm_scaled_closed_form():

@@ -663,7 +663,7 @@ class TestWordExpansion:
         (T, 4k) traces and (T, 4^k) entries, however long the grid."""
         n = 4
         ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-        sys = qla.eigh(ham, symmetry=spin.reflection(n))
+        sys = qla.eigh(ham)
         w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
         state = quasiprob.DiagonalState(spin.thermal_weights(sys.eigenvalues, 2.0))
         times = np.linspace(0.0, 200.0, 20_001)
@@ -685,7 +685,7 @@ class TestWordExpansion:
         is numpy's fixed-size casting buffer of about 256 kB."""
         n, d = 9, 512
         ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-        sys = qla.eigh(ham, symmetry=spin.reflection(n))
+        sys = qla.eigh(ham)
         w, v = spin.pauli_string(n, [(1, "z")]), spin.pauli_string(n, [(n, "z")])
         w_e, v_e, parities = quasiprob._energy_frame(sys, w, v)
         assert parities is not None
@@ -742,25 +742,40 @@ def test_moment_identity_random_states(small_chain):
         assert abs(quasiprob.kfold_moment(pw) - f) < 1e-10
 
 
-def _full_row_parities(e, r):
-    """The parity test over every row: s from the sign of sum_i e[r[i]] e[i],
-    kept only if e[r] == e s bitwise."""
-    s = np.where(np.einsum("ij,ij->j", e[r], e) < 0, -1.0, 1.0)
-    return s if np.array_equal(e[r] * s, e) else None
-
-
-@pytest.mark.parametrize("n", range(3, 11))
-def test_reflection_parities_from_the_deciding_rows_match_the_full_row_test(n):
-    r = spin.reflection(n)
-    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=n, j=1.0, h=0.5, g=1.05))
-    e = qla.eigh(ham, symmetry=r).eigenvectors
-    s = quasiprob._reflection_parities(e, r)
-    assert s is not None and np.array_equal(s, _full_row_parities(e, r))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sector_parities_are_the_column_parities_of_the_eigenvectors(n):
+    """The parities the sector solve hands over satisfy e[R] == e s bitwise
+    on uniform chains with random fields; a reflection symmetry broken by
+    twice HERMITIAN_TOL takes the full solve and carries none (nor does a
+    stack: TestSectorRoute in test_qla)."""
+    r, rng = qla.bit_reversal(2**n), np.random.default_rng(n)
+    spec = spin.SpinChainSpec(n=n, j=rng.uniform(0.5, 1.5), h=rng.uniform(-1.0, 1.0),
+                              g=rng.uniform(0.3, 1.5))
+    ham = spin.ising_hamiltonian(spec)
+    sys = qla.eigh(ham)
+    e, s = sys.eigenvectors, sys.parities
+    assert s is not None and np.array_equal(e[r], e * s)
     assert set(s) == {-1.0, 1.0}
-    # one entry of the last mirror row (a row j > r[j]) moved by one ulp
-    mirror = np.flatnonzero(np.arange(2**n) > r)[-1]
-    for col in (0, 2**n - 1):
-        broken = e.copy()
-        broken[mirror, col] = np.nextafter(broken[mirror, col], np.inf)
-        assert quasiprob._reflection_parities(broken, r) is None
-        assert _full_row_parities(broken, r) is None
+    ham[1, 1] += 2 * qla.HERMITIAN_TOL               # and not its mirror r[1] = d / 2
+    assert qla.eigh(ham).parities is None
+
+
+def test_the_diagonal_chain_has_no_sector_parities():
+    """At g = 0 the degenerate groups |r>, |Rr> are rebuilt across the
+    sectors, so the eigensystem carries no parities."""
+    ham = spin.ising_hamiltonian(spin.SpinChainSpec(n=6, j=0.8, h=0.3, g=0.0))
+    assert qla.eigh(ham).parities is None
+
+
+
+@pytest.mark.parametrize("entry", [
+    "otoc_series", "coarse_quasiprob_series", "toc_series", "kfold_series", "otoc_retrodiction",
+    "otoc", "fine_quasiprob", "weakmeas.simulator", "decomp.asym_decohere"])
+def test_an_entry_diagonalizes_a_hamiltonian_matrix_once(monkeypatch, small_chain, entry):
+    """Thermal weights and U(t) of a raw H come from one qla.eigh of H."""
+    _, w, v, h = small_chain
+    state = quasiprob.DiagonalState(spin.thermal_weights(qla.eigh(h).eigenvalues, 0.8))
+    real, solved = qla.eigh, []
+    monkeypatch.setattr(qla, "eigh", lambda m: solved.append(m is h) or real(m))
+    _STATE_ENTRIES[entry](state, w, v, h)
+    assert sum(solved) == 1

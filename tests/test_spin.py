@@ -223,17 +223,6 @@ def test_dense_cap_refuses_13_sites_before_allocating():
     assert spin.SpinChainSpec(n=12).dim == qla.MAX_DIM
 
 
-def test_reflection_reverses_the_site_order():
-    for n in range(2, 7):
-        sym = spin.reflection(n)
-        assert [format(k, f"0{n}b") for k in sym] == [format(k, f"0{n}b")[::-1]
-                                                    for k in range(2**n)]
-        assert np.array_equal(sym[sym], np.arange(2**n))
-        for s in range(1, n + 1):
-            z = spin.site_pauli(n, s, "z")
-            assert np.array_equal(z[np.ix_(sym, sym)], spin.site_pauli(n, n + 1 - s, "z"))
-
-
 def test_ising_hamiltonian_is_hermitian_and_open():
     h = spin.ising_hamiltonian(spin.SpinChainSpec(n=4, j=1.0, h=0.5, g=1.05))
     assert qla.hermiticity_defect(h) == 0.0

@@ -263,9 +263,8 @@ def eigh(h) -> HermitianEigensystem:
             m = m.real
     _require_hermitian(m)                 # which also checks a float m
     d = len(m)
-    if d >= 4 and not d & (d - 1) and (sectors := _sector_eigh(m, bit_reversal(d))):
-        evals, evecs, parities = sectors
-        return _conventions(evals, evecs, evecs, parities)
+    if d >= 4 and not d & (d - 1) and (sectors := _sector_eigh(m)):
+        return sectors
     evals, evecs = np.linalg.eigh(m)
     return _conventions(evals, evecs, _fix_phase(evecs))
 
@@ -278,32 +277,34 @@ def bit_reversal(dim: int) -> np.ndarray:
     return sum(((r >> b) & 1) << (n - 1 - b) for b in range(n))
 
 
-def _sector_eigh(m: np.ndarray, sym: np.ndarray):
-    """Ascending eigenpairs of m from its even (A + B) and odd (A - B) sectors, phases
-    fixed, with parities +-1; None unless R m R = m (HERMITIAN_TOL) on rows r <= sym[r]."""
-    r = np.arange(len(sym))
+def _sector_eigh(m: np.ndarray):
+    """The eigensystem of m from its even (A + B) and odd (A - B) sectors of the bit
+    reversal R, with parities +-1; None unless R m R = m (HERMITIAN_TOL) on rows r <= R[r]."""
+    sym, r = bit_reversal(len(m)), np.arange(len(m))
     fixed, lo = r[r == sym], r[r < sym]
-    even = np.r_[fixed, lo]
+    even, nf, half = np.r_[fixed, lo], len(fixed), np.sqrt(0.5)
     rows = m[even]                        # the fixed-point rows, then the rows r < sym[r]
     # (R m R)[even] - m[even] with both sides' columns permuted by the
     # involution R: the same differences, with no (d/2, d) gather of R m R
     if np.max(np.abs(m[sym[even]] - rows.take(sym, axis=1))) > HERMITIAN_TOL:
         return None
-    c = np.r_[np.full(len(fixed), np.sqrt(0.5)), np.ones(len(lo))]    # fixed points read twice
-    scale = np.outer(c, c)
-    scale[:len(fixed), :len(fixed)] = 0.5         # exactly: sqrt(0.5)**2 is one ulp above
+    block = rows.take(even, axis=1) + rows.take(sym[even], axis=1)
+    block[:nf, nf:] *= half               # a fixed point is read twice: sqrt(1/2) on its
+    block[nf:, :nf] *= half               # row and column, on the fixed block exactly 1/2
+    block[:nf, :nf] *= 0.5                # (sqrt(0.5)**2 is one ulp above)
     (e_vals, e_vecs), (o_vals, o_vecs) = map(np.linalg.eigh, [
-        (rows.take(even, axis=1) + rows.take(sym[even], axis=1)) * scale,
-        rows[len(fixed):].take(lo, axis=1) - rows[len(fixed):].take(sym[lo], axis=1)])
-    e_vecs = _fix_phase((e_vecs * (np.sqrt(0.5) / c)[:, None])[np.argsort(even)])
-    o_vecs = _fix_phase(o_vecs * np.sqrt(0.5))
-    even, ne = np.sort(even), len(even)
-    vecs = np.zeros(m.shape, dtype=e_vecs.dtype)
-    vecs[even, :ne] = vecs[sym[even], :ne] = e_vecs
-    vecs[lo, ne:], vecs[sym[lo], ne:] = o_vecs, -o_vecs
+        block, rows[nf:].take(lo, axis=1) - rows[nf:].take(sym[lo], axis=1)])
+    del rows, block                       # before the (d, d) assembly
+    e_vecs[nf:] *= half
+    e_vecs, o_vecs = _fix_phase(e_vecs[np.argsort(even)]), _fix_phase(o_vecs * half)
     evals = np.concatenate([e_vals, o_vals])
     order = np.argsort(evals, kind="stable")
-    return evals[order], vecs.take(order, axis=1), np.r_[np.ones(ne), -np.ones(len(lo))][order]
+    col, ne = np.argsort(order), len(even)            # each sector vector's column
+    even, lo = np.sort(even)[:, None], lo[:, None]
+    vecs = np.zeros(m.shape, dtype=e_vecs.dtype)
+    vecs[even, col[:ne]] = vecs[sym[even], col[:ne]] = e_vecs
+    vecs[lo, col[ne:]], vecs[sym[lo], col[ne:]] = o_vecs, -o_vecs
+    return _conventions(evals[order], vecs, vecs, np.r_[np.ones(ne), -np.ones(len(lo))][order])
 
 
 def _conventions(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray, parities=None):

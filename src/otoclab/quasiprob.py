@@ -339,16 +339,14 @@ def _energy_frame(sys: qla.HermitianEigensystem, w_op, v_op):
     V~ = S W~ S and W alone is rotated; else both are. A matrix is rotated
     as a matrix, a Pauli one too, and has no parities."""
     e, s = sys.eigenvectors, sys.parities
-    partners = (s is not None and np.isrealobj(e) and isinstance(w_op, spin.PauliString)
-                and isinstance(v_op, spin.PauliString))
-    if partners:
-        r = qla.bit_reversal(w_op.dim)
-        partners = v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r])
     w_e = _rotated(e, w_op)
-    if not partners:
-        return w_e, _rotated(e, v_op), None
-    v_e = w_e * s
-    return w_e, np.multiply(v_e, s[:, None], out=v_e), s
+    if (s is not None and np.isrealobj(e) and isinstance(w_op, spin.PauliString)
+            and isinstance(v_op, spin.PauliString)):
+        r = qla.bit_reversal(w_op.dim)
+        if v_op.mask == r[w_op.mask] and np.array_equal(v_op.phase, w_op.phase[r]):
+            v_e = w_e * s
+            return w_e, np.multiply(v_e, s[:, None], out=v_e), s
+    return w_e, _rotated(e, v_op), None
 
 
 def _plus_rows(op):

@@ -767,7 +767,6 @@ def test_the_diagonal_chain_has_no_sector_parities():
     assert qla.eigh(ham).parities is None
 
 
-
 @pytest.mark.parametrize("entry", [
     "otoc_series", "coarse_quasiprob_series", "toc_series", "kfold_series", "otoc_retrodiction",
     "otoc", "fine_quasiprob", "weakmeas.simulator", "decomp.asym_decohere"])
